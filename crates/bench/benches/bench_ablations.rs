@@ -11,10 +11,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use sr_bench::{consensus_sources, kernel_crawl, proximity_setup, wb_crawl};
+use sr_core::operator::UniformTransition;
 use sr_core::proximity::ProximityWeighting;
 use sr_core::{
-    ConvergenceCriteria, PageRank, SelfEdgePolicy, Solver, SpamProximity, SpamResilientSourceRank,
-    Teleport,
+    ConvergenceCriteria, PageRank, SelfEdgePolicy, Solver, SolverWorkspace, SpamProximity,
+    SpamResilientSourceRank, Teleport,
 };
 use sr_graph::source_graph::{extract, SourceGraphConfig};
 use sr_graph::CompressedGraph;
@@ -31,12 +32,15 @@ fn bench_solvers(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let r = sr_core::solver::solve_weighted(
+                let r = sr_core::solver::solve_weighted_warm_observed(
                     sources.transitions(),
                     0.85,
                     &Teleport::Uniform,
                     &ConvergenceCriteria::default(),
                     solver,
+                    None,
+                    &mut SolverWorkspace::new(),
+                    None,
                 );
                 black_box(r.stats().iterations)
             })
@@ -172,7 +176,12 @@ fn bench_warm_start(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 PageRank::default()
-                    .rank_warm(&attack.pages, clean.scores())
+                    .rank_operator_warm_in(
+                        &UniformTransition::new(&attack.pages),
+                        Some(clean.scores()),
+                        &mut SolverWorkspace::new(),
+                        None,
+                    )
                     .stats()
                     .iterations,
             )

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use sr_analysis::figures;
-use sr_core::{ConvergenceCriteria, Solver, Teleport};
+use sr_core::{ConvergenceCriteria, Solver, SolverWorkspace, Teleport};
 use sr_graph::WeightedGraph;
 
 fn bench_series(c: &mut Criterion) {
@@ -41,12 +41,15 @@ fn bench_scenario3_solve(c: &mut Criterion) {
         let t = WeightedGraph::from_triples(n, triples);
         group.bench_with_input(BenchmarkId::from_parameter(x), &t, |b, t| {
             b.iter(|| {
-                let r = sr_core::solver::solve_weighted(
+                let r = sr_core::solver::solve_weighted_warm_observed(
                     t,
                     0.85,
                     &Teleport::Uniform,
                     &ConvergenceCriteria::default(),
                     Solver::Power,
+                    None,
+                    &mut SolverWorkspace::new(),
+                    None,
                 );
                 black_box(r.score(0))
             })

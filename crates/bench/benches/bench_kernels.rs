@@ -14,8 +14,7 @@ use sr_bench::kernel_crawl;
 use sr_core::operator::reference::NaiveUniformTransition;
 use sr_core::operator::{Transition, UniformTransition};
 use sr_core::power::reference::power_method_unfused;
-use sr_core::power::{power_method_in, PowerConfig};
-use sr_core::SolverWorkspace;
+use sr_core::{solve, SolveColumn, SolveRequest, SolverWorkspace};
 
 fn bench_propagate(c: &mut Criterion) {
     let crawl = kernel_crawl();
@@ -38,18 +37,24 @@ fn bench_propagate(c: &mut Criterion) {
 
 fn bench_power_solve(c: &mut Criterion) {
     let crawl = kernel_crawl();
-    let config = PowerConfig::default();
+    let request = SolveRequest::new(vec![SolveColumn::default()]);
 
     let mut group = c.benchmark_group("kernels/power_solve");
     group.sample_size(10);
     let naive = NaiveUniformTransition::new(&crawl.pages);
     group.bench_function("reference", |b| {
-        b.iter(|| black_box(power_method_unfused(&naive, &config).1.iterations))
+        b.iter(|| black_box(power_method_unfused(&naive, &request)[0].stats().iterations))
     });
     let fused = UniformTransition::new(&crawl.pages);
     let mut ws = SolverWorkspace::new();
     group.bench_function("fused", |b| {
-        b.iter(|| black_box(power_method_in(&fused, &config, &mut ws).iterations))
+        b.iter(|| {
+            black_box(
+                solve(&fused, &request, &mut ws, &mut [])[0]
+                    .stats()
+                    .iterations,
+            )
+        })
     });
     group.finish();
 }

@@ -8,16 +8,16 @@
 //!   [`UniformTransition`] (pre-scaled iterate, edge-balanced chunks);
 //! * **power solve** — the full PageRank fixed point:
 //!   [`power_method_unfused`] (separate damp/teleport/residual passes,
-//!   allocates per solve) vs [`power_method_in`] (single fused sweep,
-//!   reusable [`SolverWorkspace`]);
+//!   allocates per solve) vs a one-column [`solve`] request (single fused
+//!   sweep, reusable [`SolverWorkspace`]);
 //! * **delta re-rank** — re-solving after a localized crawl delta:
 //!   cold rebuild (materialize the mutated CSR, fresh operator, solve from
 //!   uniform) vs the incremental path ([`OverlayTransition`] over the
 //!   unmodified base operator, warm-started from the pre-delta fixed
 //!   point);
 //! * **batched solve** — a K-column multi-seed personalization family (the
-//!   batched proximity workload): K sequential fused single-vector solves
-//!   vs one `solve_batch_in` SpMM panel (K ∈ {1, 4, 8, 16}), with a bitwise
+//!   batched proximity workload): K one-column requests vs one K-column
+//!   request solved in SpMM panels (K ∈ {1, 4, 8, 16}), with a bitwise
 //!   per-column identity gate;
 //! * **sharded solve** — the out-of-core engine: the crawl's reverse
 //!   adjacency written to disk as varint/gap-coded shards and solved through
@@ -54,11 +54,10 @@ use sr_core::incremental::OverlayTransition;
 use sr_core::operator::reference::NaiveUniformTransition;
 use sr_core::operator::{Transition, UniformTransition};
 use sr_core::power::reference::power_method_unfused;
-use sr_core::power::{power_method_in, power_method_observed, PowerConfig};
 use sr_core::streamed::StreamedTransition;
 use sr_core::{
-    solve_batch_in, BatchWorkspace, ConvergenceCriteria, PageRank, SolveBatch, SolveColumn,
-    SolverWorkspace, Teleport,
+    solve, ConvergenceCriteria, PageRank, RankVector, SolveColumn, SolveRequest, SolverWorkspace,
+    Teleport,
 };
 use sr_gen::{generate_sharded, StreamConfig};
 use sr_graph::delta::{DeltaOverlay, GraphDelta};
@@ -132,6 +131,20 @@ fn time_solve(num_edges: usize, mut run: impl FnMut() -> (usize, bool)) -> Solve
     }
 }
 
+/// Runs the one-column `request` over `op`, keeps its vector in `last` and
+/// returns the iteration count and convergence flag [`time_solve`] wants.
+fn solve_into(
+    op: &dyn Transition,
+    request: &SolveRequest,
+    ws: &mut SolverWorkspace,
+    last: &mut Option<RankVector>,
+) -> (usize, bool) {
+    let r = solve(op, request, ws, &mut []).remove(0);
+    let out = (r.stats().iterations, r.stats().converged);
+    *last = Some(r);
+    out
+}
+
 fn solve_json_at(label: &str, s: &SolveResult, indent: &str) -> String {
     let mut out = String::new();
     let _ = write!(
@@ -201,18 +214,16 @@ fn main() {
     );
 
     // --- Layer 2: full power solve ---------------------------------------
-    let config = PowerConfig::default();
+    let request = SolveRequest::new(vec![SolveColumn::default()]);
     let s_ref = time_solve(m, || {
-        let (scores, stats) = power_method_unfused(&naive, &config);
-        std::hint::black_box(&scores);
-        (stats.iterations, stats.converged)
+        let r = power_method_unfused(&naive, &request).remove(0);
+        std::hint::black_box(r.scores());
+        (r.stats().iterations, r.stats().converged)
     });
     let mut ws = SolverWorkspace::new();
-    let s_fused = time_solve(m, || {
-        let stats = power_method_in(&fused, &config, &mut ws);
-        std::hint::black_box(ws.solution());
-        (stats.iterations, stats.converged)
-    });
+    let mut fused_rank = None;
+    let s_fused = time_solve(m, || solve_into(&fused, &request, &mut ws, &mut fused_rank));
+    let fused_rank = fused_rank.expect("at least one timed fused solve");
     assert_eq!(
         s_ref.iterations, s_fused.iterations,
         "fused engine must take the same iteration count as the reference"
@@ -230,8 +241,7 @@ fn main() {
     // mutated CSR, build a fresh operator, solve from uniform. The delta
     // path keeps the base operator untouched, scatters the correction
     // through an `OverlayTransition`, and warm-starts from the pre-delta
-    // fixed point (held in `ws` from the fused solve above).
-    let baseline = ws.solution().to_vec();
+    // fixed point (`fused_rank` from the fused solve above).
     let target = node_id(n) / 2;
     let mut delta = GraphDelta::new();
     delta.add_nodes(32);
@@ -250,34 +260,31 @@ fn main() {
     let m_delta = overlay.num_edges();
 
     let mut ws_cold = SolverWorkspace::new();
+    let mut cold_rank = None;
     let s_cold = time_solve(m_delta, || {
         let rebuilt = overlay.to_csr();
         let op = UniformTransition::new(&rebuilt);
-        let stats = power_method_in(&op, &config, &mut ws_cold);
-        std::hint::black_box(ws_cold.solution());
-        (stats.iterations, stats.converged)
+        solve_into(&op, &request, &mut ws_cold, &mut cold_rank)
     });
 
     // New pages start at their uniform teleport mass, exactly as
     // `PageRank::rank_operator_warm_in` pads a short warm vector.
-    let mut x0 = baseline;
-    x0.resize(n_delta, 1.0 / n_delta as f64);
-    let warm_config = PowerConfig {
-        initial: Some(x0),
-        ..PowerConfig::default()
-    };
+    let warm_request = SolveRequest::new(vec![
+        SolveColumn::default().with_padded_initial(fused_rank.scores(), n_delta)
+    ]);
     let mut ws_warm = SolverWorkspace::new();
+    let mut warm_rank = None;
     let s_warm = time_solve(m_delta, || {
         let op = OverlayTransition::new(&fused, &overlay);
-        let stats = power_method_in(&op, &warm_config, &mut ws_warm);
-        std::hint::black_box(ws_warm.solution());
-        (stats.iterations, stats.converged)
+        solve_into(&op, &warm_request, &mut ws_warm, &mut warm_rank)
     });
 
-    let divergence = ws_cold
-        .solution()
+    let cold_rank = cold_rank.expect("at least one timed rebuild solve");
+    let warm_rank = warm_rank.expect("at least one timed warm solve");
+    let divergence = cold_rank
+        .scores()
         .iter()
-        .zip(ws_warm.solution())
+        .zip(warm_rank.scores())
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f64, f64::max);
     assert!(
@@ -310,9 +317,9 @@ fn main() {
     // --- Layer 4: batched multi-vector solve (SpMM) ------------------------
     // A multi-seed personalization family — K disjoint 64-node seed-group
     // teleports at the paper's α = 0.85, the shape of `SpamProximity::
-    // scores_batch` — solved two ways: K sequential fused single-vector
-    // solves sharing one workspace, vs one K-wide `solve_batch_in` panel
-    // that streams the edge list once for all columns. Same-α columns
+    // scores_batch` — solved two ways: K one-column requests sharing one
+    // workspace, vs one K-column request whose panels stream the edge list
+    // once for all their columns. Same-α columns
     // converge near-lockstep (the batched engine's sweet spot); the
     // staggered-convergence compaction path is pinned functionally by the
     // differential suite and still fires here (seed groups differ by an
@@ -329,55 +336,50 @@ fn main() {
                 Teleport::over_seeds(n, &seeds)
             })
             .collect();
-        let configs: Vec<PowerConfig> = teleports
-            .iter()
-            .map(|tp| PowerConfig {
-                teleport: tp.clone(),
-                ..PowerConfig::default()
-            })
-            .collect();
         let columns: Vec<SolveColumn> = teleports
             .iter()
             .map(|tp| SolveColumn::new(0.85, tp.clone()))
             .collect();
+        let singles: Vec<SolveRequest> = columns
+            .iter()
+            .map(|col| SolveRequest::new(vec![col.clone()]))
+            .collect();
+        let batch = SolveRequest::new(columns);
 
         let mut seq_ws = SolverWorkspace::new();
         let s_seq = time_solve(m, || {
             let mut total_iters = 0;
             let mut all_converged = true;
-            for cfg in &configs {
-                let stats = power_method_in(&fused, cfg, &mut seq_ws);
-                std::hint::black_box(seq_ws.solution());
-                total_iters += stats.iterations;
-                all_converged &= stats.converged;
+            for single in &singles {
+                let r = solve(&fused, single, &mut seq_ws, &mut []).remove(0);
+                std::hint::black_box(r.scores());
+                total_iters += r.stats().iterations;
+                all_converged &= r.stats().converged;
             }
             (total_iters, all_converged)
         });
 
-        let mut batch_ws = BatchWorkspace::new();
-        let mut panel = None;
+        let mut batch_ws = SolverWorkspace::new();
+        let mut panel = Vec::new();
         let s_batch = time_solve(m, || {
-            let batch = SolveBatch::new(columns.clone());
-            let result = solve_batch_in(&fused, &batch, &mut batch_ws);
-            let total_iters = result.columns().iter().map(|c| c.stats().iterations).sum();
-            let all_converged = result.columns().iter().all(|c| c.stats().converged);
-            panel = Some(result);
+            panel = solve(&fused, &batch, &mut batch_ws, &mut []);
+            let total_iters = panel.iter().map(|c| c.stats().iterations).sum();
+            let all_converged = panel.iter().all(|c| c.stats().converged);
             (total_iters, all_converged)
         });
-        let panel = panel.expect("at least one timed batch run");
 
         // Correctness gate (untimed): every batched column must be bitwise
-        // identical to its sequential solve, at the same iteration count.
-        for (j, cfg) in configs.iter().enumerate() {
-            let stats = power_method_in(&fused, cfg, &mut seq_ws);
+        // identical to its one-column request, at the same iteration count.
+        for (j, single) in singles.iter().enumerate() {
+            let r = solve(&fused, single, &mut seq_ws, &mut []).remove(0);
             assert_eq!(
-                seq_ws.solution(),
-                panel.column(j).scores(),
+                r.scores(),
+                panel[j].scores(),
                 "batched column {j} of K={k} diverged from the sequential solve"
             );
             assert_eq!(
-                stats.iterations,
-                panel.column(j).stats().iterations,
+                r.stats().iterations,
+                panel[j].stats().iterations,
                 "batched column {j} of K={k} took a different iteration count"
             );
         }
@@ -424,16 +426,17 @@ fn main() {
         .expect("shard the kernel crawl");
     let streamed = StreamedTransition::from_sharded(&sharded);
     let mut ws_sharded = SolverWorkspace::new();
+    let mut sharded_rank = None;
     let s_sharded = time_solve(m, || {
-        let stats = power_method_in(&streamed, &config, &mut ws_sharded);
-        std::hint::black_box(ws_sharded.solution());
-        (stats.iterations, stats.converged)
+        solve_into(&streamed, &request, &mut ws_sharded, &mut sharded_rank)
     });
-    // Parity gate (untimed): `ws` still holds the fused in-RAM fixed point
-    // from layer 2, solved under the identical `config`.
+    // Parity gate (untimed): `fused_rank` is the fused in-RAM fixed point
+    // from layer 2, solved under the identical `request`.
     assert_eq!(
-        ws.solution(),
-        ws_sharded.solution(),
+        fused_rank.scores(),
+        sharded_rank
+            .expect("at least one timed sharded solve")
+            .scores(),
         "out-of-core solve must be bitwise identical to the in-RAM solve"
     );
     assert_eq!(
@@ -471,12 +474,9 @@ fn main() {
         let (s_w, bits_ok) = sr_par::with_threads(w, || {
             let t = StreamedTransition::from_sharded(&sharded);
             let mut wsx = SolverWorkspace::new();
-            let s = time_solve(m, || {
-                let stats = power_method_in(&t, &config, &mut wsx);
-                std::hint::black_box(wsx.solution());
-                (stats.iterations, stats.converged)
-            });
-            let ok = wsx.solution() == ws.solution();
+            let mut last = None;
+            let s = time_solve(m, || solve_into(&t, &request, &mut wsx, &mut last));
+            let ok = last.is_some_and(|r| r.scores() == fused_rank.scores());
             (s, ok)
         });
         assert!(bits_ok, "sharded solve at {w} worker(s) diverged bitwise");
@@ -532,18 +532,16 @@ fn main() {
         let hop = StreamedTransition::from_sharded(&huge);
         // Fixed iteration budget: the entry tracks streaming throughput at
         // scale, not convergence (which the 60k gate already pins).
-        let huge_config = PowerConfig {
-            criteria: ConvergenceCriteria {
+        let huge_request =
+            SolveRequest::new(vec![SolveColumn::default()]).criteria(ConvergenceCriteria {
                 max_iterations: 5,
                 ..ConvergenceCriteria::default()
-            },
-            ..PowerConfig::default()
-        };
+            });
         let mut hws = SolverWorkspace::new();
         let start = Instant::now();
-        let stats = power_method_in(&hop, &huge_config, &mut hws);
+        let huge_rank = solve(&hop, &huge_request, &mut hws, &mut []).remove(0);
         let wall = start.elapsed().as_secs_f64();
-        std::hint::black_box(hws.solution());
+        let stats = huge_rank.stats();
         let eps = (stats.iterations * hm) as f64 / wall;
         let resident = huge.resident_bytes() + hop.scratch_resident_bytes();
         eprintln!(
@@ -848,7 +846,7 @@ fn main() {
     sr_par::counters::enable();
     let mut report = RunReport::new("kernels", threads);
     let mut obs = RecordingObserver::new();
-    power_method_observed(&fused, &config, &mut ws, Some(&mut obs));
+    solve(&fused, &request, &mut ws, &mut [Some(&mut obs)]);
     report.push_solve(obs.into_record("power-fused"));
     let compressed = sr_graph::CompressedGraph::from_csr(graph).expect("compress kernel crawl");
     report.push_graph(GraphStats {

@@ -1,8 +1,8 @@
 //! Deterministic panel packing for coalesced personalized queries.
 //!
 //! The serving engine's exact slow path gathers concurrent personalized-PPR
-//! requests and solves them as one SpMM panel ([`crate::batch`], the PR-4
-//! K-column engine) instead of K sequential single-vector solves. The
+//! requests and solves them as one K-column [`crate::SolveRequest`] (one
+//! SpMM panel) instead of K sequential single-vector solves. The
 //! *admission* policy (deadline-or-K) lives in the server; this module owns
 //! the part that must be bit-deterministic: given whatever set of queries
 //! was admitted, produce the same panels in the same packing order no
@@ -10,13 +10,13 @@
 //! handler threads enqueued them.
 //!
 //! The canonical order is lexicographic by seed set, tie-broken by ticket —
-//! a pure function of the admitted set. Combined with the batch engine's
+//! a pure function of the admitted set. Combined with the solve driver's
 //! thread-count invariance, per-query scores are bitwise reproducible: the
 //! 1-vs-8-thread determinism suite pins this end to end.
 
 use sr_graph::NodeId;
 
-use crate::batch::SolveColumn;
+use crate::power::SolveColumn;
 use crate::teleport::{Teleport, TeleportError};
 
 /// One admitted personalized query: a validated seed set plus the monotone

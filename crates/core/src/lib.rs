@@ -22,16 +22,18 @@
 //!   offline [`WalkCacheBuilder`] simulation over any [`sr_graph::SolveGraph`]
 //!   backend plus query-time [`ApproxPpr`] residual-push assembly, property-
 //!   tested against the exact solver as a differential oracle;
-//! * [`batch`] — the batched multi-vector (SpMM) solve engine: K parameter
-//!   columns solved in one pass over the edge stream, bit-identical per
-//!   column to sequential solves;
 //! * [`streamed`] — the out-of-core solve engine: the PageRank operator over
 //!   any row-streaming [`sr_graph::SolveGraph`] backend; on-disk sharded
 //!   graphs run a decode-ahead prefetch + block-decode pipeline with
 //!   worker–shard affinity, bit-identical to the in-RAM CSR engine;
-//! * [`power`], [`gauss_seidel`], [`solver`] — the iterative engines
-//!   (fused parallel power method with reusable [`SolverWorkspace`] buffers,
-//!   and Gauss–Seidel), with the paper's L2 < 1e-9 stopping rule as default;
+//! * [`power`] — the one damped fixed-point driver: a [`SolveRequest`] of K
+//!   parameter columns (damping, teleport, warm start) plus a shared
+//!   stopping rule, formulation and dangling policy, run by [`solve`] over
+//!   any [`operator::Transition`] in SpMM panels, each column bit-identical
+//!   to its one-column request, with reusable [`SolverWorkspace`] buffers
+//!   and the paper's L2 < 1e-9 stopping rule as default;
+//! * [`gauss_seidel`], [`solver`] — Gauss–Seidel sweeps and the solver
+//!   selection of the source-level rankings;
 //! * [`operator`], [`teleport`], [`vecops`], [`convergence`], [`rankvec`] —
 //!   shared numerical substrate.
 //!
@@ -39,7 +41,6 @@
 //! and all defaults reproduce the paper's parameters (α = 0.85).
 
 pub mod approx;
-pub mod batch;
 pub mod coalesce;
 pub mod convergence;
 pub mod gauss_seidel;
@@ -64,16 +65,14 @@ pub mod trustrank;
 pub mod vecops;
 
 pub use approx::{ApproxError, ApproxPpr, QueryConfig, WalkCacheBuilder, WalkCacheConfig};
-pub use batch::{
-    solve_batch, solve_batch_in, solve_batch_observed, BatchWorkspace, MultiRankVector, SolveBatch,
-    SolveColumn, PANEL_WIDTH,
-};
 pub use coalesce::{pack_panels, panel_columns, PanelQuery};
 pub use convergence::{ConvergenceCriteria, IterationStats, Norm};
 pub use incremental::{DeltaRerank, IncrementalConfig, IncrementalRanker, OverlayTransition};
 pub use order::{cmp_asc_nan_last, cmp_desc_nan_last};
 pub use pagerank::PageRank;
-pub use power::{DanglingPolicy, SolverWorkspace};
+pub use power::{
+    solve, DanglingPolicy, Formulation, SolveColumn, SolveRequest, SolverWorkspace, PANEL_WIDTH,
+};
 pub use proximity::{ProximityApprox, ProximityError, ProximityQuery, SpamProximity};
 pub use rankvec::RankVector;
 pub use snapshot::{RankSnapshot, SnapshotRing};

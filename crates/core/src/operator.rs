@@ -52,7 +52,7 @@ pub trait Transition: Sync {
     /// (the pre-scaled iterate for the uniform operator; unused by the
     /// weighted one). Passing it in lets a solver drive thousands of
     /// iterations with zero per-iteration allocation — see
-    /// [`crate::power::SolverWorkspace`].
+    /// [`crate::SolverWorkspace`].
     fn propagate_with(&self, x: &[f64], y: &mut [f64], scratch: &mut [f64]) -> f64;
 
     /// Convenience form of [`propagate_with`](Transition::propagate_with)
@@ -62,30 +62,32 @@ pub trait Transition: Sync {
         let mut scratch = vec![0.0; x.len()];
         self.propagate_with(x, y, &mut scratch)
     }
-}
 
-/// A [`Transition`] that can apply itself to a column-blocked panel of
-/// iterates in one pass over the edge stream — the SpMM form of the batched
-/// solve engine (see `crate::batch`).
-///
-/// Implementations must make each panel column **bit-identical** to a
-/// [`propagate_with`](Transition::propagate_with) call on that column alone:
-/// same per-row accumulation order, same block structure for the dangling
-/// reductions. The batched solver's differential suite pins this. Converged
-/// columns are handled by the *solver* (it compacts the panel and calls back
-/// at a narrower width), so every column of a panel is always live here.
-pub trait BatchTransition: Transition {
+    /// The widest panel [`propagate_panel`](Transition::propagate_panel)
+    /// accepts; [`crate::solve`] tiles multi-column requests by it. The
+    /// provided value, 1, means single-vector only: such an operator solves
+    /// a K-column request as K one-column tiles.
+    fn panel_width(&self) -> usize {
+        1
+    }
+
     /// Computes `Y = X P` for a row-major `[node][width]` panel (`x` and `y`
-    /// of length `num_nodes() * width`) and writes each column's dangling
-    /// mass into `dangling[k]`.
+    /// of length `num_nodes() * width`, `width ≤ panel_width()`) and writes
+    /// each column's dangling mass into `dangling[k]` — the SpMM form the
+    /// solve driver runs.
     ///
-    /// `scratch` is caller working memory of length at least `num_nodes()`;
-    /// it is only used when `width == 1`, where the panel *is* a contiguous
-    /// vector and the call delegates to the fused single-vector kernel.
+    /// Implementations must make each panel column **bit-identical** to a
+    /// [`propagate_with`](Transition::propagate_with) call on that column
+    /// alone: same per-row accumulation order, same block structure for the
+    /// dangling reductions. Converged columns are handled by the *driver*
+    /// (it compacts the panel and calls back at a narrower width), so every
+    /// column of a panel is live here. `scratch` (length `num_nodes()`) is
+    /// for width 1, where the panel *is* a contiguous vector; the provided
+    /// form handles exactly that case by delegating to `propagate_with`.
     ///
     /// # Panics
-    /// Panics if `width` is 0 or exceeds [`PANEL_MAX_WIDTH`], or a buffer
-    /// has the wrong length.
+    /// Panics if `width` is 0 or exceeds `panel_width()`, or a buffer has
+    /// the wrong length.
     fn propagate_panel(
         &self,
         x: &[f64],
@@ -93,14 +95,20 @@ pub trait BatchTransition: Transition {
         width: usize,
         scratch: &mut [f64],
         dangling: &mut [f64],
-    );
+    ) {
+        assert_eq!(
+            width, 1,
+            "single-vector operator asked for a {width}-column panel"
+        );
+        dangling[0] = self.propagate_with(x, y, scratch);
+    }
 }
 
 /// Validates the shared `propagate_panel` contract.
 fn check_panel(n: usize, x: &[f64], y: &[f64], width: usize, dangling: &[f64]) {
     assert!(
         (1..=PANEL_MAX_WIDTH).contains(&width),
-        "panel width {width} outside 1..={PANEL_MAX_WIDTH}; tile wider batches"
+        "panel width {width} outside 1..={PANEL_MAX_WIDTH}; tile wider requests"
     );
     assert_eq!(x.len(), n * width);
     assert_eq!(y.len(), n * width);
@@ -215,9 +223,11 @@ impl Transition for UniformTransition {
         });
         dangling
     }
-}
 
-impl BatchTransition for UniformTransition {
+    fn panel_width(&self) -> usize {
+        PANEL_MAX_WIDTH
+    }
+
     fn propagate_panel(
         &self,
         x: &[f64],
@@ -398,9 +408,11 @@ impl Transition for WeightedTransition {
         });
         dangling
     }
-}
 
-impl BatchTransition for WeightedTransition {
+    fn panel_width(&self) -> usize {
+        PANEL_MAX_WIDTH
+    }
+
     fn propagate_panel(
         &self,
         x: &[f64],

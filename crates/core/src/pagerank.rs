@@ -4,20 +4,16 @@
 use std::path::Path;
 
 use crate::approx::{ApproxError, ApproxPpr, WalkCacheBuilder, WalkCacheConfig};
-use crate::batch::{
-    solve_batch_observed, BatchWorkspace, MultiRankVector, SolveBatch, SolveColumn,
-};
 use crate::convergence::ConvergenceCriteria;
 use crate::operator::{Transition, UniformTransition};
 use crate::power::{
-    power_method_observed, DanglingPolicy, Formulation, PowerConfig, SolverWorkspace,
+    solve, DanglingPolicy, Formulation, SolveColumn, SolveRequest, SolverWorkspace,
 };
 use crate::rankvec::RankVector;
-use crate::streamed::StreamedTransition;
 use crate::teleport::Teleport;
 use sr_graph::walks::WalkStore;
-use sr_graph::{CsrGraph, ShardedCompressedGraph};
-use sr_obs::{ObserverFanout, SolveObserver};
+use sr_graph::CsrGraph;
+use sr_obs::SolveObserver;
 
 /// PageRank configuration; construct via [`PageRank::builder`].
 ///
@@ -54,63 +50,18 @@ impl PageRank {
         )
     }
 
-    /// [`rank`](PageRank::rank) with telemetry: the solve reports its
-    /// per-iteration residuals and dangling mass to `observer` (see
-    /// `sr-obs`). Identical scores and stats to [`rank`](PageRank::rank).
-    pub fn rank_observed(&self, graph: &CsrGraph, observer: &mut dyn SolveObserver) -> RankVector {
-        self.rank_operator_warm_in(
-            &UniformTransition::new(graph),
-            None,
-            &mut SolverWorkspace::new(),
-            Some(observer),
-        )
-    }
-
-    /// Computes the PageRank vector of an on-disk sharded graph without ever
-    /// materializing its CSR: the solve streams varint-coded shards through
-    /// the out-of-core operator (see [`crate::streamed`]), touching only the
-    /// rank vectors plus a few KB of per-worker decode scratch. Scores and
-    /// iteration counts are **bit-identical** to [`rank`](PageRank::rank) on
-    /// the equivalent in-RAM graph.
-    pub fn rank_sharded(&self, graph: &ShardedCompressedGraph) -> RankVector {
-        self.rank_operator_warm_in(
-            &StreamedTransition::from_sharded(graph),
-            None,
-            &mut SolverWorkspace::new(),
-            None,
-        )
-    }
-
-    /// Computes PageRank warm-started from a previous score vector —
-    /// typically the pre-attack ranking, which after a localized graph
-    /// mutation converges in a fraction of the cold-start iterations.
-    /// `initial` may cover fewer nodes than the graph (pages added since);
-    /// missing entries start at the teleport mass.
-    pub fn rank_warm(&self, graph: &CsrGraph, initial: &[f64]) -> RankVector {
-        self.rank_warm_in(graph, initial, &mut SolverWorkspace::new())
-    }
-
-    /// [`rank_warm`](PageRank::rank_warm) with caller-owned solver buffers —
-    /// the shape the attack experiments use: one workspace outlives a loop of
-    /// incremental re-rankings, so each solve reuses the iterate, scratch and
-    /// teleport buffers instead of reallocating them.
-    pub fn rank_warm_in(
-        &self,
-        graph: &CsrGraph,
-        initial: &[f64],
-        ws: &mut SolverWorkspace,
-    ) -> RankVector {
-        self.rank_operator_warm_in(&UniformTransition::new(graph), Some(initial), ws, None)
-    }
-
-    /// The most general entry point: ranks over an arbitrary
-    /// [`Transition`] operator with an optional warm start and telemetry —
-    /// how the incremental engine ranks a delta overlay's operator without
-    /// materializing a CSR graph first.
+    /// The general form of [`rank`](PageRank::rank): ranks over any
+    /// [`Transition`] operator — the delta overlay of the incremental
+    /// engine, the out-of-core
+    /// [`StreamedTransition`](crate::streamed::StreamedTransition) (bit-
+    /// identical to the in-RAM solve) — with an optional warm start,
+    /// caller-owned solver buffers and telemetry.
     ///
-    /// `initial`, when present, may cover fewer nodes than the operator
-    /// (pages added since it was computed); missing entries start at their
-    /// teleport mass, exactly as in [`rank_warm_in`](PageRank::rank_warm_in).
+    /// `initial`, typically the pre-mutation ranking, may cover fewer nodes
+    /// than the operator (pages added since it was computed); missing
+    /// entries start at their teleport mass (see
+    /// [`SolveColumn::with_padded_initial`]). After a localized mutation it
+    /// converges in a fraction of the cold-start iterations.
     pub fn rank_operator_warm_in(
         &self,
         op: &dyn Transition,
@@ -118,56 +69,40 @@ impl PageRank {
         ws: &mut SolverWorkspace,
         observer: Option<&mut (dyn SolveObserver + '_)>,
     ) -> RankVector {
-        let n = op.num_nodes();
-        let x0 = initial.map(|init| {
-            assert!(
-                init.len() <= n,
-                "warm-start vector covers more nodes than the graph"
-            );
-            let mut x0 = Vec::with_capacity(n);
-            x0.extend_from_slice(init);
-            for i in init.len()..n {
-                x0.push(self.teleport.mass(i, n));
-            }
-            x0
-        });
-        let config = PowerConfig {
-            alpha: self.alpha,
-            teleport: self.teleport.clone(),
-            criteria: self.criteria,
-            formulation: self.formulation,
-            dangling: self.dangling,
-            initial: x0,
-        };
-        let stats = power_method_observed(op, &config, ws, observer);
-        RankVector::new(ws.take_solution(), stats)
+        let mut column = self.column();
+        if let Some(init) = initial {
+            column = column.with_padded_initial(init, op.num_nodes());
+        }
+        let mut ranks = solve(op, &self.request(vec![column]), ws, &mut [observer]);
+        ranks.remove(0)
     }
 
     /// Solves many PageRank variants over one graph in a single batched
     /// (SpMM) pass: each [`SolveColumn`] carries its own damping, teleport
-    /// and optional warm start, while this configuration's stopping rule and
-    /// formulation apply to every column. The edge stream is read once per
-    /// iteration for all columns, and each result is bit-identical to the
-    /// corresponding sequential [`rank`](PageRank::rank) solve — the engine
-    /// behind damping sweeps and personalization panels.
-    pub fn rank_batch(&self, graph: &CsrGraph, columns: Vec<SolveColumn>) -> MultiRankVector {
-        self.rank_batch_observed(graph, columns, None)
+    /// and optional warm start, while this configuration's stopping rule,
+    /// formulation and dangling policy apply to every column. The edge
+    /// stream is read once per iteration for all columns, and each result is
+    /// bit-identical to the corresponding sequential [`rank`](PageRank::rank)
+    /// solve — the engine behind damping sweeps and personalization panels.
+    pub fn rank_batch(&self, graph: &CsrGraph, columns: Vec<SolveColumn>) -> Vec<RankVector> {
+        let op = UniformTransition::new(graph);
+        solve(
+            &op,
+            &self.request(columns),
+            &mut SolverWorkspace::new(),
+            &mut [],
+        )
     }
 
-    /// [`rank_batch`](PageRank::rank_batch) with per-column telemetry: slot
-    /// `k` of `observers` (see [`sr_obs::ObserverFanout`]) sees column `k`'s
-    /// solve exactly as a sequential observed solve would.
-    pub fn rank_batch_observed(
-        &self,
-        graph: &CsrGraph,
-        columns: Vec<SolveColumn>,
-        observers: Option<&mut ObserverFanout<'_>>,
-    ) -> MultiRankVector {
-        let op = UniformTransition::new(graph);
-        let batch = SolveBatch::new(columns)
+    /// A [`SolveRequest`] over `columns` carrying this configuration's
+    /// stopping rule, formulation and dangling policy — what
+    /// [`rank_batch`](PageRank::rank_batch) runs, for callers that hold
+    /// their own operator, workspace or per-column observers.
+    pub fn request(&self, columns: Vec<SolveColumn>) -> SolveRequest {
+        SolveRequest::new(columns)
             .criteria(self.criteria)
-            .formulation(self.formulation);
-        solve_batch_observed(&op, &batch, &mut BatchWorkspace::new(), observers)
+            .formulation(self.formulation)
+            .dangling(self.dangling)
     }
 
     /// A [`SolveColumn`] carrying this configuration's damping and teleport —
@@ -296,6 +231,16 @@ mod tests {
     use super::*;
     use sr_graph::GraphBuilder;
 
+    /// A warm restart of `pr` over `graph` from `initial`.
+    fn warm_restart(pr: &PageRank, graph: &CsrGraph, initial: &[f64]) -> RankVector {
+        pr.rank_operator_warm_in(
+            &UniformTransition::new(graph),
+            Some(initial),
+            &mut SolverWorkspace::new(),
+            None,
+        )
+    }
+
     #[test]
     fn hub_and_authority_ordering() {
         // 0,1,2 all point to 3; 3 points back to 0.
@@ -357,7 +302,7 @@ mod tests {
         edges.push((5, 0));
         let g2 = GraphBuilder::from_edges_exact(6, edges).unwrap();
         let cold2 = pr.rank(&g2);
-        let warm2 = pr.rank_warm(&g2, cold.scores());
+        let warm2 = warm_restart(&pr, &g2, cold.scores());
         for (a, b) in cold2.scores().iter().zip(warm2.scores()) {
             assert!((a - b).abs() < 1e-8);
         }
@@ -381,7 +326,7 @@ mod tests {
         let pruned: Vec<_> = edges.into_iter().filter(|&e| e != (2, 3)).collect();
         let g2 = GraphBuilder::from_edges_exact(4, pruned).unwrap();
         let cold2 = pr.rank(&g2);
-        let warm2 = pr.rank_warm(&g2, cold.scores());
+        let warm2 = warm_restart(&pr, &g2, cold.scores());
         for (a, b) in cold2.scores().iter().zip(warm2.scores()) {
             assert!((a - b).abs() < 1e-8);
         }
@@ -400,29 +345,13 @@ mod tests {
         edges.extend([(4, 0), (5, 4), (6, 2), (2, 6)]);
         let g2 = GraphBuilder::from_edges_exact(7, edges).unwrap();
         let cold2 = pr.rank(&g2);
-        let mut ws = SolverWorkspace::new();
-        let warm2 = pr.rank_warm_in(&g2, cold.scores(), &mut ws);
+        let warm2 = warm_restart(&pr, &g2, cold.scores());
         assert_eq!(warm2.scores().len(), 7);
         for (a, b) in cold2.scores().iter().zip(warm2.scores()) {
             assert!((a - b).abs() < 1e-8);
         }
         assert!(warm2.stats().converged);
         assert!(warm2.stats().iterations <= cold2.stats().iterations);
-    }
-
-    #[test]
-    fn rank_warm_in_matches_rank_warm() {
-        use crate::power::SolverWorkspace;
-        let g = GraphBuilder::from_edges_exact(5, vec![(0, 1), (1, 2), (2, 0), (3, 0)]).unwrap();
-        let pr = PageRank::default();
-        let cold = pr.rank(&g);
-        let mut ws = SolverWorkspace::new();
-        for _ in 0..3 {
-            let a = pr.rank_warm(&g, cold.scores());
-            let b = pr.rank_warm_in(&g, cold.scores(), &mut ws);
-            assert_eq!(a.scores(), b.scores());
-            assert_eq!(a.stats().iterations, b.stats().iterations);
-        }
     }
 
     #[test]
@@ -437,9 +366,27 @@ mod tests {
         let batched = PageRank::default().rank_batch(&g, columns);
         for (k, &a) in alphas.iter().enumerate() {
             let seq = PageRank::builder().alpha(a).finish().rank(&g);
-            assert_eq!(batched.column(k).scores(), seq.scores());
-            assert_eq!(batched.column(k).stats().iterations, seq.stats().iterations);
+            assert_eq!(batched[k].scores(), seq.scores());
+            assert_eq!(batched[k].stats().iterations, seq.stats().iterations);
         }
+    }
+
+    #[test]
+    fn rank_batch_keeps_the_configured_dangling_policy() {
+        // A personalized solve with dangling nodes 2 and 4: under the weakly
+        // preferential policy their mass spreads over every node, so nodes 3
+        // and 4 (no in-links, outside the seed) must score above zero in the
+        // batch exactly as in the sequential solve.
+        let g = GraphBuilder::from_edges_exact(5, vec![(0, 1), (1, 2), (3, 0)]).unwrap();
+        let pr = PageRank::builder()
+            .teleport(Teleport::over_seeds(5, &[0]))
+            .dangling(DanglingPolicy::WeaklyPreferential)
+            .finish();
+        let seq = pr.rank(&g);
+        let batched = pr.rank_batch(&g, vec![pr.column()]);
+        assert!(seq.score(3) > 0.0 && seq.score(4) > 0.0);
+        assert_eq!(batched[0].scores(), seq.scores());
+        assert_eq!(batched[0].stats(), seq.stats());
     }
 
     #[test]

@@ -23,10 +23,9 @@ use std::fmt;
 use std::path::Path;
 
 use crate::approx::{ApproxError, ApproxPpr, QueryConfig, WalkCacheBuilder, WalkCacheConfig};
-use crate::batch::{solve_batch, SolveBatch, SolveColumn};
 use crate::convergence::ConvergenceCriteria;
 use crate::operator::{Transition, UniformTransition, WeightedTransition};
-use crate::power::{power_method, Formulation, PowerConfig};
+use crate::power::{self, SolveColumn, SolveRequest, SolverWorkspace};
 use crate::rankvec::RankVector;
 use crate::teleport::{Teleport, TeleportError};
 use crate::throttle::ThrottleVector;
@@ -283,16 +282,18 @@ impl SpamProximity {
                 Teleport::try_over_seeds(n, &q.seeds)?,
             ));
         }
-        let batch = SolveBatch::new(columns).criteria(self.criteria);
-        let ranks = match self.weighting {
+        let request = SolveRequest::new(columns).criteria(self.criteria);
+        let ws = &mut SolverWorkspace::new();
+        Ok(match self.weighting {
             ProximityWeighting::Uniform => {
-                solve_batch(&Self::reversed_uniform(source_graph.structural()), &batch)
+                let op = Self::reversed_uniform(source_graph.structural());
+                power::solve(&op, &request, ws, &mut [])
             }
             ProximityWeighting::Consensus => {
-                solve_batch(&Self::reversed_weighted(source_graph.transitions()), &batch)
+                let op = Self::reversed_weighted(source_graph.transitions());
+                power::solve(&op, &request, ws, &mut [])
             }
-        };
-        Ok(ranks.into_columns())
+        })
     }
 
     /// The reversed structural operator of the uniform weighting — shared by
@@ -319,16 +320,9 @@ impl SpamProximity {
     /// The one place a proximity solve is configured: every scoring entry
     /// point funnels its reversed operator and teleport through here.
     fn solve(&self, op: &dyn Transition, teleport: Teleport) -> RankVector {
-        let config = PowerConfig {
-            alpha: self.beta,
-            teleport,
-            criteria: self.criteria,
-            formulation: Formulation::Eigenvector,
-            dangling: Default::default(),
-            initial: None,
-        };
-        let (scores, stats) = power_method(op, &config);
-        RankVector::new(scores, stats)
+        let column = SolveColumn::new(self.beta, teleport);
+        let request = SolveRequest::new(vec![column]).criteria(self.criteria);
+        power::solve(op, &request, &mut SolverWorkspace::new(), &mut []).remove(0)
     }
 
     /// Builds the Monte-Carlo walk cache of the uniform (BadRank-style)

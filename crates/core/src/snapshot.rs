@@ -168,8 +168,13 @@ mod tests {
     use sr_graph::GraphBuilder;
 
     fn tiny_walks() -> WalkStore {
-        let path =
-            std::env::temp_dir().join(format!("sr_snapshot_walks_{}.bin", std::process::id()));
+        // One file per test thread: tests run concurrently, and a shared
+        // path lets one test's writer move the file out from under another.
+        let path = std::env::temp_dir().join(format!(
+            "sr_snapshot_walks_{}_{:?}.bin",
+            std::process::id(),
+            std::thread::current().id()
+        ));
         let meta = WalkMeta {
             num_nodes: 3,
             walks: 0,

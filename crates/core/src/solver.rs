@@ -1,9 +1,9 @@
 //! Solver selection for weighted (source-level) transition matrices.
 
 use crate::convergence::ConvergenceCriteria;
-use crate::gauss_seidel::gauss_seidel_observed;
+use crate::gauss_seidel::gauss_seidel;
 use crate::operator::WeightedTransition;
-use crate::power::{power_method_observed, Formulation, PowerConfig, SolverWorkspace};
+use crate::power::{solve, Formulation, SolveColumn, SolveRequest, SolverWorkspace};
 use crate::rankvec::RankVector;
 use crate::teleport::Teleport;
 use sr_graph::WeightedGraph;
@@ -24,52 +24,31 @@ pub enum Solver {
     GaussSeidel,
 }
 
+impl Solver {
+    /// The [`solve`] formulation of a power solver; `None` for
+    /// Gauss–Seidel, which has no request form.
+    pub fn formulation(self) -> Option<Formulation> {
+        match self {
+            Solver::Power => Some(Formulation::Eigenvector),
+            Solver::PowerLinear => Some(Formulation::LinearSystem),
+            Solver::GaussSeidel => None,
+        }
+    }
+}
+
 /// Solves the damped walk over a weighted transition matrix with the chosen
-/// solver. All solvers return an L1-normalized vector; on matrices without
-/// dangling rows they agree to solver tolerance.
-pub fn solve_weighted(
-    transitions: &WeightedGraph,
-    alpha: f64,
-    teleport: &Teleport,
-    criteria: &ConvergenceCriteria,
-    solver: Solver,
-) -> RankVector {
-    solve_weighted_observed(transitions, alpha, teleport, criteria, solver, None)
-}
-
-/// [`solve_weighted`] with telemetry: the chosen solver reports its
-/// per-iteration residuals (and dangling mass, where meaningful) to
-/// `observer` — see `sr-obs`. Passing `None` is exactly [`solve_weighted`].
-pub fn solve_weighted_observed(
-    transitions: &WeightedGraph,
-    alpha: f64,
-    teleport: &Teleport,
-    criteria: &ConvergenceCriteria,
-    solver: Solver,
-    observer: Option<&mut (dyn SolveObserver + '_)>,
-) -> RankVector {
-    solve_weighted_warm_observed(
-        transitions,
-        alpha,
-        teleport,
-        criteria,
-        solver,
-        None,
-        &mut SolverWorkspace::new(),
-        observer,
-    )
-}
-
-/// [`solve_weighted_observed`] with a warm restart and caller-owned solver
-/// buffers — the incremental re-ranking entry point.
+/// solver, optionally warm-started, on caller-owned buffers, with telemetry
+/// — the one solve behind every source-level ranking. All solvers return an
+/// L1-normalized vector; on matrices without dangling rows they agree to
+/// solver tolerance.
 ///
 /// `initial`, when present, seeds the iteration with a previous solution.
 /// It may cover *fewer* states than `transitions` has (sources added since
-/// the vector was computed); missing entries start at their teleport mass,
-/// mirroring [`crate::PageRank::rank_warm_in`]. [`Solver::GaussSeidel`] has
+/// the vector was computed); missing entries start at their teleport mass
+/// (see [`SolveColumn::with_padded_initial`]). [`Solver::GaussSeidel`] has
 /// no warm path — its sweeps build the iterate in place from the diagonal
 /// split, not from an initial distribution — so it ignores `initial` and
-/// solves cold; both power solvers exploit the restart.
+/// `ws` and solves cold; both power solvers exploit the restart.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_weighted_warm_observed(
     transitions: &WeightedGraph,
@@ -81,49 +60,36 @@ pub fn solve_weighted_warm_observed(
     ws: &mut SolverWorkspace,
     observer: Option<&mut (dyn SolveObserver + '_)>,
 ) -> RankVector {
-    match solver {
-        Solver::Power | Solver::PowerLinear => {
-            let formulation = if solver == Solver::Power {
-                Formulation::Eigenvector
-            } else {
-                Formulation::LinearSystem
-            };
-            let n = transitions.num_nodes();
-            let x0 = initial.map(|init| {
-                assert!(
-                    init.len() <= n,
-                    "warm-start vector covers more states than the matrix"
-                );
-                let mut x0 = Vec::with_capacity(n);
-                x0.extend_from_slice(init);
-                for i in init.len()..n {
-                    x0.push(teleport.mass(i, n));
-                }
-                x0
-            });
-            let op = WeightedTransition::new(transitions);
-            let config = PowerConfig {
-                alpha,
-                teleport: teleport.clone(),
-                criteria: *criteria,
-                formulation,
-                dangling: Default::default(),
-                initial: x0,
-            };
-            let stats = power_method_observed(&op, &config, ws, observer);
-            RankVector::new(ws.take_solution(), stats)
-        }
-        Solver::GaussSeidel => {
-            let (scores, stats) =
-                gauss_seidel_observed(transitions, alpha, teleport, criteria, observer);
-            RankVector::new(scores, stats)
-        }
+    let Some(formulation) = solver.formulation() else {
+        let (scores, stats) = gauss_seidel(transitions, alpha, teleport, criteria, observer);
+        return RankVector::new(scores, stats);
+    };
+    let mut column = SolveColumn::new(alpha, teleport.clone());
+    if let Some(init) = initial {
+        column = column.with_padded_initial(init, transitions.num_nodes());
     }
+    let request = SolveRequest::new(vec![column])
+        .criteria(*criteria)
+        .formulation(formulation);
+    let op = WeightedTransition::new(transitions);
+    solve(&op, &request, ws, &mut [observer]).remove(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A cold solve on fresh buffers.
+    fn solve_cold(
+        g: &WeightedGraph,
+        alpha: f64,
+        teleport: &Teleport,
+        criteria: &ConvergenceCriteria,
+        solver: Solver,
+    ) -> RankVector {
+        let mut ws = SolverWorkspace::new();
+        solve_weighted_warm_observed(g, alpha, teleport, criteria, solver, None, &mut ws, None)
+    }
 
     fn ring() -> WeightedGraph {
         WeightedGraph::from_parts(
@@ -137,9 +103,9 @@ mod tests {
     fn all_solvers_agree() {
         let g = ring();
         let crit = ConvergenceCriteria::default();
-        let a = solve_weighted(&g, 0.85, &Teleport::Uniform, &crit, Solver::Power);
-        let b = solve_weighted(&g, 0.85, &Teleport::Uniform, &crit, Solver::PowerLinear);
-        let c = solve_weighted(&g, 0.85, &Teleport::Uniform, &crit, Solver::GaussSeidel);
+        let a = solve_cold(&g, 0.85, &Teleport::Uniform, &crit, Solver::Power);
+        let b = solve_cold(&g, 0.85, &Teleport::Uniform, &crit, Solver::PowerLinear);
+        let c = solve_cold(&g, 0.85, &Teleport::Uniform, &crit, Solver::GaussSeidel);
         for i in 0..3 {
             assert!((a.score(i) - b.score(i)).abs() < 1e-7);
             assert!((a.score(i) - c.score(i)).abs() < 1e-7);
@@ -150,7 +116,7 @@ mod tests {
     fn warm_restart_matches_cold_with_fewer_iterations() {
         let g = ring();
         let crit = ConvergenceCriteria::default();
-        let cold = solve_weighted(&g, 0.85, &Teleport::Uniform, &crit, Solver::Power);
+        let cold = solve_cold(&g, 0.85, &Teleport::Uniform, &crit, Solver::Power);
         let mut ws = SolverWorkspace::new();
         let warm = solve_weighted_warm_observed(
             &g,
@@ -174,7 +140,7 @@ mod tests {
         // 3-state answer — the padding path new sources exercise.
         let g = ring();
         let crit = ConvergenceCriteria::default();
-        let cold = solve_weighted(&g, 0.85, &Teleport::Uniform, &crit, Solver::Power);
+        let cold = solve_cold(&g, 0.85, &Teleport::Uniform, &crit, Solver::Power);
         let short = &cold.scores()[..2];
         let warm = solve_weighted_warm_observed(
             &g,
@@ -196,7 +162,7 @@ mod tests {
     fn gauss_seidel_ignores_warm_start() {
         let g = ring();
         let crit = ConvergenceCriteria::default();
-        let cold = solve_weighted(&g, 0.85, &Teleport::Uniform, &crit, Solver::GaussSeidel);
+        let cold = solve_cold(&g, 0.85, &Teleport::Uniform, &crit, Solver::GaussSeidel);
         let warm = solve_weighted_warm_observed(
             &g,
             0.85,
@@ -216,7 +182,7 @@ mod tests {
         let g = ring();
         let crit = ConvergenceCriteria::default();
         for solver in [Solver::Power, Solver::PowerLinear, Solver::GaussSeidel] {
-            let r = solve_weighted(&g, 0.85, &Teleport::Uniform, &crit, solver);
+            let r = solve_cold(&g, 0.85, &Teleport::Uniform, &crit, solver);
             let sum: f64 = r.scores().iter().sum();
             assert!((sum - 1.0).abs() < 1e-12, "{solver:?} not normalized");
         }

@@ -5,9 +5,7 @@
 use crate::convergence::ConvergenceCriteria;
 use crate::power::SolverWorkspace;
 use crate::rankvec::RankVector;
-use crate::solver::{
-    solve_weighted, solve_weighted_observed, solve_weighted_warm_observed, Solver,
-};
+use crate::solver::{solve_weighted_warm_observed, Solver};
 use crate::teleport::Teleport;
 use sr_graph::SourceGraph;
 use sr_obs::SolveObserver;
@@ -66,38 +64,15 @@ impl SourceRank {
     /// Ranks the sources of `source_graph` using its transition matrix as-is
     /// (uniform or consensus weighting is decided at extraction time).
     pub fn rank(&self, source_graph: &SourceGraph) -> RankVector {
-        solve_weighted(
-            source_graph.transitions(),
-            self.alpha,
-            &self.teleport,
-            &self.criteria,
-            self.solver,
-        )
+        self.rank_warm_in(source_graph, None, &mut SolverWorkspace::new(), None)
     }
 
-    /// [`rank`](SourceRank::rank) with telemetry: the solve reports its
-    /// per-iteration residuals to `observer` (see `sr-obs`). Identical
-    /// scores and stats to [`rank`](SourceRank::rank).
-    pub fn rank_observed(
-        &self,
-        source_graph: &SourceGraph,
-        observer: &mut dyn SolveObserver,
-    ) -> RankVector {
-        solve_weighted_observed(
-            source_graph.transitions(),
-            self.alpha,
-            &self.teleport,
-            &self.criteria,
-            self.solver,
-            Some(observer),
-        )
-    }
-
-    /// [`rank`](SourceRank::rank) with a warm restart and caller-owned
-    /// solver buffers — the incremental re-ranking entry point. `initial`
-    /// may cover fewer sources than `source_graph` (sources added since it
-    /// was computed); missing entries start at their teleport mass. See
-    /// [`solve_weighted_warm_observed`] for the Gauss–Seidel caveat.
+    /// The general form of [`rank`](SourceRank::rank): a warm restart,
+    /// caller-owned solver buffers and telemetry — the incremental
+    /// re-ranking entry point. `initial` may cover fewer sources than
+    /// `source_graph` (sources added since it was computed); missing entries
+    /// start at their teleport mass. See [`solve_weighted_warm_observed`]
+    /// for the Gauss–Seidel caveat.
     pub fn rank_warm_in(
         &self,
         source_graph: &SourceGraph,

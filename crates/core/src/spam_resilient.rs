@@ -8,15 +8,12 @@
 //! walker follows the self-edge with probability `ακ_i`, an out-edge with
 //! probability `α(1−κ_i)`, and teleports with probability `1−α`.
 
-use crate::batch::{solve_batch, MultiRankVector, SolveBatch, SolveColumn};
 use crate::convergence::ConvergenceCriteria;
 use crate::operator::WeightedTransition;
-use crate::power::{Formulation, SolverWorkspace};
+use crate::power::{solve, SolveColumn, SolveRequest, SolverWorkspace};
 use crate::proximity::SpamProximity;
 use crate::rankvec::RankVector;
-use crate::solver::{
-    solve_weighted, solve_weighted_observed, solve_weighted_warm_observed, Solver,
-};
+use crate::solver::{solve_weighted_warm_observed, Solver};
 use crate::teleport::Teleport;
 use crate::throttle::{self, SelfEdgePolicy, ThrottleVector};
 use sr_graph::{SourceGraph, WeightedGraph};
@@ -219,27 +216,7 @@ impl SpamResilientModel {
 
     /// Computes the Spam-Resilient SourceRank vector σ.
     pub fn rank(&self) -> RankVector {
-        solve_weighted(
-            &self.throttled,
-            self.alpha,
-            &self.teleport,
-            &self.criteria,
-            self.solver,
-        )
-    }
-
-    /// [`rank`](SpamResilientModel::rank) with telemetry: the solve reports
-    /// its per-iteration residuals to `observer` (see `sr-obs`). Identical
-    /// scores and stats to [`rank`](SpamResilientModel::rank).
-    pub fn rank_observed(&self, observer: &mut dyn SolveObserver) -> RankVector {
-        solve_weighted_observed(
-            &self.throttled,
-            self.alpha,
-            &self.teleport,
-            &self.criteria,
-            self.solver,
-            Some(observer),
-        )
+        self.rank_warm_in(None, &mut SolverWorkspace::new(), None)
     }
 
     /// Solves many walk-parameter variants over this model's fixed `T″` in
@@ -255,19 +232,15 @@ impl SpamResilientModel {
     /// # Panics
     /// Panics if the model's solver is [`Solver::GaussSeidel`] — its
     /// sequential sweeps have no panel form; batch with a power solver.
-    pub fn rank_batch(&self, columns: Vec<SolveColumn>) -> MultiRankVector {
-        let formulation = match self.solver {
-            Solver::Power => Formulation::Eigenvector,
-            Solver::PowerLinear => Formulation::LinearSystem,
-            Solver::GaussSeidel => {
-                panic!("Gauss-Seidel has no batched form; use a power solver for rank_batch")
-            }
-        };
-        let op = WeightedTransition::new(&self.throttled);
-        let batch = SolveBatch::new(columns)
+    pub fn rank_batch(&self, columns: Vec<SolveColumn>) -> Vec<RankVector> {
+        let formulation = self.solver.formulation().unwrap_or_else(|| {
+            panic!("Gauss-Seidel has no batched form; use a power solver for rank_batch")
+        });
+        let request = SolveRequest::new(columns)
             .criteria(self.criteria)
             .formulation(formulation);
-        solve_batch(&op, &batch)
+        let op = WeightedTransition::new(&self.throttled);
+        solve(&op, &request, &mut SolverWorkspace::new(), &mut [])
     }
 
     /// A [`SolveColumn`] carrying this model's α and teleport — the identity
@@ -276,9 +249,9 @@ impl SpamResilientModel {
         SolveColumn::new(self.alpha, self.teleport.clone())
     }
 
-    /// [`rank`](SpamResilientModel::rank) with a warm restart and
-    /// caller-owned solver buffers — the incremental re-ranking entry
-    /// point. `initial` may cover fewer sources than the model (sources
+    /// The general form of [`rank`](SpamResilientModel::rank): a warm
+    /// restart, caller-owned solver buffers and telemetry — the incremental
+    /// re-ranking entry point. `initial` may cover fewer sources than the model (sources
     /// added since it was computed); missing entries start at their
     /// teleport mass. See [`solve_weighted_warm_observed`] for the
     /// Gauss–Seidel caveat.
@@ -441,8 +414,8 @@ mod tests {
                 .throttle(kappa.clone())
                 .build(&sg)
                 .rank();
-            assert_eq!(batched.column(k).scores(), seq.scores());
-            assert_eq!(batched.column(k).stats().iterations, seq.stats().iterations);
+            assert_eq!(batched[k].scores(), seq.scores());
+            assert_eq!(batched[k].stats().iterations, seq.stats().iterations);
         }
     }
 

@@ -571,9 +571,22 @@ impl<'g, G: SolveGraph + ?Sized> Transition for StreamedTransition<'g, G> {
 mod tests {
     use super::*;
     use crate::operator::UniformTransition;
-    use crate::power::{power_method, PowerConfig};
+    use crate::power::{solve, SolveColumn, SolveRequest, SolverWorkspace};
+    use crate::rankvec::RankVector;
     use sr_graph::transpose::transpose;
     use sr_graph::{CsrGraph, GraphBuilder};
+
+    /// Held by every test that runs a pipelined (sharded) sweep: the
+    /// prefetch counters are process-wide, so a concurrent pipelined solve
+    /// would leak into the counts `hot_arenas_skip_refetch_after_first_sweep`
+    /// asserts.
+    static PIPELINED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// The default PageRank solve of `op`.
+    fn power_solve(op: &dyn Transition) -> RankVector {
+        let request = SolveRequest::new(vec![SolveColumn::default()]);
+        solve(op, &request, &mut SolverWorkspace::new(), &mut []).remove(0)
+    }
 
     fn out_degrees(g: &CsrGraph) -> Vec<u32> {
         (0..g.num_nodes() as u32)
@@ -610,16 +623,12 @@ mod tests {
         let degs = out_degrees(&g);
         let streamed = StreamedTransition::new(&rev, &degs);
         let in_ram = UniformTransition::new(&g);
-        let cfg = PowerConfig::default();
-        let (xs, ss) = power_method(&streamed, &cfg);
-        let (xr, sr) = power_method(&in_ram, &cfg);
-        assert_eq!(xs, xr);
-        assert_eq!(ss.iterations, sr.iterations);
-        assert_eq!(ss.residual_history, sr.residual_history);
+        assert_eq!(power_solve(&streamed), power_solve(&in_ram));
     }
 
     #[test]
     fn streamed_sharded_solve_matches_in_ram_bitwise() {
+        let _pipelined = PIPELINED.lock().unwrap_or_else(|p| p.into_inner());
         let g = GraphBuilder::from_edges_exact(
             6,
             vec![(0, 1), (1, 2), (2, 0), (3, 0), (2, 3), (5, 2), (0, 5)],
@@ -632,17 +641,16 @@ mod tests {
         let streamed = StreamedTransition::from_sharded(&sharded);
         assert!(streamed.is_pipelined(), "sharded backend must pipeline");
         let in_ram = UniformTransition::new(&g);
-        let cfg = PowerConfig::default();
-        let (xs, ss) = power_method(&streamed, &cfg);
-        let (xr, sr) = power_method(&in_ram, &cfg);
-        assert_eq!(xs, xr);
-        assert_eq!(ss.iterations, sr.iterations);
+        let (xs, xr) = (power_solve(&streamed), power_solve(&in_ram));
+        assert_eq!(xs.scores(), xr.scores());
+        assert_eq!(xs.stats().iterations, xr.stats().iterations);
         assert!(streamed.scratch_resident_bytes() > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn pipeline_config_geometry_is_bitwise_invariant() {
+        let _pipelined = PIPELINED.lock().unwrap_or_else(|p| p.into_inner());
         // Prefetch depth, span granularity, and thread count are pure
         // performance knobs: every combination must produce identical bits.
         let edges: Vec<(u32, u32)> = (0u32..200)
@@ -656,8 +664,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sr_core_geo_{}", std::process::id()));
         let path = dir.join("g.shards");
         let sharded = sr_graph::shard::build_from_csr(&g, &dir, &path, 64).unwrap();
-        let cfg = PowerConfig::default();
-        let (x_ram, _) = power_method(&UniformTransition::new(&g), &cfg);
+        let x_ram = power_solve(&UniformTransition::new(&g));
         for prefetch_buffers in [1, 2, 3] {
             for spans_per_worker in [1, 4, 16] {
                 for threads in [1, 4] {
@@ -669,10 +676,10 @@ mod tests {
                         };
                         let streamed = StreamedTransition::from_sharded_with(&sharded, pcfg);
                         assert!(streamed.is_pipelined());
-                        let (x, _) =
-                            sr_par::with_threads(threads, || power_method(&streamed, &cfg));
+                        let x = sr_par::with_threads(threads, || power_solve(&streamed));
                         assert_eq!(
-                            x, x_ram,
+                            x.scores(),
+                            x_ram.scores(),
                             "geometry moved bits: bufs={prefetch_buffers} \
                              spans={spans_per_worker} threads={threads} \
                              cache={cache_bytes}"
@@ -686,6 +693,7 @@ mod tests {
 
     #[test]
     fn hot_arenas_skip_refetch_after_first_sweep() {
+        let _pipelined = PIPELINED.lock().unwrap_or_else(|p| p.into_inner());
         // With a budget covering the whole graph, sweep 1 prefetches every
         // span once; later sweeps gather from hot arenas and never touch
         // the disk or the decoder again — and the bits still match a pure
@@ -697,7 +705,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sr_core_hot_{}", std::process::id()));
         let path = dir.join("g.shards");
         let sharded = sr_graph::shard::build_from_csr(&g, &dir, &path, 64).unwrap();
-        let cfg = PowerConfig::default();
 
         let cached = PipelineConfig {
             cache_bytes: 1 << 30,
@@ -722,7 +729,7 @@ mod tests {
 
         // Cache on vs cache off: identical bits over a full solve, and the
         // hot cache shows up in the resident accounting.
-        let (xc, sc) = power_method(&streamed, &cfg);
+        let cached_solve = power_solve(&streamed);
         let streaming = StreamedTransition::from_sharded_with(
             &sharded,
             PipelineConfig {
@@ -730,9 +737,12 @@ mod tests {
                 ..PipelineConfig::default()
             },
         );
-        let (xs, ss) = power_method(&streaming, &cfg);
-        assert_eq!(xc, xs);
-        assert_eq!(sc.iterations, ss.iterations);
+        let streaming_solve = power_solve(&streaming);
+        assert_eq!(cached_solve.scores(), streaming_solve.scores());
+        assert_eq!(
+            cached_solve.stats().iterations,
+            streaming_solve.stats().iterations
+        );
         assert!(streamed.scratch_resident_bytes() > streaming.scratch_resident_bytes());
         std::fs::remove_dir_all(&dir).ok();
     }

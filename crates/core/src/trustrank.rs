@@ -4,10 +4,9 @@
 //! high-trust pages can still leak trust to spam (the weakness §7 points
 //! out, and which influence throttling addresses from the other direction).
 
-use crate::batch::SolveColumn;
 use crate::convergence::ConvergenceCriteria;
-use crate::operator::UniformTransition;
-use crate::power::{power_method, Formulation, PowerConfig};
+use crate::pagerank::PageRank;
+use crate::power::SolveColumn;
 use crate::rankvec::RankVector;
 use crate::teleport::Teleport;
 use sr_graph::CsrGraph;
@@ -49,29 +48,24 @@ impl TrustRank {
     /// Propagates trust from `trusted_seeds` forward over `graph`
     /// (personalized PageRank with the seed-restricted teleport).
     pub fn scores(&self, graph: &CsrGraph, trusted_seeds: &[u32]) -> RankVector {
-        let op = UniformTransition::new(graph);
-        let config = PowerConfig {
-            alpha: self.alpha,
-            teleport: Teleport::over_seeds(graph.num_nodes(), trusted_seeds),
-            criteria: self.criteria,
-            formulation: Formulation::Eigenvector,
-            dangling: Default::default(),
-            initial: None,
-        };
-        let (scores, stats) = power_method(&op, &config);
-        RankVector::new(scores, stats)
+        PageRank::builder()
+            .alpha(self.alpha)
+            .teleport(Teleport::over_seeds(graph.num_nodes(), trusted_seeds))
+            .criteria(self.criteria)
+            .finish()
+            .rank(graph)
     }
 
     /// The [`SolveColumn`] of this configuration for an `n`-node graph —
-    /// TrustRank is personalized PageRank, so it can ride in a batched
-    /// [`crate::solve_batch`] panel alongside PageRank columns over the same
+    /// TrustRank is personalized PageRank, so it can ride in a multi-column
+    /// [`crate::SolveRequest`] alongside PageRank columns over the same
     /// uniform operator, bit-identical to [`scores`](TrustRank::scores)
-    /// when the batch uses this configuration's stopping rule.
+    /// when the request uses this configuration's stopping rule.
     pub fn column(&self, n: usize, trusted_seeds: &[u32]) -> SolveColumn {
         SolveColumn::new(self.alpha, Teleport::over_seeds(n, trusted_seeds))
     }
 
-    /// The stopping rule (for aligning a batched solve's criteria).
+    /// The stopping rule (for aligning a multi-column request's criteria).
     pub fn stopping_criteria(&self) -> ConvergenceCriteria {
         self.criteria
     }
@@ -104,7 +98,6 @@ impl TrustRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pagerank::PageRank;
     use sr_graph::GraphBuilder;
 
     /// trusted(0) -> 1 -> 2; spam cluster {3,4} links only internally.
@@ -130,21 +123,20 @@ mod tests {
 
     #[test]
     fn batched_column_is_bitwise_equal_to_scores() {
-        use crate::batch::{solve_batch, SolveBatch};
+        use crate::operator::UniformTransition;
+        use crate::power::{solve, SolveRequest, SolverWorkspace};
         let g = fixture();
         let tr = TrustRank::new();
         let seq = tr.scores(&g, &[0]);
-        let batch = SolveBatch::new(vec![
+        let request = SolveRequest::new(vec![
             PageRank::default().column(),
             tr.column(g.num_nodes(), &[0]),
         ])
         .criteria(tr.stopping_criteria());
-        let batched = solve_batch(&UniformTransition::new(&g), &batch);
-        assert_eq!(batched.column(1).scores(), seq.scores());
-        assert_eq!(
-            batched.column(0).scores(),
-            PageRank::default().rank(&g).scores()
-        );
+        let op = UniformTransition::new(&g);
+        let batched = solve(&op, &request, &mut SolverWorkspace::new(), &mut []);
+        assert_eq!(batched[1].scores(), seq.scores());
+        assert_eq!(batched[0].scores(), PageRank::default().rank(&g).scores());
     }
 
     #[test]

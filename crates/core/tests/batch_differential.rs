@@ -1,25 +1,52 @@
-//! Differential suite for the batched multi-vector solve engine
-//! (`sr_core::batch`).
+//! Differential suite for multi-column solve requests (`sr_core::solve`).
 //!
-//! The engine's contract is stronger than "close": every column of a
-//! batched solve must be **bit-identical** to a sequential single-vector
-//! solve with that column's parameters, at the **same iteration count** —
-//! the panel kernels preserve each column's summation order exactly (see
-//! `sr_graph::panel` and the operator docs), so no tolerance is needed.
-//! These tests drive randomized column families through `solve_batch` /
-//! `PageRank::rank_batch` and check them against per-column
-//! `power_method` / `PageRank::rank` runs, on plain [`CsrGraph`]s and on
-//! graphs round-tripped through the WebGraph-style [`CompressedGraph`]
-//! codec. The within-1e-12 requirement is implied by bit-equality but
-//! asserted separately so a future relaxation of the bitwise gate would
-//! still be caught drifting.
+//! The driver's contract is stronger than "close": every column of a
+//! K-column request must be **bit-identical** to a one-column request with
+//! that column's parameters, at the **same iteration count** and with the
+//! same residual history — the panel kernels preserve each column's
+//! summation order exactly (see `sr_graph::panel` and the operator docs),
+//! so no tolerance is needed. These tests drive randomized column families,
+//! formulations and dangling policies through `sr_core::solve` /
+//! `PageRank::rank_batch` and check them against per-column one-column
+//! requests / `PageRank::rank` runs, on plain [`CsrGraph`]s and on graphs
+//! round-tripped through the WebGraph-style [`CompressedGraph`] codec. The
+//! within-1e-12 requirement is implied by bit-equality but asserted
+//! separately so a future relaxation of the bitwise gate would still be
+//! caught drifting.
 
 use proptest::prelude::*;
 
-use sr_core::operator::{UniformTransition, WeightedTransition};
-use sr_core::power::{power_method, PowerConfig};
-use sr_core::{solve_batch, PageRank, SolveBatch, SolveColumn, Teleport, PANEL_WIDTH};
+use sr_core::operator::{Transition, UniformTransition, WeightedTransition};
+use sr_core::{
+    solve, DanglingPolicy, Formulation, PageRank, RankVector, SolveColumn, SolveRequest,
+    SolverWorkspace, Teleport, PANEL_WIDTH,
+};
 use sr_graph::{CompressedGraph, CsrGraph, GraphBuilder, WeightedGraph};
+
+fn run(op: &dyn Transition, request: &SolveRequest) -> Vec<RankVector> {
+    solve(op, request, &mut SolverWorkspace::new(), &mut [])
+}
+
+/// Asserts every column of `request` equals its one-column request bit for
+/// bit: scores, residual history, iteration count.
+fn assert_columns_match_single(op: &dyn Transition, request: &SolveRequest) {
+    let result = run(op, request);
+    assert_eq!(result.len(), request.columns.len());
+    for (j, col) in request.columns.iter().enumerate() {
+        let single = SolveRequest {
+            columns: vec![col.clone()],
+            ..request.clone()
+        };
+        let want = run(op, &single).remove(0);
+        assert_eq!(want.stats().iterations, result[j].stats().iterations);
+        assert_eq!(
+            want.stats().residual_history,
+            result[j].stats().residual_history,
+            "column {j} residuals"
+        );
+        assert_eq!(want.scores(), result[j].scores(), "column {j}");
+    }
+}
 
 /// A deterministic crawl-ish fixture: ring + forward chords + a dangling
 /// tail, large enough that panels see real mixing.
@@ -84,6 +111,26 @@ fn realize_teleport(spec: &ColumnSpec, n: usize) -> Teleport {
     }
 }
 
+fn arb_formulation() -> impl Strategy<Value = Formulation> {
+    any::<bool>().prop_map(|eig| {
+        if eig {
+            Formulation::Eigenvector
+        } else {
+            Formulation::LinearSystem
+        }
+    })
+}
+
+fn arb_dangling() -> impl Strategy<Value = DanglingPolicy> {
+    any::<bool>().prop_map(|strong| {
+        if strong {
+            DanglingPolicy::StronglyPreferential
+        } else {
+            DanglingPolicy::WeaklyPreferential
+        }
+    })
+}
+
 fn arb_graph() -> impl Strategy<Value = CsrGraph> {
     (
         3usize..40,
@@ -101,35 +148,52 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Randomized column families over randomized graphs: every batched
-    /// column is bitwise its sequential solve, same iteration counts —
-    /// through the public `PageRank::rank_batch` sweep entry point.
+    /// Randomized column families over randomized graphs, with the
+    /// formulation and dangling policy drawn per batch: every batched
+    /// column is bitwise its sequential solve — same scores, residual
+    /// history and iteration count — through the public
+    /// `PageRank::rank_batch` sweep entry point.
     #[test]
-    fn rank_batch_is_bitwise_sequential(g in arb_graph(), specs in arb_columns()) {
+    fn rank_batch_is_bitwise_sequential(
+        g in arb_graph(),
+        specs in arb_columns(),
+        formulation in arb_formulation(),
+        dangling in arb_dangling(),
+    ) {
         let n = g.num_nodes();
         let columns: Vec<SolveColumn> = specs
             .iter()
             .map(|s| SolveColumn::new(s.alpha, realize_teleport(s, n)))
             .collect();
-        let pr = PageRank::default();
+        let pr = PageRank::builder()
+            .formulation(formulation)
+            .dangling(dangling)
+            .finish();
         let batched = pr.rank_batch(&g, columns.clone());
         for (j, col) in columns.iter().enumerate() {
             let seq = PageRank::builder()
                 .alpha(col.alpha)
                 .teleport(col.teleport.clone())
+                .formulation(formulation)
+                .dangling(dangling)
                 .finish()
                 .rank(&g);
             prop_assert_eq!(
                 seq.stats().iterations,
-                batched.column(j).stats().iterations,
+                batched[j].stats().iterations,
                 "column {} iteration count diverged", j
             );
             prop_assert_eq!(
+                &seq.stats().residual_history,
+                &batched[j].stats().residual_history,
+                "column {} residual history diverged", j
+            );
+            prop_assert_eq!(
                 seq.scores(),
-                batched.column(j).scores(),
+                batched[j].scores(),
                 "column {} scores not bit-identical", j
             );
-            for (s, b) in seq.scores().iter().zip(batched.column(j).scores()) {
+            for (s, b) in seq.scores().iter().zip(batched[j].scores()) {
                 prop_assert!((s - b).abs() <= 1e-12);
             }
         }
@@ -152,14 +216,14 @@ proptest! {
             .collect();
         let on_round = PageRank::default().rank_batch(&round, columns.clone());
         let on_plain = PageRank::default().rank_batch(&g, columns);
-        for j in 0..on_plain.num_columns() {
+        for j in 0..on_plain.len() {
             prop_assert_eq!(
-                on_plain.column(j).scores(),
-                on_round.column(j).scores()
+                on_plain[j].scores(),
+                on_round[j].scores()
             );
             prop_assert_eq!(
-                on_plain.column(j).stats().iterations,
-                on_round.column(j).stats().iterations
+                on_plain[j].stats().iterations,
+                on_round[j].stats().iterations
             );
         }
     }
@@ -174,23 +238,7 @@ fn wide_mixed_alpha_batch_tiles_and_matches() {
     let columns: Vec<SolveColumn> = (0..PANEL_WIDTH + 3)
         .map(|j| SolveColumn::new(0.50 + 0.04 * j as f64, Teleport::Uniform))
         .collect();
-    let batch = SolveBatch::new(columns);
-    let result = solve_batch(&op, &batch);
-    for (j, col) in batch.columns.iter().enumerate() {
-        let (scores, stats) = power_method(
-            &op,
-            &PowerConfig {
-                alpha: col.alpha,
-                teleport: col.teleport.clone(),
-                criteria: batch.criteria,
-                formulation: batch.formulation,
-                dangling: Default::default(),
-                initial: None,
-            },
-        );
-        assert_eq!(stats.iterations, result.column(j).stats().iterations);
-        assert_eq!(scores, result.column(j).scores(), "column {j}");
-    }
+    assert_columns_match_single(&op, &SolveRequest::new(columns));
 }
 
 #[test]
@@ -211,29 +259,12 @@ fn warm_started_columns_stay_bitwise_sequential() {
             }
         })
         .collect();
-    let batch = SolveBatch::new(columns);
-    let result = solve_batch(&op, &batch);
-    for (j, col) in batch.columns.iter().enumerate() {
-        let (scores, stats) = power_method(
-            &op,
-            &PowerConfig {
-                alpha: col.alpha,
-                teleport: col.teleport.clone(),
-                criteria: batch.criteria,
-                formulation: batch.formulation,
-                dangling: Default::default(),
-                initial: col.initial.clone(),
-            },
-        );
-        assert_eq!(stats.iterations, result.column(j).stats().iterations);
-        assert_eq!(scores, result.column(j).scores(), "column {j}");
-    }
+    assert_columns_match_single(&op, &SolveRequest::new(columns));
 }
 
-#[test]
-fn weighted_operator_batch_is_bitwise_sequential() {
-    // A substochastic weighted graph (row deficits feed the dangling path).
-    let n = 120usize;
+/// A substochastic weighted graph: each row sums to 0.9, so the 0.1 row
+/// deficits feed the dangling path.
+fn deficit_graph(n: usize) -> WeightedGraph {
     let mut offsets = vec![0usize];
     let mut targets = Vec::new();
     let mut weights = Vec::new();
@@ -248,26 +279,50 @@ fn weighted_operator_batch_is_bitwise_sequential() {
         }
         offsets.push(targets.len());
     }
-    let g = WeightedGraph::from_parts(offsets, targets, weights);
+    WeightedGraph::from_parts(offsets, targets, weights)
+}
+
+#[test]
+fn weighted_operator_batch_is_bitwise_sequential() {
+    let g = deficit_graph(120);
     let op = WeightedTransition::new(&g);
     let columns: Vec<SolveColumn> = (0..6)
         .map(|j| SolveColumn::new(0.6 + 0.05 * j as f64, Teleport::Uniform))
         .collect();
-    let batch = SolveBatch::new(columns);
-    let result = solve_batch(&op, &batch);
-    for (j, col) in batch.columns.iter().enumerate() {
-        let (scores, stats) = power_method(
-            &op,
-            &PowerConfig {
-                alpha: col.alpha,
-                teleport: col.teleport.clone(),
-                criteria: batch.criteria,
-                formulation: batch.formulation,
-                dangling: Default::default(),
-                initial: None,
-            },
-        );
-        assert_eq!(stats.iterations, result.column(j).stats().iterations);
-        assert_eq!(scores, result.column(j).scores(), "column {j}");
+    assert_columns_match_single(&op, &SolveRequest::new(columns));
+}
+
+#[test]
+fn personalized_batches_hold_under_every_formulation_and_policy() {
+    // Seeded teleports make the two dangling policies differ, so the
+    // weakly-preferential panel arm is exercised on both operators.
+    let pages = fixture(300);
+    let weighted = deficit_graph(120);
+    let uniform_op = UniformTransition::new(&pages);
+    let weighted_op = WeightedTransition::new(&weighted);
+    for (op, n) in [
+        (&uniform_op as &dyn Transition, 300u32),
+        (&weighted_op as &dyn Transition, 120u32),
+    ] {
+        let columns: Vec<SolveColumn> = (0..5u32)
+            .map(|j| {
+                let seeds = [(j * 37 + 2) % n, (j * 53 + 11) % n];
+                SolveColumn::new(
+                    0.55 + 0.08 * f64::from(j),
+                    Teleport::over_seeds(n as usize, &seeds),
+                )
+            })
+            .collect();
+        for formulation in [Formulation::Eigenvector, Formulation::LinearSystem] {
+            for dangling in [
+                DanglingPolicy::StronglyPreferential,
+                DanglingPolicy::WeaklyPreferential,
+            ] {
+                let request = SolveRequest::new(columns.clone())
+                    .formulation(formulation)
+                    .dangling(dangling);
+                assert_columns_match_single(op, &request);
+            }
+        }
     }
 }

@@ -8,11 +8,19 @@
 //! (iteration counts, full residual sequences) for the power method, the
 //! Jacobi (linear-system) sweep, and SR-SourceRank.
 
+use sr_core::operator::UniformTransition;
 use sr_core::power::Formulation;
-use sr_core::{PageRank, SpamResilientSourceRank};
+use sr_core::{PageRank, RankVector, SolverWorkspace, SpamResilientSourceRank};
 use sr_gen::{generate, Dataset};
 use sr_graph::source_graph::SourceGraphConfig;
+use sr_graph::CsrGraph;
 use sr_obs::{RecordingObserver, SolveTelemetry};
+
+/// `pr` over `graph`, reporting to `obs`.
+fn rank_recorded(pr: PageRank, graph: &CsrGraph, obs: &mut RecordingObserver) -> RankVector {
+    let op = UniformTransition::new(graph);
+    pr.rank_operator_warm_in(&op, None, &mut SolverWorkspace::new(), Some(obs))
+}
 
 struct Observed {
     rank_bits: Vec<u64>,
@@ -83,27 +91,23 @@ fn page_and_source_ranks_are_thread_count_invariant() {
     let top_k = (sources.num_sources() / 30).max(1);
 
     assert_invariant("power", &|obs| {
-        PageRank::builder()
-            .finish()
-            .rank_observed(&crawl.pages, obs)
+        rank_recorded(PageRank::builder().finish(), &crawl.pages, obs)
             .scores()
             .to_vec()
     });
 
     assert_invariant("jacobi", &|obs| {
-        PageRank::builder()
+        let pr = PageRank::builder()
             .formulation(Formulation::LinearSystem)
-            .finish()
-            .rank_observed(&crawl.pages, obs)
-            .scores()
-            .to_vec()
+            .finish();
+        rank_recorded(pr, &crawl.pages, obs).scores().to_vec()
     });
 
     assert_invariant("sr-sourcerank", &|obs| {
         SpamResilientSourceRank::builder()
             .throttle_by_proximity(spam.clone(), top_k, 0.85)
             .build(&sources)
-            .rank_observed(obs)
+            .rank_warm_in(None, &mut SolverWorkspace::new(), Some(obs))
             .scores()
             .to_vec()
     });
@@ -113,14 +117,12 @@ fn page_and_source_ranks_are_thread_count_invariant() {
 fn telemetry_labels_name_the_solver() {
     let crawl = generate(&Dataset::Uk2002.config(0.0005));
     let mut obs = RecordingObserver::new();
-    PageRank::builder()
-        .finish()
-        .rank_observed(&crawl.pages, &mut obs);
+    rank_recorded(PageRank::builder().finish(), &crawl.pages, &mut obs);
     assert_eq!(obs.telemetry().solver, "power");
     let mut obs = RecordingObserver::new();
-    PageRank::builder()
+    let jacobi = PageRank::builder()
         .formulation(Formulation::LinearSystem)
-        .finish()
-        .rank_observed(&crawl.pages, &mut obs);
+        .finish();
+    rank_recorded(jacobi, &crawl.pages, &mut obs);
     assert_eq!(obs.telemetry().solver, "jacobi");
 }

@@ -5,10 +5,19 @@ use proptest::prelude::*;
 use sr_core::metrics::{average_ranks, kendall_tau, spearman_rho};
 use sr_core::operator::reference::{NaiveUniformTransition, NaiveWeightedTransition};
 use sr_core::operator::{Transition, UniformTransition, WeightedTransition};
-use sr_core::power::{power_method, reference::power_method_unfused, PowerConfig};
+use sr_core::power::reference::power_method_unfused;
 use sr_core::throttle::{self, SelfEdgePolicy};
-use sr_core::{ConvergenceCriteria, PageRank, Teleport, ThrottleVector};
+use sr_core::{
+    solve, ConvergenceCriteria, PageRank, RankVector, SolveColumn, SolveRequest, SolverWorkspace,
+    Teleport, ThrottleVector,
+};
 use sr_graph::{CompressedGraph, CsrGraph, GraphBuilder, WeightedGraph};
+
+/// One default-walk solve of `column` over `op`.
+fn power_solve(op: &dyn Transition, column: SolveColumn) -> RankVector {
+    let request = SolveRequest::new(vec![column]);
+    solve(op, &request, &mut SolverWorkspace::new(), &mut []).remove(0)
+}
 
 fn arb_graph() -> impl Strategy<Value = CsrGraph> {
     (2u32..100).prop_flat_map(|n| {
@@ -111,13 +120,14 @@ proptest! {
     fn fused_power_engine_matches_unfused_reference(g in arb_graph()) {
         let fused_op = UniformTransition::new(&g);
         let naive_op = NaiveUniformTransition::new(&g);
-        let config = PowerConfig::default();
-        let (scores_f, stats_f) = power_method(&fused_op, &config);
-        let (scores_n, stats_n) = power_method_unfused(&naive_op, &config);
+        let request = SolveRequest::new(vec![SolveColumn::default()]);
+        let fused = power_solve(&fused_op, SolveColumn::default());
+        let naive = power_method_unfused(&naive_op, &request).remove(0);
+        let (stats_f, stats_n) = (fused.stats(), naive.stats());
         prop_assert_eq!(stats_f.iterations, stats_n.iterations,
             "engines must take identical iteration counts");
         prop_assert_eq!(stats_f.converged, stats_n.converged);
-        for (v, (a, b)) in scores_f.iter().zip(&scores_n).enumerate() {
+        for (v, (a, b)) in fused.scores().iter().zip(naive.scores()).enumerate() {
             prop_assert!((a - b).abs() <= 1e-12, "score {v}: {a} vs {b}");
         }
     }
@@ -200,7 +210,8 @@ proptest! {
     #[test]
     fn power_scores_positive_and_normalized(t in arb_stochastic()) {
         let op = WeightedTransition::new(&t);
-        let (x, stats) = power_method(&op, &PowerConfig::default());
+        let r = power_solve(&op, SolveColumn::default());
+        let (x, stats) = (r.scores(), r.stats());
         prop_assert!(stats.converged);
         prop_assert!((x.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         prop_assert!(x.iter().all(|&v| v > 0.0), "uniform teleport implies strictly positive scores");
@@ -209,10 +220,9 @@ proptest! {
     #[test]
     fn warm_start_agrees_with_cold(t in arb_stochastic()) {
         let op = WeightedTransition::new(&t);
-        let (cold, _) = power_method(&op, &PowerConfig::default());
-        let cfg = PowerConfig { initial: Some(vec![1.0; t.num_nodes()]), ..Default::default() };
-        let (warm, _) = power_method(&op, &cfg);
-        for (a, b) in cold.iter().zip(&warm) {
+        let cold = power_solve(&op, SolveColumn::default());
+        let warm = power_solve(&op, SolveColumn::default().with_initial(vec![1.0; t.num_nodes()]));
+        for (a, b) in cold.scores().iter().zip(warm.scores()) {
             prop_assert!((a - b).abs() < 1e-7);
         }
     }

@@ -12,11 +12,29 @@
 
 use proptest::prelude::*;
 
-use sr_core::operator::UniformTransition;
-use sr_core::power::{power_method, DanglingPolicy, PowerConfig};
+use sr_core::operator::{Transition, UniformTransition};
 use sr_core::streamed::{PipelineConfig, StreamedTransition};
-use sr_core::{PageRank, Teleport};
+use sr_core::{
+    solve, DanglingPolicy, PageRank, RankVector, SolveColumn, SolveRequest, SolverWorkspace,
+    Teleport,
+};
 use sr_graph::{CsrGraph, GraphBuilder, ShardedCompressedGraph, SolveGraph};
+
+/// The one-column `request` over `op`.
+fn power_solve(op: &dyn Transition, request: &SolveRequest) -> RankVector {
+    solve(op, request, &mut SolverWorkspace::new(), &mut []).remove(0)
+}
+
+/// The default PageRank request.
+fn pagerank_request() -> SolveRequest {
+    SolveRequest::new(vec![SolveColumn::default()])
+}
+
+/// `PageRank` streamed off the on-disk `graph`.
+fn rank_on_disk(graph: &ShardedCompressedGraph) -> RankVector {
+    let op = StreamedTransition::from_sharded(graph);
+    PageRank::default().rank_operator_warm_in(&op, None, &mut SolverWorkspace::new(), None)
+}
 
 /// Distinguishes temp dirs across concurrently running proptest cases.
 static CASE_COUNTER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -60,17 +78,15 @@ proptest! {
         threads in 1usize..9,
     ) {
         let (sharded, dir) = shard_to_disk(&g, shard_bytes, page);
-        let (xs, ss, xr, sr) = sr_par::with_threads(threads, || {
+        let (xs, xr) = sr_par::with_threads(threads, || {
             let streamed = StreamedTransition::from_sharded(&sharded);
             let in_ram = UniformTransition::new(&g);
-            let cfg = PowerConfig::default();
-            let (xs, ss) = power_method(&streamed, &cfg);
-            let (xr, sr) = power_method(&in_ram, &cfg);
-            (xs, ss, xr, sr)
+            let request = pagerank_request();
+            (power_solve(&streamed, &request), power_solve(&in_ram, &request))
         });
-        prop_assert_eq!(&xs, &xr, "scores diverged");
-        prop_assert_eq!(ss.iterations, sr.iterations, "iteration counts diverged");
-        prop_assert_eq!(ss.residual_history, sr.residual_history);
+        prop_assert_eq!(xs.scores(), xr.scores(), "scores diverged");
+        prop_assert_eq!(xs.stats().iterations, xr.stats().iterations, "iteration counts diverged");
+        prop_assert_eq!(&xs.stats().residual_history, &xr.stats().residual_history);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -85,20 +101,20 @@ proptest! {
         threads in 2usize..9,
     ) {
         let (sharded, dir) = shard_to_disk(&g, shard_bytes, 64);
-        let cfg = PowerConfig {
-            teleport: Teleport::over_seeds(g.num_nodes(), &[0]),
-            dangling: DanglingPolicy::WeaklyPreferential,
-            ..Default::default()
-        };
-        let (x1, s1) = sr_par::with_threads(1, || {
-            power_method(&StreamedTransition::from_sharded(&sharded), &cfg)
+        let request = SolveRequest::new(vec![SolveColumn::new(
+            0.85,
+            Teleport::over_seeds(g.num_nodes(), &[0]),
+        )])
+        .dangling(DanglingPolicy::WeaklyPreferential);
+        let x1 = sr_par::with_threads(1, || {
+            power_solve(&StreamedTransition::from_sharded(&sharded), &request)
         });
-        let (xn, sn) = sr_par::with_threads(threads, || {
-            power_method(&StreamedTransition::from_sharded(&sharded), &cfg)
+        let xn = sr_par::with_threads(threads, || {
+            power_solve(&StreamedTransition::from_sharded(&sharded), &request)
         });
-        prop_assert_eq!(&x1, &xn);
-        prop_assert_eq!(s1.iterations, sn.iterations);
-        prop_assert_eq!(s1.residual_history, sn.residual_history);
+        prop_assert_eq!(x1.scores(), xn.scores());
+        prop_assert_eq!(x1.stats().iterations, xn.stats().iterations);
+        prop_assert_eq!(&x1.stats().residual_history, &xn.stats().residual_history);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -119,28 +135,28 @@ proptest! {
         cache_bytes in (0usize..4096).prop_map(|v| if v == 0 { 1 << 30 } else { v - 1 }),
     ) {
         let (sharded, dir) = shard_to_disk(&g, shard_bytes, 64);
-        let cfg = PowerConfig::default();
-        let (xr, sr) = power_method(&UniformTransition::new(&g), &cfg);
+        let request = pagerank_request();
+        let xr = power_solve(&UniformTransition::new(&g), &request);
         let pcfg = PipelineConfig { prefetch_buffers, spans_per_worker, cache_bytes };
-        let (xs, ss) = sr_par::with_threads(threads, || {
+        let xs = sr_par::with_threads(threads, || {
             let streamed = StreamedTransition::from_sharded_with(&sharded, pcfg);
             assert!(streamed.is_pipelined(), "sharded backend must pipeline");
-            power_method(&streamed, &cfg)
+            power_solve(&streamed, &request)
         });
-        prop_assert_eq!(&xs, &xr, "scores diverged");
-        prop_assert_eq!(ss.iterations, sr.iterations, "iteration counts diverged");
-        prop_assert_eq!(ss.residual_history, sr.residual_history);
+        prop_assert_eq!(xs.scores(), xr.scores(), "scores diverged");
+        prop_assert_eq!(xs.stats().iterations, xr.stats().iterations, "iteration counts diverged");
+        prop_assert_eq!(&xs.stats().residual_history, &xr.stats().residual_history);
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The public sharded entry point: `PageRank::rank_sharded` ≡
-    /// `PageRank::rank` on the equivalent in-RAM graph, bitwise.
+    /// The public out-of-core path: `PageRank::rank_operator_warm_in` over a
+    /// `StreamedTransition` ≡ `PageRank::rank` on the equivalent in-RAM
+    /// graph, bitwise.
     #[test]
-    fn rank_sharded_matches_rank(g in arb_graph(), shard_bytes in 1usize..256) {
+    fn on_disk_rank_matches_rank(g in arb_graph(), shard_bytes in 1usize..256) {
         let (sharded, dir) = shard_to_disk(&g, shard_bytes, 64);
-        let pr = PageRank::default();
-        let on_disk = pr.rank_sharded(&sharded);
-        let in_ram = pr.rank(&g);
+        let on_disk = rank_on_disk(&sharded);
+        let in_ram = PageRank::default().rank(&g);
         prop_assert_eq!(on_disk.scores(), in_ram.scores());
         prop_assert_eq!(on_disk.stats().iterations, in_ram.stats().iterations);
         std::fs::remove_dir_all(&dir).ok();
@@ -164,20 +180,24 @@ fn pipelined_1_vs_8_workers_bitwise_identical() {
         .collect();
     let g = GraphBuilder::from_edges_exact(300, edges).unwrap();
     let (sharded, dir) = shard_to_disk(&g, 96, 64);
-    let cfg = PowerConfig::default();
-    let (x1, s1) = sr_par::with_threads(1, || {
+    let request = pagerank_request();
+    let x1 = sr_par::with_threads(1, || {
         let t = StreamedTransition::from_sharded(&sharded);
         assert!(t.is_pipelined());
-        power_method(&t, &cfg)
+        power_solve(&t, &request)
     });
-    let (x8, s8) = sr_par::with_threads(8, || {
+    let x8 = sr_par::with_threads(8, || {
         let t = StreamedTransition::from_sharded(&sharded);
         assert!(t.is_pipelined());
-        power_method(&t, &cfg)
+        power_solve(&t, &request)
     });
-    assert_eq!(x1, x8, "1-worker and 8-worker pipelined solves diverged");
-    assert_eq!(s1.iterations, s8.iterations);
-    assert_eq!(s1.residual_history, s8.residual_history);
+    assert_eq!(
+        x1.scores(),
+        x8.scores(),
+        "1-worker and 8-worker pipelined solves diverged"
+    );
+    assert_eq!(x1.stats().iterations, x8.stats().iterations);
+    assert_eq!(x1.stats().residual_history, x8.stats().residual_history);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -185,7 +205,7 @@ fn pipelined_1_vs_8_workers_bitwise_identical() {
 fn single_node_graph_solves_out_of_core() {
     let g = GraphBuilder::from_edges_exact(1, vec![]).unwrap();
     let (sharded, dir) = shard_to_disk(&g, 1, 16);
-    let r = PageRank::default().rank_sharded(&sharded);
+    let r = rank_on_disk(&sharded);
     assert_eq!(r.scores(), &[1.0]);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -197,7 +217,7 @@ fn edgeless_graph_is_all_dangling_out_of_core() {
     let g = GraphBuilder::from_edges_exact(10, vec![]).unwrap();
     let (sharded, dir) = shard_to_disk(&g, 2, 16);
     assert!(sharded.num_edges() == 0);
-    let on_disk = PageRank::default().rank_sharded(&sharded);
+    let on_disk = rank_on_disk(&sharded);
     let in_ram = PageRank::default().rank(&g);
     assert_eq!(on_disk.scores(), in_ram.scores());
     std::fs::remove_dir_all(&dir).ok();
@@ -225,7 +245,7 @@ fn single_row_shards_partition_cleanly() {
                 "bound {b} not on a shard seam"
             );
         }
-        let on_disk = PageRank::default().rank_sharded(&sharded);
+        let on_disk = rank_on_disk(&sharded);
         let in_ram = PageRank::default().rank(&g);
         assert_eq!(on_disk.scores(), in_ram.scores());
     });

@@ -22,8 +22,8 @@
 use sr_core::hits::hits;
 use sr_core::operator::UniformTransition;
 use sr_core::{
-    solve_batch, ConvergenceCriteria, PageRank, RankVector, SolveBatch, SpamResilientSourceRank,
-    TrustRank,
+    solve, ConvergenceCriteria, PageRank, RankVector, SolveRequest, SolverWorkspace,
+    SpamResilientSourceRank, TrustRank,
 };
 use sr_graph::source_graph::{extract, SourceGraphConfig};
 use sr_graph::{CsrGraph, SourceAssignment};
@@ -84,14 +84,15 @@ fn measure(
     // one pass over the page-graph edge stream, bit-identical per column to
     // the sequential solves it replaces.
     let trustrank = TrustRank::new();
-    let batch = SolveBatch::new(vec![
+    let request = SolveRequest::new(vec![
         PageRank::default().column(),
         trustrank.column(pages.num_nodes(), trusted),
     ])
     .criteria(trustrank.stopping_criteria());
-    let panel = solve_batch(&UniformTransition::new(pages), &batch);
-    let pr = panel.column(0).percentile(target_page);
-    let tr = panel.column(1).percentile(target_page);
+    let op = UniformTransition::new(pages);
+    let panel = solve(&op, &request, &mut SolverWorkspace::new(), &mut []);
+    let pr = panel[0].percentile(target_page);
+    let tr = panel[1].percentile(target_page);
     let h = authority_vector(pages).percentile(target_page);
     let sg = extract(pages, assignment, SourceGraphConfig::consensus())
         .expect("assignment covers graph");

@@ -8,6 +8,7 @@
 //! item under PageRank versus throttled Spam-Resilient SourceRank, i.e.
 //! what one percentile point costs the spammer under each ranking.
 
+use sr_core::operator::UniformTransition;
 use sr_core::rankvec::RankVector;
 use sr_core::{cmp_asc_nan_last, PageRank, SpamResilientSourceRank};
 use sr_graph::ids::node_range;
@@ -117,7 +118,12 @@ pub fn run(ds: &EvalDataset, cfg: &EvalConfig, costs: &CostModel) -> RoiResult {
         let cost = costs.cost(&attack, c.hijacked_links);
 
         let pr_after = PageRank::default()
-            .rank_warm_in(&attack.pages, pr_clean.scores(), &mut ws)
+            .rank_operator_warm_in(
+                &UniformTransition::new(&attack.pages),
+                Some(pr_clean.scores()),
+                &mut ws,
+                None,
+            )
             .percentile(target_page);
 
         let sg = extract(

@@ -100,7 +100,9 @@ fn montecarlo_simulator_is_seed_pure_in_both_length_modes() {
             length,
             ..Default::default()
         };
-        assert_seed_pure(label, &|| bits(&estimate_stationary(transitions, &cfg)));
+        assert_seed_pure(label, &|| {
+            bits(&estimate_stationary(transitions, &cfg, None))
+        });
     }
 }
 

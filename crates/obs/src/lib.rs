@@ -9,11 +9,11 @@
 //! workspace dependency graph (even `sr-par` builds on it). It defines:
 //!
 //! * [`SolveObserver`] — a callback trait the iterative solvers in `sr-core`
-//!   thread through their inner loops. Every solver entry point has an
-//!   observer-free form that passes no observer at all, so the *disabled*
-//!   path costs nothing: no allocation, no branch inside the per-element
-//!   kernels, just one `Option` check per **iteration** (a few dozen
-//!   nanoseconds against milliseconds of sweep work).
+//!   thread through their inner loops. Solvers take their observers as
+//!   optional slots (one per column of a multi-column solve), so the
+//!   *disabled* path costs nothing: no allocation, no branch inside the
+//!   per-element kernels, just one `Option` check per **iteration** (a few
+//!   dozen nanoseconds against milliseconds of sweep work).
 //! * [`RecordingObserver`] — the standard implementation: captures the
 //!   per-iteration residual trajectory, dangling mass, and wall time of one
 //!   solve into a [`SolveTelemetry`].
@@ -76,48 +76,6 @@ pub trait SolveObserver {
 pub struct NullObserver;
 
 impl SolveObserver for NullObserver {}
-
-/// Per-column observer fan-out for batched (multi-vector) solves: one
-/// optional [`SolveObserver`] slot per batch column. The batched engine in
-/// `sr-core` fires each column's callbacks exactly as a sequential solve of
-/// that column would — `on_solve_start` when its panel starts,
-/// `on_iteration` once per sweep while the column is active, `on_solve_end`
-/// when the column converges or the batch hits its iteration cap. Columns
-/// without an observer cost one `None` check per iteration.
-#[derive(Default)]
-pub struct ObserverFanout<'a> {
-    slots: Vec<Option<&'a mut (dyn SolveObserver + 'a)>>,
-}
-
-impl<'a> ObserverFanout<'a> {
-    /// A fan-out with `columns` empty slots.
-    pub fn new(columns: usize) -> Self {
-        let mut slots = Vec::with_capacity(columns);
-        slots.resize_with(columns, || None);
-        ObserverFanout { slots }
-    }
-
-    /// Number of column slots.
-    pub fn num_columns(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Attaches `observer` to `column`.
-    ///
-    /// # Panics
-    /// Panics if `column` is out of range.
-    pub fn set(&mut self, column: usize, observer: &'a mut (dyn SolveObserver + 'a)) {
-        self.slots[column] = Some(observer);
-    }
-
-    /// The observer attached to `column`, if any (and the column exists).
-    pub fn column(&mut self, column: usize) -> Option<&mut (dyn SolveObserver + 'a)> {
-        match self.slots.get_mut(column) {
-            Some(Some(obs)) => Some(&mut **obs),
-            _ => None,
-        }
-    }
-}
 
 /// Everything [`RecordingObserver`] captures about one solve.
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -1,12 +1,12 @@
 //! Deadline-or-K batching of exact personalized queries.
 //!
 //! Exact PPR is a full linear solve; answering each request alone wastes the
-//! batched engine's panel bandwidth (`sr_core::batch` amortizes one edge
-//! sweep over K columns). [`PanelQueue`] coalesces: handler threads submit
-//! `(ticket, seeds)` pairs and block on a per-query slot; a single solver
-//! thread admits a window — closing it as soon as `panel_k` queries are
-//! pending or the window's deadline passes, whichever is first — and solves
-//! the admitted set through [`sr_core::pack_panels`].
+//! solve driver's panel bandwidth (a K-column `sr_core::SolveRequest`
+//! amortizes one edge sweep over K columns). [`PanelQueue`] coalesces:
+//! handler threads submit `(ticket, seeds)` pairs and block on a per-query
+//! slot; a single solver thread admits a window — closing it as soon as
+//! `panel_k` queries are pending or the window's deadline passes, whichever
+//! is first — and solves the admitted set through [`sr_core::pack_panels`].
 //!
 //! Determinism split: *which* queries land in a window is timing-dependent
 //! (unavoidable for a deadline policy), but *given* the admitted set, panel
@@ -186,8 +186,7 @@ impl PanelQueue {
         for panel in panels {
             match panel_columns(&panel, self.alpha, graph.num_nodes()) {
                 Ok(columns) => {
-                    let multi = solver.rank_batch(graph, columns);
-                    for (q, vector) in panel.iter().zip(multi.into_columns()) {
+                    for (q, vector) in panel.iter().zip(solver.rank_batch(graph, columns)) {
                         let i = slots
                             .binary_search_by_key(&q.ticket, |&(t, _)| t)
                             // lint-ok(panic-surface): every panel query's ticket was

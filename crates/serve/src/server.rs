@@ -161,8 +161,16 @@ pub fn serve(
     spam_seeds: Vec<u32>,
     config: &ServeConfig,
 ) -> Result<ServerHandle, ServeError> {
+    // One walk-cache file per server: servers started side by side in one
+    // process must not write (and rename) each other's file.
+    static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(0);
+    // lint-ok(atomic-ordering): a unique-name counter; it orders no data
+    let cache_id = NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed);
     let cache_dir = config.cache_dir.clone().unwrap_or_else(std::env::temp_dir);
-    let cache_path = cache_dir.join(format!("sr_serve_cache_{}.walks", std::process::id()));
+    let cache_path = cache_dir.join(format!(
+        "sr_serve_cache_{}_{cache_id}.walks",
+        std::process::id()
+    ));
     let (engine, seed_snapshot) =
         EpochEngine::seed(pages, assignment, spam_seeds, &config.engine, &cache_path)?;
 

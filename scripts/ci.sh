@@ -69,7 +69,12 @@ echo "==> delta differential suites (incremental path == full rebuild)"
 cargo test -q -p sr-graph --test delta_differential
 cargo test -q -p sr-core --test incremental_differential
 
-echo "==> batched-solve differential suite (batched == sequential, bitwise)"
+echo "==> multi-column solve differential suite (K-column == one-column requests, bitwise)"
+# Every column of a K-column sr_core::SolveRequest must equal its one-column
+# request bit for bit — scores, residual histories, iteration counts — with
+# the formulation and dangling policy drawn per batch, on the uniform and
+# weighted operators. tests/invariants.rs keeps a seconds-long instance of
+# this and the other solver invariants in tier-1.
 cargo test -q -p sr-core --test batch_differential
 
 echo "==> out-of-core smoke (tiny shards & pages: on-disk solve == CSR, bitwise)"

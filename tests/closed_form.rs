@@ -6,7 +6,10 @@
 
 use sr_analysis::cross_source::{colluder_score, target_score};
 use sr_analysis::single_source::{max_gain_factor, sigma_target};
-use sr_core::{ConvergenceCriteria, SourceRank, Teleport};
+use sr_core::{
+    ConvergenceCriteria, Formulation, SolveColumn, SolveRequest, SolverWorkspace, SourceRank,
+    Teleport,
+};
 use sr_graph::source_graph::SourceGraph;
 use sr_graph::WeightedGraph;
 
@@ -34,18 +37,14 @@ fn solve(g: &WeightedGraph) -> Vec<f64> {
     // mass of this configuration is 1 (all rows stochastic), normalization
     // is a no-op and scores are directly comparable.
     let op = sr_core::operator::WeightedTransition::new(g);
-    let config = sr_core::power::PowerConfig {
-        alpha: 0.85,
-        teleport: Teleport::Uniform,
-        criteria: ConvergenceCriteria {
+    let request = SolveRequest::new(vec![SolveColumn::new(0.85, Teleport::Uniform)])
+        .criteria(ConvergenceCriteria {
             tolerance: 1e-13,
             ..Default::default()
-        },
-        formulation: sr_core::power::Formulation::LinearSystem,
-        initial: None,
-        dangling: Default::default(),
-    };
-    sr_core::power::power_method(&op, &config).0
+        })
+        .formulation(Formulation::LinearSystem);
+    let ranks = sr_core::solve(&op, &request, &mut SolverWorkspace::new(), &mut []);
+    ranks[0].scores().to_vec()
 }
 
 #[test]
@@ -140,6 +139,7 @@ fn gauss_seidel_reaches_the_same_fixed_points() {
             tolerance: 1e-13,
             ..Default::default()
         },
+        None,
     );
     assert!(stats.converged);
     // gauss_seidel normalizes; compare against normalized closed forms.

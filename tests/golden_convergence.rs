@@ -10,8 +10,10 @@
 //! trips these assertions.
 
 use sr_core::operator::WeightedTransition;
-use sr_core::power::{power_method_observed, Formulation, PowerConfig, SolverWorkspace};
-use sr_core::{ConvergenceCriteria, SourceRank, Teleport};
+use sr_core::{
+    solve, ConvergenceCriteria, Formulation, SolveColumn, SolveRequest, SolverWorkspace,
+    SourceRank, Teleport,
+};
 use sr_graph::WeightedGraph;
 use sr_obs::{RecordingObserver, SolveTelemetry};
 
@@ -76,17 +78,12 @@ fn power_method_trajectory_is_golden_on_collusion_fixture() {
     for (x, kappa) in [(1usize, 0.0f64), (4, 0.5), (6, 0.9)] {
         let g = collusion_graph(16, x, kappa);
         let op = WeightedTransition::new(&g);
-        let config = PowerConfig {
-            alpha: 0.85,
-            teleport: Teleport::Uniform,
-            criteria: ConvergenceCriteria::default(),
-            formulation: Formulation::LinearSystem,
-            initial: None,
-            dangling: Default::default(),
-        };
+        let request = SolveRequest::new(vec![SolveColumn::new(0.85, Teleport::Uniform)])
+            .criteria(ConvergenceCriteria::default())
+            .formulation(Formulation::LinearSystem);
         let mut ws = SolverWorkspace::new();
         let mut obs = RecordingObserver::new();
-        power_method_observed(&op, &config, &mut ws, Some(&mut obs));
+        solve(&op, &request, &mut ws, &mut [Some(&mut obs)]);
         let t = obs.telemetry();
         assert_eq!(t.solver, "jacobi");
         assert_golden(&format!("jacobi x={x} kappa={kappa}"), t, 1e-9);
@@ -97,17 +94,12 @@ fn power_method_trajectory_is_golden_on_collusion_fixture() {
 fn eigenvector_power_trajectory_is_golden() {
     let g = collusion_graph(12, 5, 0.6);
     let op = WeightedTransition::new(&g);
-    let config = PowerConfig {
-        alpha: 0.85,
-        teleport: Teleport::Uniform,
-        criteria: ConvergenceCriteria::default(),
-        formulation: Formulation::Eigenvector,
-        initial: None,
-        dangling: Default::default(),
-    };
+    let request = SolveRequest::new(vec![SolveColumn::new(0.85, Teleport::Uniform)])
+        .criteria(ConvergenceCriteria::default())
+        .formulation(Formulation::Eigenvector);
     let mut ws = SolverWorkspace::new();
     let mut obs = RecordingObserver::new();
-    power_method_observed(&op, &config, &mut ws, Some(&mut obs));
+    solve(&op, &request, &mut ws, &mut [Some(&mut obs)]);
     let t = obs.telemetry();
     assert_eq!(t.solver, "power");
     assert_golden("power", t, 1e-9);
@@ -117,7 +109,7 @@ fn eigenvector_power_trajectory_is_golden() {
 fn gauss_seidel_trajectory_is_golden() {
     let g = collusion_graph(12, 5, 0.6);
     let mut obs = RecordingObserver::new();
-    sr_core::gauss_seidel::gauss_seidel_observed(
+    sr_core::gauss_seidel::gauss_seidel(
         &g,
         0.85,
         &Teleport::Uniform,
@@ -142,7 +134,8 @@ fn public_sourcerank_api_records_a_golden_trajectory() {
     let sg = extract(&g, &a, SourceGraphConfig::consensus()).unwrap();
 
     let mut obs = RecordingObserver::new();
-    let ranked = SourceRank::new().rank_observed(&sg, &mut obs);
+    let ranked =
+        SourceRank::new().rank_warm_in(&sg, None, &mut SolverWorkspace::new(), Some(&mut obs));
     let t = obs.telemetry();
     assert_golden("sourcerank", t, 1e-9);
     // Telemetry and the public stats view agree.

@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 
-use sr_core::{throttle, ConvergenceCriteria, PageRank, SourceRank, Teleport, ThrottleVector};
+use sr_core::{
+    throttle, ConvergenceCriteria, PageRank, SolverWorkspace, SourceRank, Teleport, ThrottleVector,
+};
 use sr_graph::source_graph::{extract, SourceGraphConfig};
 use sr_graph::transpose::transpose;
 use sr_graph::{CompressedGraph, GraphBuilder, SourceAssignment, WeightedGraph};
@@ -135,10 +137,10 @@ proptest! {
         // Wrap the stochastic matrix as a SourceGraph-free solve and check
         // Power vs Gauss-Seidel agreement on arbitrary chains.
         let crit = ConvergenceCriteria::default();
-        let a = sr_core::solver::solve_weighted(
-            &t, 0.85, &Teleport::Uniform, &crit, sr_core::Solver::Power);
-        let b = sr_core::solver::solve_weighted(
-            &t, 0.85, &Teleport::Uniform, &crit, sr_core::Solver::GaussSeidel);
+        let solve = |solver| sr_core::solver::solve_weighted_warm_observed(
+            &t, 0.85, &Teleport::Uniform, &crit, solver, None, &mut SolverWorkspace::new(), None);
+        let a = solve(sr_core::Solver::Power);
+        let b = solve(sr_core::Solver::GaussSeidel);
         for i in 0..t.num_nodes() as u32 {
             prop_assert!((a.score(i) - b.score(i)).abs() < 1e-6,
                 "node {i}: {} vs {}", a.score(i), b.score(i));
