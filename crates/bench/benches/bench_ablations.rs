@@ -1,7 +1,7 @@
 //! Ablations of the design choices DESIGN.md calls out:
 //!
 //! * solver: parallel power method vs linear-form power vs Gauss–Seidel;
-//! * storage: CSR vs WebGraph-style compressed adjacency iteration;
+//! * storage: CSR vs on-disk shard (WebGraph-style codec) row iteration;
 //! * source weighting: consensus vs uniform extraction;
 //! * proximity weighting: consensus-weighted vs uniform (BadRank) reversed
 //!   walk;
@@ -18,7 +18,7 @@ use sr_core::{
     SpamResilientSourceRank, Teleport,
 };
 use sr_graph::source_graph::{extract, SourceGraphConfig};
-use sr_graph::CompressedGraph;
+use sr_graph::{RowScratch, SolveGraph};
 
 fn bench_solvers(c: &mut Criterion) {
     let crawl = kernel_crawl();
@@ -51,7 +51,14 @@ fn bench_solvers(c: &mut Criterion) {
 
 fn bench_storage(c: &mut Criterion) {
     let crawl = kernel_crawl();
-    let compressed = CompressedGraph::from_csr(&crawl.pages).expect("compress kernel crawl");
+    let dir = std::env::temp_dir().join(format!("sr_ablate_shards_{}", std::process::id()));
+    let shards = sr_graph::shard::build_from_csr(
+        &crawl.pages,
+        &dir,
+        &dir.join("kernel_crawl.shards"),
+        sr_graph::shard::DEFAULT_SHARD_BYTES,
+    )
+    .expect("shard kernel crawl");
     let mut group = c.benchmark_group("ablate/storage_iteration");
     group.sample_size(20);
     group.bench_function("csr_sum_targets", |b| {
@@ -65,18 +72,21 @@ fn bench_storage(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    group.bench_function("compressed_sum_targets", |b| {
+    // The shards hold the reverse graph: the same edges, summed by source.
+    group.bench_function("sharded_sum_sources", |b| {
+        let mut scratch = RowScratch::new();
         b.iter(|| {
             let mut acc = 0u64;
-            for u in 0..compressed.num_nodes() as u32 {
-                compressed
-                    .for_each_neighbor(u, |v| acc += u64::from(v))
-                    .unwrap();
-            }
+            shards
+                .stream_rows(0..shards.num_nodes(), &mut scratch, &mut |_, srcs| {
+                    acc += srcs.iter().map(|&u| u64::from(u)).sum::<u64>();
+                })
+                .unwrap();
             black_box(acc)
         })
     });
     group.finish();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn bench_weighting(c: &mut Criterion) {

@@ -158,10 +158,10 @@ fn step_seed(master: u64, source: NodeId, walk: u32, hop: u32) -> u64 {
 
 /// One source's encoded outcome: the distinct visited nodes (ascending)
 /// and their aggregate visit counts, positionally matched.
-type Segment = (Vec<NodeId>, Vec<u32>);
+type SourceVisits = (Vec<NodeId>, Vec<u32>);
 
 /// Offline builder: simulates the walk database over any [`SolveGraph`]
-/// backend and writes an [`WalkStore`] segment file.
+/// backend and writes a [`WalkStore`] file.
 ///
 /// The simulation is *hop-synchronous*: all live walkers of a source batch
 /// advance one hop per pass, sorted by current node, so each pass is a
@@ -213,13 +213,13 @@ impl WalkCacheBuilder {
             // pure function of (graph, config, source), so the split is
             // invisible in the result.
             let bounds = sr_par::even_bounds(hi - lo, sr_par::num_threads());
-            let parts: Vec<Result<Vec<Segment>, GraphError>> =
+            let parts: Vec<Result<Vec<SourceVisits>, GraphError>> =
                 sr_par::map_tasks(bounds.len() - 1, |part| {
                     self.simulate_sources(graph, lo + bounds[part]..lo + bounds[part + 1])
                 });
             for part in parts {
                 for (support, counts) in part? {
-                    writer.write_segment(&support, &counts)?;
+                    writer.write_source(&support, &counts)?;
                 }
             }
             lo = hi;
@@ -228,12 +228,12 @@ impl WalkCacheBuilder {
     }
 
     /// Simulates all walks for the sources in `range`, returning each
-    /// source's `(support, counts)` segment in ascending source order.
+    /// source's `(support, counts)` in ascending source order.
     fn simulate_sources<G: SolveGraph>(
         &self,
         graph: &G,
         range: Range<usize>,
-    ) -> Result<Vec<Segment>, GraphError> {
+    ) -> Result<Vec<SourceVisits>, GraphError> {
         let cfg = &self.config;
         let lo = range.start;
         let walks = cfg.walks as usize;
@@ -352,7 +352,7 @@ impl Default for QueryConfig {
     }
 }
 
-/// Query-time engine: assembles cached walk segments for a seed set and
+/// Query-time engine: assembles cached walk visits for a seed set and
 /// sharpens the estimate with residual-push refinement.
 ///
 /// `graph` must be the walk graph the cache was built on (stored rows =
@@ -594,9 +594,8 @@ impl<'a, G: SolveGraph> ApproxPpr<'a, G> {
     /// accumulate into `SCATTER_PARTS` parallel part-local accumulators
     /// reduced in part order; small frontiers accumulate in place. Either
     /// way the per-target addition order is (source asc, support asc) —
-    /// identical to streaming the segments — and the branch depends only on
-    /// the frontier length, so the bits are reproducible across thread
-    /// counts *and* across the table/streaming representations.
+    /// the file's row order — and the branch depends only on the frontier
+    /// length, so the bits are reproducible across thread counts.
     fn close_with_walks(
         &self,
         beta: f64,

@@ -184,7 +184,7 @@ mod tests {
         };
         let mut w = WalkFileWriter::create(&path, meta).unwrap();
         for _ in 0..3 {
-            w.write_segment(&[], &[]).unwrap();
+            w.write_source(&[], &[]).unwrap();
         }
         w.finish().unwrap()
     }

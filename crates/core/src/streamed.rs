@@ -1,18 +1,16 @@
-//! The out-of-core transition operator: PageRank over a [`SolveGraph`].
+//! The out-of-core transition operator: PageRank over on-disk shards.
 //!
 //! [`StreamedTransition`] is the uniform (PageRank) operator decoupled from
 //! CSR storage: instead of gathering over in-RAM `offsets`/`targets` arrays
-//! it pulls the **reverse** graph from a [`SolveGraph`] backend — an in-RAM
-//! CSR, a delta overlay, or a [`ShardedCompressedGraph`] whose varint-coded
-//! shards are decoded from disk. With the sharded backend a full power-method
-//! solve touches `O(x + y + scratch)` f64 vectors plus a bounded per-worker
-//! staging arena — the edge structure itself never materializes in memory.
+//! it pulls the **reverse** graph through a [`ChunkSource`] — a
+//! [`ShardedCompressedGraph`] whose varint-coded shards are decoded from
+//! disk. A full power-method solve touches `O(x + y + scratch)` f64 vectors
+//! plus a bounded per-worker staging arena — the edge structure itself
+//! never materializes in memory.
 //!
 //! ## The three-stage pipeline
 //!
-//! When the backend exposes a [`ChunkSource`] (the sharded container does),
-//! the gather sweep runs as a decode-ahead pipeline instead of the row-at-a-
-//! time [`SolveGraph::stream_rows`] path:
+//! The gather sweep runs as a decode-ahead pipeline:
 //!
 //! 1. **Prefetch** — a dedicated fill task per worker reads whole chunk
 //!    payloads via one `read_exact_at` each into a small ring of recycled
@@ -41,13 +39,10 @@
 //! out-of-core guarantee is a knob, not a casualty. `cache_bytes: 0`
 //! recovers the pure re-streaming engine.
 //!
-//! Backends without a chunk source (CSR, overlays) keep the original
-//! `stream_rows` path with its pooled [`RowScratch`] buffers.
-//!
 //! ## Bitwise parity with the in-RAM engine
 //!
 //! The operator reproduces [`UniformTransition`](crate::operator::UniformTransition)
-//! bit for bit on either path, which the differential suites pin:
+//! bit for bit, which the differential suites pin:
 //!
 //! * **Pre-scale + dangling fold**: the exact same
 //!   [`sr_par::for_each_block`] sweep over `PAR_THRESHOLD`-sized blocks,
@@ -66,8 +61,7 @@ use std::sync::Mutex;
 
 use crate::operator::{operator_chunks, Transition};
 use sr_graph::{
-    ChunkArena, ChunkSource, ChunkSpan, EdgePartition, RowScratch, SellRows,
-    ShardedCompressedGraph, SolveGraph,
+    ChunkArena, ChunkSource, ChunkSpan, EdgePartition, GraphError, SellRows, ShardedCompressedGraph,
 };
 
 /// Tuning knobs for the pipelined (chunk-source) gather path.
@@ -166,109 +160,73 @@ struct PipelinePlan {
     slots: Vec<Mutex<WorkerSlot>>,
 }
 
-/// Uniform (PageRank) transition over a row-streaming reverse graph.
+/// Uniform (PageRank) transition over an on-disk reverse graph.
 ///
-/// `G` must store the **reverse** adjacency: row `v` lists the predecessors
-/// of `v` in the crawl. [`ShardedCompressedGraph`] stores exactly that (its
-/// builder reverses edges on the way in, keeping the forward out-degree
-/// table alongside); for an in-RAM differential baseline, pass
-/// `transpose(&g)` together with `g`'s out-degrees.
-pub struct StreamedTransition<'g, G: SolveGraph + ?Sized> {
-    /// Reverse-graph row source.
-    graph: &'g G,
+/// The source stores the **reverse** adjacency: row `v` lists the
+/// predecessors of `v` in the crawl. [`ShardedCompressedGraph`] stores
+/// exactly that (its builder reverses edges on the way in, keeping the
+/// forward out-degree table alongside).
+pub struct StreamedTransition<'g> {
+    /// Reverse-graph chunk source.
+    source: &'g dyn ChunkSource,
     /// `1/out_degree` of every node in the *forward* graph; 0 for dangling
     /// nodes, exactly as in the in-RAM operator's pre-scale pass.
     inv_degree: Vec<f64>,
-    /// Edge-balanced, storage-aligned chunks of the reverse rows. On the
-    /// pipelined path this is exactly one chunk per span (see
+    /// Exactly one chunk per pipeline span (see
     /// [`EdgePartition::from_exact_segments`]).
     partition: EdgePartition,
-    /// One decode scratch per partition chunk for the generic
-    /// `stream_rows` path; empty when the pipelined plan is active.
-    scratch_pool: Vec<Mutex<RowScratch>>,
-    /// Pipelined sweep layout; `None` when the backend has no chunk source
-    /// (or its spans could not be derived), falling back to `stream_rows`.
-    plan: Option<PipelinePlan>,
+    /// Pipelined sweep layout.
+    plan: PipelinePlan,
 }
 
-impl<'g, G: SolveGraph + ?Sized> StreamedTransition<'g, G> {
-    /// Builds the operator over a reverse graph plus the forward graph's
-    /// out-degree table (the sharded container carries one; see
-    /// [`ShardedCompressedGraph::out_degrees`]), with the default
+impl<'g> StreamedTransition<'g> {
+    /// Builds the operator directly over an on-disk sharded graph, wiring
+    /// its stored forward out-degree table through, with the default
     /// [`PipelineConfig`].
     ///
     /// # Panics
-    /// Panics if `out_degrees.len()` differs from the graph's node count.
-    pub fn new(graph: &'g G, out_degrees: &[u32]) -> Self {
-        Self::with_config(graph, out_degrees, PipelineConfig::default())
+    /// Panics with the typed error if the chunk spans cannot be derived (an
+    /// I/O error or shard corruption surfacing in the skip-scan of an
+    /// oversized shard).
+    pub fn from_sharded(graph: &'g ShardedCompressedGraph) -> Self {
+        StreamedTransition::from_sharded_with(graph, PipelineConfig::default())
     }
 
-    /// [`StreamedTransition::new`] with explicit pipeline tuning.
+    /// [`StreamedTransition::from_sharded`] with explicit pipeline tuning.
     ///
     /// # Panics
-    /// Panics if `out_degrees.len()` differs from the graph's node count.
-    pub fn with_config(graph: &'g G, out_degrees: &[u32], config: PipelineConfig) -> Self {
+    /// As [`StreamedTransition::from_sharded`].
+    pub fn from_sharded_with(graph: &'g ShardedCompressedGraph, config: PipelineConfig) -> Self {
         let n = graph.num_nodes();
-        assert_eq!(
-            out_degrees.len(),
-            n,
-            "out-degree table must cover every node"
-        );
-        let inv_degree: Vec<f64> = out_degrees
+        let inv_degree: Vec<f64> = graph
+            .out_degrees()
             .iter()
             .map(|&d| if d == 0 { 0.0 } else { 1.0 / f64::from(d) })
             .collect();
-        if let Some(source) = graph.chunk_source() {
-            if let Some((plan, partition)) = build_plan(source, n, config) {
-                return StreamedTransition {
-                    graph,
-                    inv_degree,
-                    partition,
-                    scratch_pool: Vec::new(),
-                    plan: Some(plan),
-                };
-            }
-        }
-        let partition = graph.partition(operator_chunks(n));
-        let scratch_pool = (0..partition.num_chunks().max(1))
-            .map(|_| Mutex::new(RowScratch::new()))
-            .collect();
+        let (plan, partition) = build_plan(graph, n, config)
+            .unwrap_or_else(|e| panic!("out-of-core chunk spans failed: {e}"));
         StreamedTransition {
-            graph,
+            source: graph,
             inv_degree,
             partition,
-            scratch_pool,
-            plan: None,
+            plan,
         }
     }
 
-    /// The cached storage-aligned partition the gather sweep runs over (one
-    /// chunk per pipeline span on the pipelined path).
+    /// The cached partition the gather sweep runs over: one chunk per
+    /// pipeline span.
     pub fn partition(&self) -> &EdgePartition {
         &self.partition
     }
 
-    /// Whether the decode-ahead pipeline is active (the backend exposed a
-    /// usable [`ChunkSource`]).
-    pub fn is_pipelined(&self) -> bool {
-        self.plan.is_some()
-    }
-
     /// Current heap footprint of the per-worker decode state in bytes — the
     /// entire steady-state memory the edge structure costs beyond the
-    /// backend's own resident bytes. Covers the `stream_rows` scratch pool
-    /// on the generic path and the staging buffers, block-decode scratch
-    /// arenas, and budget-bounded hot arena cache on the pipelined path.
+    /// backend's own resident bytes: staging buffers, block-decode scratch
+    /// arenas, and the budget-bounded hot arena cache.
     pub fn scratch_resident_bytes(&self) -> usize {
-        let pool: usize = self
-            .scratch_pool
+        self.plan
+            .slots
             .iter()
-            .map(|m| lock_ignore_poison(m).heap_bytes())
-            .sum();
-        let slots: usize = self
-            .plan
-            .iter()
-            .flat_map(|plan| plan.slots.iter())
             .map(|m| {
                 let slot = lock_ignore_poison(m);
                 let bufs: usize = slot.bufs.iter().map(Vec::capacity).sum();
@@ -280,8 +238,7 @@ impl<'g, G: SolveGraph + ?Sized> StreamedTransition<'g, G> {
                     .sum();
                 bufs + slot.arena.heap_bytes() + hot
             })
-            .sum();
-        pool + slots
+            .sum()
     }
 }
 
@@ -307,29 +264,23 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// Derives the pipelined sweep layout: asks the backend for edge-bounded
-/// chunk spans, validates that they tile `0..n`, and cuts them into one
-/// contiguous edge-balanced group per worker. Returns `None` (→ generic
-/// `stream_rows` path) if the backend cannot produce a usable tiling.
+/// chunk spans, checks that they tile `0..n`, and cuts them into one
+/// contiguous edge-balanced group per worker.
 fn build_plan(
     source: &dyn ChunkSource,
     n: usize,
     config: PipelineConfig,
-) -> Option<(PipelinePlan, EdgePartition)> {
+) -> Result<(PipelinePlan, EdgePartition), GraphError> {
     let workers = operator_chunks(n);
     let max_chunks = workers.saturating_mul(config.spans_per_worker.max(1));
-    let spans = source.chunk_spans(max_chunks).ok()?;
-    // The gather writes y[v] only for rows some span covers, so a plan is
-    // only usable when the spans tile the row space exactly.
+    let spans = source.chunk_spans(max_chunks)?;
+    // The gather writes y[v] only for rows some span covers.
     let mut cursor = 0usize;
     for s in &spans {
-        if s.rows.start != cursor || s.rows.end < s.rows.start {
-            return None;
-        }
+        assert_eq!(s.rows.start, cursor, "chunk spans must tile the rows");
         cursor = s.rows.end;
     }
-    if cursor != n || spans.is_empty() {
-        return None;
-    }
+    assert_eq!(cursor, n, "chunk spans must cover every row");
 
     // Edge prefix over spans, for the per-worker ceiling split and the
     // exact per-span partition.
@@ -356,9 +307,10 @@ fn build_plan(
     }
     span_bounds.push(spans.len());
 
+    // An empty graph has no spans: its one (empty) group owns no rows.
     let mut row_bounds: Vec<usize> = span_bounds[..w]
         .iter()
-        .map(|&b| spans[b].rows.start)
+        .map(|&b| spans.get(b).map_or(n, |s| s.rows.start))
         .collect();
     row_bounds.push(n);
 
@@ -367,8 +319,8 @@ fn build_plan(
         .collect();
     let seg_edges: Vec<usize> = spans
         .iter()
-        .map(|s| usize::try_from(s.edges).ok())
-        .collect::<Option<_>>()?;
+        .map(|s| usize::try_from(s.edges).unwrap_or(usize::MAX))
+        .collect();
     let partition = EdgePartition::from_exact_segments(&seg_rows, &seg_edges);
 
     // Greedy hot-arena budget: decoded span k costs (rows+1)·8 offset bytes
@@ -402,7 +354,7 @@ fn build_plan(
             })
         })
         .collect();
-    Some((
+    Ok((
         PipelinePlan {
             spans,
             span_bounds,
@@ -414,20 +366,7 @@ fn build_plan(
     ))
 }
 
-impl<'g> StreamedTransition<'g, ShardedCompressedGraph> {
-    /// Builds the operator directly over an on-disk sharded graph, wiring
-    /// its stored forward out-degree table through.
-    pub fn from_sharded(graph: &'g ShardedCompressedGraph) -> Self {
-        StreamedTransition::new(graph, graph.out_degrees())
-    }
-
-    /// [`StreamedTransition::from_sharded`] with explicit pipeline tuning.
-    pub fn from_sharded_with(graph: &'g ShardedCompressedGraph, config: PipelineConfig) -> Self {
-        StreamedTransition::with_config(graph, graph.out_degrees(), config)
-    }
-}
-
-impl<'g, G: SolveGraph + ?Sized> StreamedTransition<'g, G> {
+impl StreamedTransition<'_> {
     /// The pipelined pass 2. Each worker first gathers straight out of its
     /// hot arenas (spans decoded on an earlier sweep — no I/O, no decode),
     /// then streams the remaining cold spans through a fill → decode+gather
@@ -435,11 +374,8 @@ impl<'g, G: SolveGraph + ?Sized> StreamedTransition<'g, G> {
     /// it goes. Every row is written exactly once per sweep from its own
     /// ascending-order accumulator, so the cached/streamed split cannot
     /// move a bit.
-    fn propagate_pipelined(&self, plan: &PipelinePlan, scratch: &[f64], y: &mut [f64]) {
-        let source = self
-            .graph
-            .chunk_source()
-            .expect("pipelined plan requires a chunk source");
+    fn propagate_pipelined(&self, scratch: &[f64], y: &mut [f64]) {
+        let (plan, source) = (&self.plan, self.source);
         let results = sr_par::for_each_part(y, &plan.row_bounds, |i, out| {
             let lo = plan.row_bounds[i];
             let group_lo = plan.span_bounds[i];
@@ -502,7 +438,7 @@ impl<'g, G: SolveGraph + ?Sized> StreamedTransition<'g, G> {
     }
 }
 
-impl<'g, G: SolveGraph + ?Sized> Transition for StreamedTransition<'g, G> {
+impl Transition for StreamedTransition<'_> {
     fn num_nodes(&self) -> usize {
         self.inv_degree.len()
     }
@@ -534,35 +470,8 @@ impl<'g, G: SolveGraph + ?Sized> Transition for StreamedTransition<'g, G> {
             dangling
         });
         let dangling = partials.into_iter().sum();
-        let scratch = &*scratch;
-        // Pass 2: the gather sweep. Pipelined when the backend exposes
-        // chunk spans, row-streaming otherwise; both orders are
-        // ascending-per-row so the bits agree.
-        if let Some(plan) = &self.plan {
-            self.propagate_pipelined(plan, scratch, y);
-            return dangling;
-        }
-        let bounds = self.partition.row_bounds();
-        let graph = self.graph;
-        let pool = &self.scratch_pool;
-        let failure: Mutex<Option<sr_graph::GraphError>> = Mutex::new(None);
-        sr_par::for_each_part(y, bounds, |i, out| {
-            let lo = bounds[i];
-            let mut rs = lock_ignore_poison(&pool[i]);
-            let res = graph.stream_rows(lo..bounds[i + 1], &mut rs, &mut |v, preds| {
-                let mut acc = 0.0;
-                for &u in preds {
-                    acc += scratch[u as usize];
-                }
-                out[v - lo] = acc;
-            });
-            if let Err(e) = res {
-                lock_ignore_poison(&failure).get_or_insert(e);
-            }
-        });
-        if let Some(e) = lock_ignore_poison(&failure).take() {
-            panic!("out-of-core row stream failed mid-solve: {e}");
-        }
+        // Pass 2: the pipelined gather sweep.
+        self.propagate_pipelined(scratch, y);
         dangling
     }
 }
@@ -573,8 +482,7 @@ mod tests {
     use crate::operator::UniformTransition;
     use crate::power::{solve, SolveColumn, SolveRequest, SolverWorkspace};
     use crate::rankvec::RankVector;
-    use sr_graph::transpose::transpose;
-    use sr_graph::{CsrGraph, GraphBuilder};
+    use sr_graph::GraphBuilder;
 
     /// Held by every test that runs a pipelined (sharded) sweep: the
     /// prefetch counters are process-wide, so a concurrent pipelined solve
@@ -586,44 +494,6 @@ mod tests {
     fn power_solve(op: &dyn Transition) -> RankVector {
         let request = SolveRequest::new(vec![SolveColumn::default()]);
         solve(op, &request, &mut SolverWorkspace::new(), &mut []).remove(0)
-    }
-
-    fn out_degrees(g: &CsrGraph) -> Vec<u32> {
-        (0..g.num_nodes() as u32)
-            .map(|u| u32::try_from(g.out_degree(u)).expect("degree fits u32"))
-            .collect()
-    }
-
-    #[test]
-    fn streamed_csr_propagate_matches_in_ram_bitwise() {
-        let g =
-            GraphBuilder::from_edges_exact(5, vec![(0, 1), (0, 2), (1, 2), (2, 0), (2, 3), (4, 4)])
-                .unwrap();
-        let rev = transpose(&g);
-        let degs = out_degrees(&g);
-        let streamed = StreamedTransition::new(&rev, &degs);
-        assert!(!streamed.is_pipelined(), "CSR has no chunk source");
-        let in_ram = UniformTransition::new(&g);
-        let x = [0.1, 0.3, 0.2, 0.25, 0.15];
-        let (mut ys, mut yr) = ([0.0; 5], [0.0; 5]);
-        let ds = streamed.propagate(&x, &mut ys);
-        let dr = in_ram.propagate(&x, &mut yr);
-        assert_eq!(ys, yr);
-        assert_eq!(ds, dr);
-    }
-
-    #[test]
-    fn streamed_solve_matches_in_ram_bitwise() {
-        let g = GraphBuilder::from_edges_exact(
-            7,
-            vec![(0, 3), (1, 3), (2, 3), (3, 0), (0, 1), (4, 5), (6, 0)],
-        )
-        .unwrap();
-        let rev = transpose(&g);
-        let degs = out_degrees(&g);
-        let streamed = StreamedTransition::new(&rev, &degs);
-        let in_ram = UniformTransition::new(&g);
-        assert_eq!(power_solve(&streamed), power_solve(&in_ram));
     }
 
     #[test]
@@ -639,7 +509,6 @@ mod tests {
         let mut sharded = sr_graph::shard::build_from_csr(&g, &dir, &path, 16).unwrap();
         sharded.set_page_size(32);
         let streamed = StreamedTransition::from_sharded(&sharded);
-        assert!(streamed.is_pipelined(), "sharded backend must pipeline");
         let in_ram = UniformTransition::new(&g);
         let (xs, xr) = (power_solve(&streamed), power_solve(&in_ram));
         assert_eq!(xs.scores(), xr.scores());
@@ -675,7 +544,6 @@ mod tests {
                             cache_bytes,
                         };
                         let streamed = StreamedTransition::from_sharded_with(&sharded, pcfg);
-                        assert!(streamed.is_pipelined());
                         let x = sr_par::with_threads(threads, || power_solve(&streamed));
                         assert_eq!(
                             x.scores(),
@@ -711,7 +579,7 @@ mod tests {
             ..PipelineConfig::default()
         };
         let streamed = StreamedTransition::from_sharded_with(&sharded, cached);
-        let spans = streamed.plan.as_ref().unwrap().spans.len() as u64;
+        let spans = streamed.plan.spans.len() as u64;
         sr_par::counters::reset();
         sr_par::counters::enable();
         let n = streamed.num_nodes();
@@ -755,7 +623,7 @@ mod tests {
         let path = dir.join("g.shards");
         let sharded = sr_graph::shard::build_from_csr(&g, &dir, &path, 128).unwrap();
         let streamed = StreamedTransition::from_sharded(&sharded);
-        let plan = streamed.plan.as_ref().expect("pipelined");
+        let plan = &streamed.plan;
         assert_eq!(plan.span_bounds[0], 0);
         assert_eq!(*plan.span_bounds.last().unwrap(), plan.spans.len());
         assert!(plan.span_bounds.windows(2).all(|w| w[0] < w[1]));
@@ -771,23 +639,5 @@ mod tests {
         assert_eq!(cursor, 500);
         assert_eq!(streamed.partition().num_chunks(), plan.spans.len());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn scratch_pool_covers_every_chunk() {
-        let g = GraphBuilder::from_edges_exact(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        let rev = transpose(&g);
-        let degs = out_degrees(&g);
-        let streamed = StreamedTransition::new(&rev, &degs);
-        assert_eq!(streamed.partition().num_rows(), 4);
-        assert_eq!(streamed.num_nodes(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "out-degree table must cover every node")]
-    fn degree_table_length_checked() {
-        let g = GraphBuilder::from_edges(vec![(0, 1)]);
-        let rev = transpose(&g);
-        StreamedTransition::new(&rev, &[1]);
     }
 }

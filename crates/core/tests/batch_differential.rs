@@ -9,7 +9,7 @@
 //! formulations and dangling policies through `sr_core::solve` /
 //! `PageRank::rank_batch` and check them against per-column one-column
 //! requests / `PageRank::rank` runs, on plain [`CsrGraph`]s and on graphs
-//! round-tripped through the WebGraph-style [`CompressedGraph`] codec. The
+//! round-tripped through an on-disk shard file (WebGraph-style codec). The
 //! within-1e-12 requirement is implied by bit-equality but asserted
 //! separately so a future relaxation of the bitwise gate would still be
 //! caught drifting.
@@ -21,7 +21,8 @@ use sr_core::{
     solve, DanglingPolicy, Formulation, PageRank, RankVector, SolveColumn, SolveRequest,
     SolverWorkspace, Teleport, PANEL_WIDTH,
 };
-use sr_graph::{CompressedGraph, CsrGraph, GraphBuilder, WeightedGraph};
+use sr_graph::transpose::transpose;
+use sr_graph::{CsrGraph, GraphBuilder, WeightedGraph};
 
 fn run(op: &dyn Transition, request: &SolveRequest) -> Vec<RankVector> {
     solve(op, request, &mut SolverWorkspace::new(), &mut [])
@@ -199,15 +200,16 @@ proptest! {
         }
     }
 
-    /// The same invariant holds after a round trip through the compressed
-    /// (gap + varint) graph codec — the batched engine sees only CSR, so a
-    /// lossless codec must change nothing, bit for bit.
+    /// The same invariant holds after a round trip through a shard file
+    /// (gap + varint codec rows of the reverse graph) — the batched engine
+    /// sees only CSR, so a lossless codec must change nothing, bit for bit.
     #[test]
     fn rank_batch_survives_compressed_round_trip(g in arb_graph(), specs in arb_columns()) {
-        let round: CsrGraph = CompressedGraph::from_csr(&g)
-            .unwrap()
-            .to_csr()
+        let dir = std::env::temp_dir()
+            .join(format!("sr_batch_shards_{}", std::process::id()));
+        let sharded = sr_graph::shard::build_from_csr(&g, &dir, &dir.join("g.shards"), 64)
             .unwrap();
+        let round: CsrGraph = transpose(&sharded.to_csr().unwrap());
         prop_assert_eq!(&round, &g, "codec round trip must be lossless");
         let n = round.num_nodes();
         let columns: Vec<SolveColumn> = specs

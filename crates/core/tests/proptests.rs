@@ -11,7 +11,7 @@ use sr_core::{
     solve, ConvergenceCriteria, PageRank, RankVector, SolveColumn, SolveRequest, SolverWorkspace,
     Teleport, ThrottleVector,
 };
-use sr_graph::{CompressedGraph, CsrGraph, GraphBuilder, WeightedGraph};
+use sr_graph::{CsrGraph, GraphBuilder, WeightedGraph};
 
 /// One default-walk solve of `column` over `op`.
 fn power_solve(op: &dyn Transition, column: SolveColumn) -> RankVector {
@@ -129,34 +129,6 @@ proptest! {
         prop_assert_eq!(stats_f.converged, stats_n.converged);
         for (v, (a, b)) in fused.scores().iter().zip(naive.scores()).enumerate() {
             prop_assert!((a - b).abs() <= 1e-12, "score {v}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn compressed_neighbors_and_degrees_match_csr(g in arb_graph()) {
-        // Differential test of the WebGraph-style codec against the plain
-        // CSR representation it was built from.
-        let c = CompressedGraph::from_csr(&g).unwrap();
-        prop_assert_eq!(c.num_nodes(), g.num_nodes());
-        prop_assert_eq!(c.num_edges(), g.num_edges());
-        for u in 0..g.num_nodes() as u32 {
-            prop_assert_eq!(c.out_degree(u).unwrap(), g.out_degree(u), "degree of {}", u);
-            prop_assert_eq!(c.neighbors(u).unwrap(), g.neighbors(u).to_vec(), "row {}", u);
-        }
-    }
-
-    #[test]
-    fn pagerank_on_decompressed_graph_is_bit_identical(g in arb_graph()) {
-        // compress → decompress must reproduce the exact CSR layout, so a
-        // full PageRank solve over the roundtripped graph is bit-for-bit
-        // the solve over the original (same accumulation order everywhere).
-        let roundtripped = CompressedGraph::from_csr(&g).unwrap().to_csr().unwrap();
-        prop_assert_eq!(&roundtripped, &g);
-        let a = PageRank::default().rank(&g);
-        let b = PageRank::default().rank(&roundtripped);
-        prop_assert_eq!(a.stats().iterations, b.stats().iterations);
-        for (v, (x, y)) in a.scores().iter().zip(b.scores()).enumerate() {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "score {} differs: {} vs {}", v, x, y);
         }
     }
 

@@ -18,7 +18,7 @@ use sr_core::{
     solve, DanglingPolicy, PageRank, RankVector, SolveColumn, SolveRequest, SolverWorkspace,
     Teleport,
 };
-use sr_graph::{CsrGraph, GraphBuilder, ShardedCompressedGraph, SolveGraph};
+use sr_graph::{CsrGraph, GraphBuilder, ShardedCompressedGraph};
 
 /// The one-column `request` over `op`.
 fn power_solve(op: &dyn Transition, request: &SolveRequest) -> RankVector {
@@ -140,7 +140,6 @@ proptest! {
         let pcfg = PipelineConfig { prefetch_buffers, spans_per_worker, cache_bytes };
         let xs = sr_par::with_threads(threads, || {
             let streamed = StreamedTransition::from_sharded_with(&sharded, pcfg);
-            assert!(streamed.is_pipelined(), "sharded backend must pipeline");
             power_solve(&streamed, &request)
         });
         prop_assert_eq!(xs.scores(), xr.scores(), "scores diverged");
@@ -183,12 +182,10 @@ fn pipelined_1_vs_8_workers_bitwise_identical() {
     let request = pagerank_request();
     let x1 = sr_par::with_threads(1, || {
         let t = StreamedTransition::from_sharded(&sharded);
-        assert!(t.is_pipelined());
         power_solve(&t, &request)
     });
     let x8 = sr_par::with_threads(8, || {
         let t = StreamedTransition::from_sharded(&sharded);
-        assert!(t.is_pipelined());
         power_solve(&t, &request)
     });
     assert_eq!(
@@ -225,8 +222,9 @@ fn edgeless_graph_is_all_dangling_out_of_core() {
 
 #[test]
 fn single_row_shards_partition_cleanly() {
-    // shard target 1 byte → every row its own shard; an 8-thread partition
-    // must still land every boundary on a shard seam and solve bitwise.
+    // shard target 1 byte → every row its own shard; an 8-thread operator's
+    // span partition must still land every boundary on a shard seam and
+    // solve bitwise.
     let g = GraphBuilder::from_edges_exact(
         12,
         (0..12u32)
@@ -237,8 +235,9 @@ fn single_row_shards_partition_cleanly() {
     let (sharded, dir) = shard_to_disk(&g, 1, 16);
     assert!(sharded.shards().len() >= 12, "expected one shard per row");
     sr_par::with_threads(8, || {
-        let p = SolveGraph::partition(&sharded, 8);
-        let seams: Vec<usize> = sharded.shards().iter().map(|s| s.row_lo).collect();
+        let op = StreamedTransition::from_sharded(&sharded);
+        let p = op.partition();
+        let seams: Vec<usize> = sharded.shards().iter().map(|s| s.rows.start).collect();
         for &b in &p.row_bounds()[1..p.row_bounds().len() - 1] {
             assert!(
                 seams.contains(&b) || b == sharded.num_nodes(),

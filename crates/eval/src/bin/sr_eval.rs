@@ -31,7 +31,7 @@
 //!               speedup and max additive error; writes
 //!               RUNS_approx_ppr.json (see DESIGN.md §15)
 //!   gen         generate a crawl and write it to disk (edge list,
-//!               assignment, spam labels, binary snapshot)
+//!               assignment, spam labels)
 //!   rank        rank an on-disk crawl:
 //!               sr-eval rank --edges F --sources F [--spam F|--kappa F]
 //!                            [--out F] [--save-kappa F]
@@ -261,14 +261,13 @@ fn run_telemetry(config: &EvalConfig, out_dir: &Option<PathBuf>) -> Result<(), S
     let chunks = (sr_par::num_threads() * 4).max(1);
     let partition = sr_graph::EdgePartition::from_offsets(pages.offsets(), chunks);
     let sell = sr_graph::SellRows::build(pages.offsets(), pages.targets(), &partition);
-    let compressed = sr_graph::CompressedGraph::from_csr(pages).expect("compress page graph");
     report.push_graph(GraphStats {
         label: "pages".to_string(),
         nodes: pages.num_nodes(),
         edges: pages.num_edges(),
         partition: Some(partition.stats()),
         packing: Some(sell.packing_stats()),
-        compression: Some(compressed.compression_stats()),
+        compression: Some(sr_graph::codec::compression_stats(pages).expect("compress page graph")),
     });
 
     let mut obs = RecordingObserver::new();
@@ -407,8 +406,6 @@ fn run_gen(config: &EvalConfig, out_dir: &Option<PathBuf>) {
         let slug = d.name().to_lowercase();
         sr_graph::io::save_edge_list(&crawl.pages, &dir.join(format!("{slug}.edges")))
             .expect("write edge list");
-        sr_graph::io::save_snapshot(&crawl.pages, &dir.join(format!("{slug}.snap")))
-            .expect("write snapshot");
         let f = std::fs::File::create(dir.join(format!("{slug}.sources"))).expect("create");
         sr_graph::io::write_assignment(&crawl.assignment, f).expect("write assignment");
         let labels: String = crawl
@@ -418,7 +415,7 @@ fn run_gen(config: &EvalConfig, out_dir: &Option<PathBuf>) {
             .collect();
         std::fs::write(dir.join(format!("{slug}.spam")), labels).expect("write labels");
         println!(
-            "{}: {} pages, {} edges, {} sources, {} spam -> {}/{{{slug}.edges,.snap,.sources,.spam}}",
+            "{}: {} pages, {} edges, {} sources, {} spam -> {}/{{{slug}.edges,.sources,.spam}}",
             d.name(),
             crawl.num_pages(),
             crawl.pages.num_edges(),

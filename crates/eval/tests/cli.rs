@@ -65,7 +65,7 @@ fn gen_then_rank_roundtrip() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    for ext in ["edges", "snap", "sources", "spam"] {
+    for ext in ["edges", "sources", "spam"] {
         assert!(
             dir.join(format!("uk2002.{ext}")).exists(),
             "missing uk2002.{ext}"

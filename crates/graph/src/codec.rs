@@ -1,9 +1,23 @@
 //! The shared per-row adjacency codec: interval + gap + varint encoding.
 //!
-//! One encoder/decoder pair serves every compressed representation in the
-//! workspace — the in-RAM [`crate::CompressedGraph`], the binary snapshot
-//! reader ([`crate::io::read_snapshot`]) and the on-disk shards of
-//! [`crate::ShardedCompressedGraph`] all store rows in exactly this layout:
+//! The paper's implementation managed its crawls "based on the WebGraph
+//! compression framework" (Boldi & Vigna, WWW 2004). This codec reproduces
+//! the load-bearing ideas of that framework in simplified form:
+//!
+//! * **interval encoding** — maximal runs of *consecutive* target ids
+//!   (length ≥ [`MIN_INTERVAL_LEN`]) are stored as `(start, extra-length)`
+//!   pairs instead of element by element; crawl-ordered Web graphs are full
+//!   of such runs (a page linking a whole directory of a site, a farm page
+//!   linking every sibling);
+//! * **gap encoding** — the remaining ("residual") targets are sorted, so
+//!   they are stored as gaps; the first value of each section is a signed
+//!   (ZigZag) delta from the node's own id, exploiting the strong link
+//!   locality of the Web (most links stay near their origin in crawl order);
+//! * **byte-aligned instantaneous codes** — LEB128 varints rather than
+//!   bit-level ζ-codes, trading a little density for much faster decoding in
+//!   safe Rust.
+//!
+//! Per-row layout:
 //!
 //! ```text
 //! degree, interval_count,
@@ -11,14 +25,20 @@
 //!   [zigzag(r₀ − node), gap − 1*]
 //! ```
 //!
-//! See [`crate::compress`] for why this layout (WebGraph-style intervals and
-//! residual gaps over byte-aligned LEB128 varints) fits crawl-ordered Web
-//! graphs. Keeping the codec in one place means a row encoded by any writer
-//! decodes bit-identically through any reader — the shard differential suite
-//! and the snapshot round-trip tests both lean on that.
+//! Reference-chain copying (compressing one list as an edit of another) is
+//! intentionally omitted: it complicates streaming decode, and the ranking
+//! kernels here always stream whole rows. There is no per-node random
+//! access structure: rows are read sequentially from the segment container
+//! behind both on-disk files — every payload of a
+//! [`crate::ShardedCompressedGraph`] shard row and of a [`crate::WalkStore`]
+//! walk row starts with one codec row — so a row encoded by any writer
+//! decodes bit-identically through any reader, which the shard differential
+//! suite leans on. [`compression_stats`] gives the codec's bits/edge figure
+//! for an in-RAM graph.
 
+use crate::csr::CsrGraph;
 use crate::error::GraphError;
-use crate::ids::{node_id, NodeId};
+use crate::ids::{node_id, node_range, NodeId};
 use crate::varint;
 
 /// Minimum run length of consecutive ids worth encoding as an interval.
@@ -26,7 +46,7 @@ use crate::varint;
 /// cost 1 byte each, so 3 is the break-even and 4 a safe win.)
 pub const MIN_INTERVAL_LEN: usize = 4;
 
-/// Reusable working buffers for [`encode_row`] / [`decode_row`]. One scratch
+/// Reusable working buffers for [`encode_row`] / [`decode_row_into`]. One scratch
 /// amortizes the interval/residual vectors over a whole graph's rows — the
 /// decode hot loop of the sharded SpMV allocates nothing per row.
 #[derive(Debug, Default, Clone)]
@@ -105,117 +125,19 @@ pub fn encode_row(
     Ok(())
 }
 
-/// Decodes the adjacency list of `node` from `buf`, streaming successors in
-/// ascending order through `f` (the interval and residual sections are
-/// merged on the fly, without materializing the list).
+/// Block-decodes the adjacency list of `node` from `buf[*pos..]`,
+/// **appending** the successors to `out` in ascending order and advancing
+/// `pos` past the row.
 ///
-/// `buf` must contain exactly (or at least) the row's encoded bytes starting
-/// at `*pos`; `pos` is advanced past the row. Malformed input — truncation,
-/// a varint overflow, inconsistent interval/degree counts — yields
-/// [`GraphError::CorruptCompressedStream`], never a panic.
-pub fn decode_row<F: FnMut(NodeId)>(
-    node: NodeId,
-    buf: &[u8],
-    pos: &mut usize,
-    scratch: &mut CodecScratch,
-    mut f: F,
-) -> Result<(), GraphError> {
-    let corrupt = || GraphError::CorruptCompressedStream { node };
-    let read = |pos: &mut usize| varint::read_u32(buf, pos).ok_or_else(corrupt);
-    let signed_base = |delta_code: u32| -> Result<NodeId, GraphError> {
-        let v = i64::from(node) + varint::unzigzag(delta_code);
-        NodeId::try_from(v).map_err(|_| corrupt())
-    };
-
-    let degree = read(pos)? as usize;
-    if degree == 0 {
-        return Ok(());
-    }
-    let interval_count = read(pos)? as usize;
-    if interval_count > degree / MIN_INTERVAL_LEN {
-        return Err(corrupt());
-    }
-    // Decode interval descriptors (at most degree/MIN of them).
-    let intervals = &mut scratch.intervals;
-    intervals.clear();
-    let mut prev_end: Option<NodeId> = None;
-    let mut interval_total = 0usize;
-    for _ in 0..interval_count {
-        let head = read(pos)?;
-        let start = match prev_end {
-            None => signed_base(head)?,
-            Some(end) => end.checked_add(head + 2).ok_or_else(corrupt)?,
-        };
-        let len = read(pos)? as usize + MIN_INTERVAL_LEN;
-        let len_minus_1 = NodeId::try_from(len - 1).map_err(|_| corrupt())?;
-        prev_end = Some(start.checked_add(len_minus_1).ok_or_else(corrupt)?);
-        interval_total += len;
-        intervals.push((start, len));
-    }
-    if interval_total > degree {
-        return Err(corrupt());
-    }
-    let residual_count = degree - interval_total;
-
-    // Merge the interval stream with the residual stream; both are
-    // ascending and disjoint.
-    let mut iv = 0usize; // interval index
-    let mut iv_off = 0usize; // position within current interval
-    let mut res_left = residual_count;
-    let mut res_prev: Option<NodeId> = None;
-    let mut next_res: Option<NodeId> = if res_left > 0 {
-        let first = signed_base(read(pos)?)?;
-        res_prev = Some(first);
-        res_left -= 1;
-        Some(first)
-    } else {
-        None
-    };
-    loop {
-        // lint-ok(numeric-cast): iv_off < interval len <= degree, validated to
-        // fit u32 above; this is the per-neighbor decode hot loop.
-        let next_iv_val = intervals.get(iv).map(|&(s, _)| s + iv_off as NodeId);
-        match (next_iv_val, next_res) {
-            (None, None) => break,
-            (Some(v), r) if r.is_none() || v < r.unwrap() => {
-                f(v);
-                iv_off += 1;
-                if iv_off == intervals[iv].1 {
-                    iv += 1;
-                    iv_off = 0;
-                }
-            }
-            (_, Some(r)) => {
-                f(r);
-                next_res = if res_left > 0 {
-                    let gap = read(pos)?;
-                    let v = res_prev.unwrap().checked_add(gap + 1).ok_or_else(corrupt)?;
-                    res_prev = Some(v);
-                    res_left -= 1;
-                    Some(v)
-                } else {
-                    None
-                };
-            }
-            _ => unreachable!("guards above cover all remaining cases"),
-        }
-    }
-    Ok(())
-}
-
-/// Block-decodes the adjacency list of `node` from `buf`, **appending** the
-/// successors to `out` in ascending order.
+/// Shaped for the arena fills of the pipelined out-of-core solve: interval
+/// runs are bulk-extended instead of stepped one id per loop trip, residual
+/// gaps decode in a tight loop, and the two streams are merged with a
+/// single two-pointer pass.
 ///
-/// Semantically identical to [`decode_row`] with a push closure, but shaped
-/// for the arena fills of the pipelined out-of-core solve: interval runs are
-/// bulk-extended instead of stepped one id per loop trip, residual gaps
-/// decode in a tight loop, and the two streams are merged with a single
-/// two-pointer pass — no per-neighbor closure dispatch or branching between
-/// the streams. The differential tests below pin `decode_row_into ==
-/// decode_row` on every encodable row.
-///
-/// Malformed input yields [`GraphError::CorruptCompressedStream`], never a
-/// panic; `out` may hold a partial row after an error.
+/// Malformed input — truncation, a varint overflow, inconsistent
+/// interval/degree counts — yields [`GraphError::CorruptCompressedStream`],
+/// never a panic; `out` may hold a partial row after an error.
+#[inline]
 pub fn decode_row_into(
     node: NodeId,
     buf: &[u8],
@@ -238,7 +160,7 @@ pub fn decode_row_into(
     if interval_count > degree / MIN_INTERVAL_LEN {
         return Err(corrupt());
     }
-    // Interval descriptors, exactly as in `decode_row`.
+    // Interval descriptors: at most degree/MIN of them.
     let intervals = &mut scratch.intervals;
     intervals.clear();
     let mut prev_end: Option<NodeId> = None;
@@ -313,13 +235,29 @@ pub fn decode_row_into(
     Ok(())
 }
 
-/// Decodes only the degree of the row at `buf[*pos..]` (the leading varint),
-/// without advancing past the rest of the row.
-pub fn peek_degree(node: NodeId, buf: &[u8], pos: usize) -> Result<usize, GraphError> {
-    let mut p = pos;
-    varint::read_u32(buf, &mut p)
-        .map(|d| d as usize)
-        .ok_or(GraphError::CorruptCompressedStream { node })
+/// The codec's compression figures for `g`: every row encoded back to back
+/// (no framing, no offsets), with the WebGraph bits-per-edge figure of
+/// merit. Returns [`GraphError::GapOverflow`] where [`encode_row`] would.
+pub fn compression_stats(g: &CsrGraph) -> Result<sr_obs::CompressionStats, GraphError> {
+    let mut scratch = CodecScratch::new();
+    let mut row = Vec::new();
+    let mut data_bytes = 0usize;
+    for u in node_range(g.num_nodes()) {
+        row.clear();
+        encode_row(u, g.neighbors(u), &mut scratch, &mut row)?;
+        data_bytes += row.len();
+    }
+    let edges = g.num_edges();
+    Ok(sr_obs::CompressionStats {
+        nodes: g.num_nodes(),
+        edges,
+        data_bytes,
+        bits_per_edge: if edges == 0 {
+            0.0
+        } else {
+            (data_bytes * 8) as f64 / edges as f64
+        },
+    })
 }
 
 #[cfg(test)]
@@ -332,7 +270,7 @@ mod tests {
         encode_row(u, neigh, &mut scratch, &mut buf).unwrap();
         let mut out = Vec::new();
         let mut pos = 0;
-        decode_row(u, &buf, &mut pos, &mut scratch, |t| out.push(t)).unwrap();
+        decode_row_into(u, &buf, &mut pos, &mut scratch, &mut out).unwrap();
         assert_eq!(pos, buf.len(), "decode must consume the row exactly");
         out
     }
@@ -346,6 +284,8 @@ mod tests {
             (3, vec![0, 1, 2, 3, 4, 5]),          // one interval
             (7, vec![1, 5, 9, 20]),               // residuals only
             (2, vec![0, 10, 11, 12, 13, 14, 40]), // interval + residuals
+            (8, vec![2, 3, 4, 5, 20, 21, 22, 23, 24, 50, 51]), // two intervals
+            (1, vec![0, 1, 2, 3, 7, 8, 9, 10, 99]), // adjacent intervals
             (9, (0..100).collect()),
         ];
         for (u, neigh) in cases {
@@ -361,56 +301,12 @@ mod tests {
         encode_row(1, &[0, 7], &mut scratch, &mut buf).unwrap();
         let mut pos = 0;
         let mut a = Vec::new();
-        decode_row(0, &buf, &mut pos, &mut scratch, |t| a.push(t)).unwrap();
+        decode_row_into(0, &buf, &mut pos, &mut scratch, &mut a).unwrap();
         let mut b = Vec::new();
-        decode_row(1, &buf, &mut pos, &mut scratch, |t| b.push(t)).unwrap();
+        decode_row_into(1, &buf, &mut pos, &mut scratch, &mut b).unwrap();
         assert_eq!(a, vec![1, 2, 3, 4, 5, 90]);
         assert_eq!(b, vec![0, 7]);
         assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn truncated_row_is_typed_error() {
-        let mut scratch = CodecScratch::new();
-        let mut buf = Vec::new();
-        encode_row(0, &[1, 5, 9], &mut scratch, &mut buf).unwrap();
-        buf.truncate(buf.len() - 1);
-        let mut pos = 0;
-        let res = decode_row(0, &buf, &mut pos, &mut scratch, |_| {});
-        assert!(matches!(
-            res,
-            Err(GraphError::CorruptCompressedStream { node: 0 })
-        ));
-    }
-
-    #[test]
-    fn block_decode_matches_streaming_decode() {
-        // Every row shape: empty, residual-only, interval-only, mixed,
-        // multi-interval, and a long dense run — the block decoder must
-        // produce the identical successor sequence and final position.
-        let cases: Vec<(NodeId, Vec<NodeId>)> = vec![
-            (0, vec![]),
-            (5, vec![0]),
-            (7, vec![1, 5, 9, 20]),
-            (3, vec![0, 1, 2, 3, 4, 5]),
-            (2, vec![0, 10, 11, 12, 13, 14, 40]),
-            (8, vec![2, 3, 4, 5, 20, 21, 22, 23, 24, 50, 51]),
-            (9, (0..100).collect()),
-            (1, vec![0, 1, 2, 3, 7, 8, 9, 10, 99]),
-        ];
-        let mut scratch = CodecScratch::new();
-        for (u, neigh) in cases {
-            let mut buf = Vec::new();
-            encode_row(u, &neigh, &mut scratch, &mut buf).unwrap();
-            let mut streamed = Vec::new();
-            let mut pos_a = 0;
-            decode_row(u, &buf, &mut pos_a, &mut scratch, |t| streamed.push(t)).unwrap();
-            let mut block = Vec::new();
-            let mut pos_b = 0;
-            decode_row_into(u, &buf, &mut pos_b, &mut scratch, &mut block).unwrap();
-            assert_eq!(block, streamed, "node {u}");
-            assert_eq!(pos_b, pos_a, "node {u}: consumed bytes differ");
-        }
     }
 
     #[test]
@@ -425,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn block_decode_truncation_is_typed_error() {
+    fn truncated_row_is_typed_error() {
         let mut scratch = CodecScratch::new();
         for neigh in [vec![1, 5, 9], (0..20).collect::<Vec<NodeId>>()] {
             let mut buf = Vec::new();
@@ -442,11 +338,31 @@ mod tests {
     }
 
     #[test]
-    fn peek_degree_reads_only_the_head() {
-        let mut scratch = CodecScratch::new();
-        let mut buf = Vec::new();
-        encode_row(4, &[0, 2, 8], &mut scratch, &mut buf).unwrap();
-        assert_eq!(peek_degree(4, &buf, 0).unwrap(), 3);
-        assert!(peek_degree(4, &[], 0).is_err());
+    fn compression_stats_reward_locality_and_runs() {
+        use crate::builder::GraphBuilder;
+        // Every node links to its 8 nearest followers: tiny gaps, well
+        // below CSR's 32 bits per edge.
+        let mut b = GraphBuilder::with_nodes(2_000);
+        for u in 0..2_000u32 {
+            for k in 1..=8 {
+                b.add_edge(u, (u + k) % 2_000);
+            }
+        }
+        let local = compression_stats(&b.build()).unwrap();
+        assert!(local.bits_per_edge < 12.0, "{local:?}");
+        // Every node links to the 64 nodes after it: one interval per row.
+        let mut b = GraphBuilder::with_nodes(1_064);
+        for u in 0..1_000u32 {
+            for k in 1..=64 {
+                b.add_edge(u, u + k);
+            }
+        }
+        let runs = compression_stats(&b.build()).unwrap();
+        assert!(runs.bits_per_edge < 1.0, "{runs:?}");
+        assert_eq!(runs.edges, 64_000);
+        assert_eq!(runs.bits_per_edge, (runs.data_bytes * 8) as f64 / 64_000.0);
+        // Edgeless rows cost one degree byte each and no figure of merit.
+        let empty = compression_stats(&CsrGraph::empty(5)).unwrap();
+        assert_eq!((empty.data_bytes, empty.bits_per_edge), (5, 0.0));
     }
 }

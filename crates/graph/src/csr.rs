@@ -11,7 +11,7 @@ use crate::ids::{node_range, NodeId};
 /// An immutable directed graph in compressed-sparse-row form.
 ///
 /// Adjacency lists are sorted in ascending order by construction (see
-/// [`crate::GraphBuilder`]), which compression ([`crate::CompressedGraph`])
+/// [`crate::GraphBuilder`]), which the row codec ([`crate::codec`])
 /// and the merge-based source extraction rely on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {

@@ -48,16 +48,11 @@ pub enum GraphError {
         /// Human-readable description of the failed operation.
         message: String,
     },
-    /// An on-disk shard file's envelope (magic, header, shard table) is
-    /// malformed or inconsistent with its payload.
-    CorruptShard {
-        /// What failed to validate.
-        message: String,
-    },
-    /// An on-disk walk-cache file's envelope (magic, header, offset table)
-    /// or a segment payload is malformed.
-    CorruptWalks {
-        /// What failed to validate.
+    /// An on-disk segment container (a shard file or a walk cache) is
+    /// malformed: its envelope (magic, schema tag, segment table, column)
+    /// or a row's framing, degree or item count fails validation.
+    CorruptContainer {
+        /// What failed to validate, prefixed with the file's schema.
         message: String,
     },
 }
@@ -107,10 +102,7 @@ impl fmt::Display for GraphError {
                 )
             }
             GraphError::Io { message } => write!(f, "graph storage i/o error: {message}"),
-            GraphError::CorruptShard { message } => write!(f, "corrupt shard file: {message}"),
-            GraphError::CorruptWalks { message } => {
-                write!(f, "corrupt walk-cache file: {message}")
-            }
+            GraphError::CorruptContainer { message } => write!(f, "corrupt {message}"),
         }
     }
 }
@@ -151,13 +143,9 @@ mod tests {
         );
         assert!(e.to_string().contains("reading shard 3"));
         assert!(e.to_string().contains("truncated"));
-        let e = GraphError::CorruptShard {
-            message: "bad magic".into(),
+        let e = GraphError::CorruptContainer {
+            message: "walk-cache file: bad magic".into(),
         };
-        assert!(e.to_string().contains("bad magic"));
-        let e = GraphError::CorruptWalks {
-            message: "offsets not non-decreasing".into(),
-        };
-        assert!(e.to_string().contains("walk-cache"));
+        assert_eq!(e.to_string(), "corrupt walk-cache file: bad magic");
     }
 }

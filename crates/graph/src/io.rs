@@ -1,12 +1,10 @@
-//! Graph and assignment serialization.
+//! Graph and assignment text serialization.
 //!
-//! Two formats:
-//!
-//! * **text edge list** — one `src<TAB>dst` pair per line, the lingua franca
-//!   of Web-graph datasets (what WebBase/UbiCrawler dumps look like after
-//!   decompression), plus a text format for page→source assignments;
-//! * **binary snapshot** — a compact little-endian dump of the compressed
-//!   adjacency ([`CompressedGraph`]), for fast reload of generated crawls.
+//! The **text edge list** — one `src<TAB>dst` pair per line — is the
+//! lingua franca of Web-graph datasets (what WebBase/UbiCrawler dumps look
+//! like after decompression); page→source assignments get a text format of
+//! their own. Binary files (shards, walk caches) go through the segment
+//! container instead (see [`crate::ShardedCompressedGraph`]).
 //!
 //! All readers validate their input and fail with typed errors rather than
 //! panicking on malformed files.
@@ -16,15 +14,9 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::builder::GraphBuilder;
-use crate::codec::{self, CodecScratch};
-use crate::compress::CompressedGraph;
 use crate::csr::CsrGraph;
-use crate::ids::{node_id, node_range, NodeId};
-use crate::pager::PagedReader;
+use crate::ids::NodeId;
 use crate::source_map::SourceAssignment;
-
-/// Magic header of the binary snapshot format.
-const MAGIC: &[u8; 8] = b"SRGRAPH1";
 
 /// Errors from graph I/O.
 #[derive(Debug)]
@@ -38,7 +30,7 @@ pub enum IoError {
         /// Human-readable description.
         message: String,
     },
-    /// The binary snapshot is malformed.
+    /// The input parsed but describes an invalid structure.
     Corrupt(String),
 }
 
@@ -47,7 +39,7 @@ impl std::fmt::Display for IoError {
         match self {
             IoError::Io(e) => write!(f, "i/o error: {e}"),
             IoError::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
-            IoError::Corrupt(m) => write!(f, "corrupt snapshot: {m}"),
+            IoError::Corrupt(m) => write!(f, "corrupt input: {m}"),
         }
     }
 }
@@ -169,112 +161,6 @@ pub fn read_assignment<R: Read>(input: R) -> Result<SourceAssignment, IoError> {
     SourceAssignment::new(map, num_sources).map_err(|e| IoError::Corrupt(e.to_string()))
 }
 
-/// Writes a binary snapshot: magic, node count, edge count, offsets (as
-/// u64 deltas would be overkill — stored raw), and the compressed adjacency
-/// bytes of [`CompressedGraph`].
-pub fn write_snapshot<W: Write>(graph: &CsrGraph, out: W) -> Result<(), IoError> {
-    let compressed =
-        CompressedGraph::from_csr(graph).map_err(|e| IoError::Corrupt(e.to_string()))?;
-    let mut w = BufWriter::new(out);
-    w.write_all(MAGIC)?;
-    w.write_all(&(compressed.num_nodes() as u64).to_le_bytes())?;
-    w.write_all(&(compressed.num_edges() as u64).to_le_bytes())?;
-    w.write_all(&(compressed.data_bytes() as u64).to_le_bytes())?;
-    // Per-node byte offsets, delta-encoded as u32 lengths.
-    let mut prev = 0usize;
-    for u in node_range(compressed.num_nodes()) {
-        let len = compressed.byte_range(u).len();
-        w.write_all(&node_id(len).to_le_bytes())?;
-        prev += len;
-    }
-    // Integrity of the snapshot itself: if the per-node lengths disagree
-    // with the header's byte count, the file reads back as a different
-    // graph — this must hold in release builds too.
-    assert_eq!(prev, compressed.data_bytes());
-    w.write_all(compressed.raw_data())?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a binary snapshot written by [`write_snapshot`].
-///
-/// Streams the header and each node's encoded segment through a
-/// [`PagedReader`] — resident memory is the decoded CSR plus one page, not
-/// an extra full copy of the compressed payload (the old path buffered the
-/// whole data section with `read_to_end` before decoding). Truncation at
-/// any point — header, segment table or mid-segment — surfaces as
-/// [`IoError::Io`] (`UnexpectedEof`); malformed content as
-/// [`IoError::Corrupt`]. Never a panic.
-pub fn read_snapshot<R: Read>(input: R) -> Result<CsrGraph, IoError> {
-    let mut r = PagedReader::new(input);
-    if r.take(8)? != MAGIC {
-        return Err(IoError::Corrupt("bad magic".into()));
-    }
-    let num_nodes = usize::try_from(r.u64_le()?)
-        .map_err(|_| IoError::Corrupt("node count overflows usize".into()))?;
-    let num_edges = usize::try_from(r.u64_le()?)
-        .map_err(|_| IoError::Corrupt("edge count overflows usize".into()))?;
-    let data_len = usize::try_from(r.u64_le()?)
-        .map_err(|_| IoError::Corrupt("data length overflows usize".into()))?;
-    if num_nodes > u32::MAX as usize {
-        return Err(IoError::Corrupt("node count exceeds u32".into()));
-    }
-    // Counts come from an untrusted header: never pre-allocate from them
-    // (a bit-flipped count must yield a typed error, not an OOM abort).
-    // Growth below is bounded by bytes actually read from the input.
-    let mut seg_lens: Vec<usize> = Vec::new();
-    let mut acc = 0usize;
-    for _ in 0..num_nodes {
-        let len = r.u32_le()? as usize;
-        acc = acc
-            .checked_add(len)
-            .ok_or_else(|| IoError::Corrupt("offset total overflows".into()))?;
-        seg_lens.push(len);
-    }
-    if acc != data_len {
-        return Err(IoError::Corrupt(format!(
-            "offset total {acc} disagrees with data length {data_len}"
-        )));
-    }
-    // Decode segment by segment straight into the CSR arrays; each segment
-    // is paged in, validated (ascending, in-range, fully consumed) and
-    // immediately released.
-    let mut offsets = Vec::new();
-    offsets.push(0usize);
-    let mut targets: Vec<NodeId> = Vec::new();
-    let mut scratch = CodecScratch::new();
-    for (u, &len) in seg_lens.iter().enumerate() {
-        let node = node_id(u);
-        let seg = r.take(len)?;
-        let row_start = targets.len();
-        let mut pos = 0usize;
-        codec::decode_row(node, seg, &mut pos, &mut scratch, |t| targets.push(t))
-            .map_err(|e| IoError::Corrupt(e.to_string()))?;
-        if pos != len {
-            return Err(IoError::Corrupt(format!(
-                "segment of node {node} has {} trailing bytes",
-                len - pos
-            )));
-        }
-        let row = &targets[row_start..];
-        let in_range = row.iter().all(|&t| (t as usize) < num_nodes);
-        let ascending = row.windows(2).all(|w| w[0] < w[1]);
-        if !in_range || !ascending {
-            return Err(IoError::Corrupt(format!(
-                "adjacency list of node {node} is not an ascending in-range row"
-            )));
-        }
-        offsets.push(targets.len());
-    }
-    if targets.len() != num_edges {
-        return Err(IoError::Corrupt(format!(
-            "decoded {} edges but header declares {num_edges}",
-            targets.len()
-        )));
-    }
-    Ok(CsrGraph::from_parts(offsets, targets))
-}
-
 /// Convenience: write an edge list to a file path.
 pub fn save_edge_list(graph: &CsrGraph, path: &Path) -> Result<(), IoError> {
     write_edge_list(graph, File::create(path)?)
@@ -283,16 +169,6 @@ pub fn save_edge_list(graph: &CsrGraph, path: &Path) -> Result<(), IoError> {
 /// Convenience: read an edge list from a file path.
 pub fn load_edge_list(path: &Path, num_nodes: Option<usize>) -> Result<CsrGraph, IoError> {
     read_edge_list(File::open(path)?, num_nodes)
-}
-
-/// Convenience: write a binary snapshot to a file path.
-pub fn save_snapshot(graph: &CsrGraph, path: &Path) -> Result<(), IoError> {
-    write_snapshot(graph, File::create(path)?)
-}
-
-/// Convenience: read a binary snapshot from a file path.
-pub fn load_snapshot(path: &Path) -> Result<CsrGraph, IoError> {
-    read_snapshot(File::open(path)?)
 }
 
 #[cfg(test)]
@@ -365,31 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrip() {
-        let g = sample();
-        let mut buf = Vec::new();
-        write_snapshot(&g, &mut buf).unwrap();
-        let back = read_snapshot(&buf[..]).unwrap();
-        assert_eq!(back, g);
-    }
-
-    #[test]
-    fn snapshot_rejects_bad_magic() {
-        let mut buf = Vec::new();
-        write_snapshot(&sample(), &mut buf).unwrap();
-        buf[0] ^= 0xff;
-        assert!(matches!(read_snapshot(&buf[..]), Err(IoError::Corrupt(_))));
-    }
-
-    #[test]
-    fn snapshot_rejects_truncation() {
-        let mut buf = Vec::new();
-        write_snapshot(&sample(), &mut buf).unwrap();
-        buf.truncate(buf.len() - 2);
-        assert!(read_snapshot(&buf[..]).is_err());
-    }
-
-    #[test]
     fn file_based_helpers() {
         let dir = std::env::temp_dir().join("sr_graph_io_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -397,9 +248,6 @@ mod tests {
         let p1 = dir.join("g.edges");
         save_edge_list(&g, &p1).unwrap();
         assert_eq!(load_edge_list(&p1, None).unwrap(), g);
-        let p2 = dir.join("g.snap");
-        save_snapshot(&g, &p2).unwrap();
-        assert_eq!(load_snapshot(&p2).unwrap(), g);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

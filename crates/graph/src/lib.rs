@@ -17,8 +17,10 @@
 //!
 //! * [`CsrGraph`] — compressed-sparse-row adjacency, the workhorse format;
 //! * [`GraphBuilder`] — edge-list accumulation with sorting/deduplication;
-//! * [`CompressedGraph`] — a WebGraph-style gap + varint encoded adjacency
+//! * [`codec`] — the WebGraph-style interval + gap + varint row encoding
 //!   (the paper's data-management layer was the Java WebGraph framework);
+//! * [`ShardedCompressedGraph`] and [`WalkStore`] — the on-disk shard and
+//!   walk-cache files, two schemas over one segment container;
 //! * [`SourceAssignment`] — the page → source mapping, including host
 //!   extraction from URLs;
 //! * [`source_graph`] — extraction of the source graph with the paper's
@@ -38,7 +40,6 @@
 
 pub mod builder;
 pub mod codec;
-pub mod compress;
 pub mod csr;
 pub mod delta;
 pub mod delta_stream;
@@ -50,6 +51,7 @@ pub mod pager;
 pub mod panel;
 pub mod partition;
 pub mod scc;
+mod segment;
 pub mod sell;
 pub mod shard;
 pub mod solve_graph;
@@ -65,7 +67,6 @@ pub mod wcc;
 pub mod weighted;
 
 pub use builder::GraphBuilder;
-pub use compress::CompressedGraph;
 pub use csr::CsrGraph;
 pub use delta::{CrawlDelta, DeltaOverlay, DeltaSummary, GraphDelta, SourceGraphMaintainer};
 pub use delta_stream::{decode_crawl_delta, encode_crawl_delta, DeltaCodecError, SequencedDelta};
@@ -76,7 +77,7 @@ pub use pager::{ByteSource, PagedReader, SourceReader};
 pub use panel::PANEL_MAX_WIDTH;
 pub use partition::EdgePartition;
 pub use sell::SellRows;
-pub use shard::{ShardMeta, ShardedCompressedGraph, ShardedGraphBuilder};
+pub use shard::{ShardedCompressedGraph, ShardedGraphBuilder};
 pub use solve_graph::{ChunkArena, ChunkSource, ChunkSpan, RowScratch, SolveGraph};
 pub use source_graph::{SourceGraph, SourceGraphConfig};
 pub use source_map::SourceAssignment;

@@ -15,15 +15,15 @@
 //!   [`PagedReader::take`]. Resident memory is O(page size + largest row),
 //!   never O(file).
 //!
-//! Both the snapshot reader ([`crate::io::read_snapshot`]) and the sharded
-//! solve path ([`crate::ShardedCompressedGraph`]) stream through
+//! The segment container behind both binary files — the shards of
+//! [`crate::ShardedCompressedGraph`] and the walk cache of
+//! [`crate::WalkStore`] — parses its envelope and walks its rows through
 //! [`PagedReader`]; truncated or short inputs surface as
 //! [`std::io::ErrorKind::UnexpectedEof`] errors, never a panic.
 
 use std::fs::File;
 use std::io::{self, Read};
 use std::os::unix::fs::FileExt;
-use std::sync::Arc;
 
 /// Default refill granularity: 64 KiB keeps the working buffer well inside
 /// L2 while amortizing syscall overhead across thousands of varint rows.
@@ -73,16 +73,6 @@ fn slice_read_exact_at(data: &[u8], buf: &mut [u8], offset: u64) -> io::Result<(
 }
 
 impl ByteSource for Vec<u8> {
-    fn len(&self) -> u64 {
-        self.as_slice().len() as u64
-    }
-
-    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
-        slice_read_exact_at(self, buf, offset)
-    }
-}
-
-impl ByteSource for Arc<Vec<u8>> {
     fn len(&self) -> u64 {
         self.as_slice().len() as u64
     }

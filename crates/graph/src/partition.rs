@@ -85,73 +85,6 @@ impl EdgePartition {
         }
     }
 
-    /// Computes an edge-balanced partition whose chunk boundaries coincide
-    /// with *storage segment* boundaries (shards), grouping whole segments
-    /// into at most `max_chunks` contiguous chunks.
-    ///
-    /// `seg_rows` are the segment boundaries in row space (segment `i`
-    /// covers rows `seg_rows[i]..seg_rows[i + 1]`) and `seg_edges[i]` its
-    /// edge count. The out-of-core solver assigns whole shards to workers —
-    /// a chunk boundary inside a shard would force two workers to decode
-    /// the same byte pages — so the ceiling split of
-    /// [`from_offsets`](EdgePartition::from_offsets) is applied in segment
-    /// space instead of row space.
-    ///
-    /// # Panics
-    /// Panics if `seg_rows` is not a non-empty, zero-led, non-decreasing
-    /// boundary array of `seg_edges.len() + 1` entries, or `max_chunks == 0`.
-    pub fn from_segments(seg_rows: &[usize], seg_edges: &[usize], max_chunks: usize) -> Self {
-        assert!(!seg_rows.is_empty(), "seg_rows must contain the leading 0");
-        assert_eq!(seg_rows[0], 0, "seg_rows must start at 0");
-        assert_eq!(
-            seg_rows.len(),
-            seg_edges.len() + 1,
-            "seg_rows must have one more entry than seg_edges"
-        );
-        assert!(max_chunks > 0, "max_chunks must be positive");
-        assert!(
-            seg_rows.windows(2).all(|w| w[0] <= w[1]),
-            "seg_rows must be non-decreasing"
-        );
-        let num_segs = seg_edges.len();
-        let num_rows = *seg_rows.last().unwrap();
-        let mut edge_prefix = Vec::with_capacity(num_segs + 1);
-        edge_prefix.push(0usize);
-        for &e in seg_edges {
-            edge_prefix.push(edge_prefix.last().unwrap() + e);
-        }
-        let num_edges = *edge_prefix.last().unwrap();
-        let chunks = max_chunks.min(num_segs.max(1));
-        if num_edges == 0 {
-            // Edgeless segments: spread the segments (hence rows) evenly.
-            let seg_bounds = sr_par::even_bounds(num_segs, chunks);
-            let bounds: Vec<usize> = seg_bounds.iter().map(|&s| seg_rows[s]).collect();
-            return EdgePartition {
-                edge_bounds: vec![0; bounds.len()],
-                bounds,
-                num_edges,
-            };
-        }
-        let mut bounds = Vec::with_capacity(chunks + 1);
-        let mut edge_bounds = Vec::with_capacity(chunks + 1);
-        bounds.push(0);
-        edge_bounds.push(0);
-        let mut seg = 0;
-        for i in 1..chunks {
-            let target = (num_edges * i).div_ceil(chunks);
-            seg += edge_prefix[seg..=num_segs].partition_point(|&e| e < target);
-            bounds.push(seg_rows[seg]);
-            edge_bounds.push(edge_prefix[seg]);
-        }
-        bounds.push(num_rows);
-        edge_bounds.push(num_edges);
-        EdgePartition {
-            bounds,
-            edge_bounds,
-            num_edges,
-        }
-    }
-
     /// A partition with **exactly one chunk per segment** — no grouping, no
     /// splitting. The pipelined out-of-core solver uses this to expose its
     /// chunk spans (which already carry exact row/edge extents) as a
@@ -223,12 +156,6 @@ impl EdgePartition {
     #[inline]
     pub fn row_bounds(&self) -> &[usize] {
         &self.bounds
-    }
-
-    /// The row range of chunk `i`.
-    #[inline]
-    pub fn chunk(&self, i: usize) -> Range<usize> {
-        self.bounds[i]..self.bounds[i + 1]
     }
 
     /// Iterates all chunk row ranges in order.
@@ -372,48 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_partition_respects_segment_boundaries() {
-        // 5 segments over 20 rows with uneven edge counts.
-        let seg_rows = [0usize, 4, 8, 12, 16, 20];
-        let seg_edges = [10usize, 100, 10, 10, 10];
-        let p = EdgePartition::from_segments(&seg_rows, &seg_edges, 3);
-        assert_eq!(p.num_rows(), 20);
-        assert_eq!(p.num_edges(), 140);
-        // Every chunk boundary must be a segment boundary.
-        for &b in p.row_bounds() {
-            assert!(seg_rows.contains(&b), "boundary {b} splits a segment");
-        }
-        let total: usize = (0..p.num_chunks()).map(|i| p.chunk_edges(i)).sum();
-        assert_eq!(total, 140);
-    }
-
-    #[test]
-    fn segment_partition_hub_segment_isolated() {
-        let seg_rows = [0usize, 2, 4, 6, 8];
-        let seg_edges = [1usize, 1000, 1, 1];
-        let p = EdgePartition::from_segments(&seg_rows, &seg_edges, 4);
-        // The ceiling split closes the hub's chunk right at the hub
-        // segment's boundary (the light tail segments get their own
-        // chunks), mirroring the hub-row behavior of `from_offsets`.
-        let hub = p.chunks().find(|c| c.contains(&2)).unwrap();
-        assert_eq!(hub.end, 4, "hub chunk must end on the hub's boundary");
-        let hub_idx = p.chunks().position(|c| c.contains(&2)).unwrap();
-        assert!(p.chunk_edges(hub_idx) >= 1000);
-    }
-
-    #[test]
-    fn segment_partition_edgeless_and_empty() {
-        let p = EdgePartition::from_segments(&[0, 3, 6], &[0, 0], 2);
-        assert_eq!(p.num_rows(), 6);
-        assert_eq!(p.num_edges(), 0);
-        assert_eq!(p.num_chunks(), 2);
-
-        let p = EdgePartition::from_segments(&[0], &[], 4);
-        assert_eq!(p.num_rows(), 0);
-        assert_eq!(p.num_chunks(), 1);
-    }
-
-    #[test]
     fn exact_segments_one_chunk_per_segment() {
         let seg_rows = [0usize, 4, 4, 9, 12];
         let seg_edges = [7usize, 0, 30, 2];
@@ -432,14 +317,6 @@ mod tests {
         assert_eq!(p.num_chunks(), 1);
         assert_eq!(p.num_rows(), 0);
         assert_eq!(p.num_edges(), 0);
-    }
-
-    #[test]
-    fn segment_partition_single_segment_single_chunk() {
-        let p = EdgePartition::from_segments(&[0, 10], &[55], 8);
-        assert_eq!(p.num_chunks(), 1);
-        assert_eq!(p.chunk(0), 0..10);
-        assert_eq!(p.chunk_edges(0), 55);
     }
 
     #[test]

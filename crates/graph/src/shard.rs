@@ -1,14 +1,16 @@
 //! On-disk sharded compressed adjacency: the out-of-core solve substrate.
 //!
 //! A [`ShardedCompressedGraph`] stores the **reverse** graph (in-neighbor
-//! rows, the orientation every pull-SpMV kernel consumes) as a sequence of
-//! *shards*: contiguous row ranges whose varint/gap-coded rows (the
-//! [`crate::codec`] format, length-prefixed) live back to back in one file.
-//! Only three things are resident in RAM:
+//! rows, the orientation every pull-SpMV kernel consumes) as the *shard
+//! schema* of the segment container (see `crate::segment` for the byte
+//! layout): each segment is a *shard*, a contiguous row range whose
+//! varint/gap-coded rows (the [`crate::codec`] format) live back to back in
+//! one file. Row payload = codec row, segment items = edges (Σ degrees),
+//! column = forward out-degrees. Only three things are resident in RAM:
 //!
-//! * the shard table ([`ShardMeta`] per shard — row range, byte range,
+//! * the shard table (one [`ChunkSpan`] per shard — row range, byte range,
 //!   edge count);
-//! * the forward out-degree table (`u32` per node, what the transition
+//! * the forward out-degree column (`u32` per node, what the transition
 //!   operator pre-scales by);
 //! * one [`crate::PagedReader`] page per in-flight worker.
 //!
@@ -21,41 +23,18 @@
 //! `(src, dst)` edges go through [`crate::ExternalEdgeSorter`] (bounded-RAM
 //! spill runs keyed by destination), and the globally sorted stream is
 //! encoded shard by shard without ever materializing a CSR.
-//!
-//! ## File layout (`SRSHARD1`)
-//!
-//! ```text
-//! magic            8 B   b"SRSHARD1"
-//! num_nodes        8 B   u64 le
-//! num_edges        8 B   u64 le   (unique edges; also Σ shard edges)
-//! shard_count      8 B   u64 le
-//! shard table      40 B × shard_count: row_lo, row_hi, byte_off, byte_len,
-//!                  edges (all u64 le; byte_off relative to data section)
-//! out-degrees      4 B × num_nodes (u32 le, FORWARD out-degrees)
-//! data             concatenated shard payloads; each row is
-//!                  varint(encoded_len) ++ codec row (degree, intervals,
-//!                  residual gaps — see crate::codec)
-//! ```
 
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use crate::codec::{self, CodecScratch};
+use crate::codec::CodecScratch;
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::extsort::ExternalEdgeSorter;
-use crate::ids::{node_id, NodeId};
-use crate::pager::{ByteSource, PagedReader, SourceReader, DEFAULT_PAGE_SIZE};
-use crate::partition::EdgePartition;
+use crate::ids::NodeId;
+use crate::pager::ByteSource;
+use crate::segment::{self, Schema, SegmentFile, SegmentWriter};
 use crate::solve_graph::{ChunkArena, ChunkSource, ChunkSpan, RowScratch, SolveGraph};
-use crate::varint;
-
-const MAGIC: &[u8; 8] = b"SRSHARD1";
-const HEADER_BYTES: u64 = 8 + 8 + 8 + 8;
-const SHARD_META_BYTES: u64 = 5 * 8;
 
 /// Default shard payload target: 4 MiB of encoded rows per shard keeps the
 /// shard table tiny (a few hundred entries per GB) while giving the
@@ -66,176 +45,48 @@ pub const DEFAULT_SHARD_BYTES: usize = 4 * 1024 * 1024;
 /// (32 MiB) per spill run.
 pub const DEFAULT_SPILL_EDGES: usize = 4 * 1024 * 1024;
 
-/// Metadata of one shard: a contiguous row range and its byte extent in
-/// the data section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardMeta {
-    /// First row of the shard.
-    pub row_lo: usize,
-    /// One past the last row.
-    pub row_hi: usize,
-    /// Byte offset of the payload, relative to the data section.
-    pub byte_off: u64,
-    /// Payload length in bytes.
-    pub byte_len: u64,
-    /// Stored edges (Σ row degrees) in the shard.
-    pub edges: u64,
-}
-
-#[derive(Debug)]
-enum Store {
-    File(File),
-    Mem(Arc<Vec<u8>>),
-}
-
-impl ByteSource for Store {
-    fn len(&self) -> u64 {
-        match self {
-            Store::File(f) => ByteSource::len(f),
-            Store::Mem(m) => ByteSource::len(m),
-        }
-    }
-
-    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
-        match self {
-            Store::File(f) => f.read_exact_at(buf, offset),
-            Store::Mem(m) => m.read_exact_at(buf, offset),
-        }
-    }
-}
-
 /// A sharded, compressed, disk- (or memory-) backed reverse graph that the
 /// solve engine streams page by page. See the module docs for the format.
 #[derive(Debug)]
 pub struct ShardedCompressedGraph {
-    store: Store,
-    data_start: u64,
-    num_nodes: usize,
+    file: SegmentFile,
     num_edges: usize,
-    shards: Vec<ShardMeta>,
-    /// Forward out-degrees (the transition's pre-scale divisor).
-    out_degrees: Vec<u32>,
-    page_size: usize,
 }
 
 impl ShardedCompressedGraph {
-    /// Opens a shard file, parsing and validating the envelope (magic,
-    /// header, shard table coverage/contiguity, degree-sum consistency).
+    /// Opens a shard file, parsing and validating the container envelope
+    /// (magic, schema, shard table coverage/contiguity, out-degree sum).
     /// Row payloads are *not* decoded here — see
     /// [`validate`](ShardedCompressedGraph::validate) for the full pass.
     pub fn open(path: &Path) -> Result<Self, GraphError> {
-        let file = File::open(path).map_err(|e| GraphError::io("opening shard file", &e))?;
-        Self::from_store(Store::File(file))
+        Self::from_file(SegmentFile::open(path, Schema::SHARD)?)
     }
 
     /// Parses a shard image held in memory (same format as the file).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, GraphError> {
-        Self::from_store(Store::Mem(Arc::new(bytes)))
+        Self::from_source(Box::new(bytes))
     }
 
-    fn from_store(store: Store) -> Result<Self, GraphError> {
-        let corrupt = |message: &str| GraphError::CorruptShard {
-            message: message.to_string(),
-        };
-        let total_len = store.len();
-        let mut r = PagedReader::new(SourceReader::new(&store, 0..total_len));
-        let io_ctx = |e: &io::Error| GraphError::io("reading shard header", e);
-        let magic = r.take(8).map_err(|e| io_ctx(&e))?;
-        if magic != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let num_nodes = usize::try_from(r.u64_le().map_err(|e| io_ctx(&e))?)
-            .map_err(|_| corrupt("num_nodes overflows usize"))?;
-        let num_edges = usize::try_from(r.u64_le().map_err(|e| io_ctx(&e))?)
-            .map_err(|_| corrupt("num_edges overflows usize"))?;
-        let shard_count = usize::try_from(r.u64_le().map_err(|e| io_ctx(&e))?)
-            .map_err(|_| corrupt("shard_count overflows usize"))?;
-        // Envelope arithmetic before allocating: the table and degree
-        // sections must fit inside the file.
-        let meta_bytes = (shard_count as u64)
-            .checked_mul(SHARD_META_BYTES)
-            .ok_or_else(|| corrupt("shard table size overflows"))?;
-        let degree_bytes = (num_nodes as u64)
-            .checked_mul(4)
-            .ok_or_else(|| corrupt("degree table size overflows"))?;
-        let data_start = HEADER_BYTES
-            .checked_add(meta_bytes)
-            .and_then(|v| v.checked_add(degree_bytes))
-            .ok_or_else(|| corrupt("header size overflows"))?;
-        if data_start > total_len {
-            return Err(corrupt("file shorter than its declared tables"));
-        }
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut expect_row = 0usize;
-        let mut expect_off = 0u64;
-        let mut edge_sum = 0u64;
-        for _ in 0..shard_count {
-            let row_lo = usize::try_from(r.u64_le().map_err(|e| io_ctx(&e))?)
-                .map_err(|_| corrupt("row_lo overflows usize"))?;
-            let row_hi = usize::try_from(r.u64_le().map_err(|e| io_ctx(&e))?)
-                .map_err(|_| corrupt("row_hi overflows usize"))?;
-            let byte_off = r.u64_le().map_err(|e| io_ctx(&e))?;
-            let byte_len = r.u64_le().map_err(|e| io_ctx(&e))?;
-            let edges = r.u64_le().map_err(|e| io_ctx(&e))?;
-            if row_lo != expect_row || row_hi < row_lo || row_hi > num_nodes {
-                return Err(corrupt("shard rows not contiguous"));
-            }
-            if byte_off != expect_off {
-                return Err(corrupt("shard byte ranges not contiguous"));
-            }
-            expect_row = row_hi;
-            expect_off = byte_off
-                .checked_add(byte_len)
-                .ok_or_else(|| corrupt("shard byte range overflows"))?;
-            edge_sum += edges;
-            shards.push(ShardMeta {
-                row_lo,
-                row_hi,
-                byte_off,
-                byte_len,
-                edges,
-            });
-        }
-        if expect_row != num_nodes {
-            return Err(corrupt("shards do not cover all rows"));
-        }
-        if expect_off != total_len - data_start {
-            return Err(corrupt("shard payloads do not cover the data section"));
-        }
-        if edge_sum != num_edges as u64 {
-            return Err(corrupt("shard edge counts disagree with the header"));
-        }
-        let mut out_degrees = Vec::with_capacity(num_nodes);
-        let mut degree_sum = 0u64;
-        for _ in 0..num_nodes {
-            let d = r.u32_le().map_err(|e| io_ctx(&e))?;
-            degree_sum += u64::from(d);
-            out_degrees.push(d);
-        }
-        if degree_sum != num_edges as u64 {
-            return Err(corrupt("out-degree sum disagrees with the edge count"));
-        }
-        debug_assert_eq!(r.consumed(), data_start); // perf-assert: envelope arithmetic above already pins this; re-checking per open is redundant in release.
-        Ok(ShardedCompressedGraph {
-            store,
-            data_start,
-            num_nodes,
-            num_edges,
-            shards,
-            out_degrees,
-            page_size: DEFAULT_PAGE_SIZE,
-        })
+    /// Parses a shard image read through any [`ByteSource`].
+    pub fn from_source(store: Box<dyn ByteSource + Send>) -> Result<Self, GraphError> {
+        Self::from_file(SegmentFile::from_source(store, Schema::SHARD)?)
+    }
+
+    fn from_file(file: SegmentFile) -> Result<Self, GraphError> {
+        let num_edges = usize::try_from(file.items())
+            .map_err(|_| file.corrupt("edge count overflows usize".to_string()))?;
+        Ok(ShardedCompressedGraph { file, num_edges })
     }
 
     /// Overrides the page size used by row streaming (the CI smoke test
     /// forces a tiny page so tier-1 exercises the refill path).
     pub fn set_page_size(&mut self, page_size: usize) {
-        self.page_size = page_size.max(16);
+        self.file.set_page_size(page_size);
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.file.num_rows()
     }
 
     /// Number of unique edges.
@@ -243,57 +94,50 @@ impl ShardedCompressedGraph {
         self.num_edges
     }
 
-    /// The shard table.
-    pub fn shards(&self) -> &[ShardMeta] {
-        &self.shards
+    /// The shard table: one span per shard.
+    pub fn shards(&self) -> &[ChunkSpan] {
+        self.file.segments()
     }
 
     /// Forward out-degree of every node (resident table).
     pub fn out_degrees(&self) -> &[u32] {
-        &self.out_degrees
-    }
-
-    /// Nodes with forward out-degree zero, ascending.
-    pub fn dangling_nodes(&self) -> Vec<NodeId> {
-        crate::ids::node_range(self.num_nodes)
-            .filter(|&u| self.out_degrees[u as usize] == 0)
-            .collect()
+        self.file.column()
     }
 
     /// Encoded payload size in bytes (the data section).
     pub fn data_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.byte_len).sum()
+        self.file.data_bytes()
     }
 
     /// Resident heap footprint: shard table + degree table (NOT the
     /// payload, which stays on disk).
     pub fn resident_bytes(&self) -> usize {
-        self.shards.len() * std::mem::size_of::<ShardMeta>()
-            + self.out_degrees.len() * std::mem::size_of::<u32>()
+        self.file.resident_bytes()
     }
 
     /// Fully decodes every row, checking ascending order, node range and
     /// per-shard edge counts. O(edges) with O(page) memory.
     pub fn validate(&self) -> Result<(), GraphError> {
         let mut scratch = RowScratch::new();
-        for (i, s) in self.shards.iter().enumerate() {
-            let mut edges = 0u64;
-            let mut ok = true;
-            self.stream_rows(s.row_lo..s.row_hi, &mut scratch, &mut |_row, srcs| {
-                edges += srcs.len() as u64;
-                ok &= srcs.windows(2).all(|w| w[0] < w[1]);
-                ok &= srcs.iter().all(|&t| (t as usize) < self.num_nodes);
-            })?;
-            if !ok {
-                return Err(GraphError::CorruptShard {
-                    message: format!("shard {i}: row not ascending or target out of range"),
-                });
-            }
-            if edges != s.edges {
-                return Err(GraphError::CorruptShard {
-                    message: format!("shard {i}: decoded {edges} edges, table says {}", s.edges),
-                });
-            }
+        self.stream_rows(0..self.num_nodes(), &mut scratch, &mut |_, _| {})
+    }
+
+    /// Decodes one shard row's payload — a codec row and nothing after it
+    /// — appending its sources to `out`.
+    #[inline]
+    fn decode_row(
+        &self,
+        row: usize,
+        payload: &[u8],
+        codec: &mut CodecScratch,
+        out: &mut Vec<NodeId>,
+    ) -> Result<(), GraphError> {
+        let tail = segment::decode_head(row, payload, codec, out)?;
+        if !tail.is_empty() {
+            return Err(self.file.corrupt(format!(
+                "row {row}: {} bytes past its codec row",
+                tail.len()
+            )));
         }
         Ok(())
     }
@@ -305,173 +149,48 @@ impl ShardedCompressedGraph {
     /// work). The result tiles the row space; sub-shard spans carry exact
     /// byte extents, so no two workers ever read or decode the same bytes.
     pub fn chunk_spans(&self, max_chunks: usize) -> Result<Vec<ChunkSpan>, GraphError> {
-        let budget = (self.num_edges as u64)
-            .div_ceil(max_chunks.max(1) as u64)
-            .max(1);
-        let mut spans = Vec::with_capacity(self.shards.len());
-        for s in &self.shards {
-            if s.edges <= budget || s.row_hi - s.row_lo <= 1 {
-                spans.push(ChunkSpan {
-                    rows: s.row_lo..s.row_hi,
-                    bytes: s.byte_off..s.byte_off + s.byte_len,
-                    edges: s.edges,
-                });
-            } else {
-                self.split_shard(s, budget, &mut spans)?;
-            }
-        }
-        Ok(spans)
-    }
-
-    /// Skip-scans one oversized shard — every row's byte offset and edge
-    /// prefix, payloads skipped undecoded — then cuts it into edge-balanced
-    /// sub-spans at exact row boundaries.
-    fn split_shard(
-        &self,
-        s: &ShardMeta,
-        budget: u64,
-        spans: &mut Vec<ChunkSpan>,
-    ) -> Result<(), GraphError> {
-        let rows = s.row_hi - s.row_lo;
-        let lo = self.data_start + s.byte_off;
-        let reader = SourceReader::new(&self.store, lo..lo + s.byte_len);
-        let mut pr = PagedReader::with_page_size(reader, self.page_size);
-        let mut row_off: Vec<u64> = Vec::with_capacity(rows + 1);
-        let mut edge_prefix: Vec<u64> = Vec::with_capacity(rows + 1);
-        row_off.push(s.byte_off);
-        edge_prefix.push(0);
-        for row in s.row_lo..s.row_hi {
-            let step = pr
-                .varint_u32()
-                .and_then(|seg_len| pr.take(seg_len as usize));
-            let seg = step.map_err(|e| GraphError::io("skip-scanning shard payload", &e))?;
-            let degree = codec::peek_degree(node_id(row), seg, 0)?;
-            row_off.push(s.byte_off + pr.consumed());
-            edge_prefix.push(edge_prefix.last().unwrap() + degree as u64);
-        }
-        if *edge_prefix.last().unwrap() != s.edges {
-            return Err(GraphError::CorruptShard {
-                message: format!(
-                    "skip-scan counted {} edges, shard table says {}",
-                    edge_prefix.last().unwrap(),
-                    s.edges
-                ),
-            });
-        }
-        let parts = usize::try_from(s.edges.div_ceil(budget))
-            .unwrap_or(usize::MAX)
-            .clamp(1, rows);
-        let mut bounds = Vec::with_capacity(parts + 1);
-        bounds.push(0usize);
-        let mut r = 0usize;
-        for i in 1..parts {
-            // Same ceiling split as `EdgePartition::from_offsets`, applied
-            // to the shard-local edge prefix.
-            let target = (s.edges * i as u64).div_ceil(parts as u64);
-            r += edge_prefix[r..=rows].partition_point(|&e| e < target);
-            bounds.push(r.min(rows));
-        }
-        bounds.push(rows);
-        for w in bounds.windows(2) {
-            if w[0] == w[1] {
-                continue; // a hub row heavier than the budget empties a neighbor
-            }
-            spans.push(ChunkSpan {
-                rows: s.row_lo + w[0]..s.row_lo + w[1],
-                bytes: row_off[w[0]]..row_off[w[1]],
-                edges: edge_prefix[w[1]] - edge_prefix[w[0]],
-            });
-        }
-        Ok(())
+        self.file.chunk_spans(max_chunks)
     }
 
     /// Reads a span's payload into `buf` with one positioned read (the
     /// prefetcher's fill stage; `buf` is recycled across calls).
     pub fn load_chunk(&self, span: &ChunkSpan, buf: &mut Vec<u8>) -> Result<(), GraphError> {
-        let len = span.byte_len();
-        buf.resize(len, 0);
-        self.store
-            .read_exact_at(buf, self.data_start + span.bytes.start)
-            .map_err(|e| GraphError::io("reading chunk span", &e))
+        self.file.load_chunk(span, buf)
     }
 
     /// Block-decodes a loaded span into `arena` (the pipeline's compute
-    /// stage): every row's length prefix, byte coverage and the span edge
-    /// count are validated, so corruption surfaces as a typed error from
-    /// inside the pipeline — never a panic.
+    /// stage): every row's length prefix, degree, byte coverage and the
+    /// span edge count are validated, so corruption surfaces as a typed
+    /// error from inside the pipeline — never a panic.
     pub fn decode_chunk(
         &self,
         span: &ChunkSpan,
         data: &[u8],
         arena: &mut ChunkArena,
     ) -> Result<(), GraphError> {
-        let expected = span.byte_len();
-        if data.len() < expected {
-            return Err(GraphError::CorruptShard {
-                message: format!(
-                    "chunk buffer holds {} bytes, span needs {expected}",
-                    data.len()
-                ),
-            });
-        }
-        let data = &data[..expected];
         arena.reset(span.rows.start);
-        let mut pos = 0usize;
-        for row in span.rows.clone() {
-            let seg_len =
-                varint::read_u32(data, &mut pos).ok_or_else(|| GraphError::CorruptShard {
-                    message: format!("row {row}: truncated length prefix"),
-                })? as usize;
-            let row_end = pos
-                .checked_add(seg_len)
-                .filter(|&e| e <= data.len())
-                .ok_or_else(|| GraphError::CorruptShard {
-                    message: format!("row {row}: length prefix {seg_len} overruns the span"),
-                })?;
-            // Decoding is bounded to the row's claimed bytes: a corrupt row
-            // cannot consume its successors' payload.
-            codec::decode_row_into(
-                node_id(row),
-                &data[..row_end],
-                &mut pos,
-                &mut arena.codec,
-                &mut arena.targets,
-            )?;
-            if pos != row_end {
-                return Err(GraphError::CorruptShard {
-                    message: format!(
-                        "row {row}: decoded {} bytes, length prefix said {seg_len}",
-                        seg_len - (row_end - pos)
-                    ),
-                });
-            }
-            arena.offsets.push(arena.targets.len());
-        }
-        if pos != data.len() {
-            return Err(GraphError::CorruptShard {
-                message: format!("span left {} undecoded trailing bytes", data.len() - pos),
-            });
-        }
-        if arena.num_edges() as u64 != span.edges {
-            return Err(GraphError::CorruptShard {
-                message: format!(
-                    "span decoded {} edges, table says {}",
-                    arena.num_edges(),
-                    span.edges
-                ),
-            });
-        }
-        Ok(())
+        let ChunkArena {
+            offsets,
+            targets,
+            codec,
+            ..
+        } = arena;
+        self.file.for_each_row_in(span, data, |row, payload| {
+            self.decode_row(row, payload, codec, targets)?;
+            offsets.push(targets.len());
+            Ok(())
+        })
     }
 
     /// Decompresses the whole structure into an in-RAM reverse CSR
     /// (tests and small graphs; defeats the purpose at scale).
     pub fn to_csr(&self) -> Result<CsrGraph, GraphError> {
-        let mut offsets = Vec::with_capacity(self.num_nodes + 1);
-        let mut targets: Vec<NodeId> = Vec::with_capacity(self.num_edges);
+        let n = self.num_nodes();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets: Vec<NodeId> = Vec::new();
         offsets.push(0usize);
         let mut scratch = RowScratch::new();
-        self.stream_rows(0..self.num_nodes, &mut scratch, &mut |_row, srcs| {
+        self.stream_rows(0..n, &mut scratch, &mut |_row, srcs| {
             targets.extend_from_slice(srcs);
             offsets.push(targets.len());
         })?;
@@ -481,77 +200,39 @@ impl ShardedCompressedGraph {
 
 impl SolveGraph for ShardedCompressedGraph {
     fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.file.num_rows()
     }
 
     fn num_edges(&self) -> usize {
         self.num_edges
     }
 
+    /// Streams decoded rows, rejecting any row that is not ascending and
+    /// in range — every consumer may index by the ids it is handed.
     fn stream_rows(
         &self,
         rows: Range<usize>,
         scratch: &mut RowScratch,
         f: &mut dyn FnMut(usize, &[NodeId]),
     ) -> Result<(), GraphError> {
-        if rows.start >= rows.end {
-            return Ok(());
-        }
-        let mut si = self.shards.partition_point(|s| s.row_hi <= rows.start);
-        while si < self.shards.len() && self.shards[si].row_lo < rows.end {
-            let s = self.shards[si];
-            let lo = self.data_start + s.byte_off;
-            let reader = SourceReader::new(&self.store, lo..lo + s.byte_len);
-            let buf = std::mem::take(&mut scratch.page);
-            let mut pr = PagedReader::with_recycled(reader, self.page_size, buf);
-            let RowScratch { targets, codec, .. } = scratch;
-            // Rows are sequentially encoded: decode the whole shard from
-            // its start, skipping (cheap length-prefixed seeks, no codec
-            // work) rows outside the requested range.
-            let mut result = Ok(());
-            for row in s.row_lo..s.row_hi {
-                let step = pr
-                    .varint_u32()
-                    .and_then(|seg_len| pr.take(seg_len as usize).map(|seg| (seg_len, seg)));
-                let (_, seg) = match step {
-                    Ok(v) => v,
-                    Err(e) => {
-                        result = Err(GraphError::io("reading shard payload", &e));
-                        break;
-                    }
-                };
-                if row >= rows.start && row < rows.end {
-                    targets.clear();
-                    let mut pos = 0usize;
-                    if let Err(e) =
-                        codec::decode_row(node_id(row), seg, &mut pos, codec, |t| targets.push(t))
-                    {
-                        result = Err(e);
-                        break;
-                    }
-                    f(row, targets);
-                }
+        let n = self.num_nodes();
+        let RowScratch {
+            targets,
+            codec,
+            page,
+        } = scratch;
+        self.file.for_each_row(rows, page, |row, payload| {
+            targets.clear();
+            self.decode_row(row, payload, codec, targets)?;
+            let ascending = targets.windows(2).all(|w| w[0] < w[1]);
+            if !ascending || targets.iter().any(|&t| t as usize >= n) {
+                return Err(self
+                    .file
+                    .corrupt(format!("row {row}: sources not ascending or out of range")));
             }
-            scratch.page = pr.into_buffer();
-            result?;
-            si += 1;
-        }
-        Ok(())
-    }
-
-    fn partition(&self, max_chunks: usize) -> EdgePartition {
-        let mut seg_rows = Vec::with_capacity(self.shards.len() + 1);
-        seg_rows.push(0usize);
-        let mut seg_edges = Vec::with_capacity(self.shards.len());
-        for s in &self.shards {
-            seg_rows.push(s.row_hi);
-            seg_edges.push(usize::try_from(s.edges).unwrap_or(usize::MAX));
-        }
-        EdgePartition::from_segments(&seg_rows, &seg_edges, max_chunks)
-    }
-
-    fn chunk_source(&self) -> Option<&dyn ChunkSource> {
-        Some(self)
+            f(row, targets);
+            Ok(())
+        })
     }
 }
 
@@ -571,85 +252,6 @@ impl ChunkSource for ShardedCompressedGraph {
         arena: &mut ChunkArena,
     ) -> Result<(), GraphError> {
         ShardedCompressedGraph::decode_chunk(self, span, data, arena)
-    }
-}
-
-/// Streaming writer state for the data section: encodes rows in ascending
-/// order and cuts shard boundaries once a shard's payload passes the
-/// target size.
-struct ShardDataWriter<W: Write> {
-    w: W,
-    scratch: CodecScratch,
-    enc: Vec<u8>,
-    rec: Vec<u8>,
-    shards: Vec<ShardMeta>,
-    shard_target: u64,
-    /// Next row index to write.
-    cur_row: usize,
-    shard_row_lo: usize,
-    shard_bytes: u64,
-    shard_edges: u64,
-    byte_off: u64,
-}
-
-impl<W: Write> ShardDataWriter<W> {
-    fn new(w: W, shard_target: usize) -> Self {
-        ShardDataWriter {
-            w,
-            scratch: CodecScratch::new(),
-            enc: Vec::new(),
-            rec: Vec::new(),
-            shards: Vec::new(),
-            shard_target: shard_target.max(1) as u64,
-            cur_row: 0,
-            shard_row_lo: 0,
-            shard_bytes: 0,
-            shard_edges: 0,
-            byte_off: 0,
-        }
-    }
-
-    fn write_row(&mut self, srcs: &[NodeId]) -> Result<(), GraphError> {
-        let row = node_id(self.cur_row);
-        self.enc.clear();
-        codec::encode_row(row, srcs, &mut self.scratch, &mut self.enc)?;
-        self.rec.clear();
-        varint::write_u32(&mut self.rec, node_id(self.enc.len()));
-        self.w
-            .write_all(&self.rec)
-            .and_then(|()| self.w.write_all(&self.enc))
-            .map_err(|e| GraphError::io("writing shard payload", &e))?;
-        self.shard_bytes += (self.rec.len() + self.enc.len()) as u64;
-        self.shard_edges += srcs.len() as u64;
-        self.cur_row += 1;
-        if self.shard_bytes >= self.shard_target {
-            self.cut_shard();
-        }
-        Ok(())
-    }
-
-    /// Emits empty rows up to (not including) `row`.
-    fn fill_to(&mut self, row: usize) -> Result<(), GraphError> {
-        while self.cur_row < row {
-            self.write_row(&[])?;
-        }
-        Ok(())
-    }
-
-    fn cut_shard(&mut self) {
-        if self.cur_row > self.shard_row_lo {
-            self.shards.push(ShardMeta {
-                row_lo: self.shard_row_lo,
-                row_hi: self.cur_row,
-                byte_off: self.byte_off,
-                byte_len: self.shard_bytes,
-                edges: self.shard_edges,
-            });
-            self.byte_off += self.shard_bytes;
-            self.shard_row_lo = self.cur_row;
-            self.shard_bytes = 0;
-            self.shard_edges = 0;
-        }
     }
 }
 
@@ -722,91 +324,50 @@ impl ShardedGraphBuilder {
             sorter,
             shard_target_bytes,
         } = self;
-        let data_tmp = path.with_extension("data.tmp");
+        let mut w = SegmentWriter::create(path, Schema::SHARD, shard_target_bytes)?;
         let mut out_degrees = vec![0u32; num_nodes];
-        let shards = {
-            let data_file = File::create(&data_tmp)
-                .map_err(|e| GraphError::io("creating shard data temp file", &e))?;
-            let mut w = ShardDataWriter::new(BufWriter::new(data_file), shard_target_bytes);
-            let mut err: Option<GraphError> = None;
-            let mut cur_dst: Option<NodeId> = None;
-            let mut srcs: Vec<NodeId> = Vec::new();
-            sorter
-                .finish(|dst, src| {
-                    if err.is_some() {
-                        return;
-                    }
-                    out_degrees[src as usize] += 1;
-                    if cur_dst != Some(dst) {
-                        let flush = cur_dst
-                            .map(|d| w.fill_to(d as usize).and_then(|()| w.write_row(&srcs)))
-                            .unwrap_or(Ok(()));
+        let mut err: Option<GraphError> = None;
+        let mut cur_dst: Option<NodeId> = None;
+        let mut srcs: Vec<NodeId> = Vec::new();
+        sorter
+            .finish(|dst, src| {
+                if err.is_some() {
+                    return;
+                }
+                out_degrees[src as usize] += 1;
+                if cur_dst != Some(dst) {
+                    if let Some(d) = cur_dst {
+                        let flush =
+                            pad_to(&mut w, d as usize).and_then(|()| w.push_row(&srcs, &[]));
                         if let Err(e) = flush {
                             err = Some(e);
                             return;
                         }
-                        cur_dst = Some(dst);
-                        srcs.clear();
                     }
-                    srcs.push(src);
-                })
-                .map_err(|e| GraphError::io("merging edge runs", &e))?;
-            if let Some(e) = err {
-                std::fs::remove_file(&data_tmp).ok();
-                return Err(e);
-            }
-            if let Some(d) = cur_dst {
-                w.fill_to(d as usize)?;
-                w.write_row(&srcs)?;
-            }
-            w.fill_to(num_nodes)?;
-            w.cut_shard();
-            w.w.flush()
-                .map_err(|e| GraphError::io("flushing shard data", &e))?;
-            w.shards
-        };
-
-        let num_edges: u64 = shards.iter().map(|s| s.edges).sum();
-        let result = write_final_file(path, &data_tmp, num_nodes, num_edges, &shards, &out_degrees);
-        std::fs::remove_file(&data_tmp).ok();
-        result?;
+                    cur_dst = Some(dst);
+                    srcs.clear();
+                }
+                srcs.push(src);
+            })
+            .map_err(|e| GraphError::io("merging edge runs", &e))?;
+        if let Some(e) = err {
+            return Err(e);
+        }
+        if let Some(d) = cur_dst {
+            pad_to(&mut w, d as usize)?;
+            w.push_row(&srcs, &[])?;
+        }
+        pad_to(&mut w, num_nodes)?;
+        w.finish(&[], &out_degrees)?;
         ShardedCompressedGraph::open(path)
     }
 }
 
-fn write_final_file(
-    path: &Path,
-    data_tmp: &Path,
-    num_nodes: usize,
-    num_edges: u64,
-    shards: &[ShardMeta],
-    out_degrees: &[u32],
-) -> Result<(), GraphError> {
-    let ctx = |e: &io::Error| GraphError::io("writing shard file", e);
-    let mut w = BufWriter::new(File::create(path).map_err(|e| ctx(&e))?);
-    w.write_all(MAGIC).map_err(|e| ctx(&e))?;
-    w.write_all(&(num_nodes as u64).to_le_bytes())
-        .map_err(|e| ctx(&e))?;
-    w.write_all(&num_edges.to_le_bytes()).map_err(|e| ctx(&e))?;
-    w.write_all(&(shards.len() as u64).to_le_bytes())
-        .map_err(|e| ctx(&e))?;
-    for s in shards {
-        for v in [
-            s.row_lo as u64,
-            s.row_hi as u64,
-            s.byte_off,
-            s.byte_len,
-            s.edges,
-        ] {
-            w.write_all(&v.to_le_bytes()).map_err(|e| ctx(&e))?;
-        }
+/// Writes empty rows (nodes without in-links) up to, not including, `row`.
+fn pad_to(w: &mut SegmentWriter, row: usize) -> Result<(), GraphError> {
+    while w.rows() < row {
+        w.push_row(&[], &[])?;
     }
-    for &d in out_degrees {
-        w.write_all(&d.to_le_bytes()).map_err(|e| ctx(&e))?;
-    }
-    let mut data = File::open(data_tmp).map_err(|e| ctx(&e))?;
-    io::copy(&mut data, &mut w).map_err(|e| ctx(&e))?;
-    w.flush().map_err(|e| ctx(&e))?;
     Ok(())
 }
 
@@ -837,6 +398,7 @@ pub fn build_from_csr(
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::ids::node_id;
     use crate::transpose::transpose;
 
     fn tmp(tag: &str) -> PathBuf {
@@ -876,7 +438,6 @@ mod tests {
                 "node {u}"
             );
         }
-        assert_eq!(sharded.dangling_nodes(), fwd.dangling_nodes());
     }
 
     #[test]
@@ -944,43 +505,6 @@ mod tests {
                     .collect();
                 assert_eq!(got, want, "range {lo}..{hi}");
             }
-        }
-    }
-
-    #[test]
-    fn truncated_file_is_typed_error() {
-        let fwd = sample_forward();
-        let dir = tmp("trunc");
-        let path = dir.join("g.shards");
-        build_from_csr(&fwd, &dir, &path, 64).unwrap();
-        let full = std::fs::read(&path).unwrap();
-        // Truncations at every boundary class must error, never panic.
-        for cut in [4usize, 20, 60, full.len() - 1] {
-            let res = ShardedCompressedGraph::from_bytes(full[..cut.min(full.len())].to_vec());
-            match res {
-                Err(GraphError::Io { .. } | GraphError::CorruptShard { .. }) => {}
-                Err(e) => panic!("unexpected error class: {e}"),
-                Ok(g) => {
-                    // Envelope may parse; the payload decode must then fail.
-                    assert!(g.validate().is_err(), "cut at {cut} silently passed");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn corrupt_payload_is_detected_by_validate() {
-        let fwd = sample_forward();
-        let dir = tmp("flip");
-        let path = dir.join("g.shards");
-        build_from_csr(&fwd, &dir, &path, 1 << 20).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        match ShardedCompressedGraph::from_bytes(bytes) {
-            Ok(g) => assert!(g.validate().is_err()),
-            Err(GraphError::CorruptShard { .. } | GraphError::Io { .. }) => {}
-            Err(e) => panic!("unexpected error class: {e}"),
         }
     }
 
@@ -1052,87 +576,17 @@ mod tests {
         let spans = sharded.chunk_spans(4).unwrap();
         assert!(spans.len() > 1, "oversized shard must split");
         // Sub-span byte ranges are contiguous and cover the shard payload.
-        let shard = sharded.shards()[0];
-        assert_eq!(spans[0].bytes.start, shard.byte_off);
+        let shard = &sharded.shards()[0];
+        assert_eq!(spans[0].bytes.start, shard.bytes.start);
         for w in spans.windows(2) {
             assert_eq!(w[0].bytes.end, w[1].bytes.start);
         }
-        assert_eq!(
-            spans.last().unwrap().bytes.end,
-            shard.byte_off + shard.byte_len
-        );
+        assert_eq!(spans.last().unwrap().bytes.end, shard.bytes.end);
         // And the decoded stream still matches the full graph.
         let got = decode_all_spans(&sharded, &spans);
         let rev = transpose(&fwd);
         for (row, srcs) in got {
             assert_eq!(srcs, rev.neighbors(node_id(row)), "row {row}");
         }
-    }
-
-    #[test]
-    fn corrupt_chunk_decode_is_typed_error_never_panic() {
-        let fwd = sample_forward();
-        let dir = tmp("chunkflip");
-        let path = dir.join("g.shards");
-        build_from_csr(&fwd, &dir, &path, 1 << 20).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let clean = ShardedCompressedGraph::from_bytes(bytes.clone()).unwrap();
-        let spans = clean.chunk_spans(1).unwrap();
-        let mut buf = Vec::new();
-        clean.load_chunk(&spans[0], &mut buf).unwrap();
-        let mut arena = ChunkArena::new();
-        // Flip every payload byte in turn: decode must either succeed (a
-        // benign flip in a value) or fail with a typed error — never panic
-        // and never mis-count edges silently.
-        for i in 0..buf.len() {
-            let mut corrupted = buf.clone();
-            corrupted[i] ^= 0xff;
-            match clean.decode_chunk(&spans[0], &corrupted, &mut arena) {
-                Ok(()) => assert_eq!(arena.num_edges() as u64, spans[0].edges),
-                Err(GraphError::CorruptShard { .. })
-                | Err(GraphError::CorruptCompressedStream { .. }) => {}
-                Err(e) => panic!("byte {i}: unexpected error class: {e}"),
-            }
-        }
-        // A short buffer is rejected up front.
-        let short = &buf[..buf.len() - 1];
-        assert!(matches!(
-            clean.decode_chunk(&spans[0], short, &mut arena),
-            Err(GraphError::CorruptShard { .. })
-        ));
-    }
-
-    #[test]
-    fn chunk_load_past_eof_is_typed_error() {
-        let fwd = sample_forward();
-        let dir = tmp("chunkeof");
-        let sharded = build_from_csr(&fwd, &dir, &dir.join("g.shards"), 1 << 20).unwrap();
-        let mut span = sharded.chunk_spans(1).unwrap()[0].clone();
-        // Claim one byte more than the data section holds: the positioned
-        // read must surface a typed Io error (EOF-truncated final chunk).
-        span.bytes.end += 1;
-        let mut buf = Vec::new();
-        assert!(matches!(
-            sharded.load_chunk(&span, &mut buf),
-            Err(GraphError::Io { .. })
-        ));
-    }
-
-    #[test]
-    fn partition_aligns_to_shards() {
-        let fwd = sample_forward();
-        let dir = tmp("part");
-        let sharded = build_from_csr(&fwd, &dir, &dir.join("g.shards"), 24).unwrap();
-        let p = SolveGraph::partition(&sharded, 4);
-        let shard_bounds: Vec<usize> = std::iter::once(0)
-            .chain(sharded.shards().iter().map(|s| s.row_hi))
-            .collect();
-        for &b in p.row_bounds() {
-            assert!(
-                shard_bounds.contains(&b),
-                "chunk boundary {b} splits a shard: {shard_bounds:?}"
-            );
-        }
-        assert_eq!(p.num_edges(), fwd.num_edges());
     }
 }

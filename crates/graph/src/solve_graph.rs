@@ -7,8 +7,8 @@
 //!
 //! * [`CsrGraph`] — rows are in-RAM slices, streamed for free;
 //! * [`DeltaOverlay`] — rows come from the base CSR or its patch map;
-//! * [`crate::ShardedCompressedGraph`] — rows are varint/gap-coded segments
-//!   decoded page-by-page from disk into the caller's [`RowScratch`].
+//! * [`crate::ShardedCompressedGraph`] — rows are varint/gap-coded codec
+//!   rows decoded page-by-page from disk into the caller's [`RowScratch`].
 //!
 //! The trait is deliberately *pull-shaped*: `stream_rows` hands each row to
 //! a callback in ascending row order, which is what keeps the SpMV
@@ -21,8 +21,7 @@
 //! with one positioned read, and block-decode it into a reusable
 //! [`ChunkArena`]. The pipelined out-of-core solver
 //! (`sr_core::streamed`) prefetches spans one ahead of the compute sweep
-//! and gathers from the arena lock-free; in-RAM backends simply return
-//! `None` from [`SolveGraph::chunk_source`] and keep the generic path.
+//! and gathers from the arena lock-free.
 
 use std::ops::Range;
 
@@ -31,15 +30,11 @@ use crate::csr::CsrGraph;
 use crate::delta::DeltaOverlay;
 use crate::error::GraphError;
 use crate::ids::{node_id, NodeId};
-use crate::partition::EdgePartition;
 
-/// Per-worker reusable buffers for [`SolveGraph::stream_rows`].
-///
-/// One scratch per `sr-par` worker chunk, allocated once and reused across
-/// every solver iteration: holds the decoded row (`targets`), the codec's
-/// interval buffers, and the recycled page buffer of the out-of-core
-/// reader. Sized by the largest row / page seen, i.e. O(KBs), independent
-/// of graph size.
+/// Caller-owned reusable buffers for [`SolveGraph::stream_rows`]: the
+/// decoded row (`targets`), the codec's interval buffers, and the recycled
+/// page buffer of the on-disk row walk. Sized by the largest row / page
+/// seen, i.e. O(KBs), independent of graph size.
 #[derive(Debug, Default)]
 pub struct RowScratch {
     /// Decoded neighbor ids of the row currently being visited.
@@ -55,15 +50,12 @@ impl RowScratch {
     pub fn new() -> Self {
         RowScratch::default()
     }
-
-    /// Current heap footprint in bytes (scratch-residency telemetry).
-    pub fn heap_bytes(&self) -> usize {
-        self.targets.capacity() * std::mem::size_of::<NodeId>() + self.page.capacity()
-    }
 }
 
 /// One unit of pipelined out-of-core work: a contiguous row range together
 /// with the **exact** byte extent of its encoded payload and its edge count.
+/// It is also the segment-table entry of the on-disk container, where
+/// `edges` counts the segment's items (Σ row codec degrees).
 ///
 /// Spans tile the row space (ascending, disjoint, covering every row), so a
 /// solver can assign whole spans to workers and still write every output
@@ -222,11 +214,6 @@ pub trait SolveGraph: Sync {
         f: &mut dyn FnMut(usize, &[NodeId]),
     ) -> Result<(), GraphError>;
 
-    /// An edge-balanced partition of the row space into at most
-    /// `max_chunks` chunks, honoring any storage granularity (a sharded
-    /// backend aligns chunk boundaries to shard boundaries).
-    fn partition(&self, max_chunks: usize) -> EdgePartition;
-
     /// Direct `(offsets, targets)` CSR slices when the whole adjacency is
     /// resident in RAM in that shape; `None` (the default) means callers
     /// must stream. A hot inner loop may use the view to skip the per-row
@@ -234,15 +221,6 @@ pub trait SolveGraph: Sync {
     /// view exposes the same rows with the same ascending neighbor order,
     /// so taking the fast path can never change results.
     fn csr_view(&self) -> Option<(&[usize], &[NodeId])> {
-        None
-    }
-
-    /// The chunk-granularity streaming interface, when the backend stores
-    /// rows as contiguous encoded extents it can load and block-decode by
-    /// span; `None` (the default) means callers must use
-    /// [`stream_rows`](SolveGraph::stream_rows). Taking the chunk path can
-    /// never change results — see [`ChunkSource`].
-    fn chunk_source(&self) -> Option<&dyn ChunkSource> {
         None
     }
 }
@@ -266,10 +244,6 @@ impl SolveGraph for CsrGraph {
             f(u, self.neighbors(node_id(u)));
         }
         Ok(())
-    }
-
-    fn partition(&self, max_chunks: usize) -> EdgePartition {
-        EdgePartition::from_offsets(self.offsets(), max_chunks)
     }
 
     fn csr_view(&self) -> Option<(&[usize], &[NodeId])> {
@@ -297,20 +271,6 @@ impl SolveGraph for DeltaOverlay {
         }
         Ok(())
     }
-
-    fn partition(&self, max_chunks: usize) -> EdgePartition {
-        // The overlay has no offsets array; rebuild one from row degrees.
-        // O(n) once per operator construction, amortized over iterations.
-        let n = DeltaOverlay::num_nodes(self);
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut at = 0usize;
-        for u in crate::ids::node_range(n) {
-            at += self.out_degree(u);
-            offsets.push(at);
-        }
-        EdgePartition::from_offsets(&offsets, max_chunks)
-    }
 }
 
 #[cfg(test)]
@@ -337,8 +297,6 @@ mod tests {
             got,
             vec![(0, vec![1, 2]), (1, vec![]), (2, vec![0]), (3, vec![1]),]
         );
-        let p = SolveGraph::partition(&g, 2);
-        assert_eq!(p.num_edges(), 4);
     }
 
     #[test]
@@ -351,9 +309,6 @@ mod tests {
         let got = rows_of(&ov, 0..3);
         assert_eq!(got[0], (0, vec![1, 2]));
         assert_eq!(got[1], (1, vec![2]));
-        let p = SolveGraph::partition(&ov, 2);
-        assert_eq!(p.num_edges(), 3);
-        assert_eq!(p.num_rows(), 3);
     }
 
     #[test]

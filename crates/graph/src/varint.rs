@@ -1,6 +1,6 @@
 //! LEB128 variable-length integer coding.
 //!
-//! The compressed adjacency format ([`crate::compress`]) stores gap-encoded
+//! The adjacency row codec ([`crate::codec`]) stores gap-encoded
 //! successor lists as LEB128 varints — the same family of instantaneous codes
 //! the WebGraph framework (the paper's storage layer) builds on, chosen here
 //! for byte alignment and decode speed over bit-level ζ-codes.

@@ -8,54 +8,36 @@
 //! `sr-core::approx` engine builds these files offline and assembles
 //! personalized-PageRank estimates from them at query time.
 //!
-//! Like the shard format, only the envelope is resident in RAM: the segment
-//! offset table (`u64` per node) and the header. Segment payloads are read
-//! on demand through [`crate::PagedReader`] over safe positioned I/O —
-//! random access per source is O(1) via the offset table, no scan.
+//! The file is the *walk schema* of the segment container (see
+//! `crate::segment` for the byte layout): one row per source, whose payload
+//! is the *support* (nodes visited at least once, ascending) as a codec row
+//! (see [`crate::codec`]) followed by one varint `u32` per support id in
+//! the same order — the aggregate visit count (≥ 1). Segment items are
+//! support sizes; there is no column. The schema parameters pin every
+//! input of the simulation (`R`, β bits, seed, hop cap), so a cache file is
+//! a pure function of `(walk graph, config)` — the round-trip determinism
+//! the differential suite relies on.
 //!
-//! ## File layout (`SRWALK1\0`)
-//!
-//! ```text
-//! magic            8 B   b"SRWALK1\0"
-//! num_nodes        8 B   u64 le
-//! walks            8 B   u64 le   (R, walks simulated per source)
-//! beta_bits        8 B   u64 le   (f64 bits of the continuation prob. β)
-//! rng_seed         8 B   u64 le   (the builder's pinned master seed)
-//! max_hops        8 B   u64 le   (per-walk step cap; truncation bias β^H)
-//! offsets          8 B × (num_nodes + 1): u64 le segment byte offsets
-//!                  relative to the data section; offsets[0] = 0,
-//!                  non-decreasing, last = data section length
-//! data             one segment per source: the *support* (nodes visited at
-//!                  least once, ascending) as a codec row (see
-//!                  `crate::codec`), then one varint u32 per support id in
-//!                  the same order — the aggregate visit count (≥ 1)
-//! ```
-//!
-//! The header pins every input of the simulation (`R`, β bits, seed, hop
-//! cap), so a cache file is a pure function of `(walk graph, config)` — the
-//! round-trip determinism the differential suite relies on.
+//! Queries read the decoded resident [`WalkTable`], built in one
+//! sequential pass pre-sized from the segment table's item counts.
 
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::path::Path;
+use std::sync::OnceLock;
 
-use crate::codec::{self, CodecScratch};
+use crate::codec::CodecScratch;
 use crate::error::GraphError;
 use crate::ids::NodeId;
-use crate::pager::{ByteSource, PagedReader, SourceReader, DEFAULT_PAGE_SIZE};
-use crate::solve_graph::RowScratch;
+use crate::pager::ByteSource;
+use crate::segment::{self, Schema, SegmentFile, SegmentWriter};
+use crate::shard::DEFAULT_SHARD_BYTES;
 use crate::varint;
-
-const MAGIC: &[u8; 8] = b"SRWALK1\0";
-const HEADER_BYTES: u64 = 8 + 5 * 8;
 
 /// The simulation parameters a walk-cache file was built with. All of them
 /// are part of the on-disk header: a cache is only valid for queries that
 /// agree on every field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkMeta {
-    /// Nodes of the walk graph (and segments in the file).
+    /// Nodes of the walk graph (and rows in the file).
     pub num_nodes: usize,
     /// Walks simulated per source (`R`). May be 0 (push-only caches).
     pub walks: u64,
@@ -76,76 +58,38 @@ impl WalkMeta {
     }
 }
 
-#[derive(Debug)]
-enum Store {
-    File(File),
-    Mem(Arc<Vec<u8>>),
-}
-
-impl ByteSource for Store {
-    fn len(&self) -> u64 {
-        match self {
-            Store::File(f) => ByteSource::len(f),
-            Store::Mem(m) => ByteSource::len(m),
-        }
-    }
-
-    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
-        match self {
-            Store::File(f) => f.read_exact_at(buf, offset),
-            Store::Mem(m) => m.read_exact_at(buf, offset),
-        }
-    }
-}
-
-/// Streaming writer for a walk-cache file. Segments must be written for
-/// every source in ascending order (the implicit write cursor); like the
-/// shard builder, payloads go to a temp data file first and the final file
-/// (header + offset table + data) is assembled at
-/// [`finish`](WalkFileWriter::finish).
+/// Streaming writer for a walk-cache file. Sources must be written in
+/// ascending order (the implicit write cursor); rows are staged and the
+/// final file is assembled at [`finish`](WalkFileWriter::finish).
 #[derive(Debug)]
 pub struct WalkFileWriter {
-    path: PathBuf,
-    data_tmp: PathBuf,
-    w: BufWriter<File>,
+    path: std::path::PathBuf,
+    w: SegmentWriter,
     meta: WalkMeta,
-    /// Segment offsets written so far; `offsets.len() - 1` is the cursor.
-    offsets: Vec<u64>,
-    scratch: CodecScratch,
-    enc: Vec<u8>,
 }
 
 impl WalkFileWriter {
-    /// Creates the writer, opening a temp data file next to `path`.
+    /// Creates the writer, staging row data next to `path`.
     pub fn create(path: &Path, meta: WalkMeta) -> Result<Self, GraphError> {
-        let data_tmp = path.with_extension("walkdata.tmp");
-        let file = File::create(&data_tmp)
-            .map_err(|e| GraphError::io("creating walk data temp file", &e))?;
-        let mut offsets = Vec::with_capacity(meta.num_nodes + 1);
-        offsets.push(0u64);
         Ok(WalkFileWriter {
             path: path.to_path_buf(),
-            data_tmp,
-            w: BufWriter::new(file),
+            w: SegmentWriter::create(path, Schema::WALK, DEFAULT_SHARD_BYTES)?,
             meta,
-            offsets,
-            scratch: CodecScratch::new(),
-            enc: Vec::new(),
         })
     }
 
-    /// Writes the segment of the next source: `support` are the distinct
+    /// Writes the row of the next source: `support` are the distinct
     /// visited nodes ascending, `counts[i]` the aggregate visits of
     /// `support[i]` (each ≥ 1).
     ///
     /// # Panics
-    /// Panics on caller bugs: more segments than nodes, length mismatch,
+    /// Panics on caller bugs: more sources than nodes, length mismatch,
     /// or a zero count (a zero-visit node must simply not be listed).
-    pub fn write_segment(&mut self, support: &[NodeId], counts: &[u32]) -> Result<(), GraphError> {
-        let source = self.offsets.len() - 1;
+    pub fn write_source(&mut self, support: &[NodeId], counts: &[u32]) -> Result<(), GraphError> {
+        let source = self.w.rows();
         assert!(
             source < self.meta.num_nodes,
-            "segment for source {source} beyond num_nodes {}",
+            "row for source {source} beyond num_nodes {}",
             self.meta.num_nodes
         );
         assert_eq!(
@@ -157,162 +101,73 @@ impl WalkFileWriter {
             counts.iter().all(|&c| c > 0),
             "zero visit count for source {source}"
         );
-        self.enc.clear();
-        codec::encode_row(
-            crate::ids::node_id(source),
-            support,
-            &mut self.scratch,
-            &mut self.enc,
-        )?;
-        for &c in counts {
-            varint::write_u32(&mut self.enc, c);
-        }
-        self.w
-            .write_all(&self.enc)
-            .map_err(|e| GraphError::io("writing walk segment", &e))?;
-        let last = *self.offsets.last().expect("offsets non-empty");
-        self.offsets.push(last + self.enc.len() as u64);
-        Ok(())
+        self.w.push_row(support, counts)
     }
 
-    /// Assembles the final file (header, offset table, data) and opens it.
+    /// Assembles the final file and opens it.
     ///
     /// # Panics
-    /// Panics if fewer than `num_nodes` segments were written.
-    pub fn finish(mut self) -> Result<WalkStore, GraphError> {
+    /// Panics if fewer than `num_nodes` sources were written.
+    pub fn finish(self) -> Result<WalkStore, GraphError> {
+        let m = self.meta;
         assert_eq!(
-            self.offsets.len(),
-            self.meta.num_nodes + 1,
-            "walk cache incomplete: {} of {} segments written",
-            self.offsets.len() - 1,
-            self.meta.num_nodes
+            self.w.rows(),
+            m.num_nodes,
+            "walk cache incomplete: {} of {} sources written",
+            self.w.rows(),
+            m.num_nodes
         );
         self.w
-            .flush()
-            .map_err(|e| GraphError::io("flushing walk data", &e))?;
-        drop(self.w);
-        let result = write_final_file(&self.path, &self.data_tmp, &self.meta, &self.offsets);
-        std::fs::remove_file(&self.data_tmp).ok();
-        result?;
+            .finish(&[m.walks, m.beta_bits, m.rng_seed, m.max_hops], &[])?;
         WalkStore::open(&self.path)
     }
 }
 
-fn write_final_file(
-    path: &Path,
-    data_tmp: &Path,
-    meta: &WalkMeta,
-    offsets: &[u64],
-) -> Result<(), GraphError> {
-    let ctx = |e: &io::Error| GraphError::io("writing walk-cache file", e);
-    let mut w = BufWriter::new(File::create(path).map_err(|e| ctx(&e))?);
-    w.write_all(MAGIC).map_err(|e| ctx(&e))?;
-    for v in [
-        meta.num_nodes as u64,
-        meta.walks,
-        meta.beta_bits,
-        meta.rng_seed,
-        meta.max_hops,
-    ] {
-        w.write_all(&v.to_le_bytes()).map_err(|e| ctx(&e))?;
-    }
-    for &off in offsets {
-        w.write_all(&off.to_le_bytes()).map_err(|e| ctx(&e))?;
-    }
-    let mut data = File::open(data_tmp).map_err(|e| ctx(&e))?;
-    io::copy(&mut data, &mut w).map_err(|e| ctx(&e))?;
-    w.flush().map_err(|e| ctx(&e))?;
-    Ok(())
-}
-
-/// A walk-cache file opened for queries. Resident memory is the offset
-/// table plus the header; segment payloads are paged in per
-/// [`for_each_visit`](WalkStore::for_each_visit) call. Query engines that
-/// touch most segments per call can instead materialize the whole store
-/// once via [`table`](WalkStore::table).
+/// A walk-cache file opened for queries. Resident memory is the envelope
+/// (segment table and parameters) until [`table`](WalkStore::table)
+/// decodes the whole store once.
 #[derive(Debug)]
 pub struct WalkStore {
-    store: Store,
-    data_start: u64,
+    file: SegmentFile,
     meta: WalkMeta,
-    offsets: Vec<u64>,
-    page_size: usize,
     table: OnceLock<WalkTable>,
 }
 
 impl WalkStore {
-    /// Opens a walk-cache file, validating the envelope (magic, header,
-    /// offset-table monotonicity and coverage). Segment payloads are not
-    /// decoded here — see [`validate`](WalkStore::validate).
+    /// Opens a walk-cache file, validating the container envelope (magic,
+    /// schema, parameters, segment table). Rows are not decoded here — see
+    /// [`validate`](WalkStore::validate).
     pub fn open(path: &Path) -> Result<Self, GraphError> {
-        let file = File::open(path).map_err(|e| GraphError::io("opening walk-cache file", &e))?;
-        Self::from_store(Store::File(file))
+        Self::from_file(SegmentFile::open(path, Schema::WALK)?)
     }
 
     /// Parses a walk-cache image held in memory (same format as the file).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, GraphError> {
-        Self::from_store(Store::Mem(Arc::new(bytes)))
+        Self::from_source(Box::new(bytes))
     }
 
-    fn from_store(store: Store) -> Result<Self, GraphError> {
-        let corrupt = |message: &str| GraphError::CorruptWalks {
-            message: message.to_string(),
+    /// Parses a walk-cache image read through any [`ByteSource`].
+    pub fn from_source(store: Box<dyn ByteSource + Send>) -> Result<Self, GraphError> {
+        Self::from_file(SegmentFile::from_source(store, Schema::WALK)?)
+    }
+
+    fn from_file(file: SegmentFile) -> Result<Self, GraphError> {
+        let &[walks, beta_bits, rng_seed, max_hops] = file.params() else {
+            return Err(file.corrupt("parameter count".to_string()));
         };
-        let total_len = store.len();
-        let mut r = PagedReader::new(SourceReader::new(&store, 0..total_len));
-        let io_ctx = |e: &io::Error| GraphError::io("reading walk-cache header", e);
-        let magic = r.take(8).map_err(|e| io_ctx(&e))?;
-        if magic != MAGIC {
-            return Err(corrupt("bad magic"));
+        if !(0.0..1.0).contains(&f64::from_bits(beta_bits)) {
+            return Err(file.corrupt("beta outside [0,1)".to_string()));
         }
-        let num_nodes = usize::try_from(r.u64_le().map_err(|e| io_ctx(&e))?)
-            .map_err(|_| corrupt("num_nodes overflows usize"))?;
-        let walks = r.u64_le().map_err(|e| io_ctx(&e))?;
-        let beta_bits = r.u64_le().map_err(|e| io_ctx(&e))?;
-        let rng_seed = r.u64_le().map_err(|e| io_ctx(&e))?;
-        let max_hops = r.u64_le().map_err(|e| io_ctx(&e))?;
-        let beta = f64::from_bits(beta_bits);
-        if !(0.0..1.0).contains(&beta) {
-            return Err(corrupt("beta outside [0,1)"));
-        }
-        let table_bytes = (num_nodes as u64)
-            .checked_add(1)
-            .and_then(|c| c.checked_mul(8))
-            .ok_or_else(|| corrupt("offset table size overflows"))?;
-        let data_start = HEADER_BYTES
-            .checked_add(table_bytes)
-            .ok_or_else(|| corrupt("header size overflows"))?;
-        if data_start > total_len {
-            return Err(corrupt("file shorter than its declared offset table"));
-        }
-        let mut offsets = Vec::with_capacity(num_nodes + 1);
-        let mut prev = 0u64;
-        for i in 0..=num_nodes {
-            let off = r.u64_le().map_err(|e| io_ctx(&e))?;
-            if i == 0 && off != 0 {
-                return Err(corrupt("first offset must be 0"));
-            }
-            if off < prev {
-                return Err(corrupt("offsets not non-decreasing"));
-            }
-            prev = off;
-            offsets.push(off);
-        }
-        if prev != total_len - data_start {
-            return Err(corrupt("offsets do not cover the data section"));
-        }
+        let meta = WalkMeta {
+            num_nodes: file.num_rows(),
+            walks,
+            beta_bits,
+            rng_seed,
+            max_hops,
+        };
         Ok(WalkStore {
-            store,
-            data_start,
-            meta: WalkMeta {
-                num_nodes,
-                walks,
-                beta_bits,
-                rng_seed,
-                max_hops,
-            },
-            offsets,
-            page_size: DEFAULT_PAGE_SIZE,
+            file,
+            meta,
             table: OnceLock::new(),
         })
     }
@@ -327,132 +182,28 @@ impl WalkStore {
         self.meta.num_nodes
     }
 
-    /// Overrides the page size used when reading segments (tests force a
-    /// tiny page to exercise the refill path).
+    /// Overrides the page size used when reading rows (tests force a tiny
+    /// page to exercise the refill path).
     pub fn set_page_size(&mut self, page_size: usize) {
-        self.page_size = page_size.max(16);
-    }
-
-    /// Sums every segment's leading degree varint — the exact total entry
-    /// count of the decoded table — in one sequential pass with O(page)
-    /// memory and no codec decode.
-    fn count_entries(&self) -> Result<usize, GraphError> {
-        let end = self.data_start + self.data_bytes();
-        let reader = SourceReader::new(&self.store, self.data_start..end);
-        let mut pr = PagedReader::with_page_size(reader, self.page_size);
-        let mut total = 0usize;
-        for u in crate::ids::node_range(self.meta.num_nodes) {
-            let ui = u as usize;
-            let seg_len =
-                usize::try_from(self.offsets[ui + 1] - self.offsets[ui]).unwrap_or(usize::MAX);
-            if seg_len == 0 {
-                continue;
-            }
-            let seg = pr
-                .take(seg_len)
-                .map_err(|e| GraphError::io("scanning walk segment sizes", &e))?;
-            total = total
-                .checked_add(codec::peek_degree(u, seg, 0)?)
-                .ok_or_else(|| GraphError::CorruptWalks {
-                    message: "walk entry count overflows usize".to_string(),
-                })?;
-        }
-        Ok(total)
-    }
-
-    /// Encoded byte length of one source's segment.
-    pub fn segment_bytes(&self, source: NodeId) -> u64 {
-        let u = source as usize;
-        self.offsets[u + 1] - self.offsets[u]
+        self.file.set_page_size(page_size);
     }
 
     /// Total encoded payload size in bytes (the data section).
     pub fn data_bytes(&self) -> u64 {
-        *self.offsets.last().unwrap_or(&0)
+        self.file.data_bytes()
     }
 
-    /// Resident heap footprint: the offset table (payloads stay on disk).
-    pub fn resident_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<u64>()
-    }
-
-    /// Visits `(node, aggregate count)` for every node the cached walks
-    /// from `source` touched, in ascending node order. Decode work reuses
-    /// the caller's [`RowScratch`] (targets + codec buffers + recycled
-    /// page), so repeated queries allocate nothing.
-    pub fn for_each_visit(
-        &self,
-        source: NodeId,
-        scratch: &mut RowScratch,
-        f: &mut dyn FnMut(NodeId, u32),
-    ) -> Result<(), GraphError> {
-        let u = source as usize;
-        if u >= self.meta.num_nodes {
-            return Err(GraphError::NodeOutOfRange {
-                node: source,
-                num_nodes: self.meta.num_nodes,
-            });
-        }
-        let lo = self.data_start + self.offsets[u];
-        let hi = self.data_start + self.offsets[u + 1];
-        let reader = SourceReader::new(&self.store, lo..hi);
-        let buf = std::mem::take(&mut scratch.page);
-        let mut pr = PagedReader::with_recycled(reader, self.page_size, buf);
-        let seg_len = usize::try_from(hi - lo).unwrap_or(usize::MAX);
-        let result = pr
-            .take(seg_len)
-            .map_err(|e| GraphError::io("reading walk segment", &e))
-            .and_then(|seg| {
-                let RowScratch { targets, codec, .. } = scratch;
-                targets.clear();
-                let mut pos = 0usize;
-                codec::decode_row(source, seg, &mut pos, codec, |t| targets.push(t))?;
-                let corrupt = |message: String| GraphError::CorruptWalks { message };
-                for &node in targets.iter() {
-                    if node as usize >= self.meta.num_nodes {
-                        return Err(corrupt(format!(
-                            "segment {source}: visited node {node} out of range"
-                        )));
-                    }
-                    let count = varint::read_u32(seg, &mut pos).ok_or_else(|| {
-                        corrupt(format!("segment {source}: truncated visit counts"))
-                    })?;
-                    if count == 0 {
-                        return Err(corrupt(format!("segment {source}: zero visit count")));
-                    }
-                    f(node, count);
-                }
-                if pos != seg.len() {
-                    return Err(corrupt(format!(
-                        "segment {source}: {} trailing bytes",
-                        seg.len() - pos
-                    )));
-                }
-                Ok(())
-            });
-        scratch.page = pr.into_buffer();
-        result
-    }
-
-    /// Fully decodes every segment, checking ascending support order,
-    /// node ranges, positive counts and exact segment consumption.
-    /// O(data bytes) with O(page) memory.
+    /// Fully decodes every row — ascending in-range support, positive
+    /// counts, exact row consumption — without keeping the table.
     pub fn validate(&self) -> Result<(), GraphError> {
-        let mut scratch = RowScratch::new();
-        for u in crate::ids::node_range(self.meta.num_nodes) {
-            // Ascending support order is enforced by the codec itself
-            // (decode reproduces the encoder's sorted intervals); range,
-            // counts and trailing bytes are checked in for_each_visit.
-            self.for_each_visit(u, &mut scratch, &mut |_, _| {})?;
-        }
-        Ok(())
+        WalkTable::decode(self).map(drop)
     }
 
     /// The fully-decoded resident [`WalkTable`] of this store, built on
     /// first call and cached for the store's lifetime. Residual-closing
-    /// queries over dense frontiers touch nearly every segment; decoding
-    /// the store once turns ~`num_nodes` positional reads plus varint
-    /// decodes *per query* into three slice lookups per source.
+    /// queries over dense frontiers touch nearly every source; decoding
+    /// the store once turns per-query positional reads plus varint decodes
+    /// into three slice lookups per source.
     pub fn table(&self) -> Result<&WalkTable, GraphError> {
         if let Some(t) = self.table.get() {
             return Ok(t);
@@ -466,10 +217,7 @@ impl WalkStore {
 
 /// A [`WalkStore`] decoded into one resident CSR-shaped aggregate:
 /// [`visits`](WalkTable::visits) returns the `(support, counts)` slices of
-/// a source directly. The decode is the file's ascending segment order —
-/// the same `(source asc, support asc)` visit order as
-/// [`WalkStore::for_each_visit`] — so accumulating from the table is
-/// bit-identical to streaming the segments.
+/// a source directly, in the file's `(source asc, support asc)` order.
 #[derive(Debug)]
 pub struct WalkTable {
     /// `offsets[u]..offsets[u + 1]` index `support`/`counts` for source `u`.
@@ -481,31 +229,49 @@ pub struct WalkTable {
 }
 
 impl WalkTable {
+    /// Decodes every row in one sequential pass. The flat arrays are sized
+    /// from the segment table's item counts, which the envelope bounds by
+    /// the file's bytes — exact, with no geometric-growth slack.
     fn decode(store: &WalkStore) -> Result<Self, GraphError> {
+        let file = &store.file;
         let n = store.num_nodes();
-        // Size the flat arrays from the file's own support counts (each
-        // segment leads with its degree varint) instead of growing them
-        // geometrically: doubling on a multi-million-entry table strands up
-        // to 2× the data in unused capacity — ~128 MiB resident for a
-        // ~31 MiB cache at the 2^24-entry mark.
-        let total_entries = store.count_entries()?;
+        let entries = usize::try_from(file.items())
+            .map_err(|_| file.corrupt("walk entry count overflows usize".to_string()))?;
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
-        let mut support: Vec<NodeId> = Vec::with_capacity(total_entries);
-        let mut counts: Vec<u32> = Vec::with_capacity(total_entries);
-        let mut scratch = RowScratch::new();
-        for u in crate::ids::node_range(n) {
-            store.for_each_visit(u, &mut scratch, &mut |v, c| {
-                support.push(v);
-                counts.push(c);
-            })?;
+        let mut support: Vec<NodeId> = Vec::with_capacity(entries);
+        let mut counts: Vec<u32> = Vec::with_capacity(entries);
+        let mut codec = CodecScratch::new();
+        file.for_each_row(0..n, &mut Vec::new(), |row, payload| {
+            let lo = support.len();
+            let mut tail = segment::decode_head(row, payload, &mut codec, &mut support)?;
+            let ids = &support[lo..];
+            let ascending = ids.windows(2).all(|w| w[0] < w[1]);
+            if !ascending || ids.iter().any(|&v| v as usize >= n) {
+                return Err(file.corrupt(format!(
+                    "source {row}: support not ascending or out of range"
+                )));
+            }
+            for _ in lo..support.len() {
+                let mut pos = 0;
+                let count = varint::read_u32(tail, &mut pos)
+                    .filter(|&c| c > 0)
+                    .ok_or_else(|| file.corrupt(format!("source {row}: bad visit count")))?;
+                counts.push(count);
+                tail = &tail[pos..];
+            }
+            if !tail.is_empty() {
+                return Err(file.corrupt(format!("source {row}: {} trailing bytes", tail.len())));
+            }
             offsets.push(support.len());
+            Ok(())
+        })?;
+        if support.len() != entries {
+            return Err(file.corrupt(format!(
+                "decoded {} walk entries, segment table says {entries}",
+                support.len()
+            )));
         }
-        assert_eq!(
-            support.len(),
-            total_entries,
-            "pre-sized walk table missed its entry count"
-        );
         Ok(WalkTable {
             offsets,
             support,
@@ -545,6 +311,7 @@ impl WalkTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("sr_walks");
@@ -565,78 +332,50 @@ mod tests {
     fn sample_store(tag: &str) -> WalkStore {
         let path = tmp(tag);
         let mut w = WalkFileWriter::create(&path, meta(4)).unwrap();
-        w.write_segment(&[0, 2], &[4, 1]).unwrap();
-        w.write_segment(&[], &[]).unwrap();
-        w.write_segment(&[1, 2, 3], &[2, 7, 1]).unwrap();
-        w.write_segment(&[3], &[4]).unwrap();
+        w.write_source(&[0, 2], &[4, 1]).unwrap();
+        w.write_source(&[], &[]).unwrap();
+        w.write_source(&[1, 2, 3], &[2, 7, 1]).unwrap();
+        w.write_source(&[3], &[4]).unwrap();
         w.finish().unwrap()
     }
 
     fn visits(s: &WalkStore, u: NodeId) -> Vec<(NodeId, u32)> {
-        let mut scratch = RowScratch::new();
-        let mut out = Vec::new();
-        s.for_each_visit(u, &mut scratch, &mut |v, c| out.push((v, c)))
-            .unwrap();
-        out
+        let (support, counts) = s.table().unwrap().visits(u);
+        support
+            .iter()
+            .copied()
+            .zip(counts.iter().copied())
+            .collect()
     }
 
     #[test]
-    fn roundtrips_segments_and_meta() {
+    fn roundtrips_sources_and_meta() {
         let s = sample_store("roundtrip");
         assert_eq!(s.num_nodes(), 4);
         assert_eq!(s.meta().walks, 4);
         assert_eq!(s.meta().beta(), 0.85);
         assert_eq!(s.meta().rng_seed, 0x5EED);
         assert_eq!(s.meta().max_hops, 32);
+        s.validate().unwrap();
         assert_eq!(visits(&s, 0), vec![(0, 4), (2, 1)]);
         assert_eq!(visits(&s, 1), vec![]);
         assert_eq!(visits(&s, 2), vec![(1, 2), (2, 7), (3, 1)]);
         assert_eq!(visits(&s, 3), vec![(3, 4)]);
-        s.validate().unwrap();
-        assert!(s.segment_bytes(2) > 0);
-        assert_eq!(s.segment_bytes(1), {
-            // An empty segment is a codec row of degree 0: one byte.
-            1
-        });
+        // Rows are length-prefixed: an empty source is varint(1) ++ a
+        // degree-0 codec row.
+        assert!(s.data_bytes() > 4 * 2);
     }
 
     #[test]
-    fn memory_image_equals_file() {
-        let s = sample_store("mem");
-        let path = tmp("mem");
-        let bytes = std::fs::read(&path).unwrap();
-        let m = WalkStore::from_bytes(bytes).unwrap();
-        for u in 0..4 {
-            assert_eq!(visits(&s, u), visits(&m, u));
-        }
-    }
-
-    #[test]
-    fn table_mirrors_streamed_visits() {
+    fn table_is_cached_and_exactly_sized() {
         let s = sample_store("table");
         let t = s.table().unwrap();
         assert_eq!(t.num_sources(), 4);
         assert_eq!(t.num_entries(), 6);
-        for u in 0..4 {
-            let (support, counts) = t.visits(u);
-            let streamed = visits(&s, u);
-            assert_eq!(support.len(), streamed.len());
-            for (i, &(v, c)) in streamed.iter().enumerate() {
-                assert_eq!((support[i], counts[i]), (v, c), "source {u} entry {i}");
-            }
-        }
         // Decode is cached: the second call hands back the same table.
         assert!(std::ptr::eq(t, s.table().unwrap()));
-        assert!(t.resident_bytes() >= 6 * (4 + 4));
-    }
-
-    #[test]
-    fn table_allocation_is_exact() {
-        // The decoded table is pre-sized from the segments' own degree
-        // varints: zero slack capacity, so the resident footprint is the
-        // arithmetic minimum for its entry and source counts.
-        let s = sample_store("exact");
-        let t = s.table().unwrap();
+        // Pre-sized from the segment table's item counts: zero slack, so
+        // the footprint is the arithmetic minimum for its shape.
         let exact = (t.num_sources() + 1) * std::mem::size_of::<usize>()
             + t.num_entries() * (std::mem::size_of::<NodeId>() + std::mem::size_of::<u32>());
         assert_eq!(t.resident_bytes(), exact, "walk table holds slack capacity");
@@ -646,91 +385,35 @@ mod tests {
     fn tiny_pages_exercise_refills() {
         let path = tmp("tinypage");
         let mut w = WalkFileWriter::create(&path, meta(2)).unwrap();
-        let support: Vec<NodeId> = (0..2).collect();
-        w.write_segment(&support, &[1000, 70000]).unwrap();
-        w.write_segment(&[], &[]).unwrap();
+        w.write_source(&[0, 1], &[1000, 70000]).unwrap();
+        w.write_source(&[], &[]).unwrap();
         let mut s = w.finish().unwrap();
         s.set_page_size(16);
-        assert_eq!(visits(&s, 0), vec![(0, 1000), (1, 70000)]);
         s.validate().unwrap();
+        assert_eq!(visits(&s, 0), vec![(0, 1000), (1, 70000)]);
     }
 
     #[test]
     fn empty_graph_roundtrips() {
-        let path = tmp("empty");
-        let w = WalkFileWriter::create(&path, meta(0)).unwrap();
+        let w = WalkFileWriter::create(&tmp("empty"), meta(0)).unwrap();
         let s = w.finish().unwrap();
         assert_eq!(s.num_nodes(), 0);
         assert_eq!(s.data_bytes(), 0);
         s.validate().unwrap();
-    }
-
-    #[test]
-    fn out_of_range_source_is_typed_error() {
-        let s = sample_store("range");
-        let mut scratch = RowScratch::new();
-        let r = s.for_each_visit(9, &mut scratch, &mut |_, _| {});
-        assert!(matches!(r, Err(GraphError::NodeOutOfRange { node: 9, .. })));
-    }
-
-    #[test]
-    fn truncations_are_typed_errors() {
-        let s = sample_store("trunc");
-        let path = tmp("trunc");
-        let full = std::fs::read(&path).unwrap();
-        drop(s);
-        for cut in [0usize, 4, 12, 40, full.len() - 1] {
-            let res = WalkStore::from_bytes(full[..cut].to_vec());
-            match res {
-                Err(GraphError::Io { .. } | GraphError::CorruptWalks { .. }) => {}
-                Err(e) => panic!("unexpected error class at cut {cut}: {e}"),
-                Ok(s) => {
-                    assert!(s.validate().is_err(), "cut at {cut} silently passed");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn corrupt_payload_is_detected() {
-        let path = tmp("flip");
-        let mut w = WalkFileWriter::create(&path, meta(2)).unwrap();
-        w.write_segment(&[0, 1], &[3, 200]).unwrap();
-        w.write_segment(&[1], &[1]).unwrap();
-        drop(w.finish().unwrap());
-        let clean = std::fs::read(&path).unwrap();
-        for i in HEADER_BYTES as usize..clean.len() {
-            let mut bytes = clean.clone();
-            bytes[i] ^= 0xff;
-            match WalkStore::from_bytes(bytes) {
-                Ok(s) => {
-                    // Some single-byte flips still decode (e.g. a count
-                    // changes value); structural damage must be typed.
-                    let _ = s.validate();
-                }
-                Err(
-                    GraphError::CorruptWalks { .. }
-                    | GraphError::Io { .. }
-                    | GraphError::CorruptCompressedStream { .. },
-                ) => {}
-                Err(e) => panic!("unexpected error class flipping byte {i}: {e}"),
-            }
-        }
+        assert_eq!(s.table().unwrap().num_entries(), 0);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_counts_panic() {
-        let path = tmp("mismatch");
-        let mut w = WalkFileWriter::create(&path, meta(1)).unwrap();
-        w.write_segment(&[0], &[1, 2]).unwrap();
+        let mut w = WalkFileWriter::create(&tmp("mismatch"), meta(1)).unwrap();
+        w.write_source(&[0], &[1, 2]).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "incomplete")]
     fn incomplete_cache_panics_at_finish() {
-        let path = tmp("incomplete");
-        let w = WalkFileWriter::create(&path, meta(3)).unwrap();
+        let w = WalkFileWriter::create(&tmp("incomplete"), meta(3)).unwrap();
         let _ = w.finish();
     }
 }

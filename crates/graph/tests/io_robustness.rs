@@ -1,10 +1,10 @@
-//! Corrupt-input robustness of `sr_graph::io`.
+//! Corrupt-input robustness of the `sr_graph::io` text readers.
 //!
 //! Every reader must hold one contract on hostile input: return a typed
-//! [`IoError`] — or a structurally valid graph, when the corruption happens
-//! to decode — and **never panic or abort**. Proptest drives the mutations:
-//! truncation at every depth, single bit flips anywhere in a snapshot,
-//! header damage, and malformed edge-list/assignment text.
+//! [`IoError`] — or a structurally valid graph, when the input happens to
+//! parse — and **never panic or abort**. Proptest drives the mutations:
+//! random bytes and malformed edge-list/assignment text. The binary files
+//! have their own suite (`segment_container.rs`).
 
 use proptest::prelude::*;
 use sr_graph::io::{self, IoError};
@@ -15,12 +15,6 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
         proptest::collection::vec((0..n, 0..n), 0..300)
             .prop_map(move |edges| GraphBuilder::from_edges_exact(n as usize, edges).unwrap())
     })
-}
-
-fn snapshot_bytes(g: &CsrGraph) -> Vec<u8> {
-    let mut buf = Vec::new();
-    io::write_snapshot(g, &mut buf).unwrap();
-    buf
 }
 
 /// The only acceptable outcomes for a mutated input.
@@ -40,48 +34,6 @@ fn assert_clean(res: Result<CsrGraph, IoError>) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn truncated_snapshots_error_cleanly(g in arb_graph(), frac in 0.0f64..1.0) {
-        let buf = snapshot_bytes(&g);
-        // Cut strictly inside the payload: every byte of a snapshot is
-        // load-bearing, so any proper prefix must be rejected.
-        let cut = ((buf.len() - 1) as f64 * frac) as usize;
-        let res = io::read_snapshot(&buf[..cut]);
-        prop_assert!(
-            matches!(res, Err(IoError::Io(_)) | Err(IoError::Corrupt(_))),
-            "prefix of {cut}/{} bytes was accepted", buf.len()
-        );
-    }
-
-    #[test]
-    fn bit_flipped_snapshots_never_panic(
-        g in arb_graph(),
-        pos in any::<usize>(),
-        bit in 0u8..8,
-    ) {
-        let mut buf = snapshot_bytes(&g);
-        let i = pos % buf.len();
-        buf[i] ^= 1 << bit;
-        assert_clean(io::read_snapshot(&buf[..]));
-    }
-
-    #[test]
-    fn damaged_magic_is_always_rejected(g in arb_graph(), byte in 0usize..8, flip in 1u8..=255) {
-        let mut buf = snapshot_bytes(&g);
-        buf[byte] ^= flip;
-        match io::read_snapshot(&buf[..]) {
-            Err(IoError::Corrupt(m)) => prop_assert!(m.contains("magic"), "unexpected message {m:?}"),
-            other => prop_assert!(false, "bad magic accepted: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn random_bytes_never_panic_snapshot_reader(
-        bytes in proptest::collection::vec(any::<u8>(), 0..512),
-    ) {
-        assert_clean(io::read_snapshot(&bytes[..]));
-    }
 
     #[test]
     fn random_bytes_never_panic_edge_list_reader(

@@ -8,9 +8,7 @@ use sr_graph::transpose::{transpose, transpose_weighted};
 use sr_graph::traversal::{bfs_distances, UNREACHABLE};
 use sr_graph::varint;
 use sr_graph::wcc::weakly_connected_components;
-use sr_graph::{
-    CompressedGraph, CsrGraph, EdgePartition, GraphBuilder, SellRows, SourceAssignment,
-};
+use sr_graph::{CsrGraph, EdgePartition, GraphBuilder, SellRows, SourceAssignment};
 
 /// Distinguishes temp dirs across concurrently running proptest cases.
 static CASE_COUNTER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -103,49 +101,11 @@ proptest! {
     }
 
     #[test]
-    fn compression_preserves_structure(g in arb_graph()) {
-        let c = CompressedGraph::from_csr(&g).unwrap();
-        prop_assert_eq!(c.num_edges(), g.num_edges());
-        for u in 0..g.num_nodes() as u32 {
-            prop_assert_eq!(c.neighbors(u).unwrap(), g.neighbors(u).to_vec());
-            prop_assert_eq!(c.out_degree(u).unwrap(), g.out_degree(u));
-        }
-    }
-
-    #[test]
     fn io_edge_list_roundtrip(g in arb_graph()) {
         let mut buf = Vec::new();
         sr_graph::io::write_edge_list(&g, &mut buf).unwrap();
         let back = sr_graph::io::read_edge_list(&buf[..], Some(g.num_nodes())).unwrap();
         prop_assert_eq!(back, g);
-    }
-
-    #[test]
-    fn io_snapshot_roundtrip(g in arb_graph()) {
-        let mut buf = Vec::new();
-        sr_graph::io::write_snapshot(&g, &mut buf).unwrap();
-        let back = sr_graph::io::read_snapshot(&buf[..]).unwrap();
-        prop_assert_eq!(back, g);
-    }
-
-    #[test]
-    fn corrupted_snapshots_never_panic(g in arb_graph(), flip in 0usize..4096, val in any::<u8>()) {
-        // Robustness: an arbitrary single-byte corruption of a snapshot must
-        // yield Err or a (possibly different) graph — never a panic.
-        let mut buf = Vec::new();
-        sr_graph::io::write_snapshot(&g, &mut buf).unwrap();
-        let idx = flip % buf.len();
-        let mut bad = buf.clone();
-        bad[idx] = val;
-        let _ = sr_graph::io::read_snapshot(&bad[..]); // must not panic
-    }
-
-    #[test]
-    fn truncated_snapshots_never_panic(g in arb_graph(), cut in 0usize..4096) {
-        let mut buf = Vec::new();
-        sr_graph::io::write_snapshot(&g, &mut buf).unwrap();
-        let keep = cut % buf.len();
-        let _ = sr_graph::io::read_snapshot(&buf[..keep]); // must not panic
     }
 
     #[test]

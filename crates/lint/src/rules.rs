@@ -21,7 +21,7 @@
 //! | `numeric-cast` | no `as` casts into integer types narrower than 64 bits (`u8`/`u16`/`u32`/`i8`/`i16`/`i32`/`NodeId`) in `crates/*/src` — use `try_from` or the checked `sr_graph::ids::{node_id, node_range}` helpers. |
 //! | `float-order` | no `partial_cmp` on rank scores outside `reference`/test modules — NaN must order deterministically; use `total_cmp` or `sr_core::order::{cmp_desc_nan_last, cmp_asc_nan_last}` (the `.expect("finite scores")` panic bug class). |
 //! | `determinism` | no `Instant`/`SystemTime`/`HashMap`/`HashSet` outside the telemetry crates (`sr-bench`, `sr-obs`) — wall-clock reads and hash-iteration order undermine the bit-identical solve guarantees. Hash tokens inside `sr-par` closures are owned by `par-determinism`, which reports them with sharper scoping. |
-//! | `panic-policy` | no `unwrap`/`expect`/`panic!`/`unreachable!` in the `sr-graph::io` readers — corrupt input must surface as a typed `IoError`, never a crash. |
+//! | `panic-policy` | no `unwrap`/`expect`/`panic!`/`unreachable!` in the `sr-graph` reader paths — the `io` text readers and the segment container every binary file goes through: corrupt input must surface as a typed error, never a crash. |
 //! | `atomic-ordering` | see [`crate::conc`] — `Relaxed` is telemetry-only; publication-gating atomics must pair `Acquire`/`Release`. |
 //! | `lock-order` | see [`crate::conc`] — the workspace lock graph must stay acyclic. |
 //! | `par-determinism` | see [`crate::conc`] — no unordered hash iteration or captured accumulation inside `sr-par` closures. |
@@ -590,9 +590,13 @@ fn rule_determinism(ctx: &FileCtx<'_>, sink: &mut Sink) {
     }
 }
 
-/// `panic-policy`: the `sr-graph::io` readers return typed `IoError`s.
+/// The reader paths `panic-policy` covers: the text readers and the
+/// segment container behind every binary file.
+const PANIC_POLICY_PATHS: [&str; 2] = ["crates/graph/src/io.rs", "crates/graph/src/segment.rs"];
+
+/// `panic-policy`: the `sr-graph` readers return typed errors.
 fn rule_panic_policy(ctx: &FileCtx<'_>, sink: &mut Sink) {
-    if ctx.rel_path != "crates/graph/src/io.rs" {
+    if !PANIC_POLICY_PATHS.contains(&ctx.rel_path) {
         return;
     }
     let toks = &ctx.scanned.tokens;
@@ -614,9 +618,9 @@ fn rule_panic_policy(ctx: &FileCtx<'_>, sink: &mut Sink) {
             tok.line,
             "panic-policy",
             format!(
-                "`{}` in an sr-graph::io reader path: corrupt or truncated \
-                 input must surface as a typed `IoError`, never a panic \
-                 (see the io_robustness suite)",
+                "`{}` in an sr-graph reader path: corrupt or truncated input \
+                 must surface as a typed error, never a panic (see the \
+                 io_robustness and segment_container suites)",
                 tok.text
             ),
         );
@@ -695,12 +699,11 @@ mod tests {
     }
 
     #[test]
-    fn panic_policy_only_in_io() {
+    fn panic_policy_only_in_reader_paths() {
         let src = "fn f(x: Option<u8>) { x.unwrap(); }\n";
-        assert_eq!(
-            rules_hit("crates/graph/src/io.rs", src),
-            vec!["panic-policy"]
-        );
+        for path in PANIC_POLICY_PATHS {
+            assert_eq!(rules_hit(path, src), vec!["panic-policy"], "{path}");
+        }
         assert!(rules_hit("crates/graph/src/csr.rs", src).is_empty());
     }
 

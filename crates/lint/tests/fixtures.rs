@@ -61,10 +61,21 @@ fn panic_policy_fixtures() {
         "expected unwrap+expect+panic! findings, got {findings:?}"
     );
     assert!(findings.iter().all(|f| f.rule == "panic-policy"));
-    // Identical code outside the io module is out of the rule's scope.
+    // Identical code outside the reader paths is out of the rule's scope.
     assert_eq!(run("crates/graph/src/csr.rs", bad), [""; 0]);
     let ok = include_str!("fixtures/panic_policy_exempt.rs");
     assert_eq!(run("crates/graph/src/io.rs", ok), [""; 0]);
+    // The segment container every binary file goes through is in scope too.
+    let bad = include_str!("fixtures/panic_policy_segment_violation.rs");
+    let findings = lint_source("crates/graph/src/segment.rs", bad);
+    assert_eq!(
+        findings.len(),
+        3,
+        "unwrap+expect+unreachable!: {findings:?}"
+    );
+    assert!(findings.iter().all(|f| f.rule == "panic-policy"));
+    assert_eq!(run("crates/graph/src/shard.rs", bad), [""; 0]);
+    assert_eq!(run("crates/graph/src/segment.rs", ok), [""; 0]);
 }
 
 #[test]

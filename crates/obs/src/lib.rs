@@ -322,7 +322,8 @@ impl PackingStats {
     }
 }
 
-/// Compression figures of a `CompressedGraph` (see `sr-graph`).
+/// Compression figures of the `sr-graph` row codec (see
+/// `sr_graph::codec::compression_stats`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CompressionStats {
     /// Nodes encoded.

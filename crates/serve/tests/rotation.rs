@@ -37,7 +37,7 @@ fn tiny_walks(tag: &str) -> WalkStore {
     };
     let mut w = WalkFileWriter::create(&path, meta).unwrap();
     for _ in 0..PAGES {
-        w.write_segment(&[], &[]).unwrap();
+        w.write_source(&[], &[]).unwrap();
     }
     w.finish().unwrap()
 }

@@ -1,5 +1,5 @@
 //! Full production-style pipeline on a UK2002-like crawl:
-//! generate → extract source graph → compress for storage → derive the
+//! generate → extract source graph → measure the storage codec → derive the
 //! throttling vector by spam proximity → rank → report the top sources and
 //! solver diagnostics.
 //!
@@ -13,7 +13,6 @@ use std::time::Instant;
 
 use sourcerank::prelude::*;
 use sr_gen::Dataset;
-use sr_graph::compress::CompressedGraph;
 use sr_graph::source_graph::extract;
 
 fn main() {
@@ -29,14 +28,14 @@ fn main() {
         crawl.spam_sources.len()
     );
 
-    // WebGraph-style compressed storage of the page graph.
-    let compressed =
-        CompressedGraph::from_csr(&crawl.pages).expect("crawl gaps fit the varint encoding");
+    // The WebGraph-style row codec the on-disk shard files store.
+    let codec = sr_graph::codec::compression_stats(&crawl.pages)
+        .expect("crawl gaps fit the varint encoding");
     println!(
-        "[{:>8.1?}] compressed page graph: {:.2} bits/edge ({} KiB vs {} KiB CSR)",
+        "[{:>8.1?}] page graph codec: {:.2} bits/edge ({} KiB of rows vs {} KiB CSR)",
         t0.elapsed(),
-        compressed.bits_per_edge(),
-        compressed.heap_bytes() / 1024,
+        codec.bits_per_edge,
+        codec.data_bytes / 1024,
         crawl.pages.heap_bytes() / 1024,
     );
 

@@ -26,7 +26,9 @@ echo "==> sr-lint (syntax-aware policy gate + LINT_report.json)"
 # float-order (no partial_cmp on rank scores; use total_cmp or
 # sr_core::order), determinism (no wall-clock/HashMap-iteration outside
 # sr-obs/sr-bench), panic-policy (no unwrap/expect/panic! in the
-# sr-graph reader paths) — plus four syntax-aware concurrency rules —
+# sr-graph reader paths: the io text readers and the segment container
+# every binary file goes through) — plus four syntax-aware concurrency
+# rules —
 # atomic-ordering (Relaxed is reserved for sr-par::counters; publication
 # gates must pair Acquire/Release), lock-order (the workspace
 # lock-acquisition graph must stay acyclic), par-determinism (no hash
@@ -79,8 +81,8 @@ cargo test -q -p sr-core --test batch_differential
 
 echo "==> out-of-core smoke (tiny shards & pages: on-disk solve == CSR, bitwise)"
 # The sharded differential suite forces 1-byte shard targets and 16-byte
-# pages, so every seam of the paged reader and the shard-aligned partition
-# is exercised at tier-1 cost. Its geometry-matrix proptest
+# pages, so every seam of the paged reader and the shard-aligned spans is
+# exercised at tier-1 cost. Its geometry-matrix proptest
 # (pipeline_geometry_is_bitwise_invariant) sweeps the decode-ahead
 # pipeline's knobs — prefetch depth × span granularity × thread count ×
 # hot-span cache budget, including budgets that split one worker between
@@ -100,13 +102,23 @@ echo "==> approx-PPR differential suite (walk cache vs exact solver oracle)"
 # error vs the exact solve, bitwise determinism across thread counts,
 # exact agreement in the R=0 push-only limit, and cache rebuild-vs-reload
 # identity. The extsort/pager/rng suites cover the storage and randomness
-# layers the engine stands on; the walks:: unit tests are the small-R
-# walk-cache format smoke (round-trip, truncation, corruption, table).
+# layers the engine stands on.
 cargo test -q -p sr-core --test approx_differential
 cargo test -q -p sr-graph --test extsort_merge
 cargo test -q -p sr-graph --test pager_boundaries
-cargo test -q -p sr-graph --lib walks::
 cargo test -q -p sr-eval --test rng_audit
+
+echo "==> segment container suites (both binary schemas: shards and walk cache)"
+# Shard files and walk caches are two schemas over one segment container
+# (sr-graph's segment module): one envelope, one row walk, one typed
+# error. The corruption suite holds both schemas to "typed error or valid
+# decode, never a panic" on every proper prefix, every single-bit flip, a
+# damaged magic or wrong schema tag, and random bytes, plus the two
+# u32::MAX-degree regressions. The fault suite fails every positioned read
+# in turn (EIO and short reads) through open, validate, the chunk path
+# and the walk table; each fault must end in a typed I/O error.
+cargo test -q -p sr-graph --test segment_container corruption::
+cargo test -q -p sr-graph --test segment_container faults::
 
 echo "==> serving suites (loopback smoke, rotation races, batching determinism)"
 # The serving layer's three pinned guarantees: every wire command answers

@@ -10,10 +10,16 @@
 //! * a solve streamed off tiny on-disk shards ≡ the in-RAM CSR solve, bit
 //!   for bit;
 //! * incremental warm re-ranking ≡ a cold rebuild within `1e-12` at a
-//!   stopping tolerance of `1e-14`.
+//!   stopping tolerance of `1e-14`;
+//! * approximate PPR off a walk cache stays within its (ε, δ) additive
+//!   bound of the exact solve, and a rebuilt, a reopened and a from-bytes
+//!   cache answer bit-identically (so tier-1 writes and reads the
+//!   walk-cache file).
 
+use sr_core::approx::{ApproxPpr, QueryConfig, WalkCacheBuilder, WalkCacheConfig};
 use sr_core::operator::{Transition, UniformTransition, WeightedTransition};
 use sr_core::streamed::StreamedTransition;
+use sr_core::SpamProximity;
 use sr_core::{
     solve, ConvergenceCriteria, DanglingPolicy, Formulation, IncrementalConfig, IncrementalRanker,
     PageRank, RankVector, SolveColumn, SolveRequest, SolverWorkspace, SourceRank,
@@ -21,6 +27,8 @@ use sr_core::{
 };
 use sr_graph::delta::CrawlDelta;
 use sr_graph::source_graph::{extract, SourceGraphConfig};
+use sr_graph::transpose::transpose;
+use sr_graph::walks::WalkStore;
 use sr_graph::{CsrGraph, GraphBuilder, SourceAssignment, WeightedGraph};
 use sr_obs::RecordingObserver;
 
@@ -209,4 +217,101 @@ fn incremental_reranking_equals_a_cold_rebuild() {
             }
         }
     }
+}
+
+/// The approx suite's 60-node fixture: ring + chords + a dangling tail.
+fn walk_fixture() -> CsrGraph {
+    let n = 60u32;
+    let mut edges: Vec<(u32, u32)> = (0..n - 2).map(|v| (v, (v + 1) % (n - 2))).collect();
+    for v in 0..n - 2 {
+        if v % 3 == 0 {
+            edges.push((v, (v * 7 + 2) % (n - 2)));
+        }
+        if v % 5 == 1 {
+            edges.push((v, (v * 11 + 3) % (n - 2)));
+        }
+    }
+    edges.push((4, n - 2));
+    edges.push((n - 2, n - 1));
+    GraphBuilder::from_edges_exact(n as usize, edges).unwrap()
+}
+
+fn walk_path(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("sourcerank_walks_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(format!("{tag}.walks"))
+}
+
+#[test]
+fn approx_ppr_stays_within_its_epsilon_delta_bound() {
+    // Across independently seeded caches, the max-node additive error
+    // exceeds ε_tol = 0.02 in at most a δ = 0.1 share of trials.
+    let g = walk_fixture();
+    let prox = SpamProximity::new();
+    let exact = prox.scores_uniform(&g, &[0, 17]).unwrap();
+    let q = QueryConfig {
+        epsilon: 0.05,
+        max_rounds: 10_000,
+    };
+    let (trials, eps_tol, delta) = (40usize, 0.02f64, 0.1f64);
+    let mut violations = 0usize;
+    for t in 0..trials {
+        let config = WalkCacheConfig {
+            walks: 128,
+            seed: 0xC0FFEE + t as u64,
+            ..Default::default()
+        };
+        let cache = prox
+            .build_walk_cache(&g, config, &walk_path(&format!("delta_{t}")))
+            .unwrap();
+        let approx = prox
+            .approx(&g, cache)
+            .unwrap()
+            .scores(&[0, 17], &q)
+            .unwrap();
+        let max_err = approx
+            .scores()
+            .iter()
+            .zip(exact.scores())
+            .map(|(a, e)| (a - e).abs())
+            .fold(0.0f64, f64::max);
+        violations += usize::from(max_err > eps_tol);
+    }
+    assert!(
+        violations as f64 <= delta * trials as f64,
+        "ε_tol {eps_tol} violated in {violations}/{trials} trials"
+    );
+}
+
+#[test]
+fn walk_caches_round_trip_bitwise() {
+    // A cache rebuilt from scratch, one reopened from its file and one read
+    // from its bytes hold identical bytes and answer bit-identically.
+    let g = walk_fixture();
+    let rev = transpose(&g);
+    let config = WalkCacheConfig {
+        walks: 24,
+        ..Default::default()
+    };
+    let builder = WalkCacheBuilder::new(config);
+    drop(builder.build(&rev, &walk_path("first")).unwrap());
+    let rebuilt = builder.build(&rev, &walk_path("second")).unwrap();
+    let bytes = std::fs::read(walk_path("first")).unwrap();
+    assert_eq!(bytes, std::fs::read(walk_path("second")).unwrap());
+    let reopened = WalkStore::open(&walk_path("first")).unwrap();
+    let from_bytes = WalkStore::from_bytes(bytes).unwrap();
+    let score_bits = |cache: &WalkStore| -> Vec<u64> {
+        ApproxPpr::new(&rev, cache)
+            .unwrap()
+            .query(&[11, 29], &QueryConfig::default())
+            .unwrap()
+            .scores()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect()
+    };
+    let want = score_bits(&rebuilt);
+    assert_eq!(score_bits(&reopened), want);
+    assert_eq!(score_bits(&from_bytes), want);
+    reopened.validate().unwrap();
 }

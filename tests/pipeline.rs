@@ -4,9 +4,11 @@
 
 use sourcerank::prelude::*;
 use sr_core::hits::hits;
-use sr_core::{ConvergenceCriteria, SelfEdgePolicy, Solver, TrustRank};
+use sr_core::streamed::StreamedTransition;
+use sr_core::{ConvergenceCriteria, SelfEdgePolicy, Solver, SolverWorkspace, TrustRank};
 use sr_gen::{generate, CrawlConfig};
 use sr_graph::source_graph::extract;
+use sr_graph::transpose::transpose;
 
 fn crawl() -> sr_gen::SyntheticCrawl {
     generate(&CrawlConfig::tiny(77))
@@ -109,14 +111,23 @@ fn surrender_policy_rows_sum_to_one_minus_kappa() {
 
 #[test]
 fn compressed_page_graph_roundtrips_through_ranking() {
-    // Rankings computed from the decompressed graph must be identical.
+    // The page graph written as shard files decodes back to its reverse
+    // graph, and PageRank solved straight off the files has the same bits.
     let c = crawl();
-    let compressed = sr_graph::CompressedGraph::from_csr(&c.pages).unwrap();
-    let restored = compressed.to_csr().unwrap();
-    assert_eq!(restored, c.pages);
+    let dir = std::env::temp_dir().join(format!("sourcerank_pipeline_{}", std::process::id()));
+    let sharded =
+        sr_graph::shard::build_from_csr(&c.pages, &dir, &dir.join("pages.shards"), 512).unwrap();
+    assert!(sharded.shards().len() > 1);
+    assert_eq!(sharded.to_csr().unwrap(), transpose(&c.pages));
     let a = PageRank::default().rank(&c.pages);
-    let b = PageRank::default().rank(&restored);
+    let b = PageRank::default().rank_operator_warm_in(
+        &StreamedTransition::from_sharded(&sharded),
+        None,
+        &mut SolverWorkspace::new(),
+        None,
+    );
     assert_eq!(a.scores(), b.scores());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
