@@ -1,7 +1,7 @@
 //! Sparse transition operators: the `y = xP` kernel of every solver.
 //!
-//! Both operators are *pull-based*: they pre-compute the transpose so each
-//! output entry `y[v]` is a reduction over `v`'s predecessors. Pull-based
+//! Both operators are *pull-based*: they pack the transpose so each output
+//! entry `y[v]` is a reduction over `v`'s predecessors. Pull-based
 //! SpMV parallelizes without atomics (each `sr-par` worker owns a disjoint
 //! range of `y`) and is deterministic up to floating-point association.
 //!
@@ -19,6 +19,9 @@
 //!    structure, packed into a degree-run layout ([`sr_graph::SellRows`])
 //!    that removes the row loop's branch-misprediction and add-latency
 //!    stalls — see that module for why the plain CSR loop is ~4× slower.
+//!    The layout is packed straight from the forward CSR
+//!    ([`SellRows::from_transpose`]): no transposed CSR is ever built, and
+//!    the packed rows are the operator's only copy of the edges.
 //!
 //! Parallelism is driven over an [`EdgePartition`] — contiguous row chunks
 //! owning a near-equal number of **edges** — computed once at operator
@@ -30,9 +33,21 @@
 //! order, so the dangling mass is thread-count-invariant too: the whole
 //! `y = xP` application is a pure function of the graph and `x`.
 //!
+//! ## Multi-column panels
+//!
+//! A panel of width ≥ 2 runs the [`sr_graph::panel`] kernels, which read
+//! CSR rows in natural order, not the SELL layout. Each operator builds
+//! that CSR lazily — unpacked from its SELL rows on the first such panel,
+//! once, behind a [`OnceLock`] — so one-column callers (`PageRank::rank`,
+//! the incremental and serving engines, the proximity and SR-SourceRank
+//! solves) hold one copy of the edges, and a K ≥ 2 caller holds exactly
+//! one CSR more.
+//!
 //! The seed's unfused kernel is preserved verbatim in [`mod@reference`] — the
 //! parity tests pin the fused engine against it, and the kernel benchmark
 //! records both.
+
+use std::sync::OnceLock;
 
 use sr_graph::ids::node_range;
 use sr_graph::panel;
@@ -115,6 +130,21 @@ fn check_panel(n: usize, x: &[f64], y: &[f64], width: usize, dangling: &[f64]) {
     assert_eq!(dangling.len(), width);
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Panel-CSR builds run on this thread (unit tests only).
+    static PANEL_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts a panel-CSR build on the calling thread in unit tests, so they
+/// can check that racing first panels build the CSR once; a no-op
+/// otherwise.
+#[inline]
+fn note_panel_build() {
+    #[cfg(test)]
+    PANEL_BUILDS.with(|c| c.set(c.get() + 1));
+}
+
 /// Chunk count for an operator over `n` nodes: a single chunk below the
 /// sequential cutover (keeps small solves bit-identical to a plain loop),
 /// one chunk per worker thread above it.
@@ -128,19 +158,17 @@ pub(crate) fn operator_chunks(n: usize) -> usize {
 
 /// The classic PageRank operator: uniform transition `1/o(p)` along each
 /// hyperlink of a page graph (the matrix `M` of §2).
+///
+/// The operator keeps **one copy** of the graph's edges: its transposed
+/// SELL rows, packed straight from the forward CSR
+/// ([`SellRows::from_transpose`]). Multi-column panels read CSR rows
+/// instead (see [`sr_graph::panel`]); the operator builds the one CSR its
+/// panel kernel needs on the first panel of width ≥ 2 and keeps it, so a
+/// caller that only ever solves one column never holds a second copy.
 pub struct UniformTransition {
     /// Transposed adjacency, packed into degree runs per partition chunk:
     /// row `v` of the packed structure lists the predecessors of `v`.
     sell: SellRows,
-    /// Transposed adjacency in plain CSR order — the parallel panel (SpMM)
-    /// gather runs here in natural row order (see [`sr_graph::panel`]); the
-    /// SELL permutation only pays off for single-vector gathers.
-    rev: CsrGraph,
-    /// Forward adjacency — the serial panel path propagates by *scattering*
-    /// along forward edges instead of gathering along reverse ones, because
-    /// crawl ordering clusters forward targets (see
-    /// [`sr_graph::panel::scaled_scatter_panel_into`]).
-    fwd: CsrGraph,
     /// `1/out_degree` of every node in the *original* graph; 0 for dangling
     /// nodes, so the pre-scale pass needs no branch to zero their outflow.
     inv_degree: Vec<f64>,
@@ -149,6 +177,9 @@ pub struct UniformTransition {
     dangling_nodes: Vec<u32>,
     /// Edge-balanced chunks of the transposed rows, computed once.
     partition: EdgePartition,
+    /// The panel path's CSR, unpacked from `sell` on the first panel of
+    /// width ≥ 2 (see [`panel_rows`](UniformTransition::panel_rows)).
+    panel_rows: OnceLock<CsrGraph>,
 }
 
 impl UniformTransition {
@@ -165,23 +196,46 @@ impl UniformTransition {
                 }
             })
             .collect();
-        let dangling_nodes = graph.dangling_nodes();
-        let rev = transpose(graph);
-        let partition = EdgePartition::from_offsets(rev.offsets(), operator_chunks(n));
-        let sell = SellRows::build(rev.offsets(), rev.targets(), &partition);
+        let (sell, partition) = SellRows::from_transpose(graph, operator_chunks(n));
         UniformTransition {
             sell,
-            rev,
-            fwd: graph.clone(),
             inv_degree,
-            dangling_nodes,
+            dangling_nodes: graph.dangling_nodes(),
             partition,
+            panel_rows: OnceLock::new(),
         }
     }
 
     /// The cached edge-balanced partition the gather sweep runs over.
     pub fn partition(&self) -> &EdgePartition {
         &self.partition
+    }
+
+    /// Heap bytes the operator holds: the SELL rows, the per-node vectors
+    /// and — once a panel of width ≥ 2 has run — the panel CSR.
+    pub fn heap_bytes(&self) -> usize {
+        self.sell.heap_bytes()
+            + self.inv_degree.capacity() * std::mem::size_of::<f64>()
+            + self.dangling_nodes.capacity() * std::mem::size_of::<u32>()
+            + self.panel_rows.get().map_or(0, CsrGraph::heap_bytes)
+    }
+
+    /// The CSR the panel kernels read, built once on first use. A
+    /// one-chunk operator (the serial regime) gets the **forward** rows,
+    /// which it scatters along: crawl ordering clusters forward targets, so
+    /// the scattered traffic stays in cache. A multi-chunk operator gets
+    /// the reverse rows in natural order, which its workers gather over
+    /// disjoint output ranges. Both are unpacked from the SELL rows.
+    fn panel_rows(&self) -> &CsrGraph {
+        self.panel_rows.get_or_init(|| {
+            note_panel_build();
+            let rev = self.sell.unpack();
+            if self.partition.num_chunks() == 1 {
+                transpose(&rev)
+            } else {
+                rev
+            }
+        })
     }
 }
 
@@ -275,27 +329,22 @@ impl Transition for UniformTransition {
         // Pass 2: apply the transposed operator to the panel. The per-edge
         // `inv_degree` scale is fused into the sweep, which rounds
         // identically to a pre-scaled scratch panel — so no scratch panel
-        // (and no n·width scratch stream) exists at all. A single-chunk
-        // partition (the serial regime) scatters along *forward* edges,
-        // whose crawl-ordered targets keep the scattered traffic in cache; a
-        // multi-chunk partition gathers along reverse edges so each worker
-        // owns a disjoint output range. Both accumulate every destination in
+        // (and no n·width scratch stream) exists at all. The rows are the
+        // panel CSR, built on the first call. A single-chunk partition (the
+        // serial regime) scatters along *forward* edges, whose crawl-ordered
+        // targets keep the scattered traffic in cache; a multi-chunk
+        // partition gathers along reverse edges so each worker owns a
+        // disjoint output range. Both accumulate every destination in
         // ascending source order — the same bits either way.
         let inv = &self.inv_degree;
+        let rows = self.panel_rows();
         if self.partition.num_chunks() == 1 {
-            panel::scaled_scatter_panel_into(
-                self.fwd.offsets(),
-                self.fwd.targets(),
-                inv,
-                x,
-                width,
-                y,
-            );
+            panel::scaled_scatter_panel_into(rows.offsets(), rows.targets(), inv, x, width, y);
         } else {
             let bounds = self.partition.row_bounds();
             let panel_bounds = sr_par::scaled_bounds(bounds, width);
-            let offsets = self.rev.offsets();
-            let targets = self.rev.targets();
+            let offsets = rows.offsets();
+            let targets = rows.targets();
             sr_par::for_each_part(y, &panel_bounds, |i, out| {
                 panel::scaled_row_sums_panel_into(offsets, targets, inv, bounds[i], x, width, out);
             });
@@ -312,16 +361,13 @@ impl Transition for UniformTransition {
 /// [`crate::throttle::SelfEdgePolicy`], where a throttled source's mandated
 /// self-influence evaporates to teleport instead of recycling into its own
 /// score.
+///
+/// Like [`UniformTransition`], it keeps one copy of the edges (transposed
+/// SELL rows packed straight from the forward rows) and builds its panel
+/// CSR on the first panel of width ≥ 2.
 pub struct WeightedTransition {
     /// Transposed adjacency + weights, packed into degree runs.
     sell: SellRows,
-    /// Transposed adjacency + weights in plain CSR order — the parallel
-    /// panel (SpMM) gather runs here in natural row order (see
-    /// [`sr_graph::panel`]).
-    rev: WeightedGraph,
-    /// Forward adjacency + weights for the serial panel path's forward
-    /// scatter (see [`sr_graph::panel::weighted_scatter_panel_into`]).
-    fwd: WeightedGraph,
     /// Per-row mass deficit `max(0, 1 − row_sum)`; most entries are 0 for a
     /// stochastic matrix, 1 for an all-zero dangling row.
     deficit: Vec<f64>,
@@ -330,6 +376,10 @@ pub struct WeightedTransition {
     num_nodes: usize,
     /// Edge-balanced chunks of the transposed rows, computed once.
     partition: EdgePartition,
+    /// The panel path's weighted CSR, unpacked from `sell` on the first
+    /// panel of width ≥ 2: forward rows for a one-chunk operator, reverse
+    /// rows for a multi-chunk one (see [`UniformTransition`]'s).
+    panel_rows: OnceLock<WeightedGraph>,
 }
 
 impl WeightedTransition {
@@ -354,24 +404,42 @@ impl WeightedTransition {
                 has_deficit = true;
             }
         }
-        let rev = transpose_weighted(graph);
-        let partition = EdgePartition::from_offsets(rev.offsets(), operator_chunks(n));
-        let sell =
-            SellRows::build_weighted(rev.offsets(), rev.targets(), rev.weights(), &partition);
+        let (sell, partition) = SellRows::from_transpose_weighted(graph, operator_chunks(n));
         WeightedTransition {
             sell,
-            rev,
-            fwd: graph.clone(),
             deficit,
             has_deficit,
             num_nodes: n,
             partition,
+            panel_rows: OnceLock::new(),
         }
     }
 
     /// The cached edge-balanced partition the gather sweep runs over.
     pub fn partition(&self) -> &EdgePartition {
         &self.partition
+    }
+
+    /// Heap bytes the operator holds: the SELL rows and weights, the
+    /// deficit vector and — once a panel of width ≥ 2 has run — the panel
+    /// CSR.
+    pub fn heap_bytes(&self) -> usize {
+        self.sell.heap_bytes()
+            + self.deficit.capacity() * std::mem::size_of::<f64>()
+            + self.panel_rows.get().map_or(0, WeightedGraph::heap_bytes)
+    }
+
+    /// The weighted CSR the panel kernels read, built once on first use.
+    fn panel_rows(&self) -> &WeightedGraph {
+        self.panel_rows.get_or_init(|| {
+            note_panel_build();
+            let rev = self.sell.unpack_weighted();
+            if self.partition.num_chunks() == 1 {
+                transpose_weighted(&rev)
+            } else {
+                rev
+            }
+        })
     }
 }
 
@@ -457,11 +525,12 @@ impl Transition for WeightedTransition {
         }
         // Forward scatter when serial, reverse gather when parallel — same
         // bits either way (see the uniform operator's panel pass).
+        let rows = self.panel_rows();
         if self.partition.num_chunks() == 1 {
             panel::weighted_scatter_panel_into(
-                self.fwd.offsets(),
-                self.fwd.targets(),
-                self.fwd.weights(),
+                rows.offsets(),
+                rows.targets(),
+                rows.weights(),
                 x,
                 width,
                 y,
@@ -469,9 +538,9 @@ impl Transition for WeightedTransition {
         } else {
             let bounds = self.partition.row_bounds();
             let panel_bounds = sr_par::scaled_bounds(bounds, width);
-            let offsets = self.rev.offsets();
-            let targets = self.rev.targets();
-            let weights = self.rev.weights();
+            let offsets = rows.offsets();
+            let targets = rows.targets();
+            let weights = rows.weights();
             sr_par::for_each_part(y, &panel_bounds, |i, out| {
                 panel::weighted_row_sums_panel_into(
                     offsets, targets, weights, bounds[i], x, width, out,
@@ -764,5 +833,76 @@ mod tests {
         let op = UniformTransition::new(&g);
         assert_eq!(op.partition().num_rows(), 6);
         assert_eq!(op.partition().num_edges(), 4);
+    }
+
+    /// Runs `propagate_panel` at `width` from two threads released together
+    /// on one fresh operator; returns both panels and the panel-CSR builds
+    /// the two threads ran between them.
+    fn racing_panels(op: &dyn Transition, width: usize) -> (Vec<f64>, Vec<f64>, usize) {
+        let n = op.num_nodes();
+        let x: Vec<f64> = (0..n * width).map(|i| 1.0 / (i + 3) as f64).collect();
+        let start = std::sync::Barrier::new(2);
+        let run = || {
+            let (mut y, mut dangling) = (vec![0.0; n * width], vec![0.0; width]);
+            start.wait();
+            op.propagate_panel(&x, &mut y, width, &mut [], &mut dangling);
+            y.extend(dangling);
+            (y, PANEL_BUILDS.with(std::cell::Cell::get))
+        };
+        let ((a, built_a), (b, built_b)) = std::thread::scope(|s| {
+            let a = s.spawn(run);
+            let b = s.spawn(run);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        (a, b, built_a + built_b)
+    }
+
+    #[test]
+    fn racing_first_panels_build_the_panel_csr_once() {
+        let edges = |n: u32| -> Vec<(u32, u32)> {
+            (0..n)
+                .flat_map(|u| [(u, (u + 1) % n), (u, (u * 7 + 3) % n), (u, (u * 13) % n)])
+                .filter(|&(u, _)| u % 11 != 5)
+                .collect()
+        };
+        // One chunk (forward scatter) and, past the cutover, two chunks
+        // (reverse gather).
+        for (n, threads) in [(300u32, 1usize), (5000, 2)] {
+            let g = GraphBuilder::from_edges_exact(n as usize, edges(n)).unwrap();
+            let w = WeightedGraph::from_triples(
+                n as usize,
+                edges(n).into_iter().map(|(u, v)| (u, v, 0.3)).collect(),
+            );
+            let uniform = sr_par::with_threads(threads, || UniformTransition::new(&g));
+            let weighted = sr_par::with_threads(threads, || WeightedTransition::new(&w));
+            assert_eq!(uniform.partition().num_chunks(), threads);
+            assert_eq!(weighted.partition().num_chunks(), threads);
+            let ops: [(&dyn Transition, &dyn Fn() -> usize); 2] = [
+                (&uniform, &|| uniform.heap_bytes()),
+                (&weighted, &|| weighted.heap_bytes()),
+            ];
+            for (op, heap_bytes) in ops {
+                let before = heap_bytes();
+                let (a, b, builds) = racing_panels(op, 3);
+                assert_eq!(builds, 1, "n = {n}: the panel CSR must be built once");
+                assert!(heap_bytes() > before);
+                assert_eq!(
+                    a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "n = {n}: racing panels differ"
+                );
+                // Each column equals its one-vector propagation, bit for bit.
+                let n = n as usize;
+                let x: Vec<f64> = (0..n * 3).map(|i| 1.0 / (i + 3) as f64).collect();
+                for k in 0..3 {
+                    let col: Vec<f64> = (0..n).map(|u| x[u * 3 + k]).collect();
+                    let mut y = vec![0.0; n];
+                    let dm = op.propagate(&col, &mut y);
+                    let got: Vec<f64> = (0..n).map(|u| a[u * 3 + k]).collect();
+                    assert_eq!(got, y);
+                    assert_eq!(a[n * 3 + k].to_bits(), dm.to_bits());
+                }
+            }
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! Ranking vectors: scores plus the rank/percentile machinery the paper's
 //! evaluation (Figures 5–7) is phrased in.
 
+use std::cmp::Ordering;
+
 use sr_graph::ids::node_range;
 
 use crate::convergence::IterationStats;
@@ -56,10 +58,15 @@ impl RankVector {
     /// `partial_cmp(..).expect("scores are finite")` panicked here instead.
     pub fn sorted_desc(&self) -> Vec<u32> {
         let mut idx: Vec<u32> = node_range(self.scores.len()).collect();
-        idx.sort_by(|&a, &b| {
-            cmp_desc_nan_last(self.scores[a as usize], self.scores[b as usize]).then(a.cmp(&b))
-        });
+        idx.sort_unstable_by(self.rank_order());
         idx
+    }
+
+    /// The ranking's total order on node ids: descending score, NaN last,
+    /// then ascending id. Total, so unstable sorts and selects agree with a
+    /// stable sort.
+    fn rank_order(&self) -> impl Fn(&u32, &u32) -> Ordering + '_ {
+        |&a, &b| cmp_desc_nan_last(self.scores[a as usize], self.scores[b as usize]).then(a.cmp(&b))
     }
 
     /// 1-based rank position of every node (1 = highest score).
@@ -101,11 +108,18 @@ impl RankVector {
             .collect()
     }
 
-    /// The `k` top-scored node ids.
+    /// The `k` top-scored node ids, in [`sorted_desc`](RankVector::sorted_desc)
+    /// order: a partial select finds the `k` best in linear time, and only
+    /// those `k` are sorted.
     pub fn top_k(&self, k: usize) -> Vec<u32> {
-        let mut order = self.sorted_desc();
-        order.truncate(k);
-        order
+        let order = self.rank_order();
+        let mut idx: Vec<u32> = node_range(self.scores.len()).collect();
+        if k < idx.len() {
+            idx.select_nth_unstable_by(k, &order);
+            idx.truncate(k);
+        }
+        idx.sort_unstable_by(order);
+        idx
     }
 }
 

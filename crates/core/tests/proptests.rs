@@ -8,8 +8,8 @@ use sr_core::operator::{Transition, UniformTransition, WeightedTransition};
 use sr_core::power::reference::power_method_unfused;
 use sr_core::throttle::{self, SelfEdgePolicy};
 use sr_core::{
-    solve, ConvergenceCriteria, PageRank, RankVector, SolveColumn, SolveRequest, SolverWorkspace,
-    Teleport, ThrottleVector,
+    solve, ConvergenceCriteria, IterationStats, PageRank, RankVector, SolveColumn, SolveRequest,
+    SolverWorkspace, Teleport, ThrottleVector,
 };
 use sr_graph::{CsrGraph, GraphBuilder, WeightedGraph};
 
@@ -238,5 +238,24 @@ proptest! {
         // Ranks sum to n(n+1)/2 regardless of ties.
         let n = a.len() as f64;
         prop_assert!((r.iter().sum::<f64>() - n * (n + 1.0) / 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn top_k_is_the_head_of_the_full_order(picks in proptest::collection::vec(0usize..8, 0..60)) {
+        // Scores drawn from a small pool, so ties, NaN and both zeros recur.
+        const POOL: [f64; 8] = [f64::NAN, -0.0, 0.0, 0.25, 0.25, 1.0, -1.0, f64::INFINITY];
+        let scores: Vec<f64> = picks.iter().map(|&i| POOL[i]).collect();
+        let n = scores.len();
+        let stats = IterationStats {
+            iterations: 0,
+            final_residual: 0.0,
+            converged: true,
+            residual_history: Vec::new(),
+        };
+        let v = RankVector::new(scores, stats);
+        let full = v.sorted_desc();
+        for k in [0, 1, n.saturating_sub(1), n, n + 5] {
+            prop_assert_eq!(v.top_k(k), &full[..k.min(n)], "k = {}", k);
+        }
     }
 }

@@ -134,9 +134,12 @@ pub fn encode_row(
 /// gaps decode in a tight loop, and the two streams are merged with a
 /// single two-pointer pass.
 ///
-/// Malformed input — truncation, a varint overflow, inconsistent
-/// interval/degree counts — yields [`GraphError::CorruptCompressedStream`],
-/// never a panic; `out` may hold a partial row after an error.
+/// Every row it accepts is **strictly ascending**: residual gaps and
+/// interval descriptors are ascending by construction, and the merge
+/// rejects a residual that falls inside an interval. Malformed input —
+/// truncation, a varint overflow, inconsistent interval/degree counts, an
+/// overlap — yields [`GraphError::CorruptCompressedStream`], never a panic;
+/// `out` may hold a partial row after an error.
 #[inline]
 pub fn decode_row_into(
     node: NodeId,
@@ -229,6 +232,11 @@ pub fn decode_row_into(
         }
         // `start + len - 1` was overflow-checked when the descriptor parsed.
         let end = start + node_id(len) - 1;
+        // The one overlap test: a residual inside this interval would break
+        // the strictly ascending order the encoder always produces.
+        if residuals.get(ri).is_some_and(|&r| r <= end) {
+            return Err(corrupt());
+        }
         out.extend(start..=end);
     }
     out.extend_from_slice(&residuals[ri..]);
@@ -318,6 +326,30 @@ mod tests {
         let mut pos = 0;
         decode_row_into(0, &buf, &mut pos, &mut scratch, &mut out).unwrap();
         assert_eq!(out, vec![77, 3, 9]);
+    }
+
+    #[test]
+    fn residual_inside_an_interval_is_typed_error() {
+        // Row 0 = the interval 10..=13 plus one residual: at 12 or 13 it
+        // overlaps the interval (no encoder writes that), at 9 or 14 the
+        // row decodes strictly ascending.
+        for (residual, ok) in [(12i64, false), (13, false), (9, true), (14, true)] {
+            let mut buf = Vec::new();
+            for v in [5, 1, varint::zigzag(10), 0, varint::zigzag(residual)] {
+                varint::write_u32(&mut buf, v);
+            }
+            let mut out = Vec::new();
+            let res = decode_row_into(0, &buf, &mut 0, &mut CodecScratch::new(), &mut out);
+            if ok {
+                res.unwrap();
+                assert!(out.windows(2).all(|w| w[0] < w[1]), "{out:?}");
+            } else {
+                assert!(
+                    matches!(res, Err(GraphError::CorruptCompressedStream { node: 0 })),
+                    "residual {residual}: {res:?}"
+                );
+            }
+        }
     }
 
     #[test]

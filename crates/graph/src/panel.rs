@@ -8,8 +8,14 @@
 //! instruction-level parallelism *across* rows (one serial add chain per
 //! row), but a panel row already carries K independent accumulator chains in
 //! registers, so the lane-interleaved index walk and its order-permuted
-//! output scatter only cost locality. On the kernel-bench crawl the
-//! natural-order gather is ~1.8× the packed panel gather at K = 8.
+//! output scatter only cost locality. Measured at one thread (best of 7
+//! sweeps, 2-core x86-64 host, K = 2–8), the natural-order gather runs
+//! 1.4–2.7× faster than a degree-ordered packed panel gather on 1M-page
+//! generated crawls (seeds 7 and 11); on the 60k-page kernel-bench crawl,
+//! whose narrow panels fit in cache, the two trade places (0.6–1.5×). The
+//! in-RAM operators therefore build the CSR these kernels read — once, on
+//! their first multi-column panel — by unpacking their SELL rows
+//! ([`crate::SellRows::unpack`]).
 //!
 //! Both kernels fuse a per-edge scale into the gather (`1/out-degree` for
 //! the uniform operator, the edge weight for weighted ones), which removes
@@ -153,10 +159,12 @@ fn weighted_impl<const K: usize>(
 /// panel rows; the scatter streams the input and read-modify-writes
 /// scattered output rows. On crawl-ordered graphs the *forward* targets are
 /// the clustered direction, so the scatter's scattered traffic hits cache
-/// where the reverse gather's misses — on the kernel-bench crawl it is ~1.3×
-/// the reverse gather at K = 8. It is inherently serial (output rows are
-/// shared between source rows), so operators use it for single-chunk
-/// partitions and keep the chunked gather for parallel ones.
+/// where the reverse gather's misses. Measured at one thread (best of 7
+/// sweeps, 2-core x86-64 host, K = 2–8) it runs 1.1–2.0× faster than the
+/// reverse gather on the 60k-page kernel-bench crawl and 1.0–1.8× on
+/// 1M-page generated crawls (seeds 7 and 11). It is inherently serial
+/// (output rows are shared between source rows), so operators use it for
+/// single-chunk partitions and keep the chunked gather for parallel ones.
 ///
 /// **Bit-identity:** destination `v` accumulates contributions in ascending
 /// `u` (the forward traversal order), starting from `+0.0`. That is the

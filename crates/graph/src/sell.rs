@@ -24,13 +24,34 @@
 //! Each row's partial sums still accumulate in ascending column order with a
 //! single accumulator per row, so every row sum is **bit-identical** to the
 //! naive CSR loop — reordering happens across rows, never within one. The
-//! layout is built once per operator (it is a pure permutation of the CSR
-//! arrays) and reused by every solver iteration.
+//! layout is built once per operator and reused by every solver iteration.
+//!
+//! ## Two builders, one planner
+//!
+//! Both builders share one layout planner (per-chunk stable degree sort,
+//! equal-degree runs, lane groups) and differ only in how they fill it:
+//!
+//! * [`SellRows::from_transpose`] packs the **transpose of a forward CSR**
+//!   straight into the layout — the in-RAM operators' path. One in-degree
+//!   count sizes the rows and the edge partition, then one scatter of the
+//!   forward edges in ascending source order lands each edge in its packed
+//!   slot. Every row therefore lists its sources in ascending order, exactly
+//!   as [`crate::transpose::transpose`] would, and the result equals
+//!   [`SellRows::build`] over that transpose (`==`) without the transpose
+//!   ever existing: the operator keeps one copy of the edges.
+//! * [`SellRows::build`] packs a CSR structure it is handed — the
+//!   out-of-core engine's decoded hot spans.
+//!
+//! [`SellRows::unpack`] inverts the packing back to natural-order CSR rows,
+//! for the batched panel kernels ([`crate::panel`]) that read CSR.
 
 use std::ops::Range;
 
-use crate::ids::node_id;
+use crate::csr::CsrGraph;
+use crate::ids::{node_id, node_range};
 use crate::partition::EdgePartition;
+use crate::transpose::checked_bucket_starts;
+use crate::weighted::WeightedGraph;
 
 /// Rows per interleaved group. Four lanes saturate the FP-add ports of
 /// current x86-64 cores while keeping the remainder loops short.
@@ -66,6 +87,71 @@ pub struct SellRows {
     weights: Vec<f64>,
 }
 
+/// The shared layout planner: orders each chunk's rows by `degree` (stably,
+/// so equal-degree rows keep ascending id order and the scattered `y`
+/// stores stay near-sequential inside a run), cuts the equal-degree runs
+/// and places each run in the packed array. Returns the layout with
+/// `packed` and `weights` still empty, and the packed length it planned.
+fn plan(partition: &EdgePartition, degree: impl Fn(usize) -> u32) -> (SellRows, usize) {
+    let mut order: Vec<u32> = Vec::with_capacity(partition.num_rows());
+    let mut runs: Vec<SellRun> = Vec::new();
+    let mut chunk_runs: Vec<usize> = Vec::with_capacity(partition.num_chunks() + 1);
+    let mut packed_len = 0usize;
+    chunk_runs.push(0);
+    for chunk in partition.chunks() {
+        let base = order.len();
+        order.extend(chunk.map(node_id));
+        order[base..].sort_by_key(|&v| degree(v as usize));
+        let mut s = base;
+        while s < order.len() {
+            let d = degree(order[s] as usize);
+            let mut e = s + 1;
+            while e < order.len() && degree(order[e] as usize) == d {
+                e += 1;
+            }
+            runs.push(SellRun {
+                degree: d,
+                rows: s..e,
+                packed_start: packed_len,
+            });
+            packed_len += (e - s) * d as usize;
+            s = e;
+        }
+        chunk_runs.push(runs.len());
+    }
+    let sell = SellRows {
+        order,
+        runs,
+        chunk_runs,
+        packed: Vec::new(),
+        weights: Vec::new(),
+    };
+    (sell, packed_len)
+}
+
+/// The planner's lane groups: calls `f(v, start, stride)` for every
+/// row `v`, whose `j`-th entry lives at `packed[start + j * stride]` —
+/// stride [`SELL_LANES`] inside a full lane group, 1 for a run's trailing
+/// rows. A zero-degree row's `start` may equal the packed length; it is
+/// never an index then.
+fn for_each_slot(order: &[u32], runs: &[SellRun], mut f: impl FnMut(usize, usize, usize)) {
+    for run in runs {
+        let d = run.degree as usize;
+        let mut p = run.packed_start;
+        let mut groups = order[run.rows.clone()].chunks_exact(SELL_LANES);
+        for group in groups.by_ref() {
+            for (lane, &v) in group.iter().enumerate() {
+                f(v as usize, p + lane, SELL_LANES);
+            }
+            p += SELL_LANES * d;
+        }
+        for &v in groups.remainder() {
+            f(v as usize, p, 1);
+            p += d;
+        }
+    }
+}
+
 impl SellRows {
     /// Packs an unweighted CSR structure over the chunks of `partition`.
     ///
@@ -98,10 +184,9 @@ impl SellRows {
         weights: Option<&[f64]>,
         partition: &EdgePartition,
     ) -> Self {
-        let num_rows = offsets.len() - 1;
         assert_eq!(
             partition.num_rows(),
-            num_rows,
+            offsets.len() - 1,
             "partition must cover the offsets"
         );
         assert_eq!(
@@ -109,69 +194,143 @@ impl SellRows {
             targets.len(),
             "offsets/targets mismatch"
         );
-        let degree = |v: u32| node_id(offsets[v as usize + 1] - offsets[v as usize]);
-
-        let mut order: Vec<u32> = Vec::with_capacity(num_rows);
-        let mut runs: Vec<SellRun> = Vec::new();
-        let mut chunk_runs: Vec<usize> = Vec::with_capacity(partition.num_chunks() + 1);
-        let mut packed: Vec<u32> = Vec::with_capacity(targets.len());
-        let mut packed_weights: Vec<f64> = Vec::with_capacity(weights.map_or(0, |w| w.len()));
-
-        chunk_runs.push(0);
-        for chunk in partition.chunks() {
-            let base = order.len();
-            order.extend(chunk.clone().map(node_id));
-            // Stable: equal-degree rows keep ascending id order, which keeps
-            // the scattered `y` stores near-sequential inside a run.
-            order[base..].sort_by_key(|&v| degree(v));
-
-            let mut s = base;
-            while s < order.len() {
-                let d = degree(order[s]);
-                let mut e = s + 1;
-                while e < order.len() && degree(order[e]) == d {
-                    e += 1;
-                }
-                let packed_start = packed.len();
-                let rows = &order[s..e];
-                let mut groups = rows.chunks_exact(SELL_LANES);
-                for group in groups.by_ref() {
-                    for j in 0..d as usize {
-                        for &v in group {
-                            let k = offsets[v as usize] + j;
-                            packed.push(targets[k]);
-                            if let Some(w) = weights {
-                                packed_weights.push(w[k]);
-                            }
-                        }
-                    }
-                }
-                for &v in groups.remainder() {
-                    let row = offsets[v as usize]..offsets[v as usize + 1];
-                    packed.extend_from_slice(&targets[row.clone()]);
-                    if let Some(w) = weights {
-                        packed_weights.extend_from_slice(&w[row]);
-                    }
-                }
-                runs.push(SellRun {
-                    degree: d,
-                    rows: s..e,
-                    packed_start,
-                });
-                s = e;
-            }
-            chunk_runs.push(runs.len());
-        }
+        let (mut sell, packed_len) = plan(partition, |v| node_id(offsets[v + 1] - offsets[v]));
         // Every edge must land in the packed layout exactly once — a
         // mismatch means silently dropped or duplicated edges in release.
-        assert_eq!(packed.len(), targets.len());
-        SellRows {
-            order,
-            runs,
-            chunk_runs,
-            packed,
-            weights: packed_weights,
+        assert_eq!(packed_len, targets.len());
+        let mut packed = vec![0; packed_len];
+        let mut packed_weights = vec![0.0; weights.map_or(0, <[f64]>::len)];
+        for_each_slot(&sell.order, &sell.runs, |v, start, stride| {
+            for (j, k) in (offsets[v]..offsets[v + 1]).enumerate() {
+                packed[start + j * stride] = targets[k];
+                if let Some(w) = weights {
+                    packed_weights[start + j * stride] = w[k];
+                }
+            }
+        });
+        sell.packed = packed;
+        sell.weights = packed_weights;
+        sell
+    }
+
+    /// Packs the **transpose** of `g` — row `v` lists the sources of `v`'s
+    /// in-edges, ascending — over an edge-balanced partition of at most
+    /// `max_chunks` chunks of the transposed rows. Equal (`==`) to
+    /// [`build`](SellRows::build) over [`crate::transpose::transpose`]`(g)`
+    /// and its `EdgePartition::from_offsets(.., max_chunks)`, without
+    /// materialising the transpose: one in-degree count, then one scatter
+    /// of the forward edges in ascending source order.
+    ///
+    /// # Panics
+    /// Panics if `max_chunks == 0`.
+    pub fn from_transpose(g: &CsrGraph, max_chunks: usize) -> (Self, EdgePartition) {
+        Self::from_transpose_impl(g.offsets(), g.targets(), None, max_chunks)
+    }
+
+    /// Weighted form of [`from_transpose`](SellRows::from_transpose): each
+    /// edge weight travels with its edge, equal to
+    /// [`build_weighted`](SellRows::build_weighted) over
+    /// [`crate::transpose::transpose_weighted`]`(g)`.
+    ///
+    /// # Panics
+    /// Panics if `max_chunks == 0`.
+    pub fn from_transpose_weighted(g: &WeightedGraph, max_chunks: usize) -> (Self, EdgePartition) {
+        Self::from_transpose_impl(g.offsets(), g.targets(), Some(g.weights()), max_chunks)
+    }
+
+    fn from_transpose_impl(
+        offsets: &[usize],
+        targets: &[u32],
+        weights: Option<&[f64]>,
+        max_chunks: usize,
+    ) -> (Self, EdgePartition) {
+        let n = offsets.len() - 1;
+        // The in-degree count: the transposed offsets, which partition and
+        // plan the transposed rows.
+        let mut cursor = checked_bucket_starts(n, targets);
+        let partition = EdgePartition::from_offsets(&cursor, max_chunks);
+        let (mut sell, packed_len) = plan(&partition, |v| node_id(cursor[v + 1] - cursor[v]));
+        // Planned, the offsets turn into per-row write cursors: row `v`'s
+        // next slot and the step to the one after it.
+        let mut stride = vec![0u8; n];
+        for_each_slot(&sell.order, &sell.runs, |v, start, step| {
+            cursor[v] = start;
+            stride[v] = u8::try_from(step).expect("a slot stride is 1 or SELL_LANES");
+        });
+        // The scatter: forward rows in ascending source order, so each
+        // transposed row fills in ascending source order.
+        let mut packed = vec![0; packed_len];
+        let mut packed_weights = vec![0.0; weights.map_or(0, <[f64]>::len)];
+        for (u, row) in node_range(n).zip(offsets.windows(2)) {
+            for k in row[0]..row[1] {
+                let v = targets[k] as usize;
+                let slot = cursor[v];
+                packed[slot] = u;
+                if let Some(w) = weights {
+                    packed_weights[slot] = w[k];
+                }
+                cursor[v] = slot + usize::from(stride[v]);
+            }
         }
+        sell.packed = packed;
+        sell.weights = packed_weights;
+        (sell, partition)
+    }
+
+    /// The packed rows back in natural row order: row `v` of the result is
+    /// row `v` of the structure that was packed.
+    ///
+    /// # Panics
+    /// Panics if a row is not strictly ascending or names a column outside
+    /// `0..num_rows` (never for a layout packed from a [`CsrGraph`] or by
+    /// [`from_transpose`](SellRows::from_transpose)).
+    pub fn unpack(&self) -> CsrGraph {
+        let offsets = self.natural_offsets();
+        let targets = self.unpack_edges(&self.packed, &offsets);
+        CsrGraph::from_parts(offsets, targets)
+    }
+
+    /// Weighted form of [`unpack`](SellRows::unpack).
+    ///
+    /// # Panics
+    /// Panics as [`unpack`](SellRows::unpack) does, or if the layout was
+    /// built without weights (and has any edges).
+    pub fn unpack_weighted(&self) -> WeightedGraph {
+        assert_eq!(
+            self.weights.len(),
+            self.packed.len(),
+            "layout built without weights"
+        );
+        let offsets = self.natural_offsets();
+        let targets = self.unpack_edges(&self.packed, &offsets);
+        let weights = self.unpack_edges(&self.weights, &offsets);
+        WeightedGraph::from_parts(offsets, targets, weights)
+    }
+
+    /// CSR offsets of the packed rows in natural row order.
+    fn natural_offsets(&self) -> Vec<usize> {
+        let mut offsets = vec![0usize; self.order.len() + 1];
+        for run in &self.runs {
+            for &v in &self.order[run.rows.clone()] {
+                offsets[v as usize + 1] = run.degree as usize;
+            }
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        offsets
+    }
+
+    /// Permutes a per-edge array from packed order back to natural row
+    /// order under `offsets`.
+    fn unpack_edges<T: Copy + Default>(&self, packed: &[T], offsets: &[usize]) -> Vec<T> {
+        let mut out = vec![T::default(); packed.len()];
+        for_each_slot(&self.order, &self.runs, |v, start, stride| {
+            for (j, k) in (offsets[v]..offsets[v + 1]).enumerate() {
+                out[k] = packed[start + j * stride];
+            }
+        });
+        out
     }
 
     /// Number of partition chunks the layout was built over.

@@ -123,7 +123,11 @@ impl ShardedCompressedGraph {
     }
 
     /// Decodes one shard row's payload — a codec row and nothing after it
-    /// — appending its sources to `out`.
+    /// — appending its sources to `out`. Both readers (the row walk and
+    /// the pipelined chunk decode) go through here, so every row either is
+    /// in range or fails typed: the codec hands back strictly ascending
+    /// ids, so one compare of the row's last id against `num_nodes` checks
+    /// them all.
     #[inline]
     fn decode_row(
         &self,
@@ -132,12 +136,19 @@ impl ShardedCompressedGraph {
         codec: &mut CodecScratch,
         out: &mut Vec<NodeId>,
     ) -> Result<(), GraphError> {
+        let before = out.len();
         let tail = segment::decode_head(row, payload, codec, out)?;
         if !tail.is_empty() {
             return Err(self.file.corrupt(format!(
                 "row {row}: {} bytes past its codec row",
                 tail.len()
             )));
+        }
+        if out[before..]
+            .last()
+            .is_some_and(|&t| t as usize >= self.num_nodes())
+        {
+            return Err(self.file.corrupt(format!("row {row}: source out of range")));
         }
         Ok(())
     }
@@ -159,9 +170,10 @@ impl ShardedCompressedGraph {
     }
 
     /// Block-decodes a loaded span into `arena` (the pipeline's compute
-    /// stage): every row's length prefix, degree, byte coverage and the
-    /// span edge count are validated, so corruption surfaces as a typed
-    /// error from inside the pipeline — never a panic.
+    /// stage): every row's length prefix, degree, id order and range, byte
+    /// coverage and the span edge count are validated, so corruption
+    /// surfaces as a typed error from inside the pipeline — never a panic
+    /// or an out-of-range gather.
     pub fn decode_chunk(
         &self,
         span: &ChunkSpan,
@@ -207,15 +219,14 @@ impl SolveGraph for ShardedCompressedGraph {
         self.num_edges
     }
 
-    /// Streams decoded rows, rejecting any row that is not ascending and
-    /// in range — every consumer may index by the ids it is handed.
+    /// Streams decoded rows; every row is ascending and in range (see
+    /// `decode_row`), so every consumer may index by the ids it is handed.
     fn stream_rows(
         &self,
         rows: Range<usize>,
         scratch: &mut RowScratch,
         f: &mut dyn FnMut(usize, &[NodeId]),
     ) -> Result<(), GraphError> {
-        let n = self.num_nodes();
         let RowScratch {
             targets,
             codec,
@@ -224,12 +235,6 @@ impl SolveGraph for ShardedCompressedGraph {
         self.file.for_each_row(rows, page, |row, payload| {
             targets.clear();
             self.decode_row(row, payload, codec, targets)?;
-            let ascending = targets.windows(2).all(|w| w[0] < w[1]);
-            if !ascending || targets.iter().any(|&t| t as usize >= n) {
-                return Err(self
-                    .file
-                    .corrupt(format!("row {row}: sources not ascending or out of range")));
-            }
             f(row, targets);
             Ok(())
         })

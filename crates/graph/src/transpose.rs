@@ -15,7 +15,7 @@ use crate::weighted::WeightedGraph;
 ///
 /// # Panics
 /// Panics when the running total overflows `usize`.
-fn checked_bucket_starts(n: usize, targets: &[NodeId]) -> Vec<usize> {
+pub(crate) fn checked_bucket_starts(n: usize, targets: &[NodeId]) -> Vec<usize> {
     let mut offsets = vec![0usize; n + 1];
     for &t in targets {
         offsets[t as usize + 1] += 1;

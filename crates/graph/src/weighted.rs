@@ -157,6 +157,13 @@ impl WeightedGraph {
         &self.weights
     }
 
+    /// Approximate heap footprint in bytes (offsets + targets + weights).
+    pub fn heap_bytes(&self) -> usize {
+        self.offsets.len() * std::mem::size_of::<usize>()
+            + self.targets.len() * std::mem::size_of::<NodeId>()
+            + self.weights.len() * std::mem::size_of::<f64>()
+    }
+
     /// Iterates `(src, dst, weight)` over all edges.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
         node_range(self.num_nodes()).flat_map(move |u| {

@@ -8,7 +8,7 @@ use sr_graph::transpose::{transpose, transpose_weighted};
 use sr_graph::traversal::{bfs_distances, UNREACHABLE};
 use sr_graph::varint;
 use sr_graph::wcc::weakly_connected_components;
-use sr_graph::{CsrGraph, EdgePartition, GraphBuilder, SellRows, SourceAssignment};
+use sr_graph::{CsrGraph, EdgePartition, GraphBuilder, SellRows, SourceAssignment, WeightedGraph};
 
 /// Distinguishes temp dirs across concurrently running proptest cases.
 static CASE_COUNTER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -20,8 +20,79 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
     })
 }
 
+/// The fused transpose packing against `build` over the materialised
+/// transpose at `chunks` chunks — layout and partition equal (`==`), weighted
+/// and not — plus the unpack ∘ pack round trips.
+fn check_fused_packing(g: &CsrGraph, chunks: usize) {
+    let t = transpose(g);
+    let p = EdgePartition::from_offsets(t.offsets(), chunks);
+    let (sell, fused_p) = SellRows::from_transpose(g, chunks);
+    assert_eq!(fused_p.row_bounds(), p.row_bounds());
+    assert_eq!(fused_p, p);
+    assert_eq!(sell, SellRows::build(t.offsets(), t.targets(), &p));
+    assert_eq!(sell.unpack(), t);
+
+    // Distinct weights, so equality checks where each weight lands.
+    let weights: Vec<f64> = (0..g.num_edges()).map(|k| 0.5 + k as f64).collect();
+    let w = WeightedGraph::from_parts(g.offsets().to_vec(), g.targets().to_vec(), weights);
+    let tw = transpose_weighted(&w);
+    let (sell_w, fused_pw) = SellRows::from_transpose_weighted(&w, chunks);
+    assert_eq!(fused_pw.row_bounds(), p.row_bounds());
+    assert_eq!(fused_pw, p);
+    assert_eq!(
+        sell_w,
+        SellRows::build_weighted(tw.offsets(), tw.targets(), tw.weights(), &p)
+    );
+    assert_eq!(sell_w.unpack_weighted(), tw);
+
+    // unpack ∘ build over the forward rows themselves.
+    let pf = EdgePartition::from_offsets(g.offsets(), chunks);
+    assert_eq!(SellRows::build(g.offsets(), g.targets(), &pf).unpack(), *g);
+}
+
+#[test]
+fn fused_transpose_packing_edge_cases() {
+    let graph =
+        |n: usize, edges: Vec<(u32, u32)>| GraphBuilder::from_edges_exact(n, edges).unwrap();
+    let shapes = [
+        // The empty graph.
+        CsrGraph::empty(0),
+        // All dangling: nine zero-degree rows, two lane groups of them.
+        CsrGraph::empty(9),
+        // Self-loops on every node, some nodes with one more edge.
+        graph(
+            10,
+            (0..10)
+                .map(|u| (u, u))
+                .chain([(2, 7), (9, 0), (4, 5)])
+                .collect(),
+        ),
+        // Every node links to node 0 only: one hub row, and past the first
+        // chunk lane groups of zero-degree rows starting at the packed end.
+        graph(11, (0..11).map(|u| (u, 0)).collect()),
+        // Two 4-cliques with self-loops: each chunk is one full lane group
+        // of degree-4 rows, the last of which ends the packed array.
+        graph(
+            8,
+            (0..8u32)
+                .flat_map(|u| (0..4).map(move |j| (u, u / 4 * 4 + j)))
+                .collect(),
+        ),
+    ];
+    for g in &shapes {
+        for chunks in 1..=4 {
+            check_fused_packing(g, chunks);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn fused_transpose_packing_equals_build(g in arb_graph(), chunks in 1usize..=4) {
+        check_fused_packing(&g, chunks);
+    }
 
     #[test]
     fn varint_roundtrip(values in proptest::collection::vec(any::<u32>(), 0..100)) {

@@ -325,6 +325,36 @@ mod corruption {
         );
     }
 
+    /// A shard image whose last row names source `num_nodes`: the pipelined
+    /// chunk decode must reject it typed, as the row walk does, before a
+    /// gather can index past the iterate.
+    #[test]
+    fn chunk_row_naming_source_num_nodes_is_a_typed_error() {
+        // Node 5's only in-edge is its self-loop, so the image ends with
+        // row 5's codec row [degree 1, no intervals, zigzag(5 - 5) = 0].
+        let g = GraphBuilder::from_edges_exact(6, vec![(0, 1), (1, 2), (2, 0), (3, 4), (5, 5)])
+            .unwrap();
+        let mut bytes = shard_image(&g, 64);
+        assert_eq!(bytes[bytes.len() - 3..], [1, 0, 0]);
+        // zigzag(+1) = 2: the row now names source 6 = num_nodes.
+        *bytes.last_mut().unwrap() = 2;
+        let shards = ShardedCompressedGraph::from_bytes(bytes).unwrap();
+        let spans = shards.chunk_spans(1).unwrap();
+        let last = spans.last().unwrap();
+        assert_eq!(last.rows.end, 6);
+        let (mut buf, mut arena) = (Vec::new(), ChunkArena::new());
+        shards.load_chunk(last, &mut buf).unwrap();
+        let res = shards.decode_chunk(last, &buf, &mut arena);
+        assert!(
+            matches!(res, Err(GraphError::CorruptContainer { ref message }) if message.contains("row 5")),
+            "{res:?}"
+        );
+        assert!(matches!(
+            shards.validate(),
+            Err(GraphError::CorruptContainer { .. })
+        ));
+    }
+
     /// A walk row whose degree varint is overwritten in place with `u32::MAX`:
     /// the envelope still opens, and both `validate` and the table decode —
     /// which pre-sizes its arrays — must fail typed instead of allocating.

@@ -79,6 +79,20 @@ echo "==> multi-column solve differential suite (K-column == one-column requests
 # this and the other solver invariants in tier-1.
 cargo test -q -p sr-core --test batch_differential
 
+echo "==> in-RAM operator layout (one copy of the edges, lazy panel CSR)"
+# The operators pack their SELL rows straight from the forward CSR: the
+# fused packing must equal SellRows::build over the materialised transpose
+# (layout and partition, weighted and not, 1-4 chunks, plus the unpack
+# round trips); racing first K >= 2 panels must build the panel CSR once
+# and agree bitwise; and the operators' measured heap must hold one copy
+# of the edges through one-column solves and exactly one CSR more after
+# K-column ones. top_k's partial select must return the head of the full
+# order on ties, NaN and signed zeros.
+cargo test -q -p sr-graph --test proptests fused_transpose_packing
+cargo test -q -p sr-core --lib operator::tests::racing_first_panels
+cargo test -q --test invariants operators_hold_one_copy_of_the_edges
+cargo test -q -p sr-core --test proptests top_k_is_the_head
+
 echo "==> out-of-core smoke (tiny shards & pages: on-disk solve == CSR, bitwise)"
 # The sharded differential suite forces 1-byte shard targets and 16-byte
 # pages, so every seam of the paged reader and the shard-aligned spans is
@@ -114,9 +128,11 @@ echo "==> segment container suites (both binary schemas: shards and walk cache)"
 # error. The corruption suite holds both schemas to "typed error or valid
 # decode, never a panic" on every proper prefix, every single-bit flip, a
 # damaged magic or wrong schema tag, and random bytes, plus the two
-# u32::MAX-degree regressions. The fault suite fails every positioned read
-# in turn (EIO and short reads) through open, validate, the chunk path
-# and the walk table; each fault must end in a typed I/O error.
+# u32::MAX-degree regressions and a chunk row naming source num_nodes
+# (the pipelined decode checks ids, not just degrees). The fault suite
+# fails every positioned read in turn (EIO and short reads) through open,
+# validate, the chunk path and the walk table; each fault must end in a
+# typed I/O error.
 cargo test -q -p sr-graph --test segment_container corruption::
 cargo test -q -p sr-graph --test segment_container faults::
 

@@ -6,6 +6,8 @@
 //!
 //! * a K-column solve request ≡ its one-column requests, bit for bit, on
 //!   the uniform and the weighted operator under both dangling policies;
+//! * both in-RAM operators hold one copy of the edges through one-column
+//!   solves, and exactly one CSR more once a K-column solve has run;
 //! * an observed solve ≡ the unobserved one, bit for bit;
 //! * a solve streamed off tiny on-disk shards ≡ the in-RAM CSR solve, bit
 //!   for bit;
@@ -102,6 +104,68 @@ fn multi_column_requests_equal_one_column_requests_bitwise() {
                 }
             }
         }
+    }
+}
+
+/// Pins one operator's footprint through the solves a caller runs: one
+/// copy of the edges (`edge_bytes`, at most twice over with the per-node
+/// vectors) and no CSR after one-column solves, exactly one CSR
+/// (`csr_bytes`) more after K-column ones.
+fn check_footprint(
+    op: &dyn Transition,
+    heap_bytes: &dyn Fn() -> usize,
+    edge_bytes: usize,
+    csr_bytes: usize,
+) {
+    let n = op.num_nodes() as u32;
+    let built = heap_bytes();
+    assert!(
+        (edge_bytes..2 * edge_bytes).contains(&built),
+        "{built} heap bytes for {edge_bytes} bytes of edges"
+    );
+    run(op, &SolveRequest::new(vec![SolveColumn::default()]));
+    assert_eq!(heap_bytes(), built, "a one-column solve built a CSR");
+    for _ in 0..2 {
+        run(op, &SolveRequest::new(columns(n)));
+        assert_eq!(
+            heap_bytes(),
+            built + csr_bytes,
+            "K-column solves hold one CSR more"
+        );
+    }
+}
+
+#[test]
+fn operators_hold_one_copy_of_the_edges() {
+    // Below the parallel cutover the operators run one chunk and scatter
+    // along forward rows; past it, one chunk per worker gathers over
+    // reverse rows.
+    for n in [3000u32, 5000] {
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|u| (1..=12u32).map(move |j| (u, (u * 31 + j * j * 7) % n)))
+            .collect();
+        let g = GraphBuilder::from_edges_exact(n as usize, edges).unwrap();
+        let w = WeightedGraph::from_triples(
+            n as usize,
+            g.edges()
+                .map(|(u, v)| (u, v, 1.0 / g.out_degree(u) as f64))
+                .collect(),
+        );
+        let m = g.num_edges();
+        let uniform = UniformTransition::new(&g);
+        let weighted = WeightedTransition::new(&w);
+        check_footprint(
+            &uniform,
+            &|| uniform.heap_bytes(),
+            m * std::mem::size_of::<u32>(),
+            g.heap_bytes(),
+        );
+        check_footprint(
+            &weighted,
+            &|| weighted.heap_bytes(),
+            m * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>()),
+            w.heap_bytes(),
+        );
     }
 }
 
