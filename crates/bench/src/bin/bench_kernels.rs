@@ -455,17 +455,18 @@ fn main() {
     let sharded_resident_bytes = sharded.resident_bytes() + streamed.scratch_resident_bytes();
     eprintln!(
         "sharded solve: in-RAM {:.3}s, out-of-core {:.3}s ({:.2}x edges/s), \
-         resident {:.2} MiB -> {:.2} MiB ({} shards)",
+         resident {:.2} MiB -> {:.2} MiB ({} shards, {:.1}% of edges hot)",
         s_fused.wall_sec,
         s_sharded.wall_sec,
         s_sharded.edges_per_sec / s_fused.edges_per_sec,
         csr_resident_bytes as f64 / (1 << 20) as f64,
         sharded_resident_bytes as f64 / (1 << 20) as f64,
         sharded.shards().len(),
+        100.0 * streamed.hot_edges() as f64 / m as f64,
     );
 
     // Worker-scaling sweep over the same on-disk file. The pipelined engine
-    // re-plans its worker–shard affinity per count (operator chunks follow
+    // re-plans its workers per count (operator chunks follow
     // `with_threads`), and every count must land the identical bits. The
     // sweep stops at the cores the host has: more workers than cores
     // measure time-slicing, not scaling.
@@ -551,7 +552,7 @@ fn main() {
         let resident = huge.resident_bytes() + hop.scratch_resident_bytes();
         eprintln!(
             "huge sharded solve: {} nodes / {} edges / {} shards, gen {:.0}s, \
-             {} iters in {:.1}s = {:.1}M edges/s, resident {:.0} MiB",
+             {} iters in {:.1}s = {:.1}M edges/s, resident {:.0} MiB, {:.1}% of edges hot",
             huge.num_nodes(),
             hm,
             huge.shards().len(),
@@ -559,7 +560,8 @@ fn main() {
             stats.iterations,
             wall,
             eps / 1e6,
-            resident as f64 / (1 << 20) as f64
+            resident as f64 / (1 << 20) as f64,
+            100.0 * hop.hot_edges() as f64 / hm as f64
         );
         let v = format!(
             concat!(

@@ -24,8 +24,9 @@
 //!   tested against the exact solver as a differential oracle;
 //! * [`streamed`] — the out-of-core solve engine: the PageRank operator over
 //!   any row-streaming [`sr_graph::SolveGraph`] backend; on-disk sharded
-//!   graphs run a decode-ahead prefetch + block-decode pipeline with
-//!   worker–shard affinity, bit-identical to the in-RAM CSR engine;
+//!   graphs run a decode-ahead prefetch + block-decode pipeline whose
+//!   workers claim spans as they free up, bit-identical to the in-RAM CSR
+//!   engine;
 //! * [`power`] — the one damped fixed-point driver: a [`SolveRequest`] of K
 //!   parameter columns (damping, teleport, warm start) plus a shared
 //!   stopping rule, formulation and dangling policy, run by [`solve`] over

@@ -14,30 +14,36 @@
 //!
 //! 1. **Prefetch** — a dedicated fill task per worker reads whole chunk
 //!    payloads via one `read_exact_at` each into a small ring of recycled
-//!    byte buffers ([`sr_par::pipeline()`]), staying one chunk ahead of
-//!    compute (double buffering by default).
+//!    byte buffers ([`sr_par::pipeline_while()`]), staying one chunk ahead
+//!    of compute (double buffering by default).
 //! 2. **Block decode** — each staged chunk is decoded in one pass into the
 //!    worker's reusable [`ChunkArena`] (flat `offsets`/`targets`), replacing
 //!    the per-row lock/take/decode cycle of the paged reader with straight
 //!    slice scans. The arena is reused across chunks and iterations: zero
 //!    steady-state allocation.
-//! 3. **Affinity gather** — workers own contiguous *span groups* cut from
-//!    the chunk spans by edge-balanced ceiling split, so each worker streams
-//!    the same whole shards (or exact sub-shard spans) every iteration and
-//!    its arena stays sized to its own rows.
+//! 3. **Claimed gather** — workers claim spans from one shared cursor as
+//!    they free up: each worker's fill task claims the next span of the
+//!    sweep's fixed claim order and stages it, and its compute stage
+//!    gathers it. Spans that are never hot come first, the hot ones last,
+//!    so the cheap hot gathers fill the tail and every worker finishes
+//!    together whatever the host's hot/cold cost ratio is.
 //!
-//! The affinity map is what makes decode amortizable: because worker `i`
-//! sees the same spans every sweep, a decoded span is still the right span
-//! next iteration. Under [`PipelineConfig::cache_bytes`] a greedy prefix of
-//! spans is decoded once, SELL-packed ([`SellRows`]), and kept **hot**
-//! across iterations — those spans skip the disk read, the varint decode,
-//! *and* the serial per-row fadd chain on every sweep after the first,
-//! collapsing the steady-state per-edge cost to the in-RAM operator's
-//! lane-interleaved gather. Spans past the budget stream through the
-//! pipeline every iteration, so resident memory stays bounded by
-//! `cache_bytes + buffers` no matter how large the graph is — the
-//! out-of-core guarantee is a knob, not a casualty. `cache_bytes: 0`
-//! recovers the pure re-streaming engine.
+//! ## Hot spans
+//!
+//! Under [`PipelineConfig::cache_bytes`] some spans are decoded once,
+//! SELL-packed ([`SellRows`]) into one shared slot per span by whichever
+//! worker first decodes them, and kept **hot** across iterations — those
+//! spans skip the disk read, the varint decode, *and* the serial per-row
+//! fadd chain on every sweep after the first, collapsing the steady-state
+//! per-edge cost to the in-RAM operator's lane-interleaved gather. A hot
+//! span saves a per-row cost several times its per-edge cost, so spans are
+//! admitted by row density: in descending `rows / (rows + edges)`, ties in
+//! file order, each while its decoded charge `(rows + 1)·8 + edges·4` still
+//! fits the budget. Spans past the budget stream through the pipeline every
+//! iteration, so resident memory stays bounded by `cache_bytes + buffers`
+//! no matter how large the graph is — the out-of-core guarantee is a knob,
+//! not a casualty. `cache_bytes: 0` recovers the pure re-streaming engine,
+//! and a sweep whose spans are all hot starts no fill task at all.
 //!
 //! ## Bitwise parity with the in-RAM engine
 //!
@@ -52,12 +58,11 @@
 //!   performs — so each `y[v]` carries identical bits. The shard codec
 //!   stores neighbors ascending, and block decode preserves that order, so
 //!   `y[v]` is a pure function of row `v`: chunk geometry, prefetch depth,
-//!   and thread count can never move a bit.
-//! * **Consume order**: [`sr_par::pipeline()`] hands chunks to the compute
-//!   stage in strict index order, so even intra-worker traversal matches the
-//!   sequential loop exactly.
+//!   thread count and which worker claims a span can never move a bit. No
+//!   reduction crosses spans.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 use crate::operator::{operator_chunks, Transition};
 use sr_graph::{
@@ -69,15 +74,16 @@ use sr_graph::{
 pub struct PipelineConfig {
     /// Staging buffers per worker; 2 gives classic double buffering (one
     /// chunk decoding while the next loads). 1 degenerates to synchronous
-    /// load-then-decode with no producer task.
+    /// claim-load-decode with no producer task.
     pub prefetch_buffers: usize,
     /// Target chunk spans per worker. More spans mean smaller arenas (lower
-    /// resident scratch) and finer prefetch granularity; fewer mean less
-    /// per-chunk overhead. Oversized shards are split to meet the target.
+    /// resident scratch), finer prefetch granularity and a finer-grained
+    /// claim queue; fewer mean less per-chunk overhead. Oversized shards are
+    /// split to meet the target.
     pub spans_per_worker: usize,
-    /// Total decoded-arena budget (bytes, across all workers) for keeping
-    /// chunk arenas hot between iterations. A greedy prefix of spans whose
-    /// decoded size fits is decoded once and gathered from directly on every
+    /// Total decoded-span budget in bytes for keeping spans hot between
+    /// iterations, shared by all workers. The most row-dense spans whose
+    /// decoded size fits are decoded once and gathered from RAM on every
     /// later sweep; the rest re-stream through the pipeline each iteration.
     /// `0` disables caching (pure re-streaming); a budget at least the
     /// decoded graph size makes iterations 2..k decode-free.
@@ -94,68 +100,49 @@ impl Default for PipelineConfig {
     }
 }
 
-/// A span's decoded rows kept hot across iterations, SELL-packed so the
-/// steady-state gather runs the exact lane-interleaved kernel of the in-RAM
-/// operator (four independent accumulator chains instead of one serial
-/// fadd chain per row). The pack is a pure permutation: every row still
-/// folds its predecessors ascending through its own accumulator, so hot
-/// sweeps are bit-identical to cold ones.
-struct HotSpan {
-    sell: SellRows,
-    num_rows: usize,
+/// SELL-packs a freshly decoded span as a single-chunk layout over its
+/// local row space, so hot sweeps run the exact lane-interleaved kernel of
+/// the in-RAM operator (four independent accumulator chains instead of one
+/// serial fadd chain per row). The pack is a pure permutation: every row
+/// still folds its predecessors ascending through its own accumulator, so
+/// hot sweeps are bit-identical to cold ones.
+fn pack_hot(arena: &ChunkArena) -> SellRows {
+    let part = EdgePartition::from_exact_segments(&[0, arena.num_rows()], &[arena.num_edges()]);
+    SellRows::build(arena.offsets(), arena.targets(), &part)
 }
 
-impl HotSpan {
-    /// SELL-packs a freshly decoded arena as a single-chunk layout over its
-    /// local row space.
-    fn pack(arena: &ChunkArena) -> HotSpan {
-        let num_rows = arena.num_rows();
-        let part = EdgePartition::from_exact_segments(&[0, num_rows], &[arena.num_edges()]);
-        HotSpan {
-            sell: SellRows::build(arena.offsets(), arena.targets(), &part),
-            num_rows,
-        }
-    }
-
-    /// Gathers this span's rows into `out[base..]` (see
-    /// [`SellRows::row_sums_into`]).
-    #[inline]
-    fn gather(&self, base: usize, scratch: &[f64], out: &mut [f64]) {
-        self.sell
-            .row_sums_into(0, 0, scratch, &mut out[base..base + self.num_rows]);
-    }
+/// One staging buffer of a worker's ring and the span its bytes belong to:
+/// the fill stage claims the span, the compute stage reads it from here.
+#[derive(Default)]
+struct Staged {
+    span: usize,
+    bytes: Vec<u8>,
 }
 
-/// Per-worker reusable pipeline state: the staging buffer ring, the
-/// scratch block-decode arena for streamed (non-cached) spans, and one
-/// optional hot pack per owned span (`cache[k]` holds span `k` of the
-/// group's decoded rows once it has been decoded under the cache budget).
-/// Behind a `Mutex` only for interior mutability — worker `i` is touched by
-/// exactly one thread per sweep.
+/// Per-worker reusable pipeline state: the staging buffer ring and the
+/// block-decode arena for spans that are not hot (yet). Behind a `Mutex`
+/// only for interior mutability — worker `i` is touched by exactly one
+/// thread per sweep.
 struct WorkerSlot {
-    bufs: Vec<Vec<u8>>,
+    ring: Vec<Staged>,
     arena: ChunkArena,
-    cache: Vec<Option<HotSpan>>,
-    /// Reused scratch list of this sweep's cold (not-yet-hot) span indices.
-    cold: Vec<usize>,
 }
 
-/// The precomputed pipelined sweep layout: chunk spans, the contiguous span
-/// group each worker owns, and the matching row bounds of `y`.
+/// The precomputed pipelined sweep layout: chunk spans, which of them are
+/// kept hot, and the order workers claim them in.
 struct PipelinePlan {
     /// Every chunk span, tiling rows `0..n` in order.
     spans: Vec<ChunkSpan>,
-    /// Worker `i` owns `spans[span_bounds[i]..span_bounds[i + 1]]`.
-    span_bounds: Vec<usize>,
-    /// Worker `i` owns `y[row_bounds[i]..row_bounds[i + 1]]` — derived from
-    /// its span group, so spans never straddle workers.
-    row_bounds: Vec<usize>,
-    /// `cacheable[k]`: span `k`'s decoded arena may be kept hot across
-    /// iterations. First-fit greedy in file order: each span claims its
-    /// decoded size (`(rows + 1)·8 + edges·4` bytes) from
-    /// [`PipelineConfig::cache_bytes`] while budget remains — a pure
-    /// function of the spans and the budget, so every sweep agrees on it.
-    cacheable: Vec<bool>,
+    /// `hot[k]`: span `k` is kept hot once decoded. A pure function of the
+    /// spans and the budget (row density order, first fit), so every sweep
+    /// and every build agrees on it.
+    hot: Vec<bool>,
+    /// The claim order of every sweep: spans never hot in file order, then
+    /// the hot ones in file order.
+    order: Vec<usize>,
+    /// `packs[k]`: span `k`'s hot pack ([`pack_hot`]), written once by
+    /// whichever worker first decodes the span.
+    packs: Vec<OnceLock<SellRows>>,
     /// One slot per worker, reused across iterations.
     slots: Vec<Mutex<WorkerSlot>>,
 }
@@ -219,40 +206,50 @@ impl<'g> StreamedTransition<'g> {
         &self.partition
     }
 
-    /// Current heap footprint of the per-worker decode state in bytes — the
-    /// entire steady-state memory the edge structure costs beyond the
-    /// backend's own resident bytes: staging buffers, block-decode scratch
-    /// arenas, and the budget-bounded hot arena cache.
+    /// Edges in the spans the plan keeps hot: after the first sweep these
+    /// are gathered from RAM, the rest re-stream from disk every sweep.
+    pub fn hot_edges(&self) -> u64 {
+        let plan = &self.plan;
+        let hot = plan.spans.iter().zip(&plan.hot).filter(|(_, &hot)| hot);
+        hot.map(|(s, _)| s.edges).sum()
+    }
+
+    /// Current heap footprint of the decode state in bytes — the entire
+    /// steady-state memory the edge structure costs beyond the backend's
+    /// own resident bytes: staging buffers, block-decode scratch arenas,
+    /// and the budget-bounded hot packs.
     pub fn scratch_resident_bytes(&self) -> usize {
-        self.plan
+        let plan = &self.plan;
+        let worker_bytes: usize = plan
             .slots
             .iter()
             .map(|m| {
                 let slot = lock_ignore_poison(m);
-                let bufs: usize = slot.bufs.iter().map(Vec::capacity).sum();
-                let hot: usize = slot
-                    .cache
-                    .iter()
-                    .flatten()
-                    .map(|h| h.sell.heap_bytes())
-                    .sum();
-                bufs + slot.arena.heap_bytes() + hot
+                let bufs: usize = slot.ring.iter().map(|b| b.bytes.capacity()).sum();
+                bufs + slot.arena.heap_bytes()
             })
-            .sum()
+            .sum();
+        let hot_bytes: usize = plan
+            .packs
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(SellRows::heap_bytes)
+            .sum();
+        worker_bytes + hot_bytes
     }
 }
 
-/// Gathers one decoded arena into `out[base..]`: each row folds its
-/// ascending predecessors through its own accumulator — the parity-critical
-/// inner loop, identical for hot (cached) and freshly decoded arenas.
+/// Gathers one decoded arena into `out`, exactly its span's slice of `y`:
+/// each row folds its ascending predecessors through its own accumulator —
+/// the parity-critical inner loop of every span that is not hot.
 #[inline]
-fn gather_arena(arena: &ChunkArena, base: usize, scratch: &[f64], out: &mut [f64]) {
-    for rel in 0..arena.num_rows() {
+fn gather_arena(arena: &ChunkArena, scratch: &[f64], out: &mut [f64]) {
+    for (rel, o) in out.iter_mut().enumerate() {
         let mut acc = 0.0;
         for &u in arena.row(rel) {
             acc += scratch[u as usize];
         }
-        out[base + rel] = acc;
+        *o = acc;
     }
 }
 
@@ -264,8 +261,8 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// Derives the pipelined sweep layout: asks the backend for edge-bounded
-/// chunk spans, checks that they tile `0..n`, and cuts them into one
-/// contiguous edge-balanced group per worker.
+/// chunk spans, checks that they tile `0..n`, picks the hot spans by row
+/// density and fixes the claim order.
 fn build_plan(
     source: &dyn ChunkSource,
     n: usize,
@@ -282,38 +279,6 @@ fn build_plan(
     }
     assert_eq!(cursor, n, "chunk spans must cover every row");
 
-    // Edge prefix over spans, for the per-worker ceiling split and the
-    // exact per-span partition.
-    let mut prefix = Vec::with_capacity(spans.len() + 1);
-    prefix.push(0u64);
-    for s in &spans {
-        prefix.push(prefix.last().copied().unwrap_or(0) + s.edges);
-    }
-    let total = *prefix.last().unwrap_or(&0);
-
-    // Cut spans into `w` contiguous groups at edge-balanced boundaries —
-    // the worker–shard affinity map. Every group is non-empty; bounds are
-    // pure functions of (spans, w), so the map is stable across iterations.
-    let w = workers.min(spans.len()).max(1);
-    let mut span_bounds = Vec::with_capacity(w + 1);
-    span_bounds.push(0usize);
-    for i in 1..w {
-        let target = (total * i as u64).div_ceil(w as u64);
-        let cut = prefix
-            .partition_point(|&p| p < target)
-            .max(span_bounds[i - 1] + 1)
-            .min(spans.len() - (w - i));
-        span_bounds.push(cut);
-    }
-    span_bounds.push(spans.len());
-
-    // An empty graph has no spans: its one (empty) group owns no rows.
-    let mut row_bounds: Vec<usize> = span_bounds[..w]
-        .iter()
-        .map(|&b| spans.get(b).map_or(n, |s| s.rows.start))
-        .collect();
-    row_bounds.push(n);
-
     let seg_rows: Vec<usize> = std::iter::once(0)
         .chain(spans.iter().map(|s| s.rows.end))
         .collect();
@@ -323,43 +288,46 @@ fn build_plan(
         .collect();
     let partition = EdgePartition::from_exact_segments(&seg_rows, &seg_edges);
 
-    // Greedy hot-arena budget: decoded span k costs (rows+1)·8 offset bytes
-    // plus edges·4 target bytes; spans fit in file order until the budget
-    // runs out. Deterministic, so the cached/streamed split never shifts
-    // between sweeps.
+    // Hot spans: first fit in descending row density rows / (rows + edges),
+    // compared exactly by cross-multiplication; the stable sort keeps file
+    // order among equal densities. A decoded span costs (rows+1)·8 offset
+    // bytes plus edges·4 target bytes.
+    let rows = |s: &ChunkSpan| s.rows.len() as u128;
+    let weight = |s: &ChunkSpan| (s.rows.len() as u128 + u128::from(s.edges)).max(1);
+    let mut by_density: Vec<usize> = (0..spans.len()).collect();
+    by_density.sort_by(|&a, &b| {
+        let (a, b) = (&spans[a], &spans[b]);
+        (rows(b) * weight(a)).cmp(&(rows(a) * weight(b)))
+    });
     let mut cache_left = config.cache_bytes as u64;
-    let cacheable: Vec<bool> = spans
-        .iter()
-        .map(|s| {
-            let decoded = (s.rows.len() as u64 + 1) * 8 + s.edges * 4;
-            if decoded <= cache_left {
-                cache_left -= decoded;
-                true
-            } else {
-                false
-            }
-        })
-        .collect();
+    let mut hot = vec![false; spans.len()];
+    for k in by_density {
+        let decoded = (spans[k].rows.len() as u64 + 1) * 8 + spans[k].edges * 4;
+        if decoded <= cache_left {
+            cache_left -= decoded;
+            hot[k] = true;
+        }
+    }
+    let mut order: Vec<usize> = (0..spans.len()).collect();
+    order.sort_by_key(|&k| hot[k]);
 
+    let w = workers.min(spans.len()).max(1);
     let slots = (0..w)
-        .map(|i| {
-            let group = span_bounds[i + 1] - span_bounds[i];
+        .map(|_| {
             Mutex::new(WorkerSlot {
-                bufs: (0..config.prefetch_buffers.max(1))
-                    .map(|_| Vec::new())
+                ring: (0..config.prefetch_buffers.max(1))
+                    .map(|_| Staged::default())
                     .collect(),
                 arena: ChunkArena::new(),
-                cache: (0..group).map(|_| None).collect(),
-                cold: Vec::new(),
             })
         })
         .collect();
     Ok((
         PipelinePlan {
+            packs: spans.iter().map(|_| OnceLock::new()).collect(),
             spans,
-            span_bounds,
-            row_bounds,
-            cacheable,
+            hot,
+            order,
             slots,
         },
         partition,
@@ -367,67 +335,83 @@ fn build_plan(
 }
 
 impl StreamedTransition<'_> {
-    /// The pipelined pass 2. Each worker first gathers straight out of its
-    /// hot arenas (spans decoded on an earlier sweep — no I/O, no decode),
-    /// then streams the remaining cold spans through a fill → decode+gather
-    /// pipeline over its recycled buffer ring, parking cacheable arenas as
-    /// it goes. Every row is written exactly once per sweep from its own
-    /// ascending-order accumulator, so the cached/streamed split cannot
-    /// move a bit.
+    /// The pipelined pass 2. Workers claim spans from one shared cursor in
+    /// the plan's claim order until it runs dry. Each worker's fill task
+    /// claims a span and reads it unless it is already hot; its compute
+    /// stage gathers hot spans from their packs and decodes the rest,
+    /// packing a hot span the first time it is decoded. A sweep whose
+    /// spans are all hot starts no fill task. Every row is written exactly
+    /// once per sweep from its own ascending-order accumulator, so neither
+    /// the claim schedule nor the hot/streamed split can move a bit.
     fn propagate_pipelined(&self, scratch: &[f64], y: &mut [f64]) {
         let (plan, source) = (&self.plan, self.source);
-        let results = sr_par::for_each_part(y, &plan.row_bounds, |i, out| {
-            let lo = plan.row_bounds[i];
-            let group_lo = plan.span_bounds[i];
-            let group = &plan.spans[group_lo..plan.span_bounds[i + 1]];
-            let mut slot = lock_ignore_poison(&plan.slots[i]);
-            let WorkerSlot {
-                bufs,
-                arena,
-                cache,
-                cold,
-            } = &mut *slot;
-            // Hot spans: the affinity map guarantees cache[k] (if present)
-            // holds exactly group[k]'s decoded rows.
-            cold.clear();
-            for (k, span) in group.iter().enumerate() {
-                match &cache[k] {
-                    Some(hot) => hot.gather(span.rows.start - lo, scratch, out),
-                    None => cold.push(k),
-                }
+        // y cut into one slice per span, locked by the span's claimant.
+        let mut rest = y;
+        let outs: Vec<Mutex<&mut [f64]>> = plan
+            .spans
+            .iter()
+            .map(|s| {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(s.rows.len());
+                rest = tail;
+                Mutex::new(head)
+            })
+            .collect();
+        let cursor = AtomicUsize::new(0);
+        let claim = || {
+            plan.order
+                .get(cursor.fetch_add(1, Ordering::AcqRel))
+                .copied()
+        };
+        // Gathers span k from its hot pack; false if it has none yet.
+        let gather_hot = |k: usize| match plan.packs[k].get() {
+            Some(hot) => {
+                hot.row_sums_into(0, 0, scratch, &mut lock_ignore_poison(&outs[k]));
+                true
             }
-            if cold.is_empty() {
+            None => false,
+        };
+        let all_hot = plan.packs.iter().all(|p| p.get().is_some());
+        let results = sr_par::map_tasks(plan.slots.len(), |i| {
+            if all_hot {
+                while let Some(k) = claim() {
+                    gather_hot(k);
+                }
                 return Ok(());
             }
-            let cold: &[usize] = cold;
-            let ring = std::mem::take(bufs);
-            let (ring, res) = sr_par::pipeline(
-                cold.len(),
-                ring,
-                |j, buf: &mut Vec<u8>| {
-                    let span = &group[cold[j]];
-                    source.load_chunk(span, buf)?;
-                    sr_par::counters::note_prefetched(1, span.byte_len() as u64);
-                    Ok::<(), sr_graph::GraphError>(())
+            let mut slot = lock_ignore_poison(&plan.slots[i]);
+            let WorkerSlot { ring, arena } = &mut *slot;
+            let (back, res) = sr_par::pipeline_while(
+                std::mem::take(ring),
+                |_, staged: &mut Staged| {
+                    let Some(k) = claim() else { return Ok(false) };
+                    staged.span = k;
+                    if plan.packs[k].get().is_none() {
+                        let span = &plan.spans[k];
+                        source.load_chunk(span, &mut staged.bytes)?;
+                        sr_par::counters::note_prefetched(1, span.byte_len() as u64);
+                    }
+                    Ok::<bool, GraphError>(true)
                 },
-                |j, buf| {
-                    let k = cold[j];
-                    let span = &group[k];
-                    source.decode_chunk(span, buf, arena)?;
-                    if plan.cacheable[group_lo + k] {
+                |_, staged| {
+                    let k = staged.span;
+                    if gather_hot(k) {
+                        return Ok(());
+                    }
+                    source.decode_chunk(&plan.spans[k], &staged.bytes, arena)?;
+                    let out = &mut *lock_ignore_poison(&outs[k]);
+                    if plan.hot[k] {
                         // Pack the span hot (a one-time cost amortized over
                         // every later sweep) and gather through the pack —
                         // the same code path hot sweeps take.
-                        let hot = HotSpan::pack(arena);
-                        hot.gather(span.rows.start - lo, scratch, out);
-                        cache[k] = Some(hot);
+                        let hot = plan.packs[k].get_or_init(|| pack_hot(arena));
+                        hot.row_sums_into(0, 0, scratch, out);
                     } else {
-                        gather_arena(arena, span.rows.start - lo, scratch, out);
+                        gather_arena(arena, scratch, out);
                     }
                     Ok(())
                 },
             );
-            *bufs = ring;
+            *ring = back;
             res
         });
         for res in results {
@@ -482,7 +466,7 @@ mod tests {
     use crate::operator::UniformTransition;
     use crate::power::{solve, SolveColumn, SolveRequest, SolverWorkspace};
     use crate::rankvec::RankVector;
-    use sr_graph::GraphBuilder;
+    use sr_graph::{CsrGraph, GraphBuilder};
 
     /// Held by every test that runs a pipelined (sharded) sweep: the
     /// prefetch counters are process-wide, so a concurrent pipelined solve
@@ -616,7 +600,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_groups_tile_spans_and_rows() {
+    fn spans_tile_rows_and_claim_order_permutes_them() {
         let edges: Vec<(u32, u32)> = (0u32..500).map(|u| (u, (u * 31 + 7) % 500)).collect();
         let g = GraphBuilder::from_edges_exact(500, edges).unwrap();
         let dir = std::env::temp_dir().join(format!("sr_core_tile_{}", std::process::id()));
@@ -624,12 +608,6 @@ mod tests {
         let sharded = sr_graph::shard::build_from_csr(&g, &dir, &path, 128).unwrap();
         let streamed = StreamedTransition::from_sharded(&sharded);
         let plan = &streamed.plan;
-        assert_eq!(plan.span_bounds[0], 0);
-        assert_eq!(*plan.span_bounds.last().unwrap(), plan.spans.len());
-        assert!(plan.span_bounds.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(plan.row_bounds[0], 0);
-        assert_eq!(*plan.row_bounds.last().unwrap(), 500);
-        assert_eq!(plan.slots.len(), plan.row_bounds.len() - 1);
         // Spans tile the row space in order.
         let mut cursor = 0;
         for s in &plan.spans {
@@ -638,6 +616,143 @@ mod tests {
         }
         assert_eq!(cursor, 500);
         assert_eq!(streamed.partition().num_chunks(), plan.spans.len());
+        // Every span is claimed exactly once per sweep.
+        let mut claimed = plan.order.clone();
+        claimed.sort_unstable();
+        assert_eq!(claimed, (0..plan.spans.len()).collect::<Vec<_>>());
+        assert_eq!(plan.packs.len(), plan.spans.len());
+        assert!(!plan.slots.is_empty() && plan.slots.len() <= plan.spans.len().max(1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A reverse crawl shaped like the real one: a few pages with huge
+    /// in-degree first, then many pages with one to three in-links each, in
+    /// blocks of 1000. Row `v` of the shard file lists the predecessors of
+    /// `v`, so the leading spans are edge-heavy and row-light, and row
+    /// density does not follow file order.
+    fn skewed_crawl() -> CsrGraph {
+        let n = 6000u32;
+        let heavy = (0..4u32).flat_map(|h| (0..1500u32).map(move |u| (u * 4 + h, h)));
+        let light =
+            (4..n).flat_map(|v| (0..=(v / 1000) % 3).map(move |j| ((v * 7 + 1 + j * 13) % n, v)));
+        GraphBuilder::from_edges_exact(n as usize, heavy.chain(light)).unwrap()
+    }
+
+    fn charge(s: &ChunkSpan) -> u64 {
+        (s.rows.len() as u64 + 1) * 8 + s.edges * 4
+    }
+
+    fn density(s: &ChunkSpan) -> f64 {
+        s.rows.len() as f64 / (s.rows.len() as f64 + s.edges as f64)
+    }
+
+    #[test]
+    fn hot_budget_goes_to_row_dense_spans() {
+        let g = skewed_crawl();
+        let dir = std::env::temp_dir().join(format!("sr_core_dense_{}", std::process::id()));
+        let sharded =
+            sr_graph::shard::build_from_csr(&g, &dir, &dir.join("g.shards"), 1024).unwrap();
+        let open = StreamedTransition::from_sharded_with(
+            &sharded,
+            PipelineConfig {
+                cache_bytes: 0,
+                ..PipelineConfig::default()
+            },
+        );
+        let spans = &open.plan.spans;
+        assert!(spans.len() >= 6, "want several spans, got {}", spans.len());
+        let budget = usize::try_from(spans.iter().map(charge).sum::<u64>() / 2).unwrap();
+        let config = PipelineConfig {
+            cache_bytes: budget,
+            ..PipelineConfig::default()
+        };
+        let op = StreamedTransition::from_sharded_with(&sharded, config);
+        let (spans, hot) = (&op.plan.spans, &op.plan.hot);
+        let used: u64 = spans
+            .iter()
+            .zip(hot)
+            .filter(|p| *p.1)
+            .map(|p| charge(p.0))
+            .sum();
+        assert!(used <= budget as u64, "hot spans overrun the budget");
+        // The heavy rows' spans stay cold; the light rows get the budget.
+        assert!(!hot[0], "the edge-heavy leading span must not be hot");
+        assert!(hot.iter().any(|&h| h), "some span must be hot");
+        // First fit by density: a cold span is either less dense than
+        // every hot span or did not fit in what the denser spans left.
+        for (c, _) in spans.iter().zip(hot).filter(|p| !*p.1) {
+            let denser: u64 = spans
+                .iter()
+                .zip(hot)
+                .filter(|(h, &is_hot)| is_hot && density(h) >= density(c))
+                .map(|(h, _)| charge(h))
+                .sum();
+            let min_hot = spans
+                .iter()
+                .zip(hot)
+                .filter(|p| *p.1)
+                .map(|p| density(p.0))
+                .fold(f64::INFINITY, f64::min);
+            assert!(
+                density(c) <= min_hot || charge(c) > budget as u64 - denser,
+                "cold span {:?} is denser than a hot one and would have fit",
+                c.rows
+            );
+        }
+        // Density, not file order: a light span past a cold one is hot.
+        let heavy_end = spans.iter().position(|s| s.rows.start >= 4).unwrap();
+        assert!(
+            (heavy_end + 1..spans.len()).any(|k| hot[k] && !hot[k - 1]),
+            "the hot spans must not be a file-order prefix of the light ones"
+        );
+        assert!(op.hot_edges() > 0 && op.hot_edges() < g.num_edges() as u64);
+        // The choice is a pure function of the spans and the budget.
+        let again = StreamedTransition::from_sharded_with(&sharded, config);
+        assert_eq!(&again.plan.hot, hot);
+        assert_eq!(again.plan.order, op.plan.order);
+        // Claims run the never-hot spans first, then the hot ones.
+        let first_hot = op.plan.order.iter().position(|&k| hot[k]).unwrap();
+        assert!(op.plan.order[first_hot..].iter().all(|&k| hot[k]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn split_budget_sweeps_write_every_row_at_any_thread_count() {
+        let _pipelined = PIPELINED.lock().unwrap_or_else(|p| p.into_inner());
+        let g = skewed_crawl();
+        let n = g.num_nodes();
+        let dir = std::env::temp_dir().join(format!("sr_core_split_{}", std::process::id()));
+        let sharded =
+            sr_graph::shard::build_from_csr(&g, &dir, &dir.join("g.shards"), 1024).unwrap();
+        let x: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 3.0)).collect();
+        let (mut want, mut scratch) = (vec![0.0; n], vec![0.0; n]);
+        let want_dangling = UniformTransition::new(&g).propagate_with(&x, &mut want, &mut scratch);
+        for threads in 1..=4 {
+            sr_par::with_threads(threads, || {
+                let probe = StreamedTransition::from_sharded(&sharded);
+                let total: u64 = probe.plan.spans.iter().map(charge).sum();
+                let op = StreamedTransition::from_sharded_with(
+                    &sharded,
+                    PipelineConfig {
+                        cache_bytes: usize::try_from(total / 2).unwrap(),
+                        ..PipelineConfig::default()
+                    },
+                );
+                let hot = op.plan.hot.iter().filter(|&&h| h).count();
+                assert!(hot > 0 && hot < op.plan.spans.len(), "budget must split");
+                // Sweep 1 packs the hot spans; sweep 2 gathers from them.
+                for sweep in 1..=2 {
+                    let mut y = vec![f64::NAN; n];
+                    let dangling = op.propagate_with(&x, &mut y, &mut scratch);
+                    assert!(
+                        y.iter().all(|v| !v.is_nan()),
+                        "{threads} threads, sweep {sweep}: a row was never written"
+                    );
+                    assert_eq!(y, want, "{threads} threads, sweep {sweep}");
+                    assert_eq!(dangling.to_bits(), want_dangling.to_bits());
+                }
+            });
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -123,8 +123,9 @@ proptest! {
     /// combination must reproduce the in-RAM solve bit for bit — the
     /// decode-ahead pipeline may only change *when* bytes are staged, and
     /// the cache only *whether* a span is re-decoded, never what the gather
-    /// sees. Small budgets land mid-group, mixing hot and streamed spans in
-    /// one worker — the seam the suite most wants to cross.
+    /// sees. Small budgets split the spans between hot and streamed, so one
+    /// worker claims both kinds in a sweep — the seam the suite most wants
+    /// to cross.
     #[test]
     fn pipeline_geometry_is_bitwise_invariant(
         g in arb_graph(),
@@ -166,7 +167,7 @@ proptest! {
 fn pipelined_1_vs_8_workers_bitwise_identical() {
     // The CI determinism gate: the same on-disk file solved through the
     // pipelined path with 1 worker and with 8 workers must agree bit for
-    // bit — worker–shard affinity seams and prefetch scheduling are
+    // bit — which worker claims which span, and prefetch scheduling, are
     // invisible in the scores.
     let edges: Vec<(u32, u32)> = (0u32..300)
         .flat_map(|u| {

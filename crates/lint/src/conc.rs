@@ -44,9 +44,9 @@ const PAR_UNORDERED: [&str; 8] = [
 ];
 
 /// Entry points whose consume side is in-order by contract (`pipeline`
-/// delivers blocks to the consumer in submission order), so in-closure
-/// accumulation is fine; hash iteration still is not.
-const PAR_ORDERED: [&str; 1] = ["pipeline"];
+/// and `pipeline_while` deliver blocks to the consumer in submission
+/// order), so in-closure accumulation is fine; hash iteration still is not.
+const PAR_ORDERED: [&str; 2] = ["pipeline", "pipeline_while"];
 
 /// Guard-returning acquisition methods (`Mutex` / `RwLock`).
 const LOCK_METHODS: [&str; 3] = ["lock", "read", "write"];

@@ -89,10 +89,12 @@ fn par_determinism_fixtures() {
     let bad = include_str!("fixtures/par_determinism_violation.rs");
     let a = analyze_sources(&[("crates/core/src/power.rs", bad)]);
     assert!(a.findings.iter().all(|f| f.rule == "par-determinism"));
-    // One HashMap line inside the closure, one captured `total +=`.
-    assert_eq!(a.findings.len(), 2, "{:?}", a.findings);
+    // One HashMap line inside the closure, one captured `total +=`, and
+    // one HashSet line inside the ordered `pipeline_while` stage.
+    assert_eq!(a.findings.len(), 3, "{:?}", a.findings);
     assert!(a.findings.iter().any(|f| f.message.contains("`HashMap`")));
     assert!(a.findings.iter().any(|f| f.message.contains("`total +=`")));
+    assert!(a.findings.iter().any(|f| f.message.contains("`HashSet`")));
 
     let ok = include_str!("fixtures/par_determinism_exempt.rs");
     let a = analyze_sources(&[("crates/core/src/power.rs", ok)]);

@@ -1,8 +1,9 @@
 //! Fixture: `par-determinism` hazards — hash-keyed state built inside an
-//! unordered `sr-par` closure, and a captured float accumulator whose
-//! merge order depends on chunk completion order. (The `HashMap` tokens
-//! sit inside the closure on purpose: outside a par region they belong to
-//! the line-based `determinism` rule instead.)
+//! unordered `sr-par` closure, a captured float accumulator whose merge
+//! order depends on chunk completion order, and hash-keyed state inside an
+//! ordered `pipeline_while` stage. (The hash tokens sit inside the closures
+//! on purpose: outside a par region they belong to the line-based
+//! `determinism` rule instead.)
 
 pub fn tally(pool: &sr_par::Pool, parts: &mut [Vec<f64>]) -> f64 {
     let mut total = 0.0;
@@ -14,4 +15,11 @@ pub fn tally(pool: &sr_par::Pool, parts: &mut [Vec<f64>]) -> f64 {
         }
     });
     total
+}
+
+pub fn drain(pool: &sr_par::Pool, items: &mut [f64]) {
+    pool.pipeline_while(items, |x| {
+        let mut seen = std::collections::HashSet::new();
+        seen.insert(x.to_bits());
+    });
 }

@@ -34,7 +34,7 @@
 pub mod counters;
 pub mod pipeline;
 
-pub use pipeline::pipeline;
+pub use pipeline::{pipeline, pipeline_while};
 
 use std::cell::Cell;
 use std::ops::Range;

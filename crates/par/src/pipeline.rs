@@ -6,6 +6,8 @@
 //! producer runs on one dedicated scoped thread and stays exactly
 //! `buffers.len() - 1` chunks ahead of the consumer, which runs on the
 //! calling thread — the shape of a decode-ahead prefetcher.
+//! [`pipeline_while`] is the same pipeline for a chunk count not known up
+//! front: it ends when the fill stage reports that its source ran dry.
 //!
 //! Determinism contract: `consume` is invoked on the calling thread in strict
 //! index order `0, 1, .., count-1`, regardless of how the producer schedules
@@ -40,9 +42,9 @@ use std::sync::mpsc;
 /// `count <= 1` alternates fill/consume inline.
 pub fn pipeline<B, E, F, C>(
     count: usize,
-    mut buffers: Vec<B>,
+    buffers: Vec<B>,
     fill: F,
-    mut consume: C,
+    consume: C,
 ) -> (Vec<B>, Result<(), E>)
 where
     B: Send,
@@ -50,13 +52,57 @@ where
     F: Fn(usize, &mut B) -> Result<(), E> + Sync,
     C: FnMut(usize, &mut B) -> Result<(), E>,
 {
-    if buffers.is_empty() || count == 0 {
+    run(
+        count,
+        buffers,
+        |i, buf| fill(i, buf).map(|()| true),
+        consume,
+    )
+}
+
+/// [`pipeline`] for a chunk count that is not known up front: the producer
+/// keeps filling until `fill(i, buf)` returns `Ok(false)`, which says the
+/// source ran dry (a shared work cursor handed out its last item, say) and
+/// that `buf` holds nothing. Chunks `0..i` are consumed, in order, and the
+/// pipeline ends cleanly — exhaustion is not an error. Every other contract
+/// of [`pipeline`] holds, including the sequential path for a single buffer
+/// or a single thread.
+pub fn pipeline_while<B, E, F, C>(buffers: Vec<B>, fill: F, consume: C) -> (Vec<B>, Result<(), E>)
+where
+    B: Send,
+    E: Send,
+    F: Fn(usize, &mut B) -> Result<bool, E> + Sync,
+    C: FnMut(usize, &mut B) -> Result<(), E>,
+{
+    run(usize::MAX, buffers, fill, consume)
+}
+
+/// The pipeline over at most `limit` chunks, ending early at the first
+/// `fill` that reports `Ok(false)`.
+fn run<B, E, F, C>(
+    limit: usize,
+    mut buffers: Vec<B>,
+    fill: F,
+    mut consume: C,
+) -> (Vec<B>, Result<(), E>)
+where
+    B: Send,
+    E: Send,
+    F: Fn(usize, &mut B) -> Result<bool, E> + Sync,
+    C: FnMut(usize, &mut B) -> Result<(), E>,
+{
+    if buffers.is_empty() || limit == 0 {
         return (buffers, Ok(()));
     }
-    if buffers.len() == 1 || count == 1 || crate::num_threads() == 1 {
+    if buffers.len() == 1 || limit == 1 || crate::num_threads() == 1 {
         let buf = &mut buffers[0];
-        for i in 0..count {
-            if let Err(e) = fill(i, buf).and_then(|()| consume(i, buf)) {
+        for i in 0..limit {
+            match fill(i, buf) {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(e) => return (buffers, Err(e)),
+            }
+            if let Err(e) = consume(i, buf) {
                 return (buffers, Err(e));
             }
         }
@@ -80,16 +126,20 @@ where
         let producer = scope.spawn(move || {
             let mut fill_err = None;
             let mut in_flight = None;
-            for i in 0..count {
+            for i in 0..limit {
                 // A closed free list means the consumer hit an error and
                 // dropped its sender: stop filling.
                 let Ok(mut buf) = free_rx.recv() else { break };
                 match fill(i, &mut buf) {
-                    Ok(()) => {
+                    Ok(true) => {
                         if let Err(send_err) = full_tx.send((i, buf)) {
                             in_flight = Some(send_err.0 .1);
                             break;
                         }
+                    }
+                    Ok(false) => {
+                        in_flight = Some(buf);
+                        break;
                     }
                     Err(e) => {
                         fill_err = Some((i, e));
@@ -189,6 +239,57 @@ mod tests {
                 assert_eq!(order, (0..count).collect::<Vec<_>>());
             }
         }
+    }
+
+    #[test]
+    fn open_ended_pipeline_stops_when_fill_runs_dry() {
+        // Two pipelines drain one shared cursor, as the out-of-core sweep's
+        // workers do: each consumes its own claims in claim order, every
+        // item is consumed exactly once, and running dry is not an error.
+        const ITEMS: usize = 37;
+        for threads in [8, 1] {
+            for depth in [1, 2, 3] {
+                let cursor = AtomicUsize::new(0);
+                // The thread override is per thread: set it where the
+                // pipelines run.
+                let drain = || {
+                    crate::with_threads(threads, || {
+                        let mut got = Vec::new();
+                        let (bufs, res) = pipeline_while(
+                            vec![usize::MAX; depth],
+                            |_, claimed: &mut usize| {
+                                *claimed = cursor.fetch_add(1, Relaxed);
+                                Ok::<bool, ()>(*claimed < ITEMS)
+                            },
+                            |_, claimed| {
+                                got.push(*claimed);
+                                Ok(())
+                            },
+                        );
+                        assert_eq!(bufs.len(), depth, "pipeline lost buffers");
+                        assert_eq!(res, Ok(()));
+                        got
+                    })
+                };
+                let (a, b) = std::thread::scope(|s| {
+                    let a = s.spawn(drain);
+                    let b = s.spawn(drain);
+                    (a.join().unwrap(), b.join().unwrap())
+                });
+                assert!(a.windows(2).all(|w| w[0] < w[1]), "claim order kept");
+                assert!(b.windows(2).all(|w| w[0] < w[1]), "claim order kept");
+                let mut all: Vec<usize> = a.into_iter().chain(b).collect();
+                all.sort_unstable();
+                assert_eq!(all, (0..ITEMS).collect::<Vec<_>>());
+            }
+        }
+        // A source that is dry from the start consumes nothing.
+        let (bufs, res) = pipeline_while(
+            vec![0u8; 2],
+            |_, _| Ok::<bool, ()>(false),
+            |_, _| panic!("nothing to consume"),
+        );
+        assert_eq!((bufs.len(), res), (2, Ok(())));
     }
 
     #[test]

@@ -232,12 +232,26 @@ impl EpochEngine {
 mod tests {
     use super::*;
     use sr_gen::{generate, CrawlConfig, CrawlDeltaProducer, ProducerConfig};
+    use sr_graph::NodeId;
 
     fn cache_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
             "sr_serve_engine_{tag}_{}.walks",
             std::process::id()
         ))
+    }
+
+    fn bits(v: &sr_core::RankVector) -> Vec<u64> {
+        v.scores().iter().map(|s| s.to_bits()).collect()
+    }
+
+    /// All four vectors and the page graph of two snapshots, bitwise.
+    fn assert_same_snapshot(a: &RankSnapshot, b: &RankSnapshot, what: &str) {
+        assert_eq!(bits(&a.pagerank), bits(&b.pagerank), "{what}");
+        assert_eq!(bits(&a.sourcerank), bits(&b.sourcerank), "{what}");
+        assert_eq!(bits(&a.resilient), bits(&b.resilient), "{what}");
+        assert_eq!(bits(&a.proximity), bits(&b.proximity), "{what}");
+        assert_eq!(a.pages.as_ref(), b.pages.as_ref(), "{what}");
     }
 
     #[test]
@@ -264,9 +278,6 @@ mod tests {
             &cache_path("b"),
         )
         .unwrap();
-        let bits = |v: &sr_core::RankVector| -> Vec<u64> {
-            v.scores().iter().map(|s| s.to_bits()).collect()
-        };
         assert_eq!(bits(&snap_a.pagerank), bits(&snap_b.pagerank));
 
         let mut pa = CrawlDeltaProducer::from_crawl(&crawl, ProducerConfig::tiny(5));
@@ -276,13 +287,81 @@ mod tests {
             let sb = b.step(seq, &pb.next_delta()).unwrap();
             assert_eq!(sa.epoch, seq);
             assert_eq!(sa.applied_seq, seq);
-            assert_eq!(bits(&sa.pagerank), bits(&sb.pagerank), "seq {seq}");
-            assert_eq!(bits(&sa.sourcerank), bits(&sb.sourcerank), "seq {seq}");
-            assert_eq!(bits(&sa.resilient), bits(&sb.resilient), "seq {seq}");
-            assert_eq!(bits(&sa.proximity), bits(&sb.proximity), "seq {seq}");
-            assert_eq!(sa.pages.as_ref(), sb.pages.as_ref(), "seq {seq}");
+            assert_same_snapshot(&sa, &sb, &format!("seq {seq}"));
         }
         assert_eq!(a.epoch(), 6);
+    }
+
+    #[test]
+    fn failed_deltas_leave_the_engine_unchanged() {
+        let crawl = generate(&CrawlConfig::tiny(13));
+        let seeds = crawl.sample_spam_seed(2, 5);
+        let cfg = EngineConfig {
+            cache_walks: 0,
+            ..Default::default()
+        };
+        let seed = |tag: &str| {
+            let path = cache_path(tag);
+            EpochEngine::seed(
+                crawl.pages.clone(),
+                &crawl.assignment,
+                seeds.clone(),
+                &cfg,
+                &path,
+            )
+            .unwrap()
+            .0
+        };
+        // `twin` sees only the valid deltas.
+        let (mut eng, mut twin) = (seed("failed"), seed("twin"));
+        let mut producer = CrawlDeltaProducer::from_crawl(&crawl, ProducerConfig::tiny(3));
+        let mut twin_producer = CrawlDeltaProducer::from_crawl(&crawl, ProducerConfig::tiny(3));
+        for seq in 1..=3u64 {
+            let (pages, sources) = (eng.num_pages(), eng.num_sources());
+            let page = |i: usize| NodeId::try_from(i).unwrap();
+            // Each bad delta leads with a valid edge, so a partial apply
+            // would show.
+            let mut bad_edge = CrawlDelta::new();
+            bad_edge.graph.add_edge(0, 1);
+            bad_edge.graph.add_edge(1, page(pages + 5));
+            let mut bad_len = CrawlDelta::new();
+            bad_len.graph.add_edge(0, 1);
+            bad_len.graph.add_nodes(2);
+            bad_len.new_page_sources = vec![0];
+            let mut bad_source = CrawlDelta::new();
+            bad_source.graph.add_edge(0, 1);
+            bad_source.graph.add_nodes(1);
+            bad_source.new_page_sources = vec![page(sources + 3)];
+            let refusals = [
+                GraphError::NodeOutOfRange {
+                    node: page(pages + 5),
+                    num_nodes: pages,
+                },
+                GraphError::AssignmentLengthMismatch {
+                    graph_pages: 2,
+                    assignment_pages: 1,
+                },
+                GraphError::SourceOutOfRange {
+                    source: page(sources + 3),
+                    num_sources: sources,
+                },
+            ];
+            for (bad, want) in [bad_edge, bad_len, bad_source].iter().zip(refusals) {
+                let what = format!("{want:?}");
+                match eng.step(seq, bad) {
+                    Err(EngineError::Graph(e)) => assert_eq!(e, want),
+                    Err(e) => panic!("{what}: refused for another reason: {e}"),
+                    Ok(_) => panic!("{what}: a bad delta was applied"),
+                }
+                assert_eq!(eng.epoch(), seq - 1, "{what} moved the epoch");
+                assert_eq!(eng.num_pages(), pages, "{what} moved the pages");
+                assert_eq!(eng.num_sources(), sources, "{what} moved the sources");
+            }
+            let got = eng.step(seq, &producer.next_delta()).unwrap();
+            let want = twin.step(seq, &twin_producer.next_delta()).unwrap();
+            assert_eq!(got.epoch, want.epoch);
+            assert_same_snapshot(&got, &want, &format!("valid step {seq} after bad deltas"));
+        }
     }
 
     #[test]

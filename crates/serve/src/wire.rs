@@ -605,6 +605,7 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_requests() -> Vec<Request> {
         let mut delta = CrawlDelta::new();
@@ -738,5 +739,110 @@ mod tests {
         let mut huge = Vec::new();
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(read_frame(&mut &huge[..]).is_err(), "cap must reject");
+    }
+
+    /// Every proper prefix and every single-bit flip of `frame`.
+    fn mutations(frame: &[u8]) -> Vec<Vec<u8>> {
+        let prefixes = (0..frame.len()).map(|cut| frame[..cut].to_vec());
+        let flips = (0..frame.len() * 8).map(|bit| {
+            let mut f = frame.to_vec();
+            f[bit / 8] ^= 1 << (bit % 8);
+            f
+        });
+        prefixes.chain(flips).collect()
+    }
+
+    /// Decodes `bytes` both ways. Either decoder may refuse them — its
+    /// signature makes that a typed [`WireError`] — but neither may panic,
+    /// and whatever decodes must re-encode to bytes that decode to the
+    /// same value. Responses compare by their encoding, so NaN scores are
+    /// held to their bits.
+    fn check_decoders(bytes: &[u8]) {
+        if let Ok(req) = decode_request(bytes) {
+            let mut again = Vec::new();
+            encode_request(&req, &mut again);
+            assert_eq!(decode_request(&again), Ok(req), "request from {bytes:?}");
+        }
+        if let Ok(resp) = decode_response(bytes) {
+            let mut again = Vec::new();
+            encode_response(&resp, &mut again);
+            let back = decode_response(&again).expect("a re-encoded response decodes");
+            let mut twice = Vec::new();
+            encode_response(&back, &mut twice);
+            assert_eq!(twice, again, "response from {bytes:?}");
+        }
+    }
+
+    #[test]
+    fn sample_frame_prefixes_and_bit_flips_decode_or_fail_typed() {
+        let mut frames = Vec::new();
+        for req in sample_requests() {
+            let mut buf = Vec::new();
+            encode_request(&req, &mut buf);
+            frames.push(buf);
+        }
+        for resp in sample_responses() {
+            let mut buf = Vec::new();
+            encode_response(&resp, &mut buf);
+            frames.push(buf);
+        }
+        for frame in &frames {
+            for bytes in mutations(frame) {
+                check_decoders(&bytes);
+            }
+        }
+    }
+
+    /// A reader over `bytes` that records the largest buffer it was asked
+    /// to fill: `read_frame` hands its payload buffer to the reader as soon
+    /// as it has allocated it.
+    struct Probe<'a> {
+        bytes: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Probe<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decoders_never_panic_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..513),
+        ) {
+            check_decoders(&bytes);
+        }
+
+        #[test]
+        fn read_frame_never_panics_and_caps_before_allocating(
+            raw in proptest::collection::vec(any::<u8>(), 0..513),
+            small in any::<bool>(),
+            prefix in any::<u32>(),
+            tail in proptest::collection::vec(any::<u8>(), 0..513),
+        ) {
+            let _ = read_frame(&mut &raw[..]);
+            // A length prefix that is often small enough to read a payload.
+            let len = if small { prefix % 600 } else { prefix };
+            let mut stream = len.to_le_bytes().to_vec();
+            stream.extend_from_slice(&tail);
+            let mut probe = Probe { bytes: &stream, largest: 0 };
+            let res = read_frame(&mut probe);
+            let len = len as usize;
+            if len > MAX_FRAME_BYTES {
+                let err = res.expect_err("an oversized frame must be refused");
+                prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+                prop_assert!(probe.largest <= 4, "payload buffer allocated before the cap check");
+                prop_assert_eq!(probe.bytes.len(), tail.len());
+            } else if len <= tail.len() {
+                prop_assert_eq!(res.unwrap().unwrap(), &tail[..len]);
+            } else {
+                prop_assert_eq!(res.unwrap_err().kind(), std::io::ErrorKind::UnexpectedEof);
+            }
+        }
     }
 }

@@ -7,13 +7,17 @@
 //!   (the worst case: stalls may be *counted* there, but correctness never
 //!   degrades — the blocking fallback still returns a complete epoch);
 //! * readers never stall under serving-shaped pacing: with the default
-//!   4-slot ring and epochs separated by real work (every production epoch
-//!   is a multi-solve, milliseconds at minimum), the stall counter stays
-//!   at zero across thousands of concurrent loads, and every load observes
-//!   an internally consistent snapshot (all four vectors from one epoch).
+//!   4-slot ring and a writer that publishes the next epoch only once every
+//!   reader has loaded the current one (every production epoch is a
+//!   multi-solve, milliseconds at minimum), the stall counter stays at zero
+//!   across thousands of concurrent loads, and every load observes an
+//!   internally consistent snapshot (all four vectors from one epoch).
+//!
+//! Both races are scheduled by reader progress, not wall-clock sleeps, so
+//! their outcome does not depend on how the host schedules the threads.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 use sr_core::convergence::IterationStats;
 use sr_core::{RankSnapshot, RankVector, SnapshotRing};
@@ -81,11 +85,15 @@ fn pinned_readers_see_bit_identical_vectors_while_writer_publishes() {
     // Minimal ring: 2 slots, so the writer laps constantly.
     let ring = Arc::new(SnapshotRing::new(snap(0, &walks), 2));
     let stop = Arc::new(AtomicBool::new(false));
+    // The writer starts once every reader has run one pinned round, so the
+    // readers have made progress however late they are scheduled.
+    let started = Arc::new(Barrier::new(5));
 
     let readers: Vec<_> = (0..4)
         .map(|_| {
             let ring = Arc::clone(&ring);
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let mut loads = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -113,12 +121,16 @@ fn pinned_readers_see_bit_identical_vectors_while_writer_publishes() {
                     }
                     assert_eq!(pinned.epoch, epoch);
                     loads += 17;
+                    if loads == 17 {
+                        started.wait();
+                    }
                 }
                 loads
             })
         })
         .collect();
 
+    started.wait();
     for e in 1..=EPOCHS {
         ring.publish(snap(e, &walks));
     }
@@ -134,17 +146,20 @@ fn pinned_readers_see_bit_identical_vectors_while_writer_publishes() {
 #[test]
 fn paced_publishing_never_stalls_a_reader() {
     let walks = Arc::new(tiny_walks("paced"));
-    // Default serving shape: 4 slots; epochs separated by real work (every
-    // production epoch is a multi-solve, milliseconds at minimum). Lapping
-    // a reader would take 4 publishes = 4ms+ of preemption inside the
-    // reader's index-load → try_read window, orders of magnitude beyond
-    // scheduler jitter, so the stall counter must stay at zero.
+    // Default serving shape: 4 slots, and epochs separated by real work
+    // (every production epoch is a multi-solve, milliseconds at minimum).
+    // The writer publishes epoch e + 1 only once every reader has loaded
+    // epoch e, so at most one publish lands inside any reader's
+    // index-load → try_read window; lapping a reader takes 4. The stall
+    // counter must stay at zero however the threads are scheduled.
     let ring = Arc::new(SnapshotRing::new(snap(0, &walks), 4));
     let stop = Arc::new(AtomicBool::new(false));
+    let seen: Arc<Vec<AtomicU64>> = Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
     let readers: Vec<_> = (0..4)
-        .map(|_| {
+        .map(|r| {
             let ring = Arc::clone(&ring);
             let stop = Arc::clone(&stop);
+            let seen = Arc::clone(&seen);
             std::thread::spawn(move || {
                 let mut loads = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -152,15 +167,27 @@ fn paced_publishing_never_stalls_a_reader() {
                     let fill = (s.epoch as f64 + 0.5).to_bits();
                     assert_eq!(s.pagerank.scores()[0].to_bits(), fill);
                     assert_eq!(s.resilient.scores()[0].to_bits(), fill);
+                    // Nothing new to load until the writer runs: give it
+                    // the core instead of spinning through its time slice.
+                    if seen[r].swap(s.epoch, Ordering::AcqRel) == s.epoch {
+                        std::thread::yield_now();
+                    }
                     loads += 1;
                 }
                 loads
             })
         })
         .collect();
-    for e in 1..=EPOCHS {
+    'publish: for e in 1..=EPOCHS {
+        while seen.iter().any(|s| s.load(Ordering::Acquire) < e - 1) {
+            // A reader that stopped early failed an assertion: stop waiting
+            // and let the join below report it.
+            if readers.iter().any(std::thread::JoinHandle::is_finished) {
+                break 'publish;
+            }
+            std::thread::yield_now();
+        }
         ring.publish(snap(e, &walks));
-        std::thread::sleep(std::time::Duration::from_millis(1));
     }
     stop.store(true, Ordering::Relaxed);
     let total: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();

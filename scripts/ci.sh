@@ -99,9 +99,14 @@ echo "==> out-of-core smoke (tiny shards & pages: on-disk solve == CSR, bitwise)
 # exercised at tier-1 cost. Its geometry-matrix proptest
 # (pipeline_geometry_is_bitwise_invariant) sweeps the decode-ahead
 # pipeline's knobs — prefetch depth × span granularity × thread count ×
-# hot-span cache budget, including budgets that split one worker between
-# hot and re-streamed spans — and the named 1-vs-8-worker gate pins that
-# worker–shard affinity seams and prefetch scheduling never move a bit.
+# hot-span cache budget, including budgets that split the spans between
+# hot and re-streamed — and the named 1-vs-8-worker gate pins that which
+# worker claims which span, and prefetch scheduling, never move a bit.
+# The streamed unit tests pin the plan (the hot budget goes to the most
+# row-dense spans, within budget, the same on every build) and the
+# claimed sweep (NaN-prefilled y, 1-4 threads, split budget: every row
+# written, equal to the in-RAM operator bitwise); the sr-par test pins
+# that an open-ended pipeline ends cleanly when a shared cursor runs dry.
 # The sr-gen stream tests cover the external sort + k-way merge with a
 # 512-edge spill buffer; the pager-boundary suite (below) adds the
 # chunk-prefetch error paths (EOF-truncated spans, minimum page size).
@@ -109,6 +114,9 @@ echo "==> out-of-core smoke (tiny shards & pages: on-disk solve == CSR, bitwise)
 # the release build and `cargo bench --no-run` above.
 cargo test -q -p sr-core --test sharded_differential
 cargo test -q -p sr-core --test sharded_differential pipelined_1_vs_8_workers_bitwise_identical
+cargo test -q -p sr-core --lib streamed::tests::hot_budget_goes_to_row_dense_spans
+cargo test -q -p sr-core --lib streamed::tests::split_budget_sweeps_write_every_row
+cargo test -q -p sr-par --lib pipeline::tests::open_ended_pipeline_stops_when_fill_runs_dry
 cargo test -q -p sr-gen stream::
 
 echo "==> approx-PPR differential suite (walk cache vs exact solver oracle)"
@@ -140,13 +148,21 @@ echo "==> serving suites (loopback smoke, rotation races, batching determinism)"
 # The serving layer's three pinned guarantees: every wire command answers
 # on a real socket and post-ingest ranks equal an offline replay bitwise
 # (loopback), concurrent readers never see a torn snapshot and paced
-# publishing never stalls one (rotation), and panel batching is
-# thread-count invariant (batching). bench_serve (the full open-loop load
-# test with the approx-vs-exact latency gate) is release-only; the release
-# build above keeps it compiling and BENCH_serve.json tracks its runs.
+# publishing never stalls one (rotation, scheduled by reader progress
+# rather than sleeps, so it cannot flake on a busy host), and panel
+# batching is thread-count invariant (batching). A delta the engine
+# refuses (bad endpoint, page/source length mismatch, source out of range)
+# must leave its epoch and later snapshots bitwise unchanged, and the wire
+# decoders must answer arbitrary bytes, prefixes and bit flips with a
+# value or a typed error, with oversized frames refused before allocation.
+# bench_serve (the full open-loop load test with the approx-vs-exact
+# latency gate) is release-only; the release build above keeps it
+# compiling and BENCH_serve.json tracks its runs.
 cargo test -q -p sr-serve --test loopback
 cargo test -q -p sr-serve --test rotation
 cargo test -q -p sr-serve --test batching
+cargo test -q -p sr-serve --lib engine::tests::failed_deltas_leave_the_engine_unchanged
+cargo test -q -p sr-serve --lib wire::tests
 
 echo "==> cargo test -q (debug)"
 cargo test --workspace -q
