@@ -18,7 +18,7 @@ use sr_core::{
     SpamResilientSourceRank, Teleport,
 };
 use sr_graph::source_graph::{extract, SourceGraphConfig};
-use sr_graph::{RowScratch, SolveGraph};
+use sr_graph::ChunkArena;
 
 fn bench_solvers(c: &mut Criterion) {
     let crawl = kernel_crawl();
@@ -72,16 +72,19 @@ fn bench_storage(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    // The shards hold the reverse graph: the same edges, summed by source.
+    // The shards hold the reverse graph: the same edges, summed by source,
+    // read shard by shard through the chunk path the out-of-core solve
+    // streams (one positioned read and one block decode per shard).
     group.bench_function("sharded_sum_sources", |b| {
-        let mut scratch = RowScratch::new();
+        let spans = shards.chunk_spans(1).expect("shard spans");
+        let (mut buf, mut arena) = (Vec::new(), ChunkArena::new());
         b.iter(|| {
             let mut acc = 0u64;
-            shards
-                .stream_rows(0..shards.num_nodes(), &mut scratch, &mut |_, srcs| {
-                    acc += srcs.iter().map(|&u| u64::from(u)).sum::<u64>();
-                })
-                .unwrap();
+            for span in &spans {
+                shards.load_chunk(span, &mut buf).unwrap();
+                shards.decode_chunk(span, &buf, &mut arena).unwrap();
+                acc += arena.targets().iter().map(|&u| u64::from(u)).sum::<u64>();
+            }
             black_box(acc)
         })
     });

@@ -1,15 +1,29 @@
 //! Monte-Carlo walk-cache approximate PPR (ROADMAP item 3).
 //!
 //! The exact spam-proximity measure (§5, Eq. 6) is a full linear-system
-//! solve per seed set — milliseconds per query. This module trades a
-//! one-time offline simulation for a sub-millisecond query path:
+//! solve per seed set. This module trades a one-time offline simulation
+//! for fewer push rounds per query:
 //!
 //! * [`WalkCacheBuilder`] simulates `R` geometric-length random walks from
-//!   every node of a walk graph (Fogaras et al.'s fingerprint database) and
-//!   stores the aggregate visit counts in an [`sr_graph::WalkStore`] file;
+//!   every node of a CSR walk graph (Fogaras et al.'s fingerprint
+//!   database) and stores the aggregate visit counts in an
+//!   [`sr_graph::WalkStore`] file;
 //! * [`ApproxPpr`] answers a seed-set query by running a few rounds of
 //!   residual push (Andersen–Chung–Lang, FORA-style) and then closing the
 //!   remaining residual with the cached walks.
+//!
+//! ## What a query costs
+//!
+//! Push rounds run over the frontier's CSR rows until the residual mass is
+//! at most ε; one sweep over the frontier's cached visit entries closes
+//! the rest. The cost therefore follows ε and the graph far more than
+//! `R`. Measured on a 2-core host:
+//!
+//! * 2.4–4.8 ms per query on the 60k-node kernel crawl at ε 0.6 with
+//!   `R = 64`, one thread (`bench_kernels`), against 38–49 ms for the
+//!   exact per-seed solve;
+//! * 35–42 ms p50 on a 120k-page crawl at `sr-serve`'s defaults (ε 0.25,
+//!   `R = 32`), where 9 push rounds do most of the work.
 //!
 //! ## The estimator and why it matches the exact solver
 //!
@@ -60,7 +74,7 @@ use crate::rankvec::RankVector;
 use crate::teleport::{Teleport, TeleportError};
 use sr_graph::ids::{node_id, NodeId};
 use sr_graph::walks::{WalkFileWriter, WalkMeta, WalkStore};
-use sr_graph::{GraphError, RowScratch, SolveGraph};
+use sr_graph::{CsrGraph, GraphError};
 
 /// Why an approximate-PPR operation could not run.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,14 +174,14 @@ fn step_seed(master: u64, source: NodeId, walk: u32, hop: u32) -> u64 {
 /// and their aggregate visit counts, positionally matched.
 type SourceVisits = (Vec<NodeId>, Vec<u32>);
 
-/// Offline builder: simulates the walk database over any [`SolveGraph`]
-/// backend and writes a [`WalkStore`] file.
+/// Offline builder: simulates the walk database over a CSR walk graph and
+/// writes a [`WalkStore`] file.
 ///
 /// The simulation is *hop-synchronous*: all live walkers of a source batch
-/// advance one hop per pass, sorted by current node, so each pass is a
-/// single ascending [`SolveGraph::stream_rows`] sweep — the access pattern
-/// every backend (CSR, overlay, sharded) serves efficiently, decoding each
-/// row at most once per hop per worker.
+/// advance one hop per pass, each reading its current node's row straight
+/// from the CSR slices. Every draw is seeded by `(seed, source, walk, hop)`
+/// and the visit events are sorted before they are counted, so the order
+/// walkers move in never reaches the file.
 #[derive(Debug, Clone)]
 pub struct WalkCacheBuilder {
     config: WalkCacheConfig,
@@ -195,7 +209,7 @@ impl WalkCacheBuilder {
 
     /// Simulates the cache for `graph` (stored rows = walker out-edges) and
     /// writes it to `path`, returning the opened store.
-    pub fn build<G: SolveGraph>(&self, graph: &G, path: &Path) -> Result<WalkStore, ApproxError> {
+    pub fn build(&self, graph: &CsrGraph, path: &Path) -> Result<WalkStore, ApproxError> {
         let n = graph.num_nodes();
         let meta = WalkMeta {
             num_nodes: n,
@@ -213,12 +227,11 @@ impl WalkCacheBuilder {
             // pure function of (graph, config, source), so the split is
             // invisible in the result.
             let bounds = sr_par::even_bounds(hi - lo, sr_par::num_threads());
-            let parts: Vec<Result<Vec<SourceVisits>, GraphError>> =
-                sr_par::map_tasks(bounds.len() - 1, |part| {
-                    self.simulate_sources(graph, lo + bounds[part]..lo + bounds[part + 1])
-                });
+            let parts: Vec<Vec<SourceVisits>> = sr_par::map_tasks(bounds.len() - 1, |part| {
+                self.simulate_sources(graph, lo + bounds[part]..lo + bounds[part + 1])
+            });
             for part in parts {
-                for (support, counts) in part? {
+                for (support, counts) in part {
                     writer.write_source(&support, &counts)?;
                 }
             }
@@ -229,21 +242,15 @@ impl WalkCacheBuilder {
 
     /// Simulates all walks for the sources in `range`, returning each
     /// source's `(support, counts)` in ascending source order.
-    fn simulate_sources<G: SolveGraph>(
-        &self,
-        graph: &G,
-        range: Range<usize>,
-    ) -> Result<Vec<SourceVisits>, GraphError> {
+    fn simulate_sources(&self, graph: &CsrGraph, range: Range<usize>) -> Vec<SourceVisits> {
         let cfg = &self.config;
         let lo = range.start;
         let walks = cfg.walks as usize;
-        let mut scratch = RowScratch::new();
         // Live walkers as parallel vectors; `events` records every visit as
         // a (source-relative, node) pair, aggregated at the end.
         let mut cur: Vec<NodeId> = Vec::with_capacity(range.len() * walks);
         let mut src: Vec<NodeId> = Vec::with_capacity(range.len() * walks);
         let mut wix: Vec<u32> = Vec::with_capacity(range.len() * walks);
-        let mut alive: Vec<bool> = Vec::with_capacity(range.len() * walks);
         let mut events: Vec<(u32, NodeId)> = Vec::new();
         for u in range.clone() {
             let u_id = node_id(u);
@@ -252,63 +259,35 @@ impl WalkCacheBuilder {
                 cur.push(u_id);
                 src.push(u_id);
                 wix.push(w);
-                alive.push(true);
                 events.push((rel, u_id));
             }
         }
-        let mut order: Vec<usize> = Vec::new();
         for hop in 0..cfg.max_hops {
             if cur.is_empty() {
                 break;
             }
-            // Group walkers by current node so the hop is one ascending
-            // row sweep; within-row order is irrelevant (counts commute).
-            order.clear();
-            order.extend(0..cur.len());
-            order.sort_unstable_by_key(|&i| cur[i]);
-            let row_lo = cur[order[0]] as usize;
-            let row_hi = cur[order[order.len() - 1]] as usize + 1;
-            let mut p = 0usize;
-            {
-                let (cur, src, wix, alive, events) =
-                    (&mut cur, &src, &wix, &mut alive, &mut events);
-                let order = &order;
-                graph.stream_rows(row_lo..row_hi, &mut scratch, &mut |row, nbrs| {
-                    while p < order.len() && cur[order[p]] as usize == row {
-                        let i = order[p];
-                        p += 1;
-                        if nbrs.is_empty() {
-                            // Dangling: the walk dies (substochastic mass).
-                            alive[i] = false;
-                            continue;
-                        }
-                        let mut rng =
-                            SmallRng::seed_from_u64(step_seed(cfg.seed, src[i], wix[i], hop));
-                        if rng.gen::<f64>() >= cfg.beta {
-                            alive[i] = false; // geometric termination
-                            continue;
-                        }
-                        let nxt = nbrs[rng.gen_range(0..nbrs.len())];
-                        cur[i] = nxt;
-                        events.push((src[i] - node_id(lo), nxt));
-                    }
-                })?;
-            }
-            // Compact the dead out of the parallel vectors.
+            // Advance every walker one hop, compacting the dead out of the
+            // parallel vectors in place.
             let mut keep = 0usize;
             for i in 0..cur.len() {
-                if alive[i] {
-                    cur[keep] = cur[i];
-                    src[keep] = src[i];
-                    wix[keep] = wix[i];
-                    keep += 1;
+                let nbrs = graph.neighbors(cur[i]);
+                if nbrs.is_empty() {
+                    continue; // dangling: the walk dies (substochastic mass)
                 }
+                let mut rng = SmallRng::seed_from_u64(step_seed(cfg.seed, src[i], wix[i], hop));
+                if rng.gen::<f64>() >= cfg.beta {
+                    continue; // geometric termination
+                }
+                let nxt = nbrs[rng.gen_range(0..nbrs.len())];
+                events.push((src[i] - node_id(lo), nxt));
+                cur[keep] = nxt;
+                src[keep] = src[i];
+                wix[keep] = wix[i];
+                keep += 1;
             }
             cur.truncate(keep);
             src.truncate(keep);
             wix.truncate(keep);
-            alive.truncate(keep);
-            alive.fill(true);
         }
         // Aggregate: sort events and run-length encode per (source, node).
         events.sort_unstable();
@@ -327,7 +306,7 @@ impl WalkCacheBuilder {
             seg.1.push(count);
             i = j;
         }
-        Ok(out)
+        out
     }
 }
 
@@ -362,8 +341,8 @@ impl Default for QueryConfig {
 /// scatter whose partition does not depend on the worker count, so results
 /// stay bitwise reproducible across thread counts.
 #[derive(Debug)]
-pub struct ApproxPpr<'a, G: SolveGraph> {
-    graph: &'a G,
+pub struct ApproxPpr<'a> {
+    graph: &'a CsrGraph,
     cache: &'a WalkStore,
 }
 
@@ -378,10 +357,10 @@ const DENSE_PAR_FLOOR: usize = 256;
 /// blocks in `vecops`).
 const SCATTER_PARTS: usize = 16;
 
-impl<'a, G: SolveGraph> ApproxPpr<'a, G> {
+impl<'a> ApproxPpr<'a> {
     /// Binds a walk cache to its graph, validating that the node counts
     /// agree.
-    pub fn new(graph: &'a G, cache: &'a WalkStore) -> Result<Self, ApproxError> {
+    pub fn new(graph: &'a CsrGraph, cache: &'a WalkStore) -> Result<Self, ApproxError> {
         if graph.num_nodes() != cache.num_nodes() {
             return Err(ApproxError::CacheMismatch {
                 message: format!(
@@ -414,7 +393,6 @@ impl<'a, G: SolveGraph> ApproxPpr<'a, G> {
             .filter(|&u| r[u as usize] > 0.0)
             .collect();
         let mut next_frontier: Vec<NodeId> = Vec::new();
-        let mut scratch = RowScratch::new();
         let mut residual_total: f64 = frontier.iter().map(|&u| r[u as usize]).sum();
         let mut history = Vec::new();
         let mut rounds = 0usize;
@@ -424,8 +402,7 @@ impl<'a, G: SolveGraph> ApproxPpr<'a, G> {
                 // Saturated frontier: one parallel scatter round. Mode
                 // choice depends only on (n, frontier length), both
                 // thread-invariant, so the round sequence is reproducible.
-                residual_total =
-                    self.dense_round(beta, &mut p, &mut r, &mut next, &mut frontier)?;
+                residual_total = self.dense_round(beta, &mut p, &mut r, &mut next, &mut frontier);
                 rounds += 1;
                 history.push(residual_total);
                 continue;
@@ -435,31 +412,19 @@ impl<'a, G: SolveGraph> ApproxPpr<'a, G> {
             // hand β·r/deg to its stored neighbors (dangling mass dies —
             // the normalization at the end restores it, exactly like the
             // strongly-preferential solver's redistribution).
-            let mut i = 0usize;
-            while i < frontier.len() {
-                // Stream maximal consecutive runs of frontier rows.
-                let mut j = i + 1;
-                while j < frontier.len() && frontier[j] == frontier[j - 1] + 1 {
-                    j += 1;
-                }
-                let run = frontier[i] as usize..frontier[j - 1] as usize + 1;
-                {
-                    let (p, r, next, next_frontier) = (&mut p, &r, &mut next, &mut next_frontier);
-                    self.graph.stream_rows(run, &mut scratch, &mut |u, nbrs| {
-                        let ru = r[u];
-                        p[u] += (1.0 - beta) * ru;
-                        if !nbrs.is_empty() {
-                            let share = beta * ru / nbrs.len() as f64;
-                            for &v in nbrs {
-                                if next[v as usize] == 0.0 {
-                                    next_frontier.push(v);
-                                }
-                                next[v as usize] += share;
-                            }
+            for &u in &frontier {
+                let nbrs = self.graph.neighbors(u);
+                let ru = r[u as usize];
+                p[u as usize] += (1.0 - beta) * ru;
+                if !nbrs.is_empty() {
+                    let share = beta * ru / nbrs.len() as f64;
+                    for &v in nbrs {
+                        if next[v as usize] == 0.0 {
+                            next_frontier.push(v);
                         }
-                    })?;
+                        next[v as usize] += share;
+                    }
                 }
-                i = j;
             }
             for &u in &frontier {
                 r[u as usize] = 0.0;
@@ -510,53 +475,30 @@ impl<'a, G: SolveGraph> ApproxPpr<'a, G> {
         r: &mut [f64],
         next: &mut [f64],
         frontier: &mut Vec<NodeId>,
-    ) -> Result<f64, GraphError> {
+    ) -> f64 {
         let n = self.graph.num_nodes();
         for &u in frontier.iter() {
             p[u as usize] += (1.0 - beta) * r[u as usize];
         }
         let bounds = sr_par::even_bounds(n, SCATTER_PARTS);
-        let view = self.graph.csr_view();
-        let parts: Vec<Result<Vec<f64>, GraphError>> = {
+        let (offsets, targets) = (self.graph.offsets(), self.graph.targets());
+        let locals: Vec<Vec<f64>> = {
             let r: &[f64] = r;
             sr_par::map_tasks(bounds.len() - 1, |t| {
                 let mut local = vec![0.0f64; n];
-                if let Some((offsets, targets)) = view {
-                    // Resident CSR: scatter straight from the slices —
-                    // same rows, same neighbor order, no callback dispatch.
-                    for u in bounds[t]..bounds[t + 1] {
-                        let nbrs = &targets[offsets[u]..offsets[u + 1]];
-                        let ru = r[u];
-                        if ru != 0.0 && !nbrs.is_empty() {
-                            let share = beta * ru / nbrs.len() as f64;
-                            for &v in nbrs {
-                                local[v as usize] += share;
-                            }
+                for u in bounds[t]..bounds[t + 1] {
+                    let nbrs = &targets[offsets[u]..offsets[u + 1]];
+                    let ru = r[u];
+                    if ru != 0.0 && !nbrs.is_empty() {
+                        let share = beta * ru / nbrs.len() as f64;
+                        for &v in nbrs {
+                            local[v as usize] += share;
                         }
                     }
-                } else {
-                    let mut scratch = RowScratch::new();
-                    self.graph.stream_rows(
-                        bounds[t]..bounds[t + 1],
-                        &mut scratch,
-                        &mut |u, nbrs| {
-                            let ru = r[u];
-                            if ru != 0.0 && !nbrs.is_empty() {
-                                let share = beta * ru / nbrs.len() as f64;
-                                for &v in nbrs {
-                                    local[v as usize] += share;
-                                }
-                            }
-                        },
-                    )?;
                 }
-                Ok(local)
+                local
             })
         };
-        let mut locals = Vec::with_capacity(parts.len());
-        for part in parts {
-            locals.push(part?);
-        }
         {
             let locals = &locals;
             let ranges = sr_par::even_bounds(n, sr_par::num_threads());
@@ -585,7 +527,7 @@ impl<'a, G: SolveGraph> ApproxPpr<'a, G> {
                 frontier.push(v);
             }
         }
-        Ok(residual_total)
+        residual_total
     }
 
     /// Adds the Monte-Carlo estimate of the residual measure to `p`,

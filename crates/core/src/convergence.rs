@@ -86,16 +86,6 @@ impl Default for ConvergenceCriteria {
     }
 }
 
-impl ConvergenceCriteria {
-    /// Criteria with a custom tolerance, paper defaults elsewhere.
-    pub fn with_tolerance(tolerance: f64) -> Self {
-        ConvergenceCriteria {
-            tolerance,
-            ..Default::default()
-        }
-    }
-}
-
 /// Diagnostics of a completed iterative solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterationStats {

@@ -18,15 +18,14 @@
 //!   SR-SourceRank re-solved by warm restart over a mutating page graph
 //!   (see `sr_graph::delta` for the graph substrate);
 //! * [`trustrank`] / [`hits`] — related-work comparators;
-//! * [`approx`] — the Monte-Carlo walk-cache approximate-PPR fast path:
-//!   offline [`WalkCacheBuilder`] simulation over any [`sr_graph::SolveGraph`]
-//!   backend plus query-time [`ApproxPpr`] residual-push assembly, property-
-//!   tested against the exact solver as a differential oracle;
+//! * [`approx`] — the Monte-Carlo walk-cache approximate-PPR path: offline
+//!   [`WalkCacheBuilder`] simulation over a CSR walk graph plus query-time
+//!   [`ApproxPpr`] residual-push assembly, property-tested against the
+//!   exact solver as a differential oracle;
 //! * [`streamed`] — the out-of-core solve engine: the PageRank operator over
-//!   any row-streaming [`sr_graph::SolveGraph`] backend; on-disk sharded
-//!   graphs run a decode-ahead prefetch + block-decode pipeline whose
-//!   workers claim spans as they free up, bit-identical to the in-RAM CSR
-//!   engine;
+//!   an on-disk [`sr_graph::ShardedCompressedGraph`], run as a decode-ahead
+//!   prefetch + block-decode pipeline whose workers claim chunk spans as
+//!   they free up, bit-identical to the in-RAM CSR engine;
 //! * [`power`] — the one damped fixed-point driver: a [`SolveRequest`] of K
 //!   parameter columns (damping, teleport, warm start) plus a shared
 //!   stopping rule, formulation and dangling policy, run by [`solve`] over

@@ -156,6 +156,39 @@ pub(crate) fn operator_chunks(n: usize) -> usize {
     }
 }
 
+/// The pre-scale table of the uniform operators: `1/d` for every
+/// out-degree `d`, and 0 for dangling nodes, so pass 1 needs no branch to
+/// zero their outflow.
+pub(crate) fn inv_degrees(degrees: impl IntoIterator<Item = usize>) -> Vec<f64> {
+    degrees
+        .into_iter()
+        .map(|d| if d == 0 { 0.0 } else { 1.0 / d as f64 })
+        .collect()
+}
+
+/// Pass 1 of the uniform operators: pre-scales the iterate
+/// (`scratch[u] = x[u] · inv[u]`) and returns the dangling mass, collected
+/// over fixed blocks whose partials are summed in block order —
+/// bit-identical across thread counts, and (with a single block below the
+/// cutover) to the seed kernel's sequential fold.
+#[inline]
+pub(crate) fn prescale(inv: &[f64], x: &[f64], scratch: &mut [f64]) -> f64 {
+    let partials = sr_par::for_each_block(scratch, sr_par::PAR_THRESHOLD, |i, part| {
+        let lo = i * sr_par::PAR_THRESHOLD;
+        let mut dangling = 0.0;
+        for (k, s) in part.iter_mut().enumerate() {
+            let u = lo + k;
+            let w = inv[u];
+            *s = x[u] * w;
+            if w == 0.0 {
+                dangling += x[u];
+            }
+        }
+        dangling
+    });
+    partials.into_iter().sum()
+}
+
 /// The classic PageRank operator: uniform transition `1/o(p)` along each
 /// hyperlink of a page graph (the matrix `M` of §2).
 ///
@@ -186,20 +219,10 @@ impl UniformTransition {
     /// Builds the operator from a page graph.
     pub fn new(graph: &CsrGraph) -> Self {
         let n = graph.num_nodes();
-        let inv_degree: Vec<f64> = node_range(n)
-            .map(|u| {
-                let d = graph.out_degree(u);
-                if d == 0 {
-                    0.0
-                } else {
-                    1.0 / d as f64
-                }
-            })
-            .collect();
         let (sell, partition) = SellRows::from_transpose(graph, operator_chunks(n));
         UniformTransition {
             sell,
-            inv_degree,
+            inv_degree: inv_degrees(node_range(n).map(|u| graph.out_degree(u))),
             dangling_nodes: graph.dangling_nodes(),
             partition,
             panel_rows: OnceLock::new(),
@@ -249,25 +272,7 @@ impl Transition for UniformTransition {
         assert_eq!(x.len(), n);
         assert_eq!(y.len(), n);
         assert_eq!(scratch.len(), n);
-        // Pass 1: pre-scale the iterate and collect dangling mass over fixed
-        // blocks, partials summed in block order — bit-identical across
-        // thread counts, and (with a single block below the cutover) to the
-        // seed kernel's sequential fold.
-        let inv = &self.inv_degree;
-        let partials = sr_par::for_each_block(scratch, sr_par::PAR_THRESHOLD, |i, part| {
-            let lo = i * sr_par::PAR_THRESHOLD;
-            let mut dangling = 0.0;
-            for (k, s) in part.iter_mut().enumerate() {
-                let u = lo + k;
-                let w = inv[u];
-                *s = x[u] * w;
-                if w == 0.0 {
-                    dangling += x[u];
-                }
-            }
-            dangling
-        });
-        let dangling = partials.into_iter().sum();
+        let dangling = prescale(&self.inv_degree, x, scratch);
         // Pass 2: packed gather over the edge-balanced chunks.
         let bounds = self.partition.row_bounds();
         let scratch = &*scratch;

@@ -144,7 +144,7 @@ impl PageRank {
         &self,
         graph: &'a CsrGraph,
         cache: &'a WalkStore,
-    ) -> Result<ApproxPpr<'a, CsrGraph>, ApproxError> {
+    ) -> Result<ApproxPpr<'a>, ApproxError> {
         if cache.meta().beta().to_bits() != self.alpha.to_bits() {
             return Err(ApproxError::CacheMismatch {
                 message: format!(

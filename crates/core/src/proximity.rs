@@ -345,8 +345,10 @@ impl SpamProximity {
 
     /// Binds a walk cache built by
     /// [`build_walk_cache`](SpamProximity::build_walk_cache) into a reusable
-    /// approximate query engine over `structural` — the sub-millisecond
-    /// counterpart of [`scores_uniform`](SpamProximity::scores_uniform).
+    /// approximate query engine over `structural` — the walk-cache
+    /// counterpart of [`scores_uniform`](SpamProximity::scores_uniform),
+    /// which trades an (ε, δ) additive error for fewer push rounds (see
+    /// [`crate::approx`] for measured query times).
     /// Rejects caches built at a different β or for a different graph size.
     pub fn approx(
         &self,

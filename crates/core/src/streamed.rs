@@ -2,11 +2,13 @@
 //!
 //! [`StreamedTransition`] is the uniform (PageRank) operator decoupled from
 //! CSR storage: instead of gathering over in-RAM `offsets`/`targets` arrays
-//! it pulls the **reverse** graph through a [`ChunkSource`] — a
-//! [`ShardedCompressedGraph`] whose varint-coded shards are decoded from
-//! disk. A full power-method solve touches `O(x + y + scratch)` f64 vectors
-//! plus a bounded per-worker staging arena — the edge structure itself
-//! never materializes in memory.
+//! it pulls the **reverse** graph from a [`ShardedCompressedGraph`], one
+//! [`ChunkSpan`] at a time ([`ShardedCompressedGraph::chunk_spans`],
+//! [`load_chunk`](ShardedCompressedGraph::load_chunk),
+//! [`decode_chunk`](ShardedCompressedGraph::decode_chunk)), decoding its
+//! varint-coded shards from disk. A full power-method solve touches
+//! `O(x + y + scratch)` f64 vectors plus a bounded per-worker staging
+//! arena — the edge structure itself never materializes in memory.
 //!
 //! ## The three-stage pipeline
 //!
@@ -50,9 +52,9 @@
 //! The operator reproduces [`UniformTransition`](crate::operator::UniformTransition)
 //! bit for bit, which the differential suites pin:
 //!
-//! * **Pre-scale + dangling fold**: the exact same
+//! * **Pre-scale + dangling fold**: the in-RAM operator's own pass — one
 //!   [`sr_par::for_each_block`] sweep over `PAR_THRESHOLD`-sized blocks,
-//!   partials summed in block order.
+//!   partials summed in block order — over the same `1/out_degree` table.
 //! * **Gather**: every row accumulates its predecessors in ascending id
 //!   order with its own accumulator — the same fold the SELL-packed kernel
 //!   performs — so each `y[v]` carries identical bits. The shard codec
@@ -64,12 +66,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::operator::{operator_chunks, Transition};
+use crate::operator::{inv_degrees, operator_chunks, prescale, Transition};
 use sr_graph::{
-    ChunkArena, ChunkSource, ChunkSpan, EdgePartition, GraphError, SellRows, ShardedCompressedGraph,
+    ChunkArena, ChunkSpan, EdgePartition, GraphError, SellRows, ShardedCompressedGraph,
 };
 
-/// Tuning knobs for the pipelined (chunk-source) gather path.
+/// Tuning knobs for the pipelined (chunk-span) gather path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Staging buffers per worker; 2 gives classic double buffering (one
@@ -149,13 +151,12 @@ struct PipelinePlan {
 
 /// Uniform (PageRank) transition over an on-disk reverse graph.
 ///
-/// The source stores the **reverse** adjacency: row `v` lists the
-/// predecessors of `v` in the crawl. [`ShardedCompressedGraph`] stores
-/// exactly that (its builder reverses edges on the way in, keeping the
-/// forward out-degree table alongside).
+/// The shards store the **reverse** adjacency: row `v` lists the
+/// predecessors of `v` in the crawl (the builder reverses edges on the way
+/// in, keeping the forward out-degree table alongside).
 pub struct StreamedTransition<'g> {
-    /// Reverse-graph chunk source.
-    source: &'g dyn ChunkSource,
+    /// The on-disk reverse graph.
+    graph: &'g ShardedCompressedGraph,
     /// `1/out_degree` of every node in the *forward* graph; 0 for dangling
     /// nodes, exactly as in the in-RAM operator's pre-scale pass.
     inv_degree: Vec<f64>,
@@ -184,17 +185,11 @@ impl<'g> StreamedTransition<'g> {
     /// # Panics
     /// As [`StreamedTransition::from_sharded`].
     pub fn from_sharded_with(graph: &'g ShardedCompressedGraph, config: PipelineConfig) -> Self {
-        let n = graph.num_nodes();
-        let inv_degree: Vec<f64> = graph
-            .out_degrees()
-            .iter()
-            .map(|&d| if d == 0 { 0.0 } else { 1.0 / f64::from(d) })
-            .collect();
-        let (plan, partition) = build_plan(graph, n, config)
+        let (plan, partition) = build_plan(graph, config)
             .unwrap_or_else(|e| panic!("out-of-core chunk spans failed: {e}"));
         StreamedTransition {
-            source: graph,
-            inv_degree,
+            graph,
+            inv_degree: inv_degrees(graph.out_degrees().iter().map(|&d| d as usize)),
             partition,
             plan,
         }
@@ -260,17 +255,17 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
-/// Derives the pipelined sweep layout: asks the backend for edge-bounded
-/// chunk spans, checks that they tile `0..n`, picks the hot spans by row
+/// Derives the pipelined sweep layout: asks the shards for edge-bounded
+/// chunk spans, checks that they tile the rows, picks the hot spans by row
 /// density and fixes the claim order.
 fn build_plan(
-    source: &dyn ChunkSource,
-    n: usize,
+    graph: &ShardedCompressedGraph,
     config: PipelineConfig,
 ) -> Result<(PipelinePlan, EdgePartition), GraphError> {
+    let n = graph.num_nodes();
     let workers = operator_chunks(n);
     let max_chunks = workers.saturating_mul(config.spans_per_worker.max(1));
-    let spans = source.chunk_spans(max_chunks)?;
+    let spans = graph.chunk_spans(max_chunks)?;
     // The gather writes y[v] only for rows some span covers.
     let mut cursor = 0usize;
     for s in &spans {
@@ -344,7 +339,7 @@ impl StreamedTransition<'_> {
     /// once per sweep from its own ascending-order accumulator, so neither
     /// the claim schedule nor the hot/streamed split can move a bit.
     fn propagate_pipelined(&self, scratch: &[f64], y: &mut [f64]) {
-        let (plan, source) = (&self.plan, self.source);
+        let (plan, graph) = (&self.plan, self.graph);
         // y cut into one slice per span, locked by the span's claimant.
         let mut rest = y;
         let outs: Vec<Mutex<&mut [f64]>> = plan
@@ -387,7 +382,7 @@ impl StreamedTransition<'_> {
                     staged.span = k;
                     if plan.packs[k].get().is_none() {
                         let span = &plan.spans[k];
-                        source.load_chunk(span, &mut staged.bytes)?;
+                        graph.load_chunk(span, &mut staged.bytes)?;
                         sr_par::counters::note_prefetched(1, span.byte_len() as u64);
                     }
                     Ok::<bool, GraphError>(true)
@@ -397,7 +392,7 @@ impl StreamedTransition<'_> {
                     if gather_hot(k) {
                         return Ok(());
                     }
-                    source.decode_chunk(&plan.spans[k], &staged.bytes, arena)?;
+                    graph.decode_chunk(&plan.spans[k], &staged.bytes, arena)?;
                     let out = &mut *lock_ignore_poison(&outs[k]);
                     if plan.hot[k] {
                         // Pack the span hot (a one-time cost amortized over
@@ -437,23 +432,8 @@ impl Transition for StreamedTransition<'_> {
         assert_eq!(x.len(), n);
         assert_eq!(y.len(), n);
         assert_eq!(scratch.len(), n);
-        // Pass 1: pre-scale + dangling fold, identical to the in-RAM
-        // operator: fixed blocks, partials summed in block order.
-        let inv = &self.inv_degree;
-        let partials = sr_par::for_each_block(scratch, sr_par::PAR_THRESHOLD, |i, part| {
-            let lo = i * sr_par::PAR_THRESHOLD;
-            let mut dangling = 0.0;
-            for (k, s) in part.iter_mut().enumerate() {
-                let u = lo + k;
-                let w = inv[u];
-                *s = x[u] * w;
-                if w == 0.0 {
-                    dangling += x[u];
-                }
-            }
-            dangling
-        });
-        let dangling = partials.into_iter().sum();
+        // Pass 1: the in-RAM operator's own pre-scale + dangling fold.
+        let dangling = prescale(&self.inv_degree, x, scratch);
         // Pass 2: the pipelined gather sweep.
         self.propagate_pipelined(scratch, y);
         dangling

@@ -223,8 +223,21 @@ fn additive_error_bound_holds_with_high_probability() {
     );
 }
 
+/// FNV-1a (64-bit) of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// FNV-1a of the cache file the determinism test below builds: a golden
+/// value, so a rewrite of the walk simulation cannot move a byte of it
+/// unnoticed.
+const DETERMINISM_CACHE_FNV1A: u64 = 0xbf9b_0e10_2bf9_9ac0;
+
 /// Property 3: cache bytes and query scores are bitwise identical across
-/// repeated runs and across 1-vs-8 worker threads.
+/// repeated runs, across 1-vs-8 worker threads and across source batch
+/// sizes, and the cache file matches its golden hash.
 #[test]
 fn cache_and_queries_are_bitwise_deterministic_across_threads() {
     let g = fixture();
@@ -234,7 +247,7 @@ fn cache_and_queries_are_bitwise_deterministic_across_threads() {
         source_batch: 7, // force many batches so the batch seams must not show
         ..Default::default()
     };
-    let run = |tag: &str, threads: usize| -> (Vec<u8>, Vec<u64>) {
+    let run_with = |cfg: &WalkCacheConfig, tag: &str, threads: usize| -> (Vec<u8>, Vec<u64>) {
         sr_par::with_threads(threads, || {
             let cache = prox.build_walk_cache(&g, cfg.clone(), &tmp(tag)).unwrap();
             let engine = prox.approx(&g, cache).unwrap();
@@ -248,11 +261,26 @@ fn cache_and_queries_are_bitwise_deterministic_across_threads() {
             (std::fs::read(tmp(tag)).unwrap(), scores)
         })
     };
+    let run = |tag: &str, threads: usize| run_with(&cfg, tag, threads);
     let (bytes_a, scores_a) = run("det_a", 1);
     let (bytes_b, scores_b) = run("det_b", 1);
     let (bytes_c, scores_c) = run("det_c", 8);
+    let one_batch = WalkCacheConfig {
+        source_batch: WalkCacheConfig::default().source_batch,
+        ..cfg.clone()
+    };
+    let (bytes_d, _) = run_with(&one_batch, "det_d", 1);
     assert_eq!(bytes_a, bytes_b, "repeated builds must be byte-identical");
     assert_eq!(bytes_a, bytes_c, "thread count must not change cache bytes");
+    assert_eq!(
+        bytes_a, bytes_d,
+        "source batch size must not change cache bytes"
+    );
+    assert_eq!(
+        fnv1a(&bytes_a),
+        DETERMINISM_CACHE_FNV1A,
+        "the walk cache file moved off its golden bytes"
+    );
     assert_eq!(scores_a, scores_b, "repeated queries must be bit-identical");
     assert_eq!(scores_a, scores_c, "thread count must not change scores");
 }

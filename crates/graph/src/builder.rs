@@ -55,11 +55,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of edges currently buffered (before deduplication).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Current node count (max endpoint + 1, or the reserved minimum).
     pub fn num_nodes(&self) -> usize {
         self.num_nodes

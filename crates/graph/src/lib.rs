@@ -42,7 +42,6 @@ pub mod builder;
 pub mod codec;
 pub mod csr;
 pub mod delta;
-pub mod delta_stream;
 pub mod error;
 pub mod extsort;
 pub mod ids;
@@ -54,7 +53,6 @@ pub mod scc;
 mod segment;
 pub mod sell;
 pub mod shard;
-pub mod solve_graph;
 pub mod source_graph;
 pub mod source_map;
 pub mod stats;
@@ -69,16 +67,15 @@ pub mod weighted;
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use delta::{CrawlDelta, DeltaOverlay, DeltaSummary, GraphDelta, SourceGraphMaintainer};
-pub use delta_stream::{decode_crawl_delta, encode_crawl_delta, DeltaCodecError, SequencedDelta};
 pub use error::GraphError;
 pub use extsort::ExternalEdgeSorter;
 pub use ids::{NodeId, PageId, SourceId};
 pub use pager::{ByteSource, PagedReader, SourceReader};
 pub use panel::PANEL_MAX_WIDTH;
 pub use partition::EdgePartition;
+pub use segment::ChunkSpan;
 pub use sell::SellRows;
-pub use shard::{ShardedCompressedGraph, ShardedGraphBuilder};
-pub use solve_graph::{ChunkArena, ChunkSource, ChunkSpan, RowScratch, SolveGraph};
+pub use shard::{ChunkArena, ShardedCompressedGraph, ShardedGraphBuilder};
 pub use source_graph::{SourceGraph, SourceGraphConfig};
 pub use source_map::SourceAssignment;
 pub use walks::{WalkFileWriter, WalkMeta, WalkStore, WalkTable};

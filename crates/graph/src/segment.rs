@@ -61,7 +61,6 @@ use crate::error::GraphError;
 use crate::ids::{node_id, NodeId};
 use crate::pager::{ByteSource, PagedReader, SourceReader, DEFAULT_PAGE_SIZE};
 use crate::partition::EdgePartition;
-use crate::solve_graph::ChunkSpan;
 use crate::varint;
 
 const MAGIC: &[u8; 8] = b"SRSEGMT1";
@@ -102,6 +101,33 @@ impl Schema {
         column: false,
         item_bytes: true,
     };
+}
+
+/// A contiguous row range with the **exact** byte extent of its encoded
+/// rows and its item count: the segment-table entry, and the unit of work
+/// of the pipelined out-of-core solve (where `items` are edges, Σ row
+/// degrees).
+///
+/// Spans tile the row space (ascending, disjoint, covering every row), so a
+/// solver can hand whole spans to workers and still write every output row
+/// exactly once. Byte offsets are relative to the data section — a span is
+/// loaded with a single positioned read, no seeking or prefix re-decoding.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChunkSpan {
+    /// Rows covered by the span (contiguous, ascending).
+    pub rows: Range<usize>,
+    /// Byte extent of the encoded rows, relative to the data section.
+    pub bytes: Range<u64>,
+    /// Items (for shards: stored edges, Σ row degrees) in the span.
+    pub edges: u64,
+}
+
+impl ChunkSpan {
+    /// Payload length in bytes.
+    #[inline]
+    pub fn byte_len(&self) -> usize {
+        usize::try_from(self.bytes.end - self.bytes.start).unwrap_or(usize::MAX)
+    }
 }
 
 /// An opened container: the validated envelope held resident, row bytes

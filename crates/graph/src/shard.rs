@@ -33,8 +33,7 @@ use crate::error::GraphError;
 use crate::extsort::ExternalEdgeSorter;
 use crate::ids::NodeId;
 use crate::pager::ByteSource;
-use crate::segment::{self, Schema, SegmentFile, SegmentWriter};
-use crate::solve_graph::{ChunkArena, ChunkSource, ChunkSpan, RowScratch, SolveGraph};
+use crate::segment::{self, ChunkSpan, Schema, SegmentFile, SegmentWriter};
 
 /// Default shard payload target: 4 MiB of encoded rows per shard keeps the
 /// shard table tiny (a few hundred entries per GB) while giving the
@@ -44,6 +43,83 @@ pub const DEFAULT_SHARD_BYTES: usize = 4 * 1024 * 1024;
 /// Default in-RAM edge buffer for the external sort: 4M packed edges
 /// (32 MiB) per spill run.
 pub const DEFAULT_SPILL_EDGES: usize = 4 * 1024 * 1024;
+
+/// A block-decoded chunk: flat `offsets`/`targets` arrays holding every row
+/// of one [`ChunkSpan`], plus the codec scratch that filled them.
+///
+/// One arena per worker, reused across chunks **and** solver iterations:
+/// [`ShardedCompressedGraph::decode_chunk`] resets it (keeping capacity)
+/// and refills it, so the steady-state hot loop allocates nothing and the
+/// gather reads plain slices — no locks, no per-row decode state.
+#[derive(Debug, Default)]
+pub struct ChunkArena {
+    /// First row held (arena row `i` is graph row `row_lo + i`).
+    row_lo: usize,
+    /// CSR-style offsets into `targets`, length `num_rows + 1`.
+    offsets: Vec<usize>,
+    /// Decoded neighbor ids, each row's slice ascending.
+    targets: Vec<NodeId>,
+    /// Interval/residual working set of the varint codec.
+    codec: CodecScratch,
+}
+
+impl ChunkArena {
+    /// Fresh arena; buffers grow on first use and are reused afterwards.
+    pub fn new() -> Self {
+        ChunkArena::default()
+    }
+
+    /// Clears decoded content (keeping capacity) and re-bases at `row_lo`.
+    fn reset(&mut self, row_lo: usize) {
+        self.row_lo = row_lo;
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.targets.clear();
+    }
+
+    /// First graph row held.
+    #[inline]
+    pub fn row_lo(&self) -> usize {
+        self.row_lo
+    }
+
+    /// Number of rows currently decoded.
+    #[inline]
+    pub fn num_rows(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Total decoded edges.
+    #[inline]
+    pub fn num_edges(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// The ascending neighbor slice of arena-relative row `rel`.
+    #[inline]
+    pub fn row(&self, rel: usize) -> &[NodeId] {
+        &self.targets[self.offsets[rel]..self.offsets[rel + 1]]
+    }
+
+    /// The CSR-style offsets array, length [`num_rows`](Self::num_rows)` + 1`
+    /// (arena-local: `offsets[0] == 0`).
+    #[inline]
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// The flat decoded neighbor ids, every row's slice ascending.
+    #[inline]
+    pub fn targets(&self) -> &[NodeId] {
+        &self.targets
+    }
+
+    /// Current heap footprint in bytes (scratch-residency telemetry).
+    pub fn heap_bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<usize>()
+            + self.targets.capacity() * std::mem::size_of::<NodeId>()
+    }
+}
 
 /// A sharded, compressed, disk- (or memory-) backed reverse graph that the
 /// solve engine streams page by page. See the module docs for the format.
@@ -78,8 +154,9 @@ impl ShardedCompressedGraph {
         Ok(ShardedCompressedGraph { file, num_edges })
     }
 
-    /// Overrides the page size used by row streaming (the CI smoke test
-    /// forces a tiny page so tier-1 exercises the refill path).
+    /// Overrides the page size of the row walk behind
+    /// [`validate`](Self::validate) and [`to_csr`](Self::to_csr) (tests
+    /// force a tiny page to exercise the refill path).
     pub fn set_page_size(&mut self, page_size: usize) {
         self.file.set_page_size(page_size);
     }
@@ -118,8 +195,24 @@ impl ShardedCompressedGraph {
     /// Fully decodes every row, checking ascending order, node range and
     /// per-shard edge counts. O(edges) with O(page) memory.
     pub fn validate(&self) -> Result<(), GraphError> {
-        let mut scratch = RowScratch::new();
-        self.stream_rows(0..self.num_nodes(), &mut scratch, &mut |_, _| {})
+        self.for_each_row(0..self.num_nodes(), |_, _| {})
+    }
+
+    /// The sequential row walk behind [`validate`](Self::validate) and
+    /// [`to_csr`](Self::to_csr): hands `f` every row of `rows`, ascending,
+    /// decoded and range-checked by `decode_row`, with O(page) memory.
+    fn for_each_row(
+        &self,
+        rows: Range<usize>,
+        mut f: impl FnMut(usize, &[NodeId]),
+    ) -> Result<(), GraphError> {
+        let (mut targets, mut codec, mut page) = (Vec::new(), CodecScratch::new(), Vec::new());
+        self.file.for_each_row(rows, &mut page, |row, payload| {
+            targets.clear();
+            self.decode_row(row, payload, &mut codec, &mut targets)?;
+            f(row, &targets);
+            Ok(())
+        })
     }
 
     /// Decodes one shard row's payload — a codec row and nothing after it
@@ -201,62 +294,11 @@ impl ShardedCompressedGraph {
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets: Vec<NodeId> = Vec::new();
         offsets.push(0usize);
-        let mut scratch = RowScratch::new();
-        self.stream_rows(0..n, &mut scratch, &mut |_row, srcs| {
+        self.for_each_row(0..n, |_row, srcs| {
             targets.extend_from_slice(srcs);
             offsets.push(targets.len());
         })?;
         Ok(CsrGraph::from_parts(offsets, targets))
-    }
-}
-
-impl SolveGraph for ShardedCompressedGraph {
-    fn num_nodes(&self) -> usize {
-        self.file.num_rows()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// Streams decoded rows; every row is ascending and in range (see
-    /// `decode_row`), so every consumer may index by the ids it is handed.
-    fn stream_rows(
-        &self,
-        rows: Range<usize>,
-        scratch: &mut RowScratch,
-        f: &mut dyn FnMut(usize, &[NodeId]),
-    ) -> Result<(), GraphError> {
-        let RowScratch {
-            targets,
-            codec,
-            page,
-        } = scratch;
-        self.file.for_each_row(rows, page, |row, payload| {
-            targets.clear();
-            self.decode_row(row, payload, codec, targets)?;
-            f(row, targets);
-            Ok(())
-        })
-    }
-}
-
-impl ChunkSource for ShardedCompressedGraph {
-    fn chunk_spans(&self, max_chunks: usize) -> Result<Vec<ChunkSpan>, GraphError> {
-        ShardedCompressedGraph::chunk_spans(self, max_chunks)
-    }
-
-    fn load_chunk(&self, span: &ChunkSpan, buf: &mut Vec<u8>) -> Result<(), GraphError> {
-        ShardedCompressedGraph::load_chunk(self, span, buf)
-    }
-
-    fn decode_chunk(
-        &self,
-        span: &ChunkSpan,
-        data: &[u8],
-        arena: &mut ChunkArena,
-    ) -> Result<(), GraphError> {
-        ShardedCompressedGraph::decode_chunk(self, span, data, arena)
     }
 }
 
@@ -431,8 +473,8 @@ mod tests {
         let fwd = sample_forward();
         let dir = tmp("roundtrip");
         let sharded = build_from_csr(&fwd, &dir, &dir.join("g.shards"), 8).unwrap();
-        assert_eq!(SolveGraph::num_nodes(&sharded), fwd.num_nodes());
-        assert_eq!(SolveGraph::num_edges(&sharded), fwd.num_edges());
+        assert_eq!(sharded.num_nodes(), fwd.num_nodes());
+        assert_eq!(sharded.num_edges(), fwd.num_edges());
         assert!(sharded.shards().len() > 1, "tiny target must multi-shard");
         sharded.validate().unwrap();
         assert_eq!(sharded.to_csr().unwrap(), transpose(&fwd));
@@ -456,7 +498,7 @@ mod tests {
         let g = b.finish(&dir.join("g.shards")).unwrap();
         // NOTE: duplicates are counted per push into out-degrees at merge
         // time only once because the sorter dedupes before the consumer.
-        assert_eq!(SolveGraph::num_edges(&g), 2);
+        assert_eq!(g.num_edges(), 2);
         assert_eq!(g.out_degrees(), &[1, 0, 1, 0]);
         assert_eq!(g.to_csr().unwrap().neighbors(1), &[0, 2]);
     }
@@ -466,14 +508,14 @@ mod tests {
         let dir = tmp("empty");
         let b = ShardedGraphBuilder::new(0, &dir).unwrap();
         let g = b.finish(&dir.join("empty.shards")).unwrap();
-        assert_eq!(SolveGraph::num_nodes(&g), 0);
-        assert_eq!(SolveGraph::num_edges(&g), 0);
+        assert_eq!(g.num_nodes(), 0);
+        assert_eq!(g.num_edges(), 0);
         g.validate().unwrap();
 
         let b = ShardedGraphBuilder::new(5, &dir).unwrap();
         let g = b.finish(&dir.join("edgeless.shards")).unwrap();
-        assert_eq!(SolveGraph::num_nodes(&g), 5);
-        assert_eq!(SolveGraph::num_edges(&g), 0);
+        assert_eq!(g.num_nodes(), 5);
+        assert_eq!(g.num_edges(), 0);
         g.validate().unwrap();
         assert_eq!(g.to_csr().unwrap(), CsrGraph::empty(5));
     }
@@ -495,15 +537,12 @@ mod tests {
         let mut sharded = build_from_csr(&fwd, &dir, &dir.join("g.shards"), 32).unwrap();
         sharded.set_page_size(16); // force refills
         let rev = transpose(&fwd);
-        let mut scratch = RowScratch::new();
         // Every sub-range, including ones that straddle shard boundaries.
         for lo in 0..=rev.num_nodes() {
             for hi in lo..=rev.num_nodes() {
                 let mut got = Vec::new();
                 sharded
-                    .stream_rows(lo..hi, &mut scratch, &mut |row, srcs| {
-                        got.push((row, srcs.to_vec()));
-                    })
+                    .for_each_row(lo..hi, |row, srcs| got.push((row, srcs.to_vec())))
                     .unwrap();
                 let want: Vec<(usize, Vec<NodeId>)> = (lo..hi)
                     .map(|u| (u, rev.neighbors(node_id(u)).to_vec()))
@@ -551,20 +590,13 @@ mod tests {
                 expect_row = s.rows.end;
                 edges += s.edges;
             }
-            assert_eq!(expect_row, SolveGraph::num_nodes(&sharded));
-            assert_eq!(edges as usize, SolveGraph::num_edges(&sharded));
-            // Chunk-path decode equals the row-streaming path.
+            assert_eq!(expect_row, sharded.num_nodes());
+            assert_eq!(edges as usize, sharded.num_edges());
+            // Chunk-path decode equals the row walk.
             let got = decode_all_spans(&sharded, &spans);
             let mut want = Vec::new();
-            let mut scratch = RowScratch::new();
             sharded
-                .stream_rows(
-                    0..SolveGraph::num_nodes(&sharded),
-                    &mut scratch,
-                    &mut |r, n| {
-                        want.push((r, n.to_vec()));
-                    },
-                )
+                .for_each_row(0..sharded.num_nodes(), |r, n| want.push((r, n.to_vec())))
                 .unwrap();
             assert_eq!(got, want, "max_chunks {max_chunks}");
         }

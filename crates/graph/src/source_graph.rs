@@ -112,11 +112,6 @@ impl SourceGraph {
         &self.transitions
     }
 
-    /// Consumes `self`, returning the transition matrix.
-    pub fn into_transitions(self) -> WeightedGraph {
-        self.transitions
-    }
-
     /// Structural inter-source edges (no self-edges).
     #[inline]
     pub fn structural(&self) -> &CsrGraph {

@@ -32,10 +32,9 @@ const RELAXED_CARVE_OUT: &str = "crates/par/src/counters.rs";
 
 /// `sr-par` entry points whose closures run on unordered worker threads —
 /// both the hash-iteration and the captured-accumulation checks apply.
-const PAR_UNORDERED: [&str; 8] = [
+const PAR_UNORDERED: [&str; 7] = [
     "for_each_part",
     "for_each_block",
-    "for_each_chunk",
     "for_each_mut",
     "map_reduce",
     "map_reduce_blocks",

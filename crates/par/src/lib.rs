@@ -227,15 +227,6 @@ where
         .reduce(combine)
 }
 
-/// Runs `f(chunk_range)` over near-equal chunks of `0..len`, one per thread,
-/// discarding results. Sequential below the cutover.
-pub fn for_each_chunk<F>(len: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    map_reduce(len, f, |(), ()| ());
-}
-
 /// Maps every chunk of `0..len` (chunks of at most `chunk_len`) through `f`
 /// in parallel and returns the per-chunk outputs in chunk order. The
 /// parallel analogue of `(0..len).chunks(chunk_len).map(f).collect()`.
@@ -424,7 +415,7 @@ where
 /// Runs `f(task_index)` for every task in `0..count` in parallel and returns
 /// the results in task order.
 ///
-/// Unlike [`map_reduce`]/[`for_each_chunk`] this does **not** gate on
+/// Unlike [`map_reduce`] this does **not** gate on
 /// [`PAR_THRESHOLD`]: it is meant for a small number of *coarse* tasks (e.g.
 /// independent Monte-Carlo walkers, each worth milliseconds) where the task
 /// count is far below the threshold but each task dwarfs the fork cost.

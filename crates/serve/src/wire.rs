@@ -28,10 +28,19 @@
 //! | 0x02   | TopK          | `u8 domain, u32 k`                            |
 //! | 0x03   | SourceScore   | `u32 source`                                  |
 //! | 0x04   | Ppr           | `u8 mode, u32 top_m, u32 n_seeds, u32×n`      |
-//! | 0x05   | IngestDelta   | [`sr_graph::delta_stream`] payload            |
+//! | 0x05   | IngestDelta   | crawl delta (below)                           |
 //! | 0x06   | Stats         | —                                             |
 //! | 0x07   | DumpRanks     | `u8 which`                                    |
 //! | 0x7F   | Shutdown      | —                                             |
+//!
+//! An IngestDelta payload is one [`CrawlDelta`], to the end of the frame:
+//!
+//! ```text
+//! u32 new_nodes
+//! u32 op_count          then op_count × { u8 tag (0 add, 1 remove), u32 u, u32 v }
+//! u32 page_source_count then page_source_count × u32
+//! u32 new_sources
+//! ```
 //!
 //! ## Responses
 //!
@@ -43,8 +52,8 @@
 
 use std::io::{Read, Write};
 
-use sr_graph::delta_stream::{decode_crawl_delta, encode_crawl_delta};
-use sr_graph::{CrawlDelta, NodeId};
+use sr_graph::delta::DeltaOp;
+use sr_graph::{CrawlDelta, GraphDelta, NodeId};
 
 /// Hard cap on one frame's payload; a corrupt length prefix fails fast
 /// instead of attempting a giant allocation.
@@ -221,7 +230,7 @@ pub enum WireError {
     Truncated,
     /// Unconsumed bytes after a complete message.
     TrailingBytes,
-    /// Unknown opcode, status, or enum tag.
+    /// Unknown opcode, status, enum tag, or delta op tag.
     BadTag {
         /// The offending byte.
         tag: u8,
@@ -233,11 +242,6 @@ pub enum WireError {
     },
     /// A message string was not UTF-8.
     BadUtf8,
-    /// The embedded crawl delta failed to decode.
-    BadDelta(
-        /// The codec's reason.
-        sr_graph::delta_stream::DeltaCodecError,
-    ),
 }
 
 impl std::fmt::Display for WireError {
@@ -250,7 +254,6 @@ impl std::fmt::Display for WireError {
                 write!(f, "frame of {len} bytes exceeds cap {MAX_FRAME_BYTES}")
             }
             WireError::BadUtf8 => write!(f, "message string is not UTF-8"),
-            WireError::BadDelta(e) => write!(f, "embedded delta: {e}"),
         }
     }
 }
@@ -305,6 +308,31 @@ impl<'a> Reader<'a> {
         String::from_utf8(s.to_vec()).map_err(|_| WireError::BadUtf8)
     }
 
+    /// An IngestDelta payload (layout in the module docs).
+    fn delta(&mut self) -> Result<CrawlDelta, WireError> {
+        let mut graph = GraphDelta::new();
+        graph.add_nodes(self.u32()? as usize);
+        for _ in 0..self.u32()? {
+            let tag = self.u8()?;
+            let (u, v) = (self.u32()?, self.u32()?);
+            match tag {
+                0 => graph.add_edge(u, v),
+                1 => graph.remove_edge(u, v),
+                tag => return Err(WireError::BadTag { tag }),
+            }
+        }
+        let n = self.u32()? as usize;
+        let mut new_page_sources = Vec::with_capacity(n.min(1 << 20));
+        for _ in 0..n {
+            new_page_sources.push(self.u32()?);
+        }
+        Ok(CrawlDelta {
+            graph,
+            new_page_sources,
+            new_sources: self.u32()? as usize,
+        })
+    }
+
     fn finish(&self) -> Result<(), WireError> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -339,6 +367,25 @@ fn put_count(out: &mut Vec<u8>, n: usize) {
     put_u32(out, u32::try_from(n).expect("count fits u32"));
 }
 
+fn put_delta(out: &mut Vec<u8>, delta: &CrawlDelta) {
+    put_count(out, delta.graph.new_nodes());
+    put_count(out, delta.graph.ops().len());
+    for op in delta.graph.ops() {
+        let (tag, u, v) = match *op {
+            DeltaOp::AddEdge(u, v) => (0, u, v),
+            DeltaOp::RemoveEdge(u, v) => (1, u, v),
+        };
+        out.push(tag);
+        put_u32(out, u);
+        put_u32(out, v);
+    }
+    put_count(out, delta.new_page_sources.len());
+    for &s in &delta.new_page_sources {
+        put_u32(out, s);
+    }
+    put_count(out, delta.new_sources);
+}
+
 // --- request codec ---------------------------------------------------------
 
 /// Serializes one request payload (no frame prefix).
@@ -371,7 +418,7 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
         }
         Request::IngestDelta(delta) => {
             out.push(0x05);
-            encode_crawl_delta(delta, out);
+            put_delta(out, delta);
         }
         Request::Stats => out.push(0x06),
         Request::DumpRanks { domain } => {
@@ -406,11 +453,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
             }
             Request::Ppr { mode, top_m, seeds }
         }
-        0x05 => {
-            let rest = r.take(bytes.len() - r.pos)?;
-            let delta = decode_crawl_delta(rest).map_err(WireError::BadDelta)?;
-            return Ok(Request::IngestDelta(delta));
-        }
+        0x05 => Request::IngestDelta(r.delta()?),
         0x06 => Request::Stats,
         0x07 => Request::DumpRanks {
             domain: RankDomain::from_byte(r.u8()?)?,
@@ -579,17 +622,22 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 }
 
 /// Reads one length-prefixed frame. `Ok(None)` on clean EOF at a frame
-/// boundary (peer hung up between messages).
+/// boundary (peer hung up between messages), that is, before the first
+/// byte of the length prefix.
 ///
 /// # Errors
-/// I/O failure, mid-frame EOF, or a length prefix above [`MAX_FRAME_BYTES`].
+/// I/O failure, EOF inside the length prefix or the payload, or a length
+/// prefix above [`MAX_FRAME_BYTES`].
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
+    // EOF before the first byte is a clean hang-up; EOF inside the prefix
+    // is a torn frame, which `read_exact` reports as `UnexpectedEof`.
+    match r.read_exact(&mut len_buf[..1]) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
+    r.read_exact(&mut len_buf[1..])?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
@@ -607,11 +655,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn sample_requests() -> Vec<Request> {
+    fn sample_delta() -> CrawlDelta {
         let mut delta = CrawlDelta::new();
         delta.graph.add_nodes(1);
         delta.graph.add_edge(0, 3);
+        delta.graph.remove_edge(1, 0);
         delta.new_page_sources = vec![2];
+        delta
+    }
+
+    fn sample_requests() -> Vec<Request> {
         vec![
             Request::Rank { page: 7 },
             Request::TopK {
@@ -629,7 +682,8 @@ mod tests {
                 top_m: 0,
                 seeds: vec![],
             },
-            Request::IngestDelta(delta),
+            Request::IngestDelta(sample_delta()),
+            Request::IngestDelta(CrawlDelta::new()),
             Request::Stats,
             Request::DumpRanks {
                 domain: RankDomain::PageRank,
@@ -702,10 +756,40 @@ mod tests {
                 assert!(decode_request(&buf[..cut]).is_err(), "cut {cut} of {req:?}");
             }
             buf.push(0);
-            // IngestDelta's payload consumes to end, so its codec reports
-            // the trailing byte; all others via finish().
             assert!(decode_request(&buf).is_err());
         }
+    }
+
+    fn encoded_delta() -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_request(&Request::IngestDelta(sample_delta()), &mut buf);
+        buf
+    }
+
+    #[test]
+    fn delta_truncation_at_every_boundary_is_typed() {
+        let buf = encoded_delta();
+        for cut in 0..buf.len() {
+            assert_eq!(
+                decode_request(&buf[..cut]),
+                Err(WireError::Truncated),
+                "cut at {cut} must be Truncated"
+            );
+        }
+    }
+
+    #[test]
+    fn delta_trailing_bytes_rejected() {
+        let mut buf = encoded_delta();
+        buf.push(0);
+        assert_eq!(decode_request(&buf), Err(WireError::TrailingBytes));
+    }
+
+    #[test]
+    fn delta_unknown_op_tag_rejected() {
+        let mut buf = encoded_delta();
+        buf[9] = 7; // the first op's tag byte, after the opcode and two counts
+        assert_eq!(decode_request(&buf), Err(WireError::BadTag { tag: 7 }));
     }
 
     #[test]
@@ -739,6 +823,17 @@ mod tests {
         let mut huge = Vec::new();
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(read_frame(&mut &huge[..]).is_err(), "cap must reject");
+    }
+
+    #[test]
+    fn a_torn_length_prefix_is_an_error_not_a_hang_up() {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, b"hello").unwrap();
+        assert!(read_frame(&mut &frame[..0]).unwrap().is_none(), "no byte");
+        for cut in 1..4 {
+            let err = read_frame(&mut &frame[..cut]).expect_err("a torn prefix must fail");
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut {cut}");
+        }
     }
 
     /// Every proper prefix and every single-bit flip of `frame`.

@@ -94,9 +94,10 @@ cargo test -q --test invariants operators_hold_one_copy_of_the_edges
 cargo test -q -p sr-core --test proptests top_k_is_the_head
 
 echo "==> out-of-core smoke (tiny shards & pages: on-disk solve == CSR, bitwise)"
-# The sharded differential suite forces 1-byte shard targets and 16-byte
-# pages, so every seam of the paged reader and the shard-aligned spans is
-# exercised at tier-1 cost. Its geometry-matrix proptest
+# The sharded differential suite forces 1-byte shard targets, so every
+# row is its own shard and every span seam of the chunk path
+# (chunk_spans / load_chunk / decode_chunk) is exercised at tier-1 cost.
+# Its geometry-matrix proptest
 # (pipeline_geometry_is_bitwise_invariant) sweeps the decode-ahead
 # pipeline's knobs — prefetch depth × span granularity × thread count ×
 # hot-span cache budget, including budgets that split the spans between
@@ -123,9 +124,13 @@ echo "==> approx-PPR differential suite (walk cache vs exact solver oracle)"
 # The Monte-Carlo engine's four pinned properties: (eps, delta) additive
 # error vs the exact solve, bitwise determinism across thread counts,
 # exact agreement in the R=0 push-only limit, and cache rebuild-vs-reload
-# identity. The extsort/pager/rng suites cover the storage and randomness
-# layers the engine stands on.
+# identity. The named walk-cache pin holds the cache file to a golden
+# FNV-1a hash and to the same bytes at every thread count and source
+# batch size, so a rewrite of the walk simulation cannot move a byte.
+# The extsort/pager/rng suites cover the storage and randomness layers
+# the engine stands on.
 cargo test -q -p sr-core --test approx_differential
+cargo test -q -p sr-core --test approx_differential cache_and_queries_are_bitwise_deterministic_across_threads
 cargo test -q -p sr-graph --test extsort_merge
 cargo test -q -p sr-graph --test pager_boundaries
 cargo test -q -p sr-eval --test rng_audit
@@ -154,11 +159,15 @@ echo "==> serving suites (loopback smoke, rotation races, batching determinism)"
 # refuses (bad endpoint, page/source length mismatch, source out of range)
 # must leave its epoch and later snapshots bitwise unchanged, and the wire
 # decoders must answer arbitrary bytes, prefixes and bit flips with a
-# value or a typed error, with oversized frames refused before allocation.
+# value or a typed error, with oversized frames refused before allocation
+# and a torn length prefix read as an error, not a clean hang-up. The
+# loopback suite lives in the root package, so tier-1 (`cargo test -q`)
+# runs it too: it sends deltas over TCP and requires the served vectors
+# to equal an offline EpochEngine replay bitwise, with zero reader stalls.
 # bench_serve (the full open-loop load test with the approx-vs-exact
 # latency gate) is release-only; the release build above keeps it
 # compiling and BENCH_serve.json tracks its runs.
-cargo test -q -p sr-serve --test loopback
+cargo test -q --test loopback
 cargo test -q -p sr-serve --test rotation
 cargo test -q -p sr-serve --test batching
 cargo test -q -p sr-serve --lib engine::tests::failed_deltas_leave_the_engine_unchanged
