@@ -41,9 +41,10 @@
 //! recorder attached and lands in `RUNS_kernels.json` alongside the
 //! workload's partition/compression stats.
 
-// The tracked benchmark baseline is wall-clock measurement by definition;
-// the determinism policy (clippy.toml disallowed-methods) is lifted here.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the tracked benchmark baseline is wall-clock measurement by definition"
+)]
 
 use std::fmt::Write as _;
 use std::time::Instant;

@@ -19,9 +19,10 @@
 //! Across the whole run: zero reader stalls, and post-ingest ranks must be
 //! bitwise equal to an offline [`EpochEngine`] replay of the same deltas.
 
-// The tracked benchmark baseline is wall-clock measurement by definition;
-// the determinism policy (clippy.toml disallowed-methods) is lifted here.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the tracked benchmark baseline is wall-clock measurement by definition"
+)]
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -1,6 +1,6 @@
 //! Deterministic, NaN-total orderings for rank scores.
 //!
-//! The repo-wide policy (enforced by the `float-order` lint rule): rank
+//! The repo-wide policy (clippy.toml disallows `partial_cmp`): rank
 //! scores are never compared with `partial_cmp` — a NaN from a
 //! pathological upstream solve must order *deterministically*, and must
 //! always rank as the **worst** score, never the best. Plain

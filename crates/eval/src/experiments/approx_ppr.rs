@@ -8,8 +8,6 @@
 //! machine-readable output is `RUNS_approx_ppr.json`; the human-readable
 //! table prints per-cell speedup and error against the exact oracle.
 
-// lint-ok(determinism): Instant feeds the latency columns of the run
-// report only — it never influences scores, ordering, or cache bytes.
 use std::time::Instant;
 
 use std::fmt::Write as _;
@@ -66,6 +64,10 @@ pub fn default_grid() -> (Vec<u32>, Vec<f64>) {
 /// Runs the frontier sweep on `ds`: spam-source seed sets (singletons plus
 /// pseudo-random pairs derived from `config.seed`), the exact solver as
 /// the baseline and oracle, one cache per walk budget.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "Instant feeds the latency columns of the run report only; it never influences scores, ordering or cache bytes"
+)]
 pub fn run(ds: &EvalDataset, config: &EvalConfig) -> ApproxPprResult {
     let structural = ds.sources.structural();
     let n = structural.num_nodes();
@@ -91,8 +93,7 @@ pub fn run(ds: &EvalDataset, config: &EvalConfig) -> ApproxPprResult {
     assert!(!queries.is_empty(), "dataset must label spam sources");
 
     // Baseline: the exact per-seed solve, which is also the oracle.
-    #[allow(clippy::disallowed_methods)]
-    let t = Instant::now(); // lint-ok(determinism): timing column only
+    let t = Instant::now();
     let exact: Vec<Vec<f64>> = queries
         .iter()
         .map(|seeds| {
@@ -102,7 +103,6 @@ pub fn run(ds: &EvalDataset, config: &EvalConfig) -> ApproxPprResult {
                 .to_vec()
         })
         .collect();
-    #[allow(clippy::disallowed_methods)] // same timing column as t above
     let exact_ms = t.elapsed().as_secs_f64() * 1e3 / queries.len() as f64;
 
     let (walk_budgets, epsilons) = default_grid();
@@ -111,8 +111,7 @@ pub fn run(ds: &EvalDataset, config: &EvalConfig) -> ApproxPprResult {
     let mut rows = Vec::with_capacity(walk_budgets.len() * epsilons.len());
     for &walks in &walk_budgets {
         let path = cache_dir.join(format!("frontier_r{walks}.walks"));
-        #[allow(clippy::disallowed_methods)]
-        let t = Instant::now(); // lint-ok(determinism): timing column only
+        let t = Instant::now();
         let cache = prox
             .build_walk_cache(
                 structural,
@@ -124,7 +123,6 @@ pub fn run(ds: &EvalDataset, config: &EvalConfig) -> ApproxPprResult {
                 &path,
             )
             .expect("cache build on a generated crawl");
-        #[allow(clippy::disallowed_methods)] // same timing column as t above
         let mut cache_build_secs = t.elapsed().as_secs_f64();
         let cache_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         let engine = prox.approx(structural, cache).expect("matching cache");
@@ -132,12 +130,10 @@ pub fn run(ds: &EvalDataset, config: &EvalConfig) -> ApproxPprResult {
         // one-time precompute like the build itself, so it is accounted
         // there and every timed query below is warm (the serving steady
         // state the frontier is about).
-        #[allow(clippy::disallowed_methods)]
-        let t = Instant::now(); // lint-ok(determinism): timing column only
+        let t = Instant::now();
         engine
             .scores(&queries[0], &QueryConfig::default())
             .expect("warm-up query");
-        #[allow(clippy::disallowed_methods)] // same timing column as t above
         let warmup_secs = t.elapsed().as_secs_f64();
         cache_build_secs += warmup_secs;
         for &epsilon in &epsilons {
@@ -147,8 +143,7 @@ pub fn run(ds: &EvalDataset, config: &EvalConfig) -> ApproxPprResult {
             };
             let mut max_err = 0.0f64;
             let mut sum_max = 0.0f64;
-            #[allow(clippy::disallowed_methods)]
-            let t = Instant::now(); // lint-ok(determinism): timing column only
+            let t = Instant::now();
             let answers: Vec<Vec<f64>> = queries
                 .iter()
                 .map(|seeds| {
@@ -159,7 +154,6 @@ pub fn run(ds: &EvalDataset, config: &EvalConfig) -> ApproxPprResult {
                         .to_vec()
                 })
                 .collect();
-            #[allow(clippy::disallowed_methods)] // same timing column as t above
             let approx_ms = t.elapsed().as_secs_f64() * 1e3 / queries.len() as f64;
             for (approx, oracle) in answers.iter().zip(&exact) {
                 let query_max = approx

@@ -9,8 +9,6 @@
 //! shows, per step, the iteration and wall-time savings plus the maximum
 //! rank divergence between the two paths.
 
-// lint-ok(determinism): Instant feeds the run-report timing columns only —
-// it never influences ranking output, ordering, or serialized artifacts.
 use std::time::Instant;
 
 use sr_core::incremental::{IncrementalConfig, IncrementalRanker};
@@ -75,6 +73,10 @@ fn step_name(step: &Step) -> String {
 /// Runs the campaign on `ds` through both the incremental and the rebuild
 /// path. The throttle vector is seeded from spam proximity on the
 /// pre-attack crawl, exactly as a deployed ranker would be mid-crawl.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "Instant feeds the run-report timing columns only; it never influences ranking output, ordering or serialized artifacts"
+)]
 pub fn run(ds: &EvalDataset, config: &EvalConfig) -> DeltaRerankResult {
     let num_sources = node_id(ds.crawl.num_sources());
     let target_source = num_sources / 2;
@@ -124,17 +126,14 @@ pub fn run(ds: &EvalDataset, config: &EvalConfig) -> DeltaRerankResult {
         for solve in ["pagerank", "sourcerank", "sr-sourcerank"] {
             rec.push_label(format!("{name}:{solve}"));
         }
-        #[allow(clippy::disallowed_methods)]
-        let t = Instant::now(); // lint-ok(determinism): timing column only
+        let t = Instant::now();
         let out = ranker
             .apply(delta, Some(&mut rec))
             .expect("recorded campaign deltas are valid");
-        #[allow(clippy::disallowed_methods)] // same timing column as t above
         let warm_secs = t.elapsed().as_secs_f64();
 
         // The seed pipeline's path: rebuild everything, solve cold.
-        #[allow(clippy::disallowed_methods)]
-        let t = Instant::now(); // lint-ok(determinism): timing column only
+        let t = Instant::now();
         let rebuilt = ranker.graph().to_csr();
         let assignment = ranker.maintainer().assignment();
         let sg = extract(&rebuilt, &assignment, SourceGraphConfig::consensus())
@@ -145,7 +144,6 @@ pub fn run(ds: &EvalDataset, config: &EvalConfig) -> DeltaRerankResult {
             .throttle(ranker.kappa().clone())
             .build(&sg)
             .rank();
-        #[allow(clippy::disallowed_methods)] // same timing column as t above
         let cold_secs = t.elapsed().as_secs_f64();
 
         let max_divergence = [

@@ -10,6 +10,7 @@
 //!    spam per bin.
 
 use sr_core::{SelfEdgePolicy, SourceRank, SpamProximity, SpamResilientSourceRank, ThrottleVector};
+use sr_gen::round_count;
 
 use crate::buckets::{marked_bucket_counts, mean_marked_bucket, PAPER_BUCKETS};
 use crate::datasets::{EvalConfig, EvalDataset};
@@ -69,7 +70,7 @@ impl Fig5Result {
 pub fn run(ds: &EvalDataset, cfg: &EvalConfig) -> Fig5Result {
     let spam = &ds.crawl.spam_sources;
     assert!(!spam.is_empty(), "figure 5 needs a spam-labeled dataset");
-    let seed_size = ((spam.len() as f64 * SEED_FRACTION).round() as usize).clamp(1, spam.len());
+    let seed_size = round_count(spam.len() as f64 * SEED_FRACTION).clamp(1, spam.len());
     let seeds = ds.crawl.sample_spam_seed(seed_size, cfg.seed);
     let top_k = ds.throttle_k();
 

@@ -13,6 +13,7 @@
 //!   index entirely, throttling merely demotes them.
 
 use sr_core::{SelfEdgePolicy, SourceRank, SpamProximity, SpamResilientSourceRank};
+use sr_gen::round_count;
 use sr_graph::ids::node_range;
 use sr_graph::source_graph::{extract, SourceGraphConfig};
 use sr_graph::subgraph::remove_sources;
@@ -52,7 +53,7 @@ pub struct FilteringResult {
 pub fn run(ds: &EvalDataset, cfg: &EvalConfig) -> FilteringResult {
     let spam = &ds.crawl.spam_sources;
     assert!(!spam.is_empty(), "filtering comparison needs spam labels");
-    let seed_size = ((spam.len() as f64 * SEED_FRACTION).round() as usize).clamp(1, spam.len());
+    let seed_size = round_count(spam.len() as f64 * SEED_FRACTION).clamp(1, spam.len());
     let seeds = ds.crawl.sample_spam_seed(seed_size, cfg.seed);
     let top_k = ds.throttle_k();
     let kappa = SpamProximity::new()

@@ -8,6 +8,7 @@
 
 use sr_core::operator::UniformTransition;
 use sr_core::{PageRank, SpamProximity, SpamResilientSourceRank, ThrottleVector};
+use sr_gen::round_count;
 use sr_graph::source_graph::{extract, SourceGraphConfig};
 use sr_graph::SourceId;
 use sr_spam::{cross_source_injection, intra_source_injection, InjectionCase};
@@ -71,7 +72,7 @@ pub fn throttle_for(ds: &EvalDataset, cfg: &EvalConfig) -> ThrottleVector {
     if spam.is_empty() {
         return ThrottleVector::zeros(ds.sources.num_sources());
     }
-    let seed_size = ((spam.len() as f64 * SEED_FRACTION).round() as usize).clamp(1, spam.len());
+    let seed_size = round_count(spam.len() as f64 * SEED_FRACTION).clamp(1, spam.len());
     let seeds = ds.crawl.sample_spam_seed(seed_size, cfg.seed);
     SpamProximity::new()
         .throttle_top_k(&ds.sources, &seeds, ds.throttle_k())

@@ -8,6 +8,7 @@
 //! (mean spam bucket under the `Surrender` policy, as in Figure 5).
 
 use sr_core::{SelfEdgePolicy, SpamProximity, SpamResilientSourceRank, ThrottleVector};
+use sr_gen::round_count;
 
 use crate::buckets::{marked_bucket_counts, mean_marked_bucket, PAPER_BUCKETS};
 use crate::datasets::{EvalConfig, EvalDataset};
@@ -72,13 +73,13 @@ pub fn run(ds: &EvalDataset, cfg: &EvalConfig) -> SensitivityResult {
     assert!(!spam.is_empty(), "sensitivity needs a spam-labeled dataset");
     let prox = SpamProximity::new();
     let paper_topk = ds.throttle_k();
-    let paper_seed = ((spam.len() as f64 * 0.0969).round() as usize).clamp(1, spam.len());
+    let paper_seed = round_count(spam.len() as f64 * 0.0969).clamp(1, spam.len());
 
     const SEED_FRACS: [f64; 6] = [0.02, 0.05, 0.10, 0.25, 0.50, 1.00];
     let mut seed_ks = Vec::new();
     let mut queries = Vec::new();
     for &frac in &SEED_FRACS {
-        let k = ((spam.len() as f64 * frac).round() as usize).clamp(1, spam.len());
+        let k = round_count(spam.len() as f64 * frac).clamp(1, spam.len());
         seed_ks.push(k);
         queries.push(prox.query(ds.crawl.sample_spam_seed(k, cfg.seed)));
     }
@@ -100,7 +101,7 @@ pub fn run(ds: &EvalDataset, cfg: &EvalConfig) -> SensitivityResult {
 
     let mut topk_sweep = Vec::new();
     for mult in [0.25, 0.5, 1.0, 2.0, 4.0] {
-        let k = ((paper_topk as f64 * mult).round() as usize).max(1);
+        let k = round_count(paper_topk as f64 * mult).max(1);
         let kappa = ThrottleVector::top_k_complete(paper_scores.scores(), k);
         topk_sweep.push(SweepPoint {
             label: format!("top-k x{mult} ({k})"),

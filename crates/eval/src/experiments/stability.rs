@@ -57,6 +57,10 @@ pub fn run(ds: &EvalDataset, cfg: &EvalConfig, fractions: &[f64]) -> Vec<Stabili
     let sr_clean = SourceRank::new().rank(&ds.sources);
     let mut rows = Vec::new();
     for &p in fractions {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "p is an edge-drop fraction in [0, 1], so p * 1e6 fits u64; it only salts the seed"
+        )]
         let perturbed = drop_edges(&ds.crawl.pages, p, cfg.seed ^ (p * 1e6) as u64);
         let pr = PageRank::default().rank(&perturbed);
         let sg = extract(

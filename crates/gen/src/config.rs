@@ -112,7 +112,7 @@ impl CrawlConfig {
     pub fn expected_spam_sources(&self) -> usize {
         self.spam
             .as_ref()
-            .map(|s| ((self.num_sources as f64 * s.fraction).round() as usize).max(1))
+            .map(|s| crate::round_count(self.num_sources as f64 * s.fraction).max(1))
             .unwrap_or(0)
     }
 

@@ -32,3 +32,15 @@ pub use presets::Dataset;
 pub use producer::{CrawlDeltaProducer, ProducerConfig};
 pub use stream::{generate_sharded, StreamConfig};
 pub use webgen::{generate, SyntheticCrawl};
+
+/// Rounds a scaled population size (a count times a fraction) to a whole
+/// count: the one float → count conversion the generator and the
+/// experiments share.
+#[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "saturates on purpose: callers pass finite, non-negative products of a population size and a fraction, far below usize::MAX"
+)]
+pub fn round_count(x: f64) -> usize {
+    x.round() as usize
+}

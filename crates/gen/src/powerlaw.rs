@@ -75,7 +75,7 @@ impl DegreeSampler {
 
     /// Draws one degree (always >= 1).
     pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        ((self.zipf.sample(rng) as f64 * self.scale).round() as usize).max(1)
+        crate::round_count(self.zipf.sample(rng) as f64 * self.scale).max(1)
     }
 }
 
@@ -136,6 +136,10 @@ pub fn partition_power_law<R: Rng>(
     let raw: Vec<usize> = (0..n).map(|_| zipf.sample(rng)).collect();
     let raw_sum: usize = raw.iter().sum();
     let scale = total as f64 / raw_sum as f64;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "each part is at most total (a usize); flooring is the intended rounding, the drift is fixed up below"
+    )]
     let mut parts: Vec<usize> = raw
         .iter()
         .map(|&r| ((r as f64 * scale) as usize).max(1))

@@ -80,9 +80,9 @@ impl Dataset {
             scale > 0.0 && scale <= 1.0,
             "scale must be in (0,1], got {scale}"
         );
-        let num_sources = ((self.paper_sources() as f64 * scale).round() as usize).max(50);
+        let num_sources = crate::round_count(self.paper_sources() as f64 * scale).max(50);
         let total_pages =
-            ((num_sources as f64 * self.pages_per_source()).round() as usize).max(num_sources);
+            crate::round_count(num_sources as f64 * self.pages_per_source()).max(num_sources);
         let spam = match self {
             // WB2001 is the dataset the paper labels: 10,315 / 738,626.
             Dataset::Wb2001 => Some(SpamConfig {
@@ -110,7 +110,7 @@ impl Dataset {
     /// 738,626 — this returns the same *fraction* of `num_sources`.
     pub fn throttle_top_k(self, num_sources: usize) -> usize {
         let frac = 20_000.0 / 738_626.0;
-        ((num_sources as f64 * frac).round() as usize).max(1)
+        crate::round_count(num_sources as f64 * frac).max(1)
     }
 }
 

@@ -86,6 +86,10 @@ impl StreamConfig {
 /// Inverse-CDF draw from the continuous approximation of `P(k) ∝ k^-gamma`
 /// over `[1, max]` — O(1) per draw with no table, which is what lets the
 /// target distribution span 100M+ node ids.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "k lies in [1, max] up to float error; the cast saturates and the clamp pins it"
+)]
 fn pareto_index(u: f64, gamma: f64, max: usize) -> usize {
     let g1 = 1.0 - gamma;
     let m = max as f64;

@@ -197,6 +197,10 @@ pub fn generate(config: &CrawlConfig) -> SyntheticCrawl {
     // the partner list), mirroring how a host links to a couple of favorite
     // neighbors far more than the rest.
     let mut builder = GraphBuilder::with_nodes(total_pages);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a capacity hint: the cast saturates, and an oversized hint fails in the allocator either way"
+    )]
     builder.reserve_edges((total_pages as f64 * config.mean_out_degree * 1.2) as usize);
     let mut partner_rank_cache: Vec<Option<ZipfSampler>> = vec![None, None];
     // partner list lengths vary; cache Zipf samplers per length.
@@ -305,7 +309,7 @@ pub fn generate(config: &CrawlConfig) -> SyntheticCrawl {
                 .filter(|&s| !is_spam(s, &spam_sources))
                 .map(|s| u64::from(page_ranges[s as usize + 1] - page_ranges[s as usize]))
                 .sum();
-            let hijacks = (legit_pages as f64 * spam_cfg.hijack_fraction).round() as usize;
+            let hijacks = crate::round_count(legit_pages as f64 * spam_cfg.hijack_fraction);
             let mut placed = 0usize;
             let mut attempts = 0usize;
             while placed < hijacks && attempts < hijacks * 10 + 100 {

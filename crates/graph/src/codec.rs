@@ -199,7 +199,10 @@ pub fn decode_row_into(
             if prev > u64::from(NodeId::MAX) {
                 return Err(corrupt());
             }
-            // lint-ok(numeric-cast): bounded by NodeId::MAX directly above.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "bounded by NodeId::MAX directly above"
+            )]
             out.push(prev as NodeId);
         }
         return Ok(());
@@ -220,7 +223,10 @@ pub fn decode_row_into(
             if prev > u64::from(NodeId::MAX) {
                 return Err(corrupt());
             }
-            // lint-ok(numeric-cast): bounded by NodeId::MAX directly above.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "bounded by NodeId::MAX directly above"
+            )]
             residuals.push(prev as NodeId);
         }
     }

@@ -13,9 +13,9 @@ use std::fmt;
 pub type NodeId = u32;
 
 /// Checked `usize → NodeId` conversion: the one sanctioned way to narrow
-/// an index. The `numeric-cast` lint bans bare `as u32` casts (the zigzag
-/// truncation bug class); this helper panics loudly in **every** build
-/// profile instead of silently wrapping in release.
+/// an index. Clippy's `cast_possible_truncation` bans bare `as u32` casts
+/// (the zigzag truncation bug class); this helper panics loudly in
+/// **every** build profile instead of silently wrapping in release.
 ///
 /// # Panics
 /// Panics when `idx` does not fit in a `u32`.
@@ -38,8 +38,26 @@ pub fn node_range(n: usize) -> std::ops::Range<NodeId> {
 macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         pub struct $name(pub NodeId);
+
+        // Written out: a derived `PartialOrd` calls `partial_cmp`, which
+        // clippy.toml disallows and a lint attribute cannot waive in derive
+        // output; deriving `Ord` beside a manual `PartialOrd` trips
+        // `derive_ord_xor_partial_ord`. Both order by the raw index.
+        impl Ord for $name {
+            #[inline]
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                self.0.cmp(&other.0)
+            }
+        }
+
+        impl PartialOrd for $name {
+            #[inline]
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
 
         impl $name {
             /// Returns the underlying index as a `usize` for slice indexing.

@@ -45,11 +45,30 @@ pub mod delta;
 pub mod error;
 pub mod extsort;
 pub mod ids;
+// The reader paths — the text readers and the segment container behind
+// every binary file — turn corrupt or truncated input into a typed error,
+// never a panic (the io_robustness and segment_container suites).
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 pub mod io;
 pub mod pager;
 pub mod panel;
 pub mod partition;
 pub mod scc;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 mod segment;
 pub mod sell;
 pub mod shard;

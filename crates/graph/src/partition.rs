@@ -39,6 +39,10 @@ impl EdgePartition {
     /// # Panics
     /// Panics if `offsets` is not a valid CSR offsets array (non-empty,
     /// starts at 0, non-decreasing) or `max_chunks == 0`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the non-decreasing check is an O(E) rescan of an invariant CsrGraph construction already enforces; too hot for release partition builds"
+    )]
     pub fn from_offsets(offsets: &[usize], max_chunks: usize) -> Self {
         assert!(
             !offsets.is_empty(),
@@ -46,8 +50,6 @@ impl EdgePartition {
         );
         assert_eq!(offsets[0], 0, "offsets must start at 0");
         assert!(max_chunks > 0, "max_chunks must be positive");
-        // perf-assert: O(E) rescan of an invariant CsrGraph construction
-        // already enforces; too hot for release partition builds.
         debug_assert!(
             offsets.windows(2).all(|w| w[0] <= w[1]),
             "offsets must be non-decreasing"

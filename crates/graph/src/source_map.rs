@@ -6,8 +6,6 @@
 //! that, plus arbitrary user-supplied groupings (the paper notes sources
 //! "could be augmented with expert knowledge").
 
-use std::collections::HashMap;
-
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::ids::{node_id, node_range, NodeId, PageId, SourceId};
@@ -47,15 +45,16 @@ impl SourceAssignment {
 
     /// Groups pages by host name, assigning dense source ids in first-seen
     /// order. Returns the assignment and the host of each source.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only interning table: ids come from `names.len()` in first-seen insertion order and the map is never iterated, so its bucket order cannot leak into output (pinned by `identical_inputs_produce_identical_ids`)"
+    )]
     pub fn from_hosts<I, S>(hosts: I) -> (Self, Vec<String>)
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        // lint-ok(determinism): lookup-only interning table — ids come from
-        // `names.len()` in first-seen insertion order and the map is never
-        // iterated, so its randomized bucket order cannot leak into output
-        // (pinned by `identical_inputs_produce_identical_ids` below).
+        use std::collections::HashMap;
         let mut ids: HashMap<String, NodeId> = HashMap::new();
         let mut names: Vec<String> = Vec::new();
         let mut page_to_source = Vec::new();

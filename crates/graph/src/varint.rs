@@ -9,7 +9,6 @@
 #[inline]
 pub fn write_u32(out: &mut Vec<u8>, mut value: u32) {
     loop {
-        // lint-ok(numeric-cast): masked to the low 7 bits, always fits u8.
         let byte = (value & 0x7f) as u8;
         value >>= 7;
         if value == 0 {
@@ -70,10 +69,12 @@ pub fn read_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
 /// builds, so an oversized gap silently truncated into a *wrong but
 /// decodable* varint — a data-corruption bug, not a crash.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the zigzag image of an i32-range value fits u32 by construction; the range is checked first"
+)]
 pub fn try_zigzag(v: i64) -> Option<u32> {
     if (i64::from(i32::MIN)..=i64::from(i32::MAX)).contains(&v) {
-        // lint-ok(numeric-cast): the zigzag image of an i32-range value fits
-        // u32 by construction; the range is checked directly above.
         Some(((v << 1) ^ (v >> 63)) as u32)
     } else {
         None

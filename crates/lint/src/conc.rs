@@ -145,12 +145,11 @@ pub struct FileFacts {
     pub(crate) serve_fns: Vec<ServeFn>,
 }
 
-/// A call region of an `sr-par` entry point: the token and line span of
-/// its argument list (which contains the worker closure).
+/// A call region of an `sr-par` entry point: the token span of its
+/// argument list (which contains the worker closure).
 #[derive(Debug, Clone)]
 pub(crate) struct ParRegion {
     pub(crate) toks: std::ops::Range<usize>,
-    pub(crate) lines: std::ops::RangeInclusive<usize>,
     /// Whether the closure runs unordered (accumulation check applies).
     pub(crate) unordered: bool,
 }
@@ -171,10 +170,8 @@ pub(crate) fn par_regions(scanned: &Scanned) -> Vec<ParRegion> {
             continue;
         }
         let close = skip_balanced(toks, i + 1, toks.len(), "(", ")");
-        let last = close.saturating_sub(1).max(i + 1);
         out.push(ParRegion {
             toks: i + 1..close,
-            lines: tok.line..=toks[last].line,
             unordered,
         });
     }
@@ -440,7 +437,7 @@ fn walk_fn_locks(
                 // Anchor just inside the call's own parens so the
                 // backward scan recovers this `.method()`'s receiver.
                 let (_, receiver) = call_context(toks, i + 3);
-                let node = format!("{}::{}", ctx.crate_name(), receiver);
+                let node = format!("{}::{}", crate_of(ctx.rel_path), receiver);
                 facts.lock_nodes.push(node.clone());
                 let status = ctx.exempt_status(m.line, "lock-order", &mut sink.exemptions);
                 if matches!(status, Exempt::Malformed) {
@@ -588,9 +585,8 @@ pub(crate) fn cycle_findings(graph: &LockGraph) -> Vec<Finding> {
 // ---------------------------------------------------------------------------
 
 /// Flags hash iteration and captured accumulation inside `sr-par` call
-/// regions. Supersedes the line-based `determinism` rule there (which
-/// skips these tokens inside par regions to avoid double-reporting with a
-/// blunter message).
+/// regions. (Outside them, clippy's `disallowed_types` owns the hash
+/// types.)
 pub(crate) fn par_determinism(ctx: &FileCtx<'_>, regions: &[ParRegion], sink: &mut Sink) {
     if !ctx.in_crate_src() {
         return;

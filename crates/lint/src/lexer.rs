@@ -8,8 +8,8 @@
 //!
 //! * line comments (`//`, `///`, `//!`) and nested block comments
 //!   (`/* /* */ */`) are captured as *comment text*, per line — rules read
-//!   them for `lint-ok(...)` / `perf-assert:` annotations but never match
-//!   code patterns inside them;
+//!   them for `lint-ok(...)` annotations but never match code patterns
+//!   inside them;
 //! * string literals (`"..."` with escapes), byte strings (`b"..."`), raw
 //!   strings (`r"..."`, `r#"..."#`, `br##"..."##`) and char/byte-char
 //!   literals (`'x'`, `'\n'`, `b'\0'`) are skipped entirely;
@@ -398,8 +398,8 @@ mod tests {
 
     #[test]
     fn multiline_block_comment_marks_every_line() {
-        let s = scan("/* one\n two perf-assert: reason\n three */\ncode();");
-        assert!(s.lines[1].comment.contains("perf-assert:"));
+        let s = scan("/* one\n two lint-ok(lock-order): reason\n three */\ncode();");
+        assert!(s.lines[1].comment.contains("lint-ok(lock-order)"));
         assert!(!s.lines[1].has_code);
         assert!(s.lines[3].has_code);
     }
@@ -414,8 +414,8 @@ mod tests {
 
     #[test]
     fn trailing_comment_line_still_has_code() {
-        let s = scan("call(); // lint-ok(numeric-cast): reason\n");
+        let s = scan("call(); // lint-ok(atomic-ordering): reason\n");
         assert!(s.lines[0].has_code);
-        assert!(s.lines[0].comment.contains("lint-ok(numeric-cast)"));
+        assert!(s.lines[0].comment.contains("lint-ok(atomic-ordering)"));
     }
 }

@@ -2,15 +2,14 @@
 
 //! # sr-lint — the repo's first-party static-analysis gate
 //!
-//! A dependency-free lint engine enforcing the numeric, panic and
-//! determinism policies this codebase has adopted the hard way: the
-//! release-mode zigzag `as`-cast truncation and the NaN
-//! `partial_cmp(..).expect(..)` panic were both bug classes a grep could
-//! not reliably catch (strings and doc comments false-positive; real
-//! violations hide behind line-wrapping). `sr-lint` lexes each file —
-//! skipping comments, string/raw-string and char literals — and runs five
-//! token-aware rules over every workspace source file. See [`rules`] for
-//! the rule table and the `lint-ok(<rule>): <reason>` exemption syntax.
+//! A dependency-free lint engine for the concurrency policies clippy
+//! cannot express: atomic orderings, the lock-acquisition graph,
+//! determinism inside `sr-par` closures, and panics reachable from a live
+//! `sr-serve` socket. `sr-lint` lexes each file — skipping comments,
+//! string/raw-string and char literals — recovers its item tree, and runs
+//! four syntax-aware rules over every workspace source file. See [`rules`]
+//! for the rule table and the `lint-ok(<rule>): <reason>` exemption
+//! syntax.
 //!
 //! Run the gate from the workspace root (CI does):
 //!
@@ -19,12 +18,12 @@
 //! ```
 //!
 //! Exit status is non-zero when any finding survives, and each finding
-//! prints as `file:line: [rule] message`. Where rustc or clippy can back a
-//! rule, the workspace also wires the equivalent (`[workspace.lints]`
-//! forbids `unsafe_code`; `clippy.toml` disallows `Instant::now` /
-//! `SystemTime::now`) — `sr-lint` remains the source of truth for the
-//! repo-specific parts: exemption reasons, path scoping and the
-//! `perf-assert:` contract.
+//! prints as `file:line: [rule] message`. The token-level policies
+//! (`debug_assert!`, truncating casts, `partial_cmp`, wall-clock and hash
+//! types, the panic family in the `sr-graph` readers) are clippy's:
+//! `clippy.toml`, the reader-module `deny` in `sr-graph` and the cast step
+//! of `scripts/ci.sh`, waived with `#[expect(clippy::…, reason = "…")]`
+//! (DESIGN.md §13).
 
 pub mod conc;
 pub mod engine;

@@ -2,7 +2,7 @@
 //! lexer's token stream.
 //!
 //! The concurrency rule pack needs more structure than the flat token
-//! stream the first five rules run on: *which function* a lock is acquired
+//! stream: *which function* a lock is acquired
 //! in (to scope guard lifetimes), *which functions call which* (to compute
 //! socket-reachability in `sr-serve`), and *which call a closure is an
 //! argument of* (to scope the parallel-determinism hazards). This module

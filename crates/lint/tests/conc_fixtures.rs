@@ -1,16 +1,18 @@
-//! Fixture-driven tests for the syntax-aware concurrency rules:
-//! `atomic-ordering`, `lock-order`, `par-determinism` and
-//! `panic-surface`. Every rule has a violating fixture and an
-//! exempted/corrected twin under `tests/fixtures/`. Fixtures are linted
-//! under synthetic workspace-relative paths so the path-scoped rules
-//! engage (their real path, `crates/lint/tests/fixtures/…`, is outside
-//! every rule's scope, which is also why the workspace gate stays clean).
+//! Fixture-driven tests for sr-lint's four rules: `atomic-ordering`,
+//! `lock-order`, `par-determinism` and `panic-surface`. Every rule has a
+//! violating fixture and an exempted/corrected twin under
+//! `tests/fixtures/`. Fixtures are linted under synthetic
+//! workspace-relative paths so the path-scoped rules engage (their real
+//! path, `crates/lint/tests/fixtures/…`, is outside every rule's scope,
+//! which is also why the workspace gate stays clean). The other fixtures
+//! in that directory belong to the clippy-enforced policies; `scripts/ci.sh`
+//! runs them through `clippy-driver`.
 //!
 //! `analyze_sources` is used instead of `lint_source` wherever the test
 //! also inspects the atomic catalogue, the lock graph or the exemption
 //! inventory.
 
-use sr_lint::analyze_sources;
+use sr_lint::{analyze_sources, lint_source};
 
 #[test]
 fn atomic_ordering_fixtures() {
@@ -142,4 +144,18 @@ fn panic_surface_reachability_crosses_files() {
     assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
     assert_eq!(a.findings[0].rule, "panic-surface");
     assert_eq!(a.findings[0].file, "crates/serve/src/worker.rs");
+}
+
+#[test]
+fn diagnostics_carry_file_line_rule() {
+    let bad = include_str!("fixtures/atomic_ordering_violation.rs");
+    let f = &lint_source("crates/core/src/cell.rs", bad)[0];
+    assert_eq!(f.file, "crates/core/src/cell.rs");
+    assert_eq!(f.rule, "atomic-ordering");
+    assert!(
+        f.line > 1,
+        "finding points at the store, not the doc header"
+    );
+    let rendered = f.to_string();
+    assert!(rendered.contains(&format!(":{}: ", f.line)), "{rendered}");
 }

@@ -7,7 +7,7 @@ use std::time::Instant;
 pub fn solve_with_budget(weights: HashMap<u32, f64>) -> (f64, u128) {
     let t0 = Instant::now();
     let mut acc = 0.0;
-    for (_, w) in &weights {
+    for w in weights.values() {
         acc += w;
     }
     (acc, t0.elapsed().as_nanos())

@@ -1,15 +1,20 @@
-//! Fixture: `float-order` carve-outs — `mod reference` blocks keep the
-//! naive kernels verbatim, and an explicit exemption covers the rest.
+//! Fixture: waived `partial_cmp` — a `mod reference` keeping a naive
+//! kernel verbatim for differential tests, and a tolerance comparison.
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pre-total-order ordering, kept verbatim as a differential-test oracle"
+)]
 pub mod reference {
-    /// The pre-PR-3 ordering, preserved for differential tests.
     pub fn sorted_desc(scores: &mut [f64]) {
         scores.sort_by(|a, b| b.partial_cmp(a).expect("finite scores"));
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "comparing solver tolerances, not rank scores; NaN yields false by design"
+)]
 pub fn epsilon_equal(a: f64, b: f64) -> bool {
-    // lint-ok(float-order): comparing solver tolerances, not rank scores;
-    // NaN propagates to `false` here by design.
     a.partial_cmp(&b) == Some(std::cmp::Ordering::Equal)
 }

@@ -1,18 +1,20 @@
 //! Fixture: lexer edge cases. Every policy-violating spelling below lives
-//! inside a literal or a comment — if the lexer mishandles any of the
-//! masking (raw strings, nested block comments, byte strings, char
-//! literals vs lifetimes), a rule fires and the torture test fails.
+//! inside a literal or a comment, next to a `Relaxed` that the
+//! `atomic-ordering` rule flags in solver-crate source — if the lexer
+//! mishandles any of the masking (raw strings, nested block comments, byte
+//! strings, char literals vs lifetimes), a rule fires and the torture test
+//! fails.
 
-/* nested /* block /* comments */ nest */ and this `as u32` is inert */
+/* nested /* block /* comments */ nest */ and this `Ordering::Relaxed` is inert */
 
 pub fn torture<'a>(name: &'a str) -> char {
-    let plain = "a string with .unwrap() and x as u32 inside";
-    let escaped = "escaped quote \" then .expect(\"still a string\") here";
-    let raw = r"raw: partial_cmp(.unwrap()) stays inert";
-    let hashed = r#"hashed raw: "quoted" HashMap::new() and panic!("no")"#;
-    let nested_hash = r##"outer r#"inner"# still one literal: 1.0 as u32"##;
-    let bytes = b"byte string with .unwrap() bytes";
-    let raw_bytes = br#"raw bytes: y as u32"#;
+    let plain = "a string with .unwrap() and x.load(Ordering::Relaxed) inside";
+    let escaped = "escaped quote \" then Relaxed and .expect(\"still a string\") here";
+    let raw = r"raw: partial_cmp(.unwrap()) Relaxed stays inert";
+    let hashed = r#"hashed raw: "quoted Relaxed" HashMap::new() and panic!("no")"#;
+    let nested_hash = r##"outer r#"inner"# still one literal: Ordering::Relaxed"##;
+    let bytes = b"byte string with .unwrap() Relaxed bytes";
+    let raw_bytes = br#"raw bytes: "y" Relaxed"#;
     let byte_char = b'\xff';
     let quote_char = '\'';
     let newline = '\n';

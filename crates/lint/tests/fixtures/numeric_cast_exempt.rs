@@ -1,12 +1,15 @@
-//! Fixture: exempted narrowing casts — each one states why the value
-//! provably fits.
+//! Fixture: narrowing casts that pass — a masked cast clippy proves
+//! lossless by itself, and a waived one that states why the value fits.
 
 pub fn low_byte(v: u32) -> u8 {
-    // lint-ok(numeric-cast): masked to 7 bits on the line below.
     (v & 0x7f) as u8
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "asserted to fit on the line above"
+)]
 pub fn checked(idx: usize) -> u32 {
-    assert!(idx <= u32::MAX as usize); // lint-ok(numeric-cast): widening compare only
-    idx as u32 // lint-ok(numeric-cast): asserted to fit directly above
+    assert!(idx <= u32::MAX as usize);
+    idx as u32
 }

@@ -2,8 +2,8 @@
 //! unordered `sr-par` closure, a captured float accumulator whose merge
 //! order depends on chunk completion order, and hash-keyed state inside an
 //! ordered `pipeline_while` stage. (The hash tokens sit inside the closures
-//! on purpose: outside a par region they belong to the line-based
-//! `determinism` rule instead.)
+//! on purpose: outside a par region they belong to clippy's
+//! `disallowed_types` instead.)
 
 pub fn tally(pool: &sr_par::Pool, parts: &mut [Vec<f64>]) -> f64 {
     let mut total = 0.0;

@@ -1,7 +1,8 @@
 #![warn(missing_docs)]
-// sr-obs is the sanctioned home of wall-clock telemetry (lint rule:
-// determinism exempts this crate), so the clippy backing is lifted here.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "sr-obs is the sanctioned home of wall-clock telemetry; its readings never feed a solve"
+)]
 
 //! # sr-obs — telemetry for the ranking pipeline
 //!
@@ -604,10 +605,8 @@ fn json_str(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            // lint-ok(numeric-cast): char -> u32 is a lossless widening
-            // (chars are at most 0x10FFFF), not a truncating narrowing.
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32); // lint-ok(numeric-cast): same lossless widening
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
             }
             c => out.push(c),
         }

@@ -150,6 +150,10 @@ impl LatencySamples {
         }
         let mut sorted = self.samples_us.clone();
         sorted.sort_unstable();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "p in [0, 100] keeps the rank within sorted.len(); the cast saturates and the clamp below covers any other p"
+        )]
         let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
         Some(sorted[rank.clamp(1, sorted.len()) - 1])
     }

@@ -114,6 +114,21 @@ pub fn scaled_bounds(bounds: &[usize], factor: usize) -> Vec<usize> {
     bounds.iter().map(|&b| b * factor).collect()
 }
 
+/// Runs one worker's body and, when `timed`, adds its wall time to the
+/// pool's busy-time counter.
+#[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "opt-in busy-time counter for pool telemetry; never observed by solve results"
+)]
+fn busy_timed(timed: bool, body: impl FnOnce()) {
+    let t0 = timed.then(Instant::now);
+    body();
+    if let Some(t) = t0 {
+        counters::note_busy(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    }
+}
+
 /// Runs `f(part_index, part_slice)` for each part of `data` delimited by
 /// `bounds`, in parallel (one OS thread per part above the sequential
 /// cutover), returning the per-part results **in part order**.
@@ -161,17 +176,7 @@ where
     out.resize_with(parts, || None);
     std::thread::scope(|scope| {
         for (i, (slice, slot)) in slices.into_iter().zip(out.iter_mut()).enumerate() {
-            scope.spawn(move || {
-                #[allow(clippy::disallowed_methods)]
-                // lint-ok(determinism): opt-in busy-time counter for pool telemetry;
-                // never observed by solve results.
-                let t0 = timed.then(Instant::now);
-                *slot = Some(f(i, slice));
-                #[allow(clippy::disallowed_methods)] // same telemetry read as t0 above
-                if let Some(t) = t0 {
-                    counters::note_busy(t.elapsed().as_nanos() as u64);
-                }
-            });
+            scope.spawn(move || busy_timed(timed, || *slot = Some(f(i, slice))));
         }
     });
     out.into_iter()
@@ -209,17 +214,7 @@ where
     std::thread::scope(|scope| {
         for (i, slot) in out.iter_mut().enumerate() {
             let range = bounds[i]..bounds[i + 1];
-            scope.spawn(move || {
-                #[allow(clippy::disallowed_methods)]
-                // lint-ok(determinism): opt-in busy-time counter for pool telemetry;
-                // never observed by solve results.
-                let t0 = timed.then(Instant::now);
-                *slot = Some(f(range));
-                #[allow(clippy::disallowed_methods)] // same telemetry read as t0 above
-                if let Some(t) = t0 {
-                    counters::note_busy(t.elapsed().as_nanos() as u64);
-                }
-            });
+            scope.spawn(move || busy_timed(timed, || *slot = Some(f(range))));
         }
     });
     out.into_iter()
@@ -263,18 +258,12 @@ where
                 rest = tail;
                 let first = group[g];
                 scope.spawn(move || {
-                    #[allow(clippy::disallowed_methods)]
-                    // lint-ok(determinism): opt-in busy-time counter for pool telemetry;
-                    // never observed by solve results.
-                    let t0 = timed.then(Instant::now);
-                    for (k, slot) in head.iter_mut().enumerate() {
-                        let lo = (first + k) * chunk_len;
-                        *slot = Some(f(lo..(lo + chunk_len).min(len)));
-                    }
-                    #[allow(clippy::disallowed_methods)] // same telemetry read as t0 above
-                    if let Some(t) = t0 {
-                        counters::note_busy(t.elapsed().as_nanos() as u64);
-                    }
+                    busy_timed(timed, || {
+                        for (k, slot) in head.iter_mut().enumerate() {
+                            let lo = (first + k) * chunk_len;
+                            *slot = Some(f(lo..(lo + chunk_len).min(len)));
+                        }
+                    })
                 });
             }
         });
@@ -366,20 +355,14 @@ where
             slot_rest = stail;
             let first = group[g];
             scope.spawn(move || {
-                #[allow(clippy::disallowed_methods)]
-                // lint-ok(determinism): opt-in busy-time counter for pool telemetry;
-                // never observed by solve results.
-                let t0 = timed.then(Instant::now);
-                let mut rest = dhead;
-                for (k, slot) in shead.iter_mut().enumerate() {
-                    let (head, tail) = rest.split_at_mut(block_len.min(rest.len()));
-                    rest = tail;
-                    *slot = Some(f(first + k, head));
-                }
-                #[allow(clippy::disallowed_methods)] // same telemetry read as t0 above
-                if let Some(t) = t0 {
-                    counters::note_busy(t.elapsed().as_nanos() as u64);
-                }
+                busy_timed(timed, || {
+                    let mut rest = dhead;
+                    for (k, slot) in shead.iter_mut().enumerate() {
+                        let (head, tail) = rest.split_at_mut(block_len.min(rest.len()));
+                        rest = tail;
+                        *slot = Some(f(first + k, head));
+                    }
+                })
             });
         }
     });
@@ -443,17 +426,11 @@ where
             rest = tail;
             let first = bounds[g];
             scope.spawn(move || {
-                #[allow(clippy::disallowed_methods)]
-                // lint-ok(determinism): opt-in busy-time counter for pool telemetry;
-                // never observed by solve results.
-                let t0 = timed.then(Instant::now);
-                for (k, slot) in head.iter_mut().enumerate() {
-                    *slot = Some(f(first + k));
-                }
-                #[allow(clippy::disallowed_methods)] // same telemetry read as t0 above
-                if let Some(t) = t0 {
-                    counters::note_busy(t.elapsed().as_nanos() as u64);
-                }
+                busy_timed(timed, || {
+                    for (k, slot) in head.iter_mut().enumerate() {
+                        *slot = Some(f(first + k));
+                    }
+                })
             });
         }
     });
@@ -689,6 +666,7 @@ mod tests {
         assert!(after.par_calls > before.par_calls);
         assert!(after.tasks_spawned >= before.tasks_spawned + 4);
         assert!(after.chunks_processed > before.chunks_processed);
+        assert!(after.busy_nanos > before.busy_nanos);
         assert!(after.total_calls() >= after.par_calls);
     }
 }

@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release --example attack_study`
 
 use sourcerank::prelude::*;
+use sr_core::order::cmp_asc_nan_last;
 use sr_gen::generate;
 use sr_graph::source_graph::extract;
 use sr_graph::CsrGraph;
@@ -60,9 +61,7 @@ fn main() {
     let cold_source = (0..crawl.num_sources() as u32)
         .filter(|&s| !crawl.is_spam(s) && crawl.pages_of(s).len() > 1)
         .min_by(|&a, &b| {
-            pr0.score(crawl.home_page(a))
-                .partial_cmp(&pr0.score(crawl.home_page(b)))
-                .unwrap()
+            cmp_asc_nan_last(pr0.score(crawl.home_page(a)), pr0.score(crawl.home_page(b)))
         })
         .unwrap();
     let target_page = crawl.home_page(cold_source) + 1;

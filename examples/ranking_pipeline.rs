@@ -5,9 +5,10 @@
 //!
 //! Run with: `cargo run --release --example ranking_pipeline`
 
-// A demo prints progress timings to a human; the determinism policy
-// (clippy.toml disallowed-methods) is lifted for examples.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a demo prints progress timings to a human"
+)]
 
 use std::time::Instant;
 

@@ -12,37 +12,27 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> sr-lint self-test"
-# The static-analysis gate is first-party code; its own tests (lexer,
+# The concurrency gate is first-party code; its own tests (lexer, parser,
 # per-rule fixtures, and the meta-test that the live workspace is clean)
 # must pass before its verdict on the rest of the tree means anything.
 cargo test -q -p sr-lint
 
-echo "==> sr-lint (syntax-aware policy gate + LINT_report.json)"
+echo "==> sr-lint (syntax-aware concurrency gate + LINT_report.json)"
 # `sr-lint` (crates/lint) lexes every workspace file (comments and
-# string/char literals masked), recovers the item tree, and enforces nine
-# policies: the five token rules — debug-assert (perf-assert:
-# justification), numeric-cast (no truncating `as` between integer
-# types; use sr_graph::ids::{node_id, node_range} or try_from),
-# float-order (no partial_cmp on rank scores; use total_cmp or
-# sr_core::order), determinism (no wall-clock/HashMap-iteration outside
-# sr-obs/sr-bench), panic-policy (no unwrap/expect/panic! in the
-# sr-graph reader paths: the io text readers and the segment container
-# every binary file goes through) — plus four syntax-aware concurrency
-# rules —
-# atomic-ordering (Relaxed is reserved for sr-par::counters; publication
-# gates must pair Acquire/Release), lock-order (the workspace
-# lock-acquisition graph must stay acyclic), par-determinism (no hash
-# iteration or captured accumulation inside sr-par closures), and
-# panic-surface (no unexempted panic reachable from a live sr-serve
-# socket). Exempt a site with a justified `// lint-ok(<rule>): <reason>`
-# trailing the line or in the comment block directly above it; see
-# DESIGN.md §13 and §18.
+# string/char literals masked), recovers the item tree, and enforces the
+# four concurrency policies clippy cannot express: atomic-ordering
+# (Relaxed is reserved for sr-par::counters; publication gates must pair
+# Acquire/Release), lock-order (the workspace lock-acquisition graph must
+# stay acyclic), par-determinism (no hash iteration or captured
+# accumulation inside sr-par closures), and panic-surface (no unexempted
+# panic reachable from a live sr-serve socket). Exempt a site with a
+# justified `// lint-ok(<rule>): <reason>` trailing the line or in the
+# comment block directly above it; see DESIGN.md §13 and §18.
 #
 # `--json` writes LINT_report.json (findings, atomic catalogue, lock
 # graph, exemption inventory) — a tracked artifact, so the committed copy
-# must match what the tree produces. The gate runs twice: sr-lint's own
-# determinism policy applies to itself, so console output and report must
-# be byte-identical across runs.
+# must match what the tree produces. The gate runs twice: console output
+# and report must be byte-identical across runs.
 LINT_OUT1="$(mktemp)"; LINT_OUT2="$(mktemp)"; LINT_REP1="$(mktemp)"
 cargo run -q -p sr-lint --release -- --json > "$LINT_OUT1"
 cp LINT_report.json "$LINT_REP1"
@@ -56,7 +46,60 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -D warnings"
+# clippy.toml carries the token-level policies: debug_assert! is a
+# disallowed macro (integrity checks must not compile out in release),
+# partial_cmp and the wall-clock reads are disallowed methods (NaN must
+# order deterministically; clocks are telemetry), HashMap/HashSet are
+# disallowed types (hash iteration order is per process). sr-graph denies
+# unwrap/expect/panic!/unreachable!/todo!/unimplemented! in its reader
+# modules (io, segment). A sanctioned site carries
+# `#[expect(clippy::<lint>, reason = "...")]`; an expectation that no
+# longer fires is an unfulfilled_lint_expectations warning, so a stale
+# waiver fails here too.
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo clippy --lib --bins -D clippy::cast_possible_truncation"
+# No truncating `as` casts in library and binary code (the zigzag
+# truncation bug class): use try_from or the checked
+# sr_graph::ids::{node_id, node_range}. Tests, benches, examples and the
+# offline shims (rand, proptest, criterion) are out of scope; --no-deps
+# keeps clippy off the shims where the selected crates depend on them.
+cargo clippy --workspace --lib --bins --no-deps \
+  --exclude rand --exclude proptest --exclude criterion \
+  -- -D warnings -D clippy::cast_possible_truncation
+
+echo "==> clippy policy fixtures (violations fail with their lint, waivers pass)"
+# crates/lint/tests/fixtures holds one violating fixture per clippy
+# policy and an exempt twin waived with `#[expect(.., reason)]`. Each
+# file is checked alone by clippy-driver under the repo's clippy.toml and
+# the cast flag above: every violation must fail naming its lint, every
+# twin must pass, and a stale `#[expect]` must fail as unfulfilled.
+FIX=crates/lint/tests/fixtures
+FIX_OUT="$(mktemp -d)"
+clippy_fixture() {
+  CLIPPY_CONF_DIR="$PWD" clippy-driver --edition 2021 --crate-type lib \
+    --emit=metadata -o "$FIX_OUT/fixture.rmeta" \
+    -D warnings -D clippy::cast_possible_truncation "$FIX/$1" 2>&1
+}
+for case in debug_assert_violation:disallowed_macros \
+  numeric_cast_violation:cast_possible_truncation \
+  float_order_violation:disallowed_methods \
+  determinism_violation:disallowed_types \
+  panic_policy_violation:unwrap_used \
+  panic_policy_segment_violation:unreachable \
+  stale_expect:unfulfilled_lint_expectations; do
+  fixture="${case%%:*}.rs"; lint="${case##*:}"
+  if out="$(clippy_fixture "$fixture")"; then
+    echo "$fixture: clippy passed, expected $lint"; exit 1
+  fi
+  if ! grep -q "${lint//_/[-_]}" <<< "$out"; then
+    echo "$out"; echo "$fixture: failed without naming $lint"; exit 1
+  fi
+done
+for fixture in debug_assert numeric_cast float_order determinism panic_policy; do
+  clippy_fixture "${fixture}_exempt.rs" || { echo "${fixture}_exempt.rs: waived fixture failed"; exit 1; }
+done
+rm -rf "$FIX_OUT"
 
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -12,9 +12,10 @@
 //! harness. Environment knobs: `CRITERION_SAMPLES` caps the per-bench sample
 //! count, `CRITERION_BUDGET_MS` the per-bench time budget (default 3000).
 
-// A benchmark harness measures wall-clock by definition; the determinism
-// policy (clippy.toml disallowed-methods) is lifted for this shim.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark harness measures wall-clock by definition"
+)]
 
 pub use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -3,6 +3,7 @@
 //! claims on small synthetic crawls.
 
 use sourcerank::prelude::*;
+use sr_core::order::cmp_asc_nan_last;
 use sr_gen::{generate, CrawlConfig};
 use sr_graph::source_graph::extract;
 use sr_graph::SourceId;
@@ -22,13 +23,13 @@ fn crawl() -> sr_gen::SyntheticCrawl {
 /// non-home pages.
 fn cold_target(c: &sr_gen::SyntheticCrawl) -> (u32, u32) {
     let pr = PageRank::default().rank(&c.pages);
+    assert!(
+        pr.scores().iter().all(|s| s.is_finite()),
+        "non-finite score"
+    );
     let source = (0..c.num_sources() as u32)
         .filter(|&s| !c.is_spam(s) && c.pages_of(s).len() > 2)
-        .min_by(|&a, &b| {
-            pr.score(c.home_page(a))
-                .partial_cmp(&pr.score(c.home_page(b)))
-                .unwrap()
-        })
+        .min_by(|&a, &b| cmp_asc_nan_last(pr.score(c.home_page(a)), pr.score(c.home_page(b))))
         .unwrap();
     (source, c.home_page(source) + 1)
 }
