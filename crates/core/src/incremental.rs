@@ -17,6 +17,8 @@
 //!   PageRank, SourceRank and SR-SourceRank via warm restart, reporting
 //!   telemetry through any [`SolveObserver`] (use
 //!   [`sr_obs::SequenceRecorder`] to keep all three solves per delta).
+//!   Once the overlay folds, the ranker shares the folded graph with its
+//!   rebuilt operator ([`epoch_graph`](IncrementalRanker::epoch_graph)).
 //!
 //! # Equivalence contract
 //!
@@ -28,7 +30,12 @@
 //! stopping tolerance of `1e-14`, incremental and rebuilt rankings agree to
 //! within `1e-12` (the differential tests in `tests/incremental_differential.rs`
 //! pin this). The warm restart changes *where the iteration starts*, never
-//! where it converges.
+//! where it converges. On a clean (just folded) overlay the correction
+//! scatter is empty and [`OverlayTransition`] is the rebuilt operator, so
+//! the PageRank solve is bit-identical to a warm solve from the same start
+//! over `UniformTransition::new(&overlay.to_csr())`.
+
+use std::sync::Arc;
 
 use crate::convergence::ConvergenceCriteria;
 use crate::operator::{Transition, UniformTransition};
@@ -137,6 +144,11 @@ impl Transition for OverlayTransition<'_> {
 /// Configuration of an [`IncrementalRanker`]. Defaults match the paper's
 /// evaluation: α = 0.85, L2 < 1e-9, power solver, consensus source graph,
 /// paper-literal self-edge policy, compaction at 25% patched rows.
+///
+/// The 0.25 default suits offline ranking over large crawls, where an
+/// operator rebuild costs more than many sweeps of the correction scatter.
+/// The serving engine folds every epoch instead (`compact_threshold` 0.0),
+/// because publishing needs the epoch's CSR anyway.
 #[derive(Debug, Clone)]
 pub struct IncrementalConfig {
     /// Mixing parameter α shared by all three rankings.
@@ -153,7 +165,8 @@ pub struct IncrementalConfig {
     pub self_edge_policy: SelfEdgePolicy,
     /// Fold the overlay back into canonical CSR form (and rebuild the base
     /// operator) once the patched-row fraction exceeds this. `1.0` never
-    /// compacts; `0.0` compacts every delta.
+    /// compacts; `0.0` compacts after every delta that changes the graph,
+    /// including one that only appends pages.
     pub compact_threshold: f64,
 }
 
@@ -198,8 +211,10 @@ pub struct DeltaRerank {
 pub struct IncrementalRanker {
     overlay: DeltaOverlay,
     maintainer: SourceGraphMaintainer,
-    /// Fused PageRank operator over `overlay.base()`; rebuilt at compaction.
-    base_op: UniformTransition,
+    /// Fused PageRank operator over `overlay.base()`; rebuilt at compaction
+    /// and shared, with the base, through
+    /// [`epoch_graph`](IncrementalRanker::epoch_graph).
+    base_op: Arc<UniformTransition>,
     pagerank: PageRank,
     sourcerank: SourceRank,
     alpha: f64,
@@ -227,7 +242,7 @@ impl IncrementalRanker {
         config: IncrementalConfig,
     ) -> Result<Self, GraphError> {
         let maintainer = SourceGraphMaintainer::new(&page_graph, assignment, config.source_config)?;
-        let base_op = UniformTransition::new(&page_graph);
+        let base_op = Arc::new(UniformTransition::new(&page_graph));
         let overlay = DeltaOverlay::new(page_graph);
         let pagerank = PageRank::builder()
             .alpha(config.alpha)
@@ -262,6 +277,17 @@ impl IncrementalRanker {
     /// The mutated page graph as an overlay.
     pub fn graph(&self) -> &DeltaOverlay {
         &self.overlay
+    }
+
+    /// The current page graph and its PageRank operator, as shared handles,
+    /// when the overlay is clean (nothing patched or appended since the
+    /// last fold). The operator is `UniformTransition::new` of the graph,
+    /// so a solve over it has the bits of a solve over a fresh build.
+    /// `None` while patches are pending.
+    pub fn epoch_graph(&self) -> Option<(&Arc<CsrGraph>, &Arc<UniformTransition>)> {
+        self.overlay
+            .is_clean()
+            .then(|| (self.overlay.shared_base(), &self.base_op))
     }
 
     /// The maintained source-graph state.
@@ -315,8 +341,9 @@ impl IncrementalRanker {
     ///
     /// Validation happens before any mutation: on `Err` the engine is
     /// unchanged. Compaction (when the patched-row fraction passes the
-    /// configured threshold) runs *before* the solves, so a just-folded
-    /// overlay is ranked through its clean base operator.
+    /// configured threshold, or after any change at threshold 0) runs
+    /// *before* the solves, so a just-folded overlay is ranked through its
+    /// clean base operator.
     pub fn apply(
         &mut self,
         delta: &CrawlDelta,
@@ -351,9 +378,12 @@ impl IncrementalRanker {
             self.kappa = ThrottleVector::from_vec(kappa);
         }
 
-        let compacted = if self.overlay.patched_fraction() > self.compact_threshold {
+        let fold = !self.overlay.is_clean()
+            && (self.compact_threshold <= 0.0
+                || self.overlay.patched_fraction() > self.compact_threshold);
+        let compacted = if fold {
             self.overlay.compact();
-            self.base_op = UniformTransition::new(self.overlay.base());
+            self.base_op = Arc::new(UniformTransition::new(self.overlay.base()));
             self.compactions += 1;
             true
         } else {

@@ -34,6 +34,7 @@
 //! `tests/delta_differential.rs` pin both properties.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
@@ -137,9 +138,12 @@ pub struct DeltaSummary {
 /// accumulate until [`compact`](DeltaOverlay::compact) folds them into a
 /// fresh canonical CSR — callers typically compact once the
 /// [`patched_fraction`](DeltaOverlay::patched_fraction) passes a threshold.
+///
+/// The base is held behind an [`Arc`], so a clean overlay's graph can be
+/// shared ([`shared_base`](DeltaOverlay::shared_base)) instead of copied.
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay {
-    base: CsrGraph,
+    base: Arc<CsrGraph>,
     /// Fully materialized replacement rows, keyed by node. `BTreeMap` keeps
     /// iteration in ascending node order, which compaction and the
     /// correction pass of the incremental solver rely on for determinism.
@@ -155,7 +159,7 @@ impl DeltaOverlay {
     pub fn new(base: CsrGraph) -> Self {
         let num_edges = base.num_edges();
         DeltaOverlay {
-            base,
+            base: Arc::new(base),
             patched: BTreeMap::new(),
             extra_nodes: 0,
             num_edges,
@@ -165,6 +169,18 @@ impl DeltaOverlay {
     /// The unpatched base graph.
     pub fn base(&self) -> &CsrGraph {
         &self.base
+    }
+
+    /// The base graph's shared handle. While the overlay
+    /// [`is_clean`](DeltaOverlay::is_clean) it *is* the mutated graph.
+    pub fn shared_base(&self) -> &Arc<CsrGraph> {
+        &self.base
+    }
+
+    /// Whether the overlay equals its base: no patched rows and no
+    /// appended nodes.
+    pub fn is_clean(&self) -> bool {
+        self.patched.is_empty() && self.extra_nodes == 0
     }
 
     /// Total node count (base plus appended nodes).
@@ -300,10 +316,12 @@ impl DeltaOverlay {
 
     /// Folds all patches into the base: afterwards `base()` is the mutated
     /// graph and no rows are patched. Returns the number of rows folded.
+    /// The folded base is a fresh allocation; holders of the previous
+    /// [`shared_base`](DeltaOverlay::shared_base) keep the old graph.
     pub fn compact(&mut self) -> usize {
         let folded = self.patched.len();
-        if folded > 0 || self.extra_nodes > 0 {
-            self.base = self.to_csr();
+        if !self.is_clean() {
+            self.base = Arc::new(self.to_csr());
             self.patched.clear();
             self.extra_nodes = 0;
         }

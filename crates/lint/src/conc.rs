@@ -7,7 +7,7 @@
 //! |------|--------|
 //! | `atomic-ordering` | every `Ordering::*` site is catalogued; `Relaxed` is permitted only in `sr-par::counters` (telemetry that never feeds back into ranks) or under `lint-ok(atomic-ordering)`. A receiver with a `Release`-or-stronger store is publication-gating: its loads must be `Acquire` or stronger, and vice versa. |
 //! | `lock-order` | the workspace lock-acquisition graph — an edge `a → b` whenever `b` is acquired while a guard on `a` is held — must stay acyclic; a cycle is a deadlock waiting for the right interleaving. |
-//! | `par-determinism` | inside closures passed to `sr-par` entry points, `HashMap`/`HashSet` iteration and `+=` accumulation into captured variables are flagged: chunk scheduling varies run to run, so unordered combination breaks the bit-identical-solve guarantee (float addition is not associative). |
+//! | `par-determinism` | inside closures passed to unordered `sr-par` entry points, `+=` accumulation into captured variables is flagged: chunk scheduling varies run to run, so unordered combination breaks the bit-identical-solve guarantee (float addition is not associative). Hash types are clippy's `disallowed_types` everywhere, closures included. |
 //! | `panic-surface` | `unwrap`/`expect`/`panic!`-family sites in any `sr-serve` function reachable from a live socket (the call graph seeded at `serve` / `handle_connection`) must go — a malformed client frame must surface as a protocol error, never take the server down. |
 //!
 //! Extraction is per-file (so fixtures can exercise each rule in
@@ -30,8 +30,10 @@ pub const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRe
 /// monotonic telemetry counters that are read for reporting only.
 const RELAXED_CARVE_OUT: &str = "crates/par/src/counters.rs";
 
-/// `sr-par` entry points whose closures run on unordered worker threads —
-/// both the hash-iteration and the captured-accumulation checks apply.
+/// `sr-par` entry points whose closures run on unordered worker threads,
+/// where captured accumulation is a hazard. (`pipeline` and
+/// `pipeline_while` deliver blocks to their consumer in submission order,
+/// so accumulation there is deterministic.)
 const PAR_UNORDERED: [&str; 7] = [
     "for_each_part",
     "for_each_block",
@@ -41,11 +43,6 @@ const PAR_UNORDERED: [&str; 7] = [
     "map_chunks",
     "map_tasks",
 ];
-
-/// Entry points whose consume side is in-order by contract (`pipeline`
-/// and `pipeline_while` deliver blocks to the consumer in submission
-/// order), so in-closure accumulation is fine; hash iteration still is not.
-const PAR_ORDERED: [&str; 2] = ["pipeline", "pipeline_while"];
 
 /// Guard-returning acquisition methods (`Mutex` / `RwLock`).
 const LOCK_METHODS: [&str; 3] = ["lock", "read", "write"];
@@ -145,35 +142,29 @@ pub struct FileFacts {
     pub(crate) serve_fns: Vec<ServeFn>,
 }
 
-/// A call region of an `sr-par` entry point: the token span of its
-/// argument list (which contains the worker closure).
+/// A call region of an unordered `sr-par` entry point: the token span of
+/// its argument list (which contains the worker closure).
 #[derive(Debug, Clone)]
 pub(crate) struct ParRegion {
     pub(crate) toks: std::ops::Range<usize>,
-    /// Whether the closure runs unordered (accumulation check applies).
-    pub(crate) unordered: bool,
 }
 
-/// Locates every `sr-par` entry-point call's argument span. Detection is
-/// by name: an identifier from the entry-point list directly followed by
-/// `(` — the definitions in `sr-par` itself never match because a
-/// declaration's name is followed by `<` (generics), not `(`.
+/// Locates every unordered `sr-par` entry-point call's argument span.
+/// Detection is by name: an identifier from the entry-point list directly
+/// followed by `(` — the definitions in `sr-par` itself never match
+/// because a declaration's name is followed by `<` (generics), not `(`.
 pub(crate) fn par_regions(scanned: &Scanned) -> Vec<ParRegion> {
     let toks = &scanned.tokens;
     let mut out = Vec::new();
     for (i, tok) in toks.iter().enumerate() {
-        let unordered = PAR_UNORDERED.contains(&tok.text.as_str());
-        if !unordered && !PAR_ORDERED.contains(&tok.text.as_str()) {
-            continue;
-        }
-        if !tok.is_word() || toks.get(i + 1).map(|t| t.text.as_str()) != Some("(") {
+        if !PAR_UNORDERED.contains(&tok.text.as_str())
+            || !tok.is_word()
+            || toks.get(i + 1).map(|t| t.text.as_str()) != Some("(")
+        {
             continue;
         }
         let close = skip_balanced(toks, i + 1, toks.len(), "(", ")");
-        out.push(ParRegion {
-            toks: i + 1..close,
-            unordered,
-        });
+        out.push(ParRegion { toks: i + 1..close });
     }
     out
 }
@@ -584,9 +575,9 @@ pub(crate) fn cycle_findings(graph: &LockGraph) -> Vec<Finding> {
 // par-determinism: hazards inside sr-par closures.
 // ---------------------------------------------------------------------------
 
-/// Flags hash iteration and captured accumulation inside `sr-par` call
-/// regions. (Outside them, clippy's `disallowed_types` owns the hash
-/// types.)
+/// Flags captured accumulation inside unordered `sr-par` call regions.
+/// (Hash types are clippy's `disallowed_types`, inside these regions as
+/// anywhere else.)
 pub(crate) fn par_determinism(ctx: &FileCtx<'_>, regions: &[ParRegion], sink: &mut Sink) {
     if !ctx.in_crate_src() {
         return;
@@ -626,28 +617,12 @@ pub(crate) fn par_determinism(ctx: &FileCtx<'_>, regions: &[ParRegion], sink: &m
             if ctx.in_test(tok.line) {
                 continue;
             }
-            if matches!(tok.text.as_str(), "HashMap" | "HashSet") {
-                sink.report(
-                    ctx,
-                    tok.line,
-                    "par-determinism",
-                    format!(
-                        "`{}` inside a parallel closure: iteration order varies \
-                         per process *and* per chunk schedule, so merged results \
-                         differ run to run — use BTreeMap/BTreeSet or a dense \
-                         index keyed by NodeId",
-                        tok.text
-                    ),
-                );
-                continue;
-            }
             // `acc += x` where `acc` is captured from the enclosing scope:
             // `+=` lexes as adjacent `+` `=`. Indexed stores (`out[i] += x`)
             // and deref-assignments (`*slot += x`, writing through an
             // exclusive `&mut` the harness handed to this chunk) address
             // disjoint data per chunk and stay deterministic.
-            if region.unordered
-                && tok.text == "+"
+            if tok.text == "+"
                 && at_is(toks, k + 1, "=")
                 && k > 1
                 && toks[k - 1].is_word()

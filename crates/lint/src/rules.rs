@@ -31,7 +31,7 @@
 //! fact tables behind `LINT_report.json`.
 
 use crate::conc;
-use crate::lexer::{scan, Scanned, Token};
+use crate::lexer::{scan, Scanned};
 use crate::syntax;
 
 /// One diagnostic.
@@ -138,7 +138,7 @@ pub fn analyze_sources(files: &[(&str, &str)]) -> WorkspaceAnalysis {
 fn analyze_source(rel_path: &str, src: &str) -> FileAnalysis {
     let scanned = scan(src);
     let parsed = syntax::parse(&scanned);
-    let test_lines = test_regions(&scanned.tokens);
+    let test_lines = test_regions(&parsed);
     let ctx = FileCtx {
         rel_path,
         scanned: &scanned,
@@ -300,92 +300,30 @@ impl FileCtx<'_> {
 // Test regions: #[cfg(test)] items and #[test] fns, carved out of the pass.
 // ---------------------------------------------------------------------------
 
-/// The line ranges of every `#[cfg(test)]` item and `#[test]` fn.
-fn test_regions(tokens: &[Token]) -> Vec<std::ops::RangeInclusive<usize>> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].text == "#" && matches_attr(tokens, i + 1) {
-            let close = attr_close(tokens, i + 1);
-            out.extend(item_braces(tokens, close));
-            i = close;
-            continue;
-        }
-        i += 1;
-    }
-    out
+/// The line ranges of every braced `#[cfg(test)]` item and `#[test]` fn
+/// the parser recovered.
+fn test_regions(parsed: &syntax::Syntax) -> Vec<std::ops::RangeInclusive<usize>> {
+    parsed
+        .all_items()
+        .into_iter()
+        .filter(|item| !item.body.is_empty() && item.attrs.iter().any(|a| is_test_attr(a)))
+        .map(|item| item.lines.clone())
+        .collect()
 }
 
-/// Whether the attribute starting at `[` index `i` is `#[test]` or a
-/// `#[cfg(...)]` whose arguments mention `test`.
-fn matches_attr(tokens: &[Token], i: usize) -> bool {
-    if tokens.get(i).map(|t| t.text.as_str()) != Some("[") {
-        return false;
-    }
-    let close = attr_close(tokens, i);
-    let inner: Vec<&str> = tokens[i + 1..close.min(tokens.len())]
-        .iter()
-        .map(|t| t.text.as_str())
-        .collect();
-    match inner.first() {
-        Some(&"test") if inner.len() == 1 => true,
-        // `not(test)` guards code that is *absent* under test — keep it in
-        // scope. (Conservative: any `not` in the cfg keeps the item linted.)
-        Some(&"cfg") => inner.contains(&"test") && !inner.contains(&"not"),
+/// Whether a flattened attribute is `test` or a `cfg(...)` whose arguments
+/// mention `test`. `not(test)` guards code that is *absent* under test, so
+/// any `not` keeps the item linted (conservative).
+fn is_test_attr(attr: &str) -> bool {
+    let mut words = attr.split(' ');
+    match words.next() {
+        Some("test") => words.next().is_none(),
+        Some("cfg") => {
+            let args: Vec<&str> = words.collect();
+            args.contains(&"test") && !args.contains(&"not")
+        }
         _ => false,
     }
-}
-
-/// Index just past the `]` closing the attribute whose `[` is at `i`.
-fn attr_close(tokens: &[Token], i: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = i;
-    while j < tokens.len() {
-        match tokens[j].text.as_str() {
-            "[" => depth += 1,
-            "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    tokens.len()
-}
-
-/// Starting at token index `i` (just past an attribute), finds the item's
-/// brace block and returns its inclusive line range. Returns `None` for
-/// braceless items (`mod tests;`).
-fn item_braces(tokens: &[Token], i: usize) -> Option<std::ops::RangeInclusive<usize>> {
-    let mut j = i;
-    while j < tokens.len() {
-        match tokens[j].text.as_str() {
-            ";" => return None,
-            "{" => {
-                let mut depth = 0usize;
-                let start = tokens[j].line;
-                while j < tokens.len() {
-                    match tokens[j].text.as_str() {
-                        "{" => depth += 1,
-                        "}" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return Some(start..=tokens[j].line);
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                return Some(start..=usize::MAX);
-            }
-            _ => j += 1,
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -436,6 +374,23 @@ mod tests {
     fn test_modules_are_skipped() {
         let src = format!("#[cfg(test)]\nmod tests {{\n    {RELAXED}}}\n");
         assert!(lint_source("crates/core/src/x.rs", &src).is_empty());
+    }
+
+    #[test]
+    fn test_regions_are_the_items_the_parser_recovers() {
+        let path = "crates/core/src/x.rs";
+        for attr in ["#[test]", "#[cfg(all(test, unix))]"] {
+            let src = format!("{attr}\n{RELAXED}");
+            assert!(rules_hit(path, &src).is_empty(), "{attr}");
+        }
+        // `not(test)` code is compiled outside tests: it stays linted.
+        let src = format!("#[cfg(not(test))]\nmod m {{\n    {RELAXED}}}\n");
+        assert_eq!(rules_hit(path, &src), vec!["atomic-ordering"]);
+        // A macro invocation is opaque to the parser, so its body is linted
+        // even under `#[cfg(test)]`: the scope errs toward linting more.
+        let src =
+            "#[cfg(test)]\nthread_local! {\n    static N: u64 = C.load(Ordering::Relaxed);\n}\n";
+        assert_eq!(rules_hit(path, src), vec!["atomic-ordering"]);
     }
 
     #[test]

@@ -91,12 +91,10 @@ fn par_determinism_fixtures() {
     let bad = include_str!("fixtures/par_determinism_violation.rs");
     let a = analyze_sources(&[("crates/core/src/power.rs", bad)]);
     assert!(a.findings.iter().all(|f| f.rule == "par-determinism"));
-    // One HashMap line inside the closure, one captured `total +=`, and
-    // one HashSet line inside the ordered `pipeline_while` stage.
-    assert_eq!(a.findings.len(), 3, "{:?}", a.findings);
-    assert!(a.findings.iter().any(|f| f.message.contains("`HashMap`")));
-    assert!(a.findings.iter().any(|f| f.message.contains("`total +=`")));
-    assert!(a.findings.iter().any(|f| f.message.contains("`HashSet`")));
+    // The captured `total +=`. (Hash types inside par closures are
+    // clippy's; `scripts/ci.sh` checks `par_hash_violation.rs`.)
+    assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
+    assert!(a.findings[0].message.contains("`total +=`"));
 
     let ok = include_str!("fixtures/par_determinism_exempt.rs");
     let a = analyze_sources(&[("crates/core/src/power.rs", ok)]);

@@ -15,11 +15,20 @@
 //! thread-count invariant. [`PanelQueue::drain_once`] exposes the
 //! admit-everything-now path so tests can pin exactly that: N queries
 //! enqueued by 1 thread or by 8 produce bitwise-identical answers.
+//!
+//! Operator sharing: the serving writer offers each epoch's graph together
+//! with the PageRank operator it already built, and a window whose resolved
+//! graph is that very `Arc` solves over the offered operator instead of
+//! building its own. The operator is a pure function of
+//! the graph, so either way every answer has the same bits.
 
 use std::sync::{Arc, Condvar, Mutex};
 
 use sr_core::convergence::ConvergenceCriteria;
-use sr_core::{pack_panels, panel_columns, PageRank, PanelQuery, RankVector};
+use sr_core::operator::{Transition, UniformTransition};
+use sr_core::{
+    pack_panels, panel_columns, solve, PageRank, PanelQuery, RankVector, SolverWorkspace,
+};
 use sr_graph::{CsrGraph, NodeId};
 use sr_obs::Deadline;
 
@@ -65,6 +74,9 @@ struct QueueState {
 pub struct PanelQueue {
     state: Mutex<QueueState>,
     arrival: Condvar,
+    /// The latest offered epoch graph and its operator. Never locked while
+    /// `state` is held.
+    offered: Mutex<Option<(Arc<CsrGraph>, Arc<UniformTransition>)>>,
     panel_k: usize,
     window_us: u64,
     alpha: f64,
@@ -86,6 +98,7 @@ impl PanelQueue {
                 closed: false,
             }),
             arrival: Condvar::new(),
+            offered: Mutex::new(None),
             panel_k,
             window_us,
             alpha,
@@ -123,17 +136,29 @@ impl PanelQueue {
         self.arrival.notify_all();
     }
 
+    /// Offers an epoch's page graph with the PageRank operator built from
+    /// it, replacing any earlier offer; `None` (an epoch with no shared
+    /// pair) clears the slot, so it never pins an older epoch's graph.
+    /// Windows whose resolved graph is the offered graph itself
+    /// (`Arc::ptr_eq`) solve over its operator; the caller vouches that the
+    /// operator is `UniformTransition::new` of the graph.
+    pub(crate) fn offer(&self, epoch: Option<(Arc<CsrGraph>, Arc<UniformTransition>)>) {
+        *self.offered.lock().unwrap_or_else(|p| p.into_inner()) = epoch;
+    }
+
     /// Runs one admission window: blocks for the first arrival, holds the
     /// window open until `panel_k` queries are pending or the deadline
     /// expires, then drains and solves. Returns the number of panels
     /// solved, or `None` once the queue is closed and empty (solver loop
     /// exit signal).
     ///
-    /// `graph` is resolved *after* the window closes, not before the wait:
-    /// a query admitted against epoch N must never be solved on an older
-    /// snapshot's graph (its seeds may name pages that epoch added).
+    /// `graph` is resolved *after* the window is drained, not before the
+    /// wait: a query admitted against epoch N must never be solved on an
+    /// older snapshot's graph (its seeds may name pages that epoch added).
+    /// The window solves over the offered operator when it was built from
+    /// the resolved graph, and over a fresh build otherwise.
     pub fn serve_window(&self, graph: impl FnOnce() -> Arc<CsrGraph>) -> Option<usize> {
-        {
+        let drained = {
             let mut g = self.state.lock().unwrap_or_else(|p| p.into_inner());
             while g.pending.is_empty() {
                 if g.closed {
@@ -153,13 +178,24 @@ impl PanelQueue {
                     .unwrap_or_else(|p| p.into_inner());
                 g = guard;
             }
-        }
-        Some(self.drain_once(&graph()))
+            std::mem::take(&mut g.pending)
+        };
+        let graph = graph();
+        let offered = self
+            .offered
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .as_ref()
+            .filter(|(g, _)| Arc::ptr_eq(g, &graph))
+            .map(|(_, op)| Arc::clone(op));
+        let op = offered.unwrap_or_else(|| Arc::new(UniformTransition::new(&graph)));
+        Some(self.solve_drained(drained, &op))
     }
 
-    /// Admits *everything currently pending* and solves it: the
-    /// deterministic tail of a window, callable directly by tests (no
-    /// timing involved). Returns the number of panels solved.
+    /// Admits *everything currently pending* and solves it over a fresh
+    /// operator of `graph`: the deterministic tail of a window, callable
+    /// directly by tests (no timing involved). Returns the number of panels
+    /// solved.
     pub fn drain_once(&self, graph: &CsrGraph) -> usize {
         let drained: Vec<Pending> = {
             let mut g = self.state.lock().unwrap_or_else(|p| p.into_inner());
@@ -168,6 +204,12 @@ impl PanelQueue {
         if drained.is_empty() {
             return 0;
         }
+        self.solve_drained(drained, &UniformTransition::new(graph))
+    }
+
+    /// Packs `drained` into panels, solves each over `op` and fills every
+    /// query's slot. Returns the number of panels solved.
+    fn solve_drained(&self, drained: Vec<Pending>, op: &UniformTransition) -> usize {
         // Split queries from slots; slots are re-matched by ticket after
         // the canonical sort (tickets are unique, so order survives).
         let mut slots: Vec<(u64, Arc<ResponseSlot>)> = drained
@@ -181,12 +223,14 @@ impl PanelQueue {
             .alpha(self.alpha)
             .criteria(self.criteria)
             .finish();
+        let mut ws = SolverWorkspace::new();
         let panels = pack_panels(queries, self.panel_k);
         let num_panels = panels.len();
         for panel in panels {
-            match panel_columns(&panel, self.alpha, graph.num_nodes()) {
+            match panel_columns(&panel, self.alpha, op.num_nodes()) {
                 Ok(columns) => {
-                    for (q, vector) in panel.iter().zip(solver.rank_batch(graph, columns)) {
+                    let vectors = solve(op, &solver.request(columns), &mut ws, &mut []);
+                    for (q, vector) in panel.iter().zip(vectors) {
                         let i = slots
                             .binary_search_by_key(&q.ticket, |&(t, _)| t)
                             // lint-ok(panic-surface): every panel query's ticket was
@@ -273,6 +317,71 @@ mod tests {
             let bits = |v: &RankVector| v.scores().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&batched), bits(&solo), "seeds {seeds:?}");
         }
+    }
+
+    fn bits(v: &RankVector) -> Vec<u64> {
+        v.scores().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Five seed sets: at k = 4 they pack into a 4-column and a 1-column
+    /// panel.
+    fn seed_sets() -> Vec<Vec<u32>> {
+        vec![vec![0], vec![1, 3], vec![4], vec![2], vec![0, 2]]
+    }
+
+    /// Answers `sets` through `drain_once`, which builds its own operator.
+    fn drained(g: &CsrGraph, sets: &[Vec<u32>]) -> Vec<Vec<u64>> {
+        let q = queue();
+        let slots: Vec<_> = sets.iter().map(|s| q.submit(s.clone()).unwrap()).collect();
+        q.drain_once(g);
+        slots.iter().map(|s| bits(&s.wait().unwrap())).collect()
+    }
+
+    /// Answers `sets` through one window of a queue offered `offer` whose
+    /// window resolves `resolved`.
+    fn windowed(
+        offer: (Arc<CsrGraph>, Arc<UniformTransition>),
+        resolved: Arc<CsrGraph>,
+        sets: &[Vec<u32>],
+    ) -> Vec<Vec<u64>> {
+        let q = queue();
+        q.offer(Some(offer));
+        let slots: Vec<_> = sets.iter().map(|s| q.submit(s.clone()).unwrap()).collect();
+        // More queries than `panel_k` are pending, so the window closes at
+        // once.
+        assert_eq!(q.serve_window(|| resolved), Some(2));
+        slots.iter().map(|s| bits(&s.wait().unwrap())).collect()
+    }
+
+    #[test]
+    fn windows_over_the_offered_operator_answer_like_drain_once() {
+        let g = Arc::new(graph());
+        let op = Arc::new(UniformTransition::new(&g));
+        let bare = op.heap_bytes();
+        let got = windowed(
+            (Arc::clone(&g), Arc::clone(&op)),
+            Arc::clone(&g),
+            &seed_sets(),
+        );
+        // The 4-column panel built its panel CSR inside the offered operator.
+        assert!(op.heap_bytes() > bare, "the offered operator went unused");
+        assert_eq!(got, drained(&g, &seed_sets()));
+    }
+
+    #[test]
+    fn windows_over_another_graph_build_their_own_operator() {
+        // An older epoch's graph and operator are on offer; the window
+        // resolves a different graph over the same pages.
+        let old = Arc::new(
+            GraphBuilder::from_edges_exact(5, vec![(0, 2), (1, 0), (2, 4), (3, 1), (4, 3)])
+                .unwrap(),
+        );
+        let op = Arc::new(UniformTransition::new(&old));
+        let bare = op.heap_bytes();
+        let current = Arc::new(graph());
+        let got = windowed((old, Arc::clone(&op)), Arc::clone(&current), &seed_sets());
+        assert_eq!(op.heap_bytes(), bare, "the stale operator was used");
+        assert_eq!(got, drained(&current, &seed_sets()));
     }
 
     #[test]

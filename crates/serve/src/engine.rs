@@ -6,6 +6,11 @@
 //! throttle vector from its top-k, and package the refreshed vectors (plus
 //! the materialized page graph) as a [`RankSnapshot`].
 //!
+//! The engine folds its overlay every epoch (`compact_threshold` 0.0), so
+//! the ranker's base graph *is* the epoch's graph: the snapshot shares it
+//! rather than copying it, and [`EpochEngine::epoch_graph`] hands the
+//! graph with its operator to the exact-PPR panel solver.
+//!
 //! It lives in its own type — not inlined in the ingest thread — because the
 //! loopback parity suite replays *the same* sequence offline: feed an
 //! identical delta stream to a second [`EpochEngine`] with no server around
@@ -17,6 +22,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use sr_core::convergence::ConvergenceCriteria;
+use sr_core::operator::UniformTransition;
 use sr_core::{
     ApproxError, IncrementalConfig, IncrementalRanker, PageRank, ProximityError, RankSnapshot,
     SpamProximity, ThrottleVector, WalkCacheConfig,
@@ -38,7 +44,12 @@ pub struct EngineConfig {
     pub cache_max_hops: u32,
     /// RNG seed of the walk cache build.
     pub cache_seed: u64,
-    /// Overlay compaction threshold (patched-row fraction).
+    /// Overlay compaction threshold (patched-row fraction). The serving
+    /// default 0.0 folds every epoch: publishing needs the epoch's CSR
+    /// anyway, so a fold costs one operator build, and the snapshot and the
+    /// exact panels share the folded graph and its operator. A positive
+    /// threshold keeps patches across epochs and materializes a copy of
+    /// the graph per publish; `1.0` never folds.
     pub compact_threshold: f64,
 }
 
@@ -51,7 +62,7 @@ impl Default for EngineConfig {
             cache_walks: 32,
             cache_max_hops: 32,
             cache_seed: 0x5eed,
-            compact_threshold: 0.25,
+            compact_threshold: 0.0,
         }
     }
 }
@@ -141,7 +152,7 @@ impl EpochEngine {
         ));
         let (pagerank, sourcerank, resilient) = ranker.rerank(None);
 
-        let pages = Arc::new(ranker.graph().to_csr());
+        let pages = current_pages(&ranker);
         let cache_cfg = WalkCacheConfig {
             walks: config.cache_walks,
             beta: config.alpha,
@@ -205,11 +216,21 @@ impl EpochEngine {
             sourcerank: out.sourcerank,
             resilient: out.resilient,
             proximity,
-            pages: Arc::new(self.ranker.graph().to_csr()),
+            pages: current_pages(&self.ranker),
             cache_pages: Arc::clone(&self.cache_pages),
             walks: Arc::clone(&self.walks),
             compactions: u64::try_from(self.ranker.compactions()).unwrap_or(u64::MAX),
         })
+    }
+
+    /// The current epoch's page graph and its PageRank operator, when the
+    /// ranker's overlay is clean (always, at the default
+    /// `compact_threshold` 0.0). The graph is the `Arc` the last snapshot
+    /// published as `pages`.
+    pub fn epoch_graph(&self) -> Option<(Arc<CsrGraph>, Arc<UniformTransition>)> {
+        self.ranker
+            .epoch_graph()
+            .map(|(graph, op)| (Arc::clone(graph), Arc::clone(op)))
     }
 
     /// Epochs stepped so far.
@@ -225,6 +246,15 @@ impl EpochEngine {
     /// Sources after every step so far.
     pub fn num_sources(&self) -> usize {
         self.ranker.num_sources()
+    }
+}
+
+/// The ranker's current page graph: its shared base when the overlay is
+/// clean, else a materialized copy.
+fn current_pages(ranker: &IncrementalRanker) -> Arc<CsrGraph> {
+    match ranker.epoch_graph() {
+        Some((graph, _)) => Arc::clone(graph),
+        None => Arc::new(ranker.graph().to_csr()),
     }
 }
 
@@ -368,30 +398,46 @@ mod tests {
     fn snapshots_track_the_growing_graph() {
         let crawl = generate(&CrawlConfig::tiny(8));
         let seeds = crawl.sample_spam_seed(2, 1);
-        let cfg = EngineConfig {
-            cache_walks: 0,
-            ..Default::default()
-        };
-        let (mut eng, seed_snap) = EpochEngine::seed(
-            crawl.pages.clone(),
-            &crawl.assignment,
-            seeds,
-            &cfg,
-            &cache_path("grow"),
-        )
-        .unwrap();
-        assert_eq!(seed_snap.num_pages(), crawl.num_pages());
-        let mut producer = CrawlDeltaProducer::from_crawl(&crawl, ProducerConfig::tiny(2));
-        let mut pages = crawl.num_pages();
-        for seq in 1..=4u64 {
-            let d = producer.next_delta();
-            pages += d.graph.new_nodes();
-            let snap = eng.step(seq, &d).unwrap();
-            assert_eq!(snap.num_pages(), pages);
-            assert_eq!(snap.pages.num_nodes(), pages);
-            // The fast-path graph stays pinned at the cache build epoch.
-            assert_eq!(snap.cache_pages.num_nodes(), crawl.num_pages());
-            assert_eq!(snap.num_sources(), eng.num_sources());
+        // 0.0 folds every epoch and shares the folded base; 1.0 never folds
+        // and materializes the overlay per publish.
+        for compact_threshold in [0.0, 1.0] {
+            let cfg = EngineConfig {
+                cache_walks: 0,
+                compact_threshold,
+                ..Default::default()
+            };
+            let (mut eng, seed_snap) = EpochEngine::seed(
+                crawl.pages.clone(),
+                &crawl.assignment,
+                seeds.clone(),
+                &cfg,
+                &cache_path("grow"),
+            )
+            .unwrap();
+            assert_eq!(seed_snap.num_pages(), crawl.num_pages());
+            assert_eq!(seed_snap.pages.as_ref(), &crawl.pages);
+            let mut producer = CrawlDeltaProducer::from_crawl(&crawl, ProducerConfig::tiny(2));
+            let mut pages = crawl.num_pages();
+            for seq in 1..=4u64 {
+                let what = format!("threshold {compact_threshold}, seq {seq}");
+                let d = producer.next_delta();
+                pages += d.graph.new_nodes();
+                let snap = eng.step(seq, &d).unwrap();
+                assert_eq!(snap.num_pages(), pages, "{what}");
+                assert_eq!(snap.pages.num_nodes(), pages, "{what}");
+                assert_eq!(snap.pages.as_ref(), &eng.ranker.graph().to_csr(), "{what}");
+                // The shared pair exists exactly when the overlay folded.
+                match eng.epoch_graph() {
+                    Some((graph, _)) => {
+                        assert_eq!(compact_threshold, 0.0, "{what}");
+                        assert!(Arc::ptr_eq(&graph, &snap.pages), "{what}");
+                    }
+                    None => assert_eq!(compact_threshold, 1.0, "{what}"),
+                }
+                // The fast-path graph stays pinned at the cache build epoch.
+                assert_eq!(snap.cache_pages.num_nodes(), crawl.num_pages(), "{what}");
+                assert_eq!(snap.num_sources(), eng.num_sources(), "{what}");
+            }
         }
     }
 }

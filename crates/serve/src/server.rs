@@ -9,7 +9,10 @@
 //!   queries read ring.load() ◀──┘        └──▶ exact PPR → PanelQueue
 //!                                                           │
 //!   ingest gate ──▶ writer thread: EpochEngine.step ──▶ ring.publish
-//!                                                           ▲
+//!                                  │                        ▲
+//!                                  └─▶ PanelQueue.offer     │
+//!                                      (graph, operator)    │
+//!                                             ▼             │
 //!                                   solver thread: serve_window (reads ring)
 //! ```
 //!
@@ -17,7 +20,10 @@
 //! [`SnapshotRing`]'s wait-free `load`. The writer owns the
 //! [`EpochEngine`]; deltas are sequenced under the ingest gate's lock so
 //! the channel order *is* the sequence order, and the parity suite can
-//! replay the identical stream offline.
+//! replay the identical stream offline. After each publish the writer
+//! offers the epoch's graph and the PageRank operator built at its fold to
+//! the panel queue, so an exact panel on the current epoch builds no
+//! operator of its own.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -199,6 +205,7 @@ pub fn serve(
         },
     });
 
+    shared.queue.offer(engine.epoch_graph());
     let (tx, rx) = channel::<(u64, CrawlDelta)>();
     shared.gate.lock().unwrap_or_else(|p| p.into_inner()).sender = Some(tx);
 
@@ -208,7 +215,10 @@ pub fn serve(
         let mut engine = engine;
         while let Ok((seq, delta)) = rx.recv() {
             match engine.step(seq, &delta) {
-                Ok(snapshot) => writer_shared.ring.publish(snapshot),
+                Ok(snapshot) => {
+                    writer_shared.ring.publish(snapshot);
+                    writer_shared.queue.offer(engine.epoch_graph());
+                }
                 Err(_) => {
                     // A malformed delta is skipped: the engine validates
                     // before mutating, so the stream stays consistent and

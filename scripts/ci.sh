@@ -23,8 +23,8 @@ echo "==> sr-lint (syntax-aware concurrency gate + LINT_report.json)"
 # four concurrency policies clippy cannot express: atomic-ordering
 # (Relaxed is reserved for sr-par::counters; publication gates must pair
 # Acquire/Release), lock-order (the workspace lock-acquisition graph must
-# stay acyclic), par-determinism (no hash iteration or captured
-# accumulation inside sr-par closures), and panic-surface (no unexempted
+# stay acyclic), par-determinism (no captured accumulation inside
+# unordered sr-par closures), and panic-surface (no unexempted
 # panic reachable from a live sr-serve socket). Exempt a site with a
 # justified `// lint-ok(<rule>): <reason>` trailing the line or in the
 # comment block directly above it; see DESIGN.md §13 and §18.
@@ -73,7 +73,9 @@ echo "==> clippy policy fixtures (violations fail with their lint, waivers pass)
 # policy and an exempt twin waived with `#[expect(.., reason)]`. Each
 # file is checked alone by clippy-driver under the repo's clippy.toml and
 # the cast flag above: every violation must fail naming its lint, every
-# twin must pass, and a stale `#[expect]` must fail as unfulfilled.
+# twin must pass, and a stale `#[expect]` must fail as unfulfilled. Hash
+# types inside sr-par closures (par_hash_violation) are clippy's too: no
+# sr-lint rule looks for them.
 FIX=crates/lint/tests/fixtures
 FIX_OUT="$(mktemp -d)"
 clippy_fixture() {
@@ -85,6 +87,7 @@ for case in debug_assert_violation:disallowed_macros \
   numeric_cast_violation:cast_possible_truncation \
   float_order_violation:disallowed_methods \
   determinism_violation:disallowed_types \
+  par_hash_violation:disallowed_types \
   panic_policy_violation:unwrap_used \
   panic_policy_segment_violation:unreachable \
   stale_expect:unfulfilled_lint_expectations; do
@@ -109,6 +112,14 @@ cargo build --workspace --release
 
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run --quiet
+
+echo "==> perfbench: build the repository benchmark and run its unit tests"
+# perfbench (its own workspace, which the steps above never build) links
+# the crates by path and names their public API: EpochEngine, the
+# incremental ranker, the operators. Building it here turns a change to
+# an API it names into a CI failure rather than a failed benchmark run.
+# Same target dir as perfbench/run.py, so the benchmark reuses the build.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --quiet --manifest-path perfbench/Cargo.toml
 
 echo "==> delta differential suites (incremental path == full rebuild)"
 cargo test -q -p sr-graph --test delta_differential
@@ -215,6 +226,18 @@ cargo test -q -p sr-serve --test rotation
 cargo test -q -p sr-serve --test batching
 cargo test -q -p sr-serve --lib engine::tests::failed_deltas_leave_the_engine_unchanged
 cargo test -q -p sr-serve --lib wire::tests
+# One epoch graph, shared: the engine folds every epoch, publishes the
+# ranker's own graph and solves over its own operator, so each epoch's
+# PageRank equals a warm solve over a fresh operator of the published
+# graph bit for bit, including after a delta that only appends pages
+# (tier-1). Exact panels solve over the operator the writer offers when
+# it was built from the window's graph, and build their own otherwise;
+# both answer like drain_once bit for bit. Snapshots equal the overlay's
+# to_csr whether the engine folds (threshold 0.0) or materializes (1.0).
+cargo test -q --test invariants served_epochs_solve_over_their_published_graph_bitwise
+cargo test -q -p sr-serve --lib batch::tests::windows_over_the_offered_operator_answer_like_drain_once
+cargo test -q -p sr-serve --lib batch::tests::windows_over_another_graph_build_their_own_operator
+cargo test -q -p sr-serve --lib engine::tests::snapshots_track_the_growing_graph
 
 echo "==> cargo test -q (debug)"
 cargo test --workspace -q

@@ -13,10 +13,15 @@
 //!   for bit;
 //! * incremental warm re-ranking ≡ a cold rebuild within `1e-12` at a
 //!   stopping tolerance of `1e-14`;
+//! * every serving epoch's PageRank ≡ a warm solve over a fresh operator of
+//!   the graph that epoch publishes, bit for bit, and that graph is the
+//!   engine's own (shared, not copied);
 //! * approximate PPR off a walk cache stays within its (ε, δ) additive
 //!   bound of the exact solve, and a rebuilt, a reopened and a from-bytes
 //!   cache answer bit-identically (so tier-1 writes and reads the
 //!   walk-cache file).
+
+use std::sync::Arc;
 
 use sr_core::approx::{ApproxPpr, QueryConfig, WalkCacheBuilder, WalkCacheConfig};
 use sr_core::operator::{Transition, UniformTransition, WeightedTransition};
@@ -27,12 +32,14 @@ use sr_core::{
     PageRank, RankVector, SolveColumn, SolveRequest, SolverWorkspace, SourceRank,
     SpamResilientSourceRank, Teleport, ThrottleVector,
 };
+use sr_gen::{generate, CrawlConfig, CrawlDeltaProducer, ProducerConfig};
 use sr_graph::delta::CrawlDelta;
 use sr_graph::source_graph::{extract, SourceGraphConfig};
 use sr_graph::transpose::transpose;
 use sr_graph::walks::WalkStore;
 use sr_graph::{CsrGraph, GraphBuilder, SourceAssignment, WeightedGraph};
 use sr_obs::RecordingObserver;
+use sr_serve::engine::{EngineConfig, EpochEngine};
 
 /// A chain with forward chords and a dangling tail; past 4096 nodes the
 /// blocked reductions run over more than one block.
@@ -280,6 +287,63 @@ fn incremental_reranking_equals_a_cold_rebuild() {
                 assert!((a - b).abs() <= 1e-12, "step {step}: {a} vs {b}");
             }
         }
+    }
+}
+
+#[test]
+fn served_epochs_solve_over_their_published_graph_bitwise() {
+    let crawl = generate(&CrawlConfig::tiny(17));
+    let cfg = EngineConfig {
+        cache_walks: 0,
+        ..Default::default()
+    };
+    let cache = std::env::temp_dir().join(format!(
+        "sourcerank_epoch_graph_{}.walks",
+        std::process::id()
+    ));
+    let (mut engine, seed) = EpochEngine::seed(
+        crawl.pages.clone(),
+        &crawl.assignment,
+        crawl.sample_spam_seed(2, 9),
+        &cfg,
+        &cache,
+    )
+    .unwrap();
+    std::fs::remove_file(&cache).ok();
+    let pagerank = PageRank::builder()
+        .alpha(cfg.alpha)
+        .criteria(cfg.criteria)
+        .finish();
+    let bits = |v: &RankVector| v.scores().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let fresh_solve = |graph: &CsrGraph, start: Option<&RankVector>| {
+        pagerank.rank_operator_warm_in(
+            &UniformTransition::new(graph),
+            start.map(RankVector::scores),
+            &mut SolverWorkspace::new(),
+            None,
+        )
+    };
+    assert_eq!(bits(&seed.pagerank), bits(&fresh_solve(&seed.pages, None)));
+
+    let mut producer = CrawlDeltaProducer::from_crawl(&crawl, ProducerConfig::tiny(4));
+    let mut deltas: Vec<CrawlDelta> = (0..6).map(|_| producer.next_delta()).collect();
+    // Last, a delta that only appends pages: it patches no row, so the
+    // patched-row fraction alone would never fold it.
+    let mut append_only = CrawlDelta::new();
+    append_only.graph.add_nodes(3);
+    append_only.new_page_sources = vec![0; 3];
+    deltas.push(append_only);
+
+    let mut previous = seed.pagerank;
+    for (seq, delta) in (1u64..).zip(&deltas) {
+        let snap = engine.step(seq, delta).unwrap();
+        let (graph, _) = engine
+            .epoch_graph()
+            .expect("the serving default folds every epoch");
+        assert!(Arc::ptr_eq(&snap.pages, &graph), "seq {seq}: pages copied");
+        let want = fresh_solve(&snap.pages, Some(&previous));
+        assert_eq!(bits(&snap.pagerank), bits(&want), "seq {seq}");
+        previous = snap.pagerank;
     }
 }
 
