@@ -191,6 +191,108 @@ fn opt_u64_json(v: Option<u64>) -> String {
     v.map_or_else(|| "null".to_string(), |b| b.to_string())
 }
 
+/// Median of `reps` timings of `run`, in seconds, after one untimed call.
+fn median_secs(reps: usize, mut run: impl FnMut()) -> f64 {
+    run();
+    let mut secs: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            run();
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[reps / 2]
+}
+
+/// Median seconds per edge of one `op.propagate_with` over `graph` at
+/// `threads` threads, the operator built at the same count.
+fn gather_secs_per_edge(graph: &sr_graph::CsrGraph, threads: usize) -> f64 {
+    sr_par::with_threads(threads, || {
+        let op = UniformTransition::new(graph);
+        let n = graph.num_nodes();
+        let (x, mut y, mut scratch) = (vec![1.0 / n as f64; n], vec![0.0; n], vec![0.0; n]);
+        median_secs(31, || {
+            op.propagate_with(&x, &mut y, &mut scratch);
+        })
+    }) / graph.num_edges() as f64
+}
+
+/// The `fork` section, printed only: the cost of one empty fork/join of
+/// `threads` parts, the serial cost per unit of the two kinds of region
+/// `sr-par` forks, and the crossovers these imply beside the cutovers it
+/// uses. A region of `w` units costing `c` each inline and `c_t` each
+/// forked pays for a fork `f` once `w·(c − c_t) > f`. The ideal crossover
+/// takes `c_t = c / threads`; the measured one times `c_t` on a region past
+/// the cutover, where the fork really runs. Nothing here is asserted:
+/// timings belong to the host.
+fn fork_probe(graph: &sr_graph::CsrGraph, threads: usize) {
+    if threads < 2 {
+        eprintln!("fork: 1 thread, no region forks");
+        return;
+    }
+    let fork = median_secs(201, || {
+        std::hint::black_box(sr_par::map_tasks(threads, |i| i));
+    });
+    eprintln!(
+        "fork: empty fork/join of {threads} parts {:.1} us (median of 201)",
+        fork * 1e6
+    );
+    let crossover = |inline: f64, forked: f64| {
+        let ideal = fork / (inline * (1.0 - 1.0 / threads as f64));
+        let measured = if forked < inline {
+            format!("{:.0}", fork / (inline - forked))
+        } else {
+            "never".to_string()
+        };
+        format!("crossover {measured} (ideal {ideal:.0})")
+    };
+    // A vector pass: the L1 distance of two vectors four times the element
+    // cutover long, inline and forked.
+    let len = 4 * sr_par::FORK_MIN_ELEMENTS;
+    let x: Vec<f64> = (0..len).map(|i| 1.0 / (i + 1) as f64).collect();
+    let y: Vec<f64> = (0..len).map(|i| 1.0 / (i + 2) as f64).collect();
+    let l1_at = |t: usize| {
+        sr_par::with_threads(t, || {
+            median_secs(31, || {
+                std::hint::black_box(sr_core::vecops::l1_distance(&x, &y));
+            })
+        }) / len as f64
+    };
+    let (inline, forked) = (l1_at(1), l1_at(threads));
+    eprintln!(
+        "fork: vector pass {:.3} ns/element inline, {:.3} forked -> {} elements \
+         (FORK_MIN_ELEMENTS {})",
+        inline * 1e9,
+        forked * 1e9,
+        crossover(inline, forked),
+        sr_par::FORK_MIN_ELEMENTS
+    );
+    // The gather (with its pre-scale pass): the kernel crawl's, inline, and
+    // a 300k-page crawl's past the edge cutover, inline and forked.
+    let wide = sr_gen::generate(&sr_gen::CrawlConfig {
+        num_sources: 2_500,
+        total_pages: 300_000,
+        ..sr_gen::CrawlConfig::default()
+    })
+    .pages;
+    let kernel = gather_secs_per_edge(graph, 1);
+    let (inline, forked) = (
+        gather_secs_per_edge(&wide, 1),
+        gather_secs_per_edge(&wide, threads),
+    );
+    eprintln!(
+        "fork: gather {:.3} ns/edge inline on the kernel crawl; {:.3} inline, \
+         {:.3} forked on {} edges -> {} edges (FORK_MIN_EDGES {})",
+        kernel * 1e9,
+        inline * 1e9,
+        forked * 1e9,
+        wide.num_edges(),
+        crossover(inline, forked),
+        sr_par::FORK_MIN_EDGES
+    );
+}
+
 fn main() {
     let crawl = kernel_crawl();
     let graph = &crawl.pages;
@@ -198,6 +300,7 @@ fn main() {
     let m = graph.num_edges();
     let threads = sr_par::num_threads();
     eprintln!("kernel_crawl: {n} nodes, {m} edges, {threads} thread(s)");
+    fork_probe(graph, threads);
 
     let naive = NaiveUniformTransition::new(graph);
     let fused = UniformTransition::new(graph);
@@ -467,10 +570,11 @@ fn main() {
     );
 
     // Worker-scaling sweep over the same on-disk file. The pipelined engine
-    // re-plans its workers per count (operator chunks follow
-    // `with_threads`), and every count must land the identical bits. The
-    // sweep stops at the cores the host has: more workers than cores
-    // measure time-slicing, not scaling.
+    // re-plans its workers per count (past `sr_par::FORK_MIN_EDGES`,
+    // operator chunks follow `with_threads`; the kernel crawl is below it,
+    // so every count runs one worker), and every count must land the
+    // identical bits. The sweep stops at the cores the host has: more
+    // workers than cores measure time-slicing, not scaling.
     let mut scaling_value = String::from("{\n");
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let worker_counts: Vec<usize> = [1usize, 2, 4, 8]

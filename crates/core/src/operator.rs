@@ -145,11 +145,18 @@ fn note_panel_build() {
     PANEL_BUILDS.with(|c| c.set(c.get() + 1));
 }
 
-/// Chunk count for an operator over `n` nodes: a single chunk below the
-/// sequential cutover (keeps small solves bit-identical to a plain loop),
-/// one chunk per worker thread above it.
-pub(crate) fn operator_chunks(n: usize) -> usize {
-    if n < sr_par::PAR_THRESHOLD {
+/// Chunk count for an operator whose gather reads `edges` edges per sweep:
+/// one chunk below [`sr_par::FORK_MIN_EDGES`], where a fork costs more than
+/// it saves and the gather runs inline, one chunk per worker thread above
+/// it. The chunks then fork through [`sr_par::for_each_part`], which also
+/// counts the output rows, so a graph this dense with fewer than
+/// [`sr_par::FORK_MIN_ELEMENTS`] rows gathers its chunks in turn (its
+/// K-column panels still fork at n·K elements). Chunking never moves a
+/// bit: every row keeps its own ascending-order accumulator. The chunk
+/// count also picks the panel kernel: one chunk scatters along forward
+/// rows, several gather over reverse rows.
+pub(crate) fn operator_chunks(edges: usize) -> usize {
+    if edges < sr_par::FORK_MIN_EDGES {
         1
     } else {
         sr_par::num_threads()
@@ -169,8 +176,8 @@ pub(crate) fn inv_degrees(degrees: impl IntoIterator<Item = usize>) -> Vec<f64> 
 /// Pass 1 of the uniform operators: pre-scales the iterate
 /// (`scratch[u] = x[u] · inv[u]`) and returns the dangling mass, collected
 /// over fixed blocks whose partials are summed in block order —
-/// bit-identical across thread counts, and (with a single block below the
-/// cutover) to the seed kernel's sequential fold.
+/// bit-identical across thread counts, and (with a single block, under
+/// `PAR_THRESHOLD` nodes) to the seed kernel's sequential fold.
 #[inline]
 pub(crate) fn prescale(inv: &[f64], x: &[f64], scratch: &mut [f64]) -> f64 {
     let partials = sr_par::for_each_block(scratch, sr_par::PAR_THRESHOLD, |i, part| {
@@ -219,7 +226,7 @@ impl UniformTransition {
     /// Builds the operator from a page graph.
     pub fn new(graph: &CsrGraph) -> Self {
         let n = graph.num_nodes();
-        let (sell, partition) = SellRows::from_transpose(graph, operator_chunks(n));
+        let (sell, partition) = SellRows::from_transpose(graph, operator_chunks(graph.num_edges()));
         UniformTransition {
             sell,
             inv_degree: inv_degrees(node_range(n).map(|u| graph.out_degree(u))),
@@ -409,7 +416,8 @@ impl WeightedTransition {
                 has_deficit = true;
             }
         }
-        let (sell, partition) = SellRows::from_transpose_weighted(graph, operator_chunks(n));
+        let (sell, partition) =
+            SellRows::from_transpose_weighted(graph, operator_chunks(graph.num_edges()));
         WeightedTransition {
             sell,
             deficit,
@@ -711,6 +719,7 @@ pub mod reference {
 mod tests {
     use super::reference::{NaiveUniformTransition, NaiveWeightedTransition};
     use super::*;
+    use sr_graph::ids::node_id;
     use sr_graph::GraphBuilder;
 
     #[test]
@@ -749,7 +758,7 @@ mod tests {
 
     #[test]
     fn fused_matches_reference_exactly_on_small_graphs() {
-        // Below the parallel cutover both kernels are sequential and the
+        // On a single reduction block both kernels fold sequentially and the
         // fused pre-scale computes the same `x[u] * (1/d)` products, so the
         // match is bitwise, not just within tolerance.
         let g =
@@ -862,22 +871,35 @@ mod tests {
         (a, b, built_a + built_b)
     }
 
+    /// `links` scattered out-links per node, every eleventh node dangling:
+    /// the CSR, and the same rows weighted 0.1 per edge (sums below 1, so
+    /// row deficits feed the dangling path).
+    fn scattered(n: u32, links: u64) -> (CsrGraph, WeightedGraph) {
+        let mut offsets = vec![0usize];
+        let mut targets = Vec::new();
+        for u in 0..u64::from(n) {
+            if u % 11 != 5 {
+                let mut row: Vec<u32> = (0..links)
+                    .map(|j| node_id(((u * (2 * j + 1) + j * j * 13 + 1) % u64::from(n)) as usize))
+                    .collect();
+                row.sort_unstable();
+                row.dedup();
+                targets.extend(row);
+            }
+            offsets.push(targets.len());
+        }
+        let weights = vec![0.1; targets.len()];
+        let g = CsrGraph::from_parts(offsets.clone(), targets.clone());
+        (g, WeightedGraph::from_parts(offsets, targets, weights))
+    }
+
     #[test]
     fn racing_first_panels_build_the_panel_csr_once() {
-        let edges = |n: u32| -> Vec<(u32, u32)> {
-            (0..n)
-                .flat_map(|u| [(u, (u + 1) % n), (u, (u * 7 + 3) % n), (u, (u * 13) % n)])
-                .filter(|&(u, _)| u % 11 != 5)
-                .collect()
-        };
-        // One chunk (forward scatter) and, past the cutover, two chunks
-        // (reverse gather).
-        for (n, threads) in [(300u32, 1usize), (5000, 2)] {
-            let g = GraphBuilder::from_edges_exact(n as usize, edges(n)).unwrap();
-            let w = WeightedGraph::from_triples(
-                n as usize,
-                edges(n).into_iter().map(|(u, v)| (u, v, 0.3)).collect(),
-            );
+        // One chunk (forward scatter) and, past the edge cutover, two
+        // chunks (reverse gather).
+        for (n, links, threads) in [(300u32, 3, 1usize), (300_000, 8, 2)] {
+            let (g, w) = scattered(n, links);
+            assert_eq!(threads > 1, g.num_edges() >= sr_par::FORK_MIN_EDGES);
             let uniform = sr_par::with_threads(threads, || UniformTransition::new(&g));
             let weighted = sr_par::with_threads(threads, || WeightedTransition::new(&w));
             assert_eq!(uniform.partition().num_chunks(), threads);

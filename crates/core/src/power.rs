@@ -54,8 +54,9 @@
 //!   never read each other's slots, so neither retirement nor the width
 //!   change can perturb the survivors' bits.
 //!
-//! Below the parallel cutover a one-column solve performs the seed's
-//! three-pass floating-point operations in the seed's order; that loop is
+//! On a single reduction block (under [`sr_par::PAR_THRESHOLD`] nodes) a
+//! one-column solve performs the seed's three-pass floating-point
+//! operations in the seed's order; that loop is
 //! preserved in [`mod@reference`] as the parity oracle. The driver never
 //! looks inside the operator, so the out-of-core
 //! [`StreamedTransition`](crate::streamed::StreamedTransition) inherits the
@@ -554,8 +555,8 @@ fn scatter_column(panel: &mut [f64], width: usize, j: usize, src: &[f64]) {
 /// `x`. Blocks cover [`sr_par::PAR_THRESHOLD`] nodes (block length scaled by
 /// the width) and per-column partials are combined in block order, so the
 /// fold is the same at every width and thread count; with a single block
-/// (any graph below the cutover) it performs the seed's separate update and
-/// distance passes bit for bit. Residuals are written to `residuals` in
+/// (any graph under `PAR_THRESHOLD` nodes) it performs the seed's separate
+/// update and distance passes bit for bit. Residuals are written to `residuals` in
 /// panel-position order. The width is dispatched to monomorphized kernels
 /// so the per-row column loops have compile-time trip counts.
 fn update_residual_panel(
@@ -990,7 +991,7 @@ mod tests {
 
     #[test]
     fn fused_engine_matches_unfused_reference_bitwise_on_small_graphs() {
-        // Below the parallel cutover the fused sweep performs the seed's
+        // On a single reduction block the fused sweep performs the seed's
         // floating-point operations in the seed's order: identical residual
         // history, iteration count and scores — not merely within tolerance.
         let g =

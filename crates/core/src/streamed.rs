@@ -263,7 +263,7 @@ fn build_plan(
     config: PipelineConfig,
 ) -> Result<(PipelinePlan, EdgePartition), GraphError> {
     let n = graph.num_nodes();
-    let workers = operator_chunks(n);
+    let workers = operator_chunks(graph.num_edges());
     let max_chunks = workers.saturating_mul(config.spans_per_worker.max(1));
     let spans = graph.chunk_spans(max_chunks)?;
     // The gather writes y[v] only for rows some span covers.

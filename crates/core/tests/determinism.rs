@@ -6,7 +6,9 @@
 //! association order never depends on the worker count. This suite pins the
 //! contract end to end: identical rank bits *and* identical telemetry
 //! (iteration counts, full residual sequences) for the power method, the
-//! Jacobi (linear-system) sweep, and SR-SourceRank.
+//! Jacobi (linear-system) sweep, and SR-SourceRank. The `sr-par` counters
+//! confirm which side of the fork cutovers each solve ran on: the page
+//! graph's 8-thread solves fork, the source graph's run inline.
 
 use sr_core::operator::UniformTransition;
 use sr_core::power::Formulation;
@@ -46,10 +48,26 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 /// The invariance contract: ranks and telemetry bit-identical at 1 vs 8
-/// worker threads.
-fn assert_invariant(label: &str, solve: &dyn Fn(&mut RecordingObserver) -> Vec<f64>) {
+/// worker threads. `forks` says whether the 8-thread run must fork (a
+/// problem past the cutovers) or stay on the calling thread.
+fn assert_invariant(label: &str, forks: bool, solve: &dyn Fn(&mut RecordingObserver) -> Vec<f64>) {
     let one = run_at(1, solve);
+    sr_par::counters::enable();
+    let before = sr_par::counters::snapshot();
     let eight = run_at(8, solve);
+    let after = sr_par::counters::snapshot();
+    sr_par::counters::disable();
+    if forks {
+        assert!(
+            after.par_calls > before.par_calls && after.tasks_spawned >= before.tasks_spawned + 7,
+            "{label}: the 8-thread run never forked"
+        );
+    } else {
+        assert_eq!(
+            after.par_calls, before.par_calls,
+            "{label}: forked below the cutovers"
+        );
+    }
     assert_eq!(
         one.rank_bits, eight.rank_bits,
         "{label}: rank bits differ between 1 and 8 threads"
@@ -78,32 +96,35 @@ fn assert_invariant(label: &str, solve: &dyn Fn(&mut RecordingObserver) -> Vec<f
 
 #[test]
 fn page_and_source_ranks_are_thread_count_invariant() {
-    // Big enough that the page graph crosses PAR_THRESHOLD and the parallel
-    // paths genuinely engage at 8 threads.
-    let crawl = generate(&Dataset::Wb2001.config(0.0005));
+    // Big enough that the page graph crosses both fork cutovers and the
+    // parallel paths genuinely engage at 8 threads; the source graph stays
+    // below them.
+    let crawl = generate(&Dataset::Wb2001.config(0.0025));
     assert!(
-        crawl.pages.num_nodes() > sr_par::PAR_THRESHOLD,
-        "fixture too small to exercise the parallel paths: {} nodes",
-        crawl.pages.num_nodes()
+        crawl.pages.num_nodes() >= sr_par::FORK_MIN_ELEMENTS
+            && crawl.pages.num_edges() >= sr_par::FORK_MIN_EDGES,
+        "fixture too small to exercise the parallel paths: {} nodes, {} edges",
+        crawl.pages.num_nodes(),
+        crawl.pages.num_edges()
     );
     let sources = crawl.source_graph(SourceGraphConfig::consensus());
     let spam = crawl.spam_sources.clone();
     let top_k = (sources.num_sources() / 30).max(1);
 
-    assert_invariant("power", &|obs| {
+    assert_invariant("power", true, &|obs| {
         rank_recorded(PageRank::builder().finish(), &crawl.pages, obs)
             .scores()
             .to_vec()
     });
 
-    assert_invariant("jacobi", &|obs| {
+    assert_invariant("jacobi", true, &|obs| {
         let pr = PageRank::builder()
             .formulation(Formulation::LinearSystem)
             .finish();
         rank_recorded(pr, &crawl.pages, obs).scores().to_vec()
     });
 
-    assert_invariant("sr-sourcerank", &|obs| {
+    assert_invariant("sr-sourcerank", false, &|obs| {
         SpamResilientSourceRank::builder()
             .throttle_by_proximity(spam.clone(), top_k, 0.85)
             .build(&sources)

@@ -163,30 +163,74 @@ proptest! {
     }
 }
 
+/// A graph past the streamed operator's fork cutover
+/// ([`sr_par::FORK_MIN_EDGES`] edges) and the vector passes' one
+/// ([`sr_par::FORK_MIN_ELEMENTS`] nodes): eight scattered out-links per
+/// node, every tenth node dangling.
+fn forking_graph() -> CsrGraph {
+    let n = 300_000u64;
+    let mut offsets = vec![0usize];
+    let mut targets = Vec::new();
+    for u in 0..n {
+        if u % 10 != 9 {
+            let mut row: Vec<u32> = (1..=8u64)
+                .map(|j| u32::try_from((u * (2 * j + 1) + j * j * 7919) % n).unwrap())
+                .collect();
+            row.sort_unstable();
+            row.dedup();
+            targets.extend(row);
+        }
+        offsets.push(targets.len());
+    }
+    let g = CsrGraph::from_parts(offsets, targets);
+    assert!(g.num_edges() >= sr_par::FORK_MIN_EDGES);
+    assert!(g.num_nodes() >= sr_par::FORK_MIN_ELEMENTS);
+    g
+}
+
 #[test]
 fn pipelined_1_vs_8_workers_bitwise_identical() {
     // The CI determinism gate: the same on-disk file solved through the
     // pipelined path with 1 worker and with 8 workers must agree bit for
-    // bit — which worker claims which span, and prefetch scheduling, are
-    // invisible in the scores.
-    let edges: Vec<(u32, u32)> = (0u32..300)
-        .flat_map(|u| {
-            [
-                (u, (u * 17 + 5) % 300),
-                (u, (u * 23 + 1) % 300),
-                ((u * 7) % 300, u),
-            ]
-        })
-        .collect();
-    let g = GraphBuilder::from_edges_exact(300, edges).unwrap();
-    let (sharded, dir) = shard_to_disk(&g, 96, 64);
+    // bit — which worker claims which span, prefetch scheduling, and which
+    // spans stay hot under a budget that splits them, are invisible in the
+    // scores. The graph is past the fork cutovers, so the 8-thread sweep
+    // really runs eight workers (the counters show it).
+    let g = forking_graph();
+    let (sharded, dir) = shard_to_disk(&g, 4096, 4096);
     let request = pagerank_request();
+    let config = PipelineConfig {
+        cache_bytes: 4 << 20,
+        ..PipelineConfig::default()
+    };
     let x1 = sr_par::with_threads(1, || {
-        let t = StreamedTransition::from_sharded(&sharded);
+        let t = StreamedTransition::from_sharded_with(&sharded, config);
         power_solve(&t, &request)
     });
     let x8 = sr_par::with_threads(8, || {
-        let t = StreamedTransition::from_sharded(&sharded);
+        let t = StreamedTransition::from_sharded_with(&sharded, config);
+        let hot = t.hot_edges();
+        assert!(
+            hot > 0 && hot < g.num_edges() as u64,
+            "the budget must split"
+        );
+        // One sweep forks twice, the pre-scale blocks and the span workers,
+        // each spawning seven threads beside the calling thread.
+        let n = t.num_nodes();
+        let (x, mut y) = (vec![1.0 / n as f64; n], vec![0.0; n]);
+        sr_par::counters::enable();
+        let before = sr_par::counters::snapshot();
+        t.propagate(&x, &mut y);
+        let after = sr_par::counters::snapshot();
+        sr_par::counters::disable();
+        assert!(
+            after.par_calls >= before.par_calls + 2,
+            "the sweep ran inline"
+        );
+        assert!(
+            after.tasks_spawned >= before.tasks_spawned + 14,
+            "the 8-thread sweep did not fork eight span workers"
+        );
         power_solve(&t, &request)
     });
     assert_eq!(

@@ -28,7 +28,7 @@ pub struct GraphStats {
 /// Computes [`GraphStats`] for `g` (parallel over nodes).
 pub fn graph_stats(g: &CsrGraph) -> GraphStats {
     let n = g.num_nodes();
-    let (max_out, dangling, self_loops) = sr_par::map_reduce(
+    let (max_out, dangling, self_loops) = sr_par::map_reduce_blocks(
         n,
         |rows| {
             let mut acc = (0usize, 0usize, 0usize);
@@ -119,7 +119,7 @@ pub fn edge_fraction<F: Fn(u32, u32) -> bool + Sync>(g: &CsrGraph, pred: F) -> f
     if g.num_edges() == 0 {
         return 0.0;
     }
-    let matching: usize = sr_par::map_reduce(
+    let matching: usize = sr_par::map_reduce_blocks(
         g.num_nodes(),
         |rows| {
             rows.map(|u| {

@@ -34,11 +34,10 @@ const RELAXED_CARVE_OUT: &str = "crates/par/src/counters.rs";
 /// where captured accumulation is a hazard. (`pipeline` and
 /// `pipeline_while` deliver blocks to their consumer in submission order,
 /// so accumulation there is deterministic.)
-const PAR_UNORDERED: [&str; 7] = [
+const PAR_UNORDERED: [&str; 6] = [
     "for_each_part",
     "for_each_block",
     "for_each_mut",
-    "map_reduce",
     "map_reduce_blocks",
     "map_chunks",
     "map_tasks",
@@ -638,7 +637,7 @@ pub(crate) fn par_determinism(ctx: &FileCtx<'_>, regions: &[ParRegion], sink: &m
                         "`{var} +=` on a variable captured by an unordered \
                          parallel closure: chunk completion order varies run to \
                          run and float addition is not associative — accumulate \
-                         into a chunk-local and combine with `map_reduce`'s \
+                         into a chunk-local and combine with `map_reduce_blocks`' \
                          ordered combiner"
                     ),
                 );

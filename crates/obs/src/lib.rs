@@ -19,8 +19,8 @@
 //!   per-iteration residual trajectory, dangling mass, and wall time of one
 //!   solve into a [`SolveTelemetry`].
 //! * [`PoolCounters`] — a snapshot of the `sr-par` thread-pool counters
-//!   (tasks spawned, chunks processed, sequential-cutover hits, per-worker
-//!   busy time), which make determinism and threshold claims checkable
+//!   (threads spawned, chunks processed, forked vs inline calls, busy
+//!   time), which make determinism and threshold claims checkable
 //!   rather than asserted.
 //! * [`PartitionStats`] / [`PackingStats`] / [`CompressionStats`] — build
 //!   and compression figures of merit reported by `sr-graph`.
@@ -251,17 +251,19 @@ pub struct SolveRecord {
 /// since the last reset; `sr_par::counters::snapshot` produces these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
-    /// OS threads spawned by the parallel primitives.
+    /// OS threads spawned by the parallel primitives: `threads − 1` per
+    /// forked region, whose calling thread runs one part itself.
     pub tasks_spawned: u64,
     /// Chunks/blocks processed (on either path).
     pub chunks_processed: u64,
-    /// Primitive invocations that went parallel (`PAR_THRESHOLD` hit).
+    /// Primitive invocations that forked (past their work cutover).
     pub par_calls: u64,
-    /// Primitive invocations that stayed sequential (`PAR_THRESHOLD` miss,
-    /// single chunk, or one thread).
+    /// Primitive invocations that stayed on the calling thread (below the
+    /// cutover, single chunk, or one thread).
     pub seq_calls: u64,
-    /// Total busy time across workers, in nanoseconds (timed only while
-    /// counters are enabled).
+    /// Total busy time of the parts of forked regions, spawned threads and
+    /// the calling thread alike, in nanoseconds (timed only while counters
+    /// are enabled).
     pub busy_nanos: u64,
     /// Chunks staged by a decode-ahead prefetcher before compute needed them.
     pub prefetched_chunks: u64,

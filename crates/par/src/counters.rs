@@ -77,7 +77,8 @@ pub fn note_prefetched(chunks: u64, bytes: u64) {
     }
 }
 
-/// A primitive took its sequential path, processing `chunks` chunks inline.
+/// A primitive stayed on the calling thread, processing `chunks` chunks
+/// inline.
 pub(crate) fn note_seq(chunks: u64) {
     if enabled() {
         SEQ_CALLS.fetch_add(1, Relaxed); // lint-ok(atomic-ordering): telemetry counter
@@ -85,8 +86,8 @@ pub(crate) fn note_seq(chunks: u64) {
     }
 }
 
-/// A primitive went parallel, spawning `spawned` workers over `chunks`
-/// chunks.
+/// A primitive forked over `chunks` chunks, spawning `spawned` threads
+/// beside the calling thread, which runs one part itself.
 pub(crate) fn note_par(spawned: u64, chunks: u64) {
     if enabled() {
         PAR_CALLS.fetch_add(1, Relaxed); // lint-ok(atomic-ordering): telemetry counter
@@ -95,8 +96,9 @@ pub(crate) fn note_par(spawned: u64, chunks: u64) {
     }
 }
 
-/// A worker finished after `nanos` of busy time (callers gate on
-/// [`enabled`] before timing).
+/// A worker — a spawned thread or the calling thread running its own
+/// part — finished after `nanos` of busy time (callers gate on [`enabled`]
+/// before timing).
 pub(crate) fn note_busy(nanos: u64) {
     BUSY_NANOS.fetch_add(nanos, Relaxed); // lint-ok(atomic-ordering): telemetry counter
 }

@@ -11,19 +11,32 @@
 //! Design points:
 //!
 //! * **Deterministic combine order.** Every reduction combines per-chunk
-//!   partials in chunk order, so results are reproducible for a fixed chunk
-//!   count regardless of thread scheduling. The *block* helpers
-//!   ([`for_each_block`], [`map_reduce_blocks`]) go further: their chunk
-//!   count is fixed by [`PAR_THRESHOLD`] alone, so floating-point results
-//!   are bit-identical across thread counts (1 thread ≡ 8 threads).
-//! * **Sequential below [`PAR_THRESHOLD`].** Fork/join costs a few
-//!   microseconds per sweep; unit-test-sized problems skip it entirely and
-//!   run bit-identically to a plain loop.
+//!   partials in chunk order, so results are reproducible regardless of
+//!   thread scheduling. The *block* helpers ([`for_each_block`],
+//!   [`map_reduce_blocks`]) fix their chunk count by [`PAR_THRESHOLD`]
+//!   alone, so floating-point results are bit-identical across thread
+//!   counts (1 thread ≡ 8 threads).
+//! * **Fork only where it pays.** A fork spawns fresh OS threads inside
+//!   `std::thread::scope`. On a 2-vCPU host an empty 2-part fork/join
+//!   takes 30–50 µs, and a 2-part region of real work ran 0.07–0.6 ms
+//!   slower than inline on vectors and crawls of 15k–60k nodes: more than
+//!   the work inside most regions of a source-level solve. So a region
+//!   forks only once its work passes a cutover: [`FORK_MIN_ELEMENTS`]
+//!   elements touched for a vector pass (n·K for a K-column panel),
+//!   [`FORK_MIN_EDGES`] edges for a sparse gather (the operators count
+//!   those when they partition). Below it the region is a plain loop on the
+//!   calling thread. A region that forks runs one part on the calling
+//!   thread and spawns `threads − 1` threads for the rest. The cutover only
+//!   picks the thread that runs a block, never the block boundaries, so it
+//!   never moves a bit. `bench_kernels` prints the fork cost and the
+//!   crossover it implies. A parked pool would save the spawns, but running
+//!   borrowed closures on long-lived threads needs `unsafe` lifetime
+//!   erasure, which the workspace forbids.
 //! * **Thread count** comes from `std::thread::available_parallelism`, can
 //!   be pinned with the `SR_THREADS` environment variable, and can be
 //!   overridden per-scope with [`with_threads`] (used by the scaling bench).
-//! * **Observable.** The [`counters`] module counts tasks spawned, chunks
-//!   processed, threshold hits/misses, prefetch activity, and per-worker
+//! * **Observable.** The [`counters`] module counts threads spawned, chunks
+//!   processed, forked and inline calls, prefetch activity, and per-worker
 //!   busy time — disabled by default at the cost of one relaxed atomic load
 //!   per call.
 //! * **Decode-ahead.** The [`mod@pipeline`] module overlaps a fill stage (I/O)
@@ -41,11 +54,25 @@ use std::ops::Range;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Below this problem size (vector length, node count…), parallel helpers
-/// run sequentially. Shared by every kernel in the workspace — the operators,
-/// `vecops`, and the convergence norms all gate on the same constant so the
-/// sequential/parallel cutover is consistent across the fused sweep.
+/// The reduction block: [`map_reduce_blocks`], and every caller of
+/// [`for_each_block`] that folds float partials, work over fixed blocks of
+/// this many elements and combine the block partials in block order, so
+/// float results depend on the vector length alone, never on the thread
+/// count. Whether a region forks is decided by [`FORK_MIN_ELEMENTS`] and
+/// [`FORK_MIN_EDGES`], not by this constant.
 pub const PAR_THRESHOLD: usize = 4096;
+
+/// Fewest elements a vector pass touches before it forks: the length of the
+/// data a helper splits (n·K for a K-column panel). Below it a fork costs
+/// more than it saves on a 2-vCPU host; `bench_kernels`' `fork` section
+/// prints the measured crossover beside this value.
+pub const FORK_MIN_ELEMENTS: usize = 1 << 18;
+
+/// Fewest edges a sparse gather reads before its operator partitions it
+/// into one chunk per thread. Below it the operator keeps one chunk and its
+/// gather runs inline; `bench_kernels`' `fork` section prints the measured
+/// crossover beside this value.
+pub const FORK_MIN_EDGES: usize = 1 << 21;
 
 fn detected_threads() -> usize {
     static DETECTED: OnceLock<usize> = OnceLock::new();
@@ -129,9 +156,57 @@ fn busy_timed(timed: bool, body: impl FnOnce()) {
     }
 }
 
+/// The one fork of the crate: runs `f(i, part)` for every part, grouped into
+/// at most `threads` contiguous runs of parts. The calling thread runs the
+/// first run itself and one scoped thread runs each other run, so the
+/// region spawns `runs − 1` threads. Returns the results in part order.
+fn fork<P, R, F>(parts: Vec<P>, threads: usize, f: F) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+    F: Fn(usize, P) -> R + Sync,
+{
+    let count = parts.len();
+    let runs = even_bounds(count, threads);
+    counters::note_par((runs.len() - 2) as u64, count as u64);
+    let timed = counters::enabled();
+    let f = &f;
+    let mut out: Vec<Option<R>> = Vec::with_capacity(count);
+    out.resize_with(count, || None);
+    let mut parts = parts.into_iter();
+    std::thread::scope(|scope| {
+        let mut slots: &mut [Option<R>] = &mut out;
+        let mut jobs = runs.windows(2).map(|w| {
+            let (head, tail) = std::mem::take(&mut slots).split_at_mut(w[1] - w[0]);
+            slots = tail;
+            let run: Vec<P> = parts.by_ref().take(head.len()).collect();
+            let first = w[0];
+            move || {
+                busy_timed(timed, || {
+                    for (k, (slot, part)) in head.iter_mut().zip(run).enumerate() {
+                        *slot = Some(f(first + k, part));
+                    }
+                });
+            }
+        });
+        let caller_run = jobs.next();
+        for job in jobs {
+            scope.spawn(job);
+        }
+        if let Some(job) = caller_run {
+            job();
+        }
+    });
+    out.into_iter()
+        .map(|r| r.expect("worker completed"))
+        .collect()
+}
+
 /// Runs `f(part_index, part_slice)` for each part of `data` delimited by
-/// `bounds`, in parallel (one OS thread per part above the sequential
-/// cutover), returning the per-part results **in part order**.
+/// `bounds`, returning the per-part results **in part order**. The parts
+/// run in parallel when `data` holds at least [`FORK_MIN_ELEMENTS`]
+/// elements and there are several parts and threads; otherwise they run in
+/// order on the calling thread.
 ///
 /// `bounds` must be ascending, start at 0 and end at `data.len()` —
 /// [`even_bounds`] or an edge-balanced partition both qualify. This is the
@@ -154,7 +229,8 @@ where
         "bounds must end at data.len()"
     );
     let parts = bounds.len() - 1;
-    if parts == 1 || data.len() < PAR_THRESHOLD || num_threads() == 1 {
+    let threads = num_threads();
+    if parts == 1 || threads == 1 || data.len() < FORK_MIN_ELEMENTS {
         counters::note_seq(parts as u64);
         let mut out = Vec::with_capacity(parts);
         for i in 0..parts {
@@ -162,128 +238,50 @@ where
         }
         return out;
     }
-    counters::note_par(parts as u64, parts as u64);
-    let timed = counters::enabled();
-    let mut slices = Vec::with_capacity(parts);
     let mut rest = data;
-    for i in 0..parts {
-        let (head, tail) = rest.split_at_mut(bounds[i + 1] - bounds[i]);
-        slices.push(head);
-        rest = tail;
-    }
-    let f = &f;
-    let mut out: Vec<Option<R>> = Vec::with_capacity(parts);
-    out.resize_with(parts, || None);
-    std::thread::scope(|scope| {
-        for (i, (slice, slot)) in slices.into_iter().zip(out.iter_mut()).enumerate() {
-            scope.spawn(move || busy_timed(timed, || *slot = Some(f(i, slice))));
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("worker completed"))
-        .collect()
-}
-
-/// Maps `f` over near-equal chunks of `0..len` (one per thread) and folds
-/// the per-chunk results **in chunk order** with `combine`. Returns `None`
-/// when `len == 0`.
-///
-/// The chunk count — and therefore the floating-point association order of
-/// the reduction — depends only on [`num_threads`], not on scheduling.
-pub fn map_reduce<R, F, C>(len: usize, f: F, combine: C) -> Option<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-    C: Fn(R, R) -> R,
-{
-    if len == 0 {
-        return None;
-    }
-    let threads = num_threads();
-    if len < PAR_THRESHOLD || threads == 1 {
-        counters::note_seq(1);
-        return Some(f(0..len));
-    }
-    let bounds = even_bounds(len, threads);
-    let parts = bounds.len() - 1;
-    counters::note_par(parts as u64, parts as u64);
-    let timed = counters::enabled();
-    let f = &f;
-    let mut out: Vec<Option<R>> = Vec::with_capacity(parts);
-    out.resize_with(parts, || None);
-    std::thread::scope(|scope| {
-        for (i, slot) in out.iter_mut().enumerate() {
-            let range = bounds[i]..bounds[i + 1];
-            scope.spawn(move || busy_timed(timed, || *slot = Some(f(range))));
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("worker completed"))
-        .reduce(combine)
+    let slices = bounds
+        .windows(2)
+        .map(|w| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+            rest = tail;
+            head
+        })
+        .collect();
+    fork(slices, threads, f)
 }
 
 /// Maps every chunk of `0..len` (chunks of at most `chunk_len`) through `f`
-/// in parallel and returns the per-chunk outputs in chunk order. The
-/// parallel analogue of `(0..len).chunks(chunk_len).map(f).collect()`.
+/// and returns the per-chunk outputs in chunk order: the analogue of
+/// `(0..len).chunks(chunk_len).map(f).collect()`, forked once `len`
+/// reaches [`FORK_MIN_ELEMENTS`].
 pub fn map_chunks<R, F>(len: usize, chunk_len: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    if len == 0 {
-        return Vec::new();
-    }
-    let parts = len.div_ceil(chunk_len);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(parts);
-    out.resize_with(parts, || None);
+    let chunks = (0..len)
+        .step_by(chunk_len)
+        .map(|lo| lo..(lo + chunk_len).min(len));
     let threads = num_threads();
-    if threads == 1 || parts == 1 || len < PAR_THRESHOLD {
-        counters::note_seq(parts as u64);
-        for (i, slot) in out.iter_mut().enumerate() {
-            let lo = i * chunk_len;
-            *slot = Some(f(lo..(lo + chunk_len).min(len)));
-        }
-    } else {
-        let f = &f;
-        // Chunk counts here are caller-chosen and may exceed the thread
-        // count by a lot; group chunks into one contiguous run per thread.
-        let group = even_bounds(parts, threads);
-        counters::note_par((group.len() - 1) as u64, parts as u64);
-        let timed = counters::enabled();
-        std::thread::scope(|scope| {
-            let mut rest: &mut [Option<R>] = &mut out;
-            for g in 0..group.len() - 1 {
-                let (head, tail) = rest.split_at_mut(group[g + 1] - group[g]);
-                rest = tail;
-                let first = group[g];
-                scope.spawn(move || {
-                    busy_timed(timed, || {
-                        for (k, slot) in head.iter_mut().enumerate() {
-                            let lo = (first + k) * chunk_len;
-                            *slot = Some(f(lo..(lo + chunk_len).min(len)));
-                        }
-                    })
-                });
-            }
-        });
+    if threads == 1 || len <= chunk_len || len < FORK_MIN_ELEMENTS {
+        counters::note_seq(len.div_ceil(chunk_len) as u64);
+        return chunks.map(f).collect();
     }
-    out.into_iter()
-        .map(|r| r.expect("worker completed"))
-        .collect()
+    fork(chunks.collect(), threads, |_, r| f(r))
 }
 
 /// Maps `f` over fixed blocks of [`PAR_THRESHOLD`] indices and folds the
 /// per-block results **in block order** with `combine`. Returns `None` when
 /// `len == 0`.
 ///
-/// Unlike [`map_reduce`], whose chunk count follows [`num_threads`], the
-/// block count here depends only on `len` — so the floating-point
-/// association order of the reduction is **bit-identical across thread
-/// counts**. Below the threshold there is exactly one block, matching a
-/// plain sequential fold. The solver kernels in `sr-core` use this for
-/// every float reduction, which is what makes the `SR_THREADS=1` vs
-/// `SR_THREADS=8` determinism tests exact rather than approximate.
+/// The block count depends only on `len`, never on [`num_threads`] — so
+/// the floating-point association order of the reduction is
+/// **bit-identical across thread counts**. Below the block length there is
+/// exactly one block, matching a plain sequential fold. The solver kernels
+/// in `sr-core` use this for every float reduction, which is what makes the
+/// `SR_THREADS=1` vs `SR_THREADS=8` determinism tests exact rather than
+/// approximate.
 pub fn map_reduce_blocks<R, F, C>(len: usize, f: F, combine: C) -> Option<R>
 where
     R: Send,
@@ -299,8 +297,9 @@ where
 }
 
 /// Runs `f(block_index, block_slice)` over fixed blocks of `block_len`
-/// elements of `data` (the last block may be shorter), in parallel, and
-/// returns the per-block results **in block order**.
+/// elements of `data` (the last block may be shorter) and returns the
+/// per-block results **in block order**, forked once `data` holds
+/// [`FORK_MIN_ELEMENTS`] elements.
 ///
 /// The mutable-slice analogue of [`map_reduce_blocks`]: because the block
 /// boundaries depend only on `data.len()` and `block_len` — never on the
@@ -319,90 +318,44 @@ where
 {
     assert!(block_len > 0, "block_len must be positive");
     let len = data.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    let blocks = len.div_ceil(block_len);
     let threads = num_threads();
-    if threads == 1 || blocks == 1 || len < PAR_THRESHOLD {
-        counters::note_seq(blocks as u64);
-        let mut out = Vec::with_capacity(blocks);
-        let mut rest = data;
-        for i in 0..blocks {
-            let (head, tail) = rest.split_at_mut(block_len.min(rest.len()));
-            rest = tail;
-            out.push(f(i, head));
-        }
-        return out;
+    if threads == 1 || len <= block_len || len < FORK_MIN_ELEMENTS {
+        counters::note_seq(len.div_ceil(block_len) as u64);
+        return data
+            .chunks_mut(block_len)
+            .enumerate()
+            .map(|(i, block)| f(i, block))
+            .collect();
     }
-    // Group contiguous blocks into one run per thread, like map_chunks.
-    let group = even_bounds(blocks, threads);
-    let groups = group.len() - 1;
-    counters::note_par(groups as u64, blocks as u64);
-    let timed = counters::enabled();
-    let mut out: Vec<Option<R>> = Vec::with_capacity(blocks);
-    out.resize_with(blocks, || None);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut data_rest: &mut [T] = data;
-        let mut slot_rest: &mut [Option<R>] = &mut out;
-        for g in 0..groups {
-            let lo = group[g] * block_len;
-            let hi = (group[g + 1] * block_len).min(len);
-            let (dhead, dtail) = data_rest.split_at_mut(hi - lo);
-            data_rest = dtail;
-            let (shead, stail) = slot_rest.split_at_mut(group[g + 1] - group[g]);
-            slot_rest = stail;
-            let first = group[g];
-            scope.spawn(move || {
-                busy_timed(timed, || {
-                    let mut rest = dhead;
-                    for (k, slot) in shead.iter_mut().enumerate() {
-                        let (head, tail) = rest.split_at_mut(block_len.min(rest.len()));
-                        rest = tail;
-                        *slot = Some(f(first + k, head));
-                    }
-                })
-            });
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("worker completed"))
-        .collect()
+    fork(data.chunks_mut(block_len).collect(), threads, f)
 }
 
-/// Applies `f` to every element of `data` in place, in parallel above the
-/// cutover. The element order of the sequential path is ascending, so
-/// order-insensitive updates (scaling, clamping) behave identically on both
-/// paths.
+/// Applies `f` to every element of `data` in place, forked once `data`
+/// holds [`FORK_MIN_ELEMENTS`] elements. The element order of the inline
+/// path is ascending, so order-insensitive updates (scaling, clamping)
+/// behave identically on both paths.
 pub fn for_each_mut<T, F>(data: &mut [T], f: F)
 where
     T: Send,
     F: Fn(&mut T) + Sync,
 {
     let threads = num_threads();
-    if data.len() < PAR_THRESHOLD || threads == 1 {
-        for v in data.iter_mut() {
-            f(v);
-        }
+    if data.len() < FORK_MIN_ELEMENTS || threads == 1 {
+        data.iter_mut().for_each(f);
         return;
     }
     let bounds = even_bounds(data.len(), threads);
-    for_each_part(data, &bounds, |_, part| {
-        for v in part.iter_mut() {
-            f(v);
-        }
-    });
+    for_each_part(data, &bounds, |_, part| part.iter_mut().for_each(&f));
 }
 
 /// Runs `f(task_index)` for every task in `0..count` in parallel and returns
 /// the results in task order.
 ///
-/// Unlike [`map_reduce`] this does **not** gate on
-/// [`PAR_THRESHOLD`]: it is meant for a small number of *coarse* tasks (e.g.
-/// independent Monte-Carlo walkers, each worth milliseconds) where the task
-/// count is far below the threshold but each task dwarfs the fork cost.
-/// Tasks are grouped into one contiguous run per thread.
+/// Unlike the other helpers this has no work cutover: it is meant for a
+/// small number of *coarse* tasks (e.g. independent Monte-Carlo walkers,
+/// each worth milliseconds) where every task dwarfs the fork cost. Tasks
+/// are grouped into one contiguous run per thread, the calling thread
+/// running the first.
 pub fn map_tasks<R, F>(count: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -413,37 +366,16 @@ where
         counters::note_seq(count as u64);
         return (0..count).map(f).collect();
     }
-    let bounds = even_bounds(count, threads);
-    counters::note_par((bounds.len() - 1) as u64, count as u64);
-    let timed = counters::enabled();
-    let mut out: Vec<Option<R>> = Vec::with_capacity(count);
-    out.resize_with(count, || None);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut rest: &mut [Option<R>] = &mut out;
-        for g in 0..bounds.len() - 1 {
-            let (head, tail) = rest.split_at_mut(bounds[g + 1] - bounds[g]);
-            rest = tail;
-            let first = bounds[g];
-            scope.spawn(move || {
-                busy_timed(timed, || {
-                    for (k, slot) in head.iter_mut().enumerate() {
-                        *slot = Some(f(first + k));
-                    }
-                })
-            });
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("worker completed"))
-        .collect()
+    // One part per task; a vector of `()` allocates nothing.
+    fork(vec![(); count], threads, |i, ()| f(i))
 }
 
 /// Sorts `data` with per-thread chunk sorts followed by a bottom-up merge.
-/// Equivalent to `data.sort_unstable()`; parallel only above the cutover.
+/// Equivalent to `data.sort_unstable()`; forked once `data` holds
+/// [`FORK_MIN_ELEMENTS`] elements.
 pub fn par_sort_unstable<T: Ord + Send + Clone>(data: &mut [T]) {
     let threads = num_threads();
-    if data.len() < PAR_THRESHOLD || threads == 1 {
+    if data.len() < FORK_MIN_ELEMENTS || threads == 1 {
         data.sort_unstable();
         return;
     }
@@ -487,6 +419,10 @@ pub fn par_sort_unstable<T: Ord + Send + Clone>(data: &mut [T]) {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that switch the process-global counters on and
+    /// off, so one cannot disable them under another's measurement.
+    pub(crate) static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn even_bounds_cover_everything() {
         assert_eq!(even_bounds(10, 3), vec![0, 4, 7, 10]);
@@ -509,29 +445,43 @@ mod tests {
 
     #[test]
     fn for_each_part_returns_in_order() {
-        let mut data: Vec<usize> = (0..10_000).collect();
-        let bounds = even_bounds(data.len(), 4);
-        let sums = for_each_part(&mut data, &bounds, |i, part| {
-            for v in part.iter_mut() {
-                *v += 1;
+        // Five parts over a region past the cutover, forked into fewer runs
+        // than parts (and inline at one thread): every part runs once, in
+        // its own slot.
+        let n = FORK_MIN_ELEMENTS + 5;
+        for threads in [1, 2, 3, 8] {
+            let mut data: Vec<usize> = (0..n).collect();
+            let bounds = even_bounds(n, 5);
+            let sums = with_threads(threads, || {
+                for_each_part(&mut data, &bounds, |i, part| {
+                    for v in part.iter_mut() {
+                        *v += 1;
+                    }
+                    (i, part.len())
+                })
+            });
+            assert_eq!(sums.iter().map(|&(_, l)| l).sum::<usize>(), n);
+            for (i, &(idx, len)) in sums.iter().enumerate() {
+                assert_eq!((idx, len), (i, bounds[i + 1] - bounds[i]));
             }
-            (i, part.len())
-        });
-        assert_eq!(sums.iter().map(|&(_, l)| l).sum::<usize>(), 10_000);
-        for (i, &(idx, _)) in sums.iter().enumerate() {
-            assert_eq!(i, idx);
+            assert!(data.iter().enumerate().all(|(i, &v)| v == i + 1));
         }
-        assert_eq!(data[0], 1);
-        assert_eq!(data[9999], 10_000);
     }
 
     #[test]
-    fn map_reduce_matches_sequential() {
-        let n = 50_000;
-        let expect: u64 = (0..n as u64).sum();
-        let got = map_reduce(n, |r| r.map(|i| i as u64).sum::<u64>(), |a, b| a + b).unwrap();
-        assert_eq!(got, expect);
-        assert_eq!(map_reduce(0, |_| 0u64, |a, b| a + b), None);
+    fn forks_run_one_part_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = with_threads(3, || map_tasks(6, |_| std::thread::current().id()));
+        // Runs of two tasks each: the caller runs the first, two spawned
+        // threads the others.
+        assert_eq!(ids[..2], [caller, caller]);
+        assert!(ids[2..].iter().all(|&id| id != caller));
+        assert_ne!(ids[2], ids[4]);
+        // Below the cutover a vector pass never leaves the calling thread.
+        let owners = with_threads(8, || {
+            map_chunks(FORK_MIN_ELEMENTS - 1, 1000, |_| std::thread::current().id())
+        });
+        assert!(owners.iter().all(|&id| id == caller));
     }
 
     #[test]
@@ -539,31 +489,44 @@ mod tests {
         let got = map_chunks(25_000, 1000, |r| r.start);
         let expect: Vec<usize> = (0..25).map(|i| i * 1000).collect();
         assert_eq!(got, expect);
+        let n = FORK_MIN_ELEMENTS + 17;
+        let forked = with_threads(3, || map_chunks(n, 1000, |r| (r.start, r.end)));
+        assert_eq!(forked.len(), n.div_ceil(1000));
+        assert!(forked
+            .iter()
+            .enumerate()
+            .all(|(i, &(lo, hi))| lo == i * 1000 && hi == (lo + 1000).min(n)));
     }
 
     #[test]
     fn par_sort_sorts() {
-        let mut v: Vec<u64> = (0..20_000)
-            .map(|i| (i * 2_654_435_761) % 1_000_003)
-            .collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        par_sort_unstable(&mut v);
-        assert_eq!(v, expect);
+        for len in [20_000, FORK_MIN_ELEMENTS + 3] {
+            let mut v: Vec<u64> = (0..len as u64)
+                .map(|i| (i * 2_654_435_761) % 1_000_003)
+                .collect();
+            let mut expect = v.clone();
+            expect.sort_unstable();
+            with_threads(3, || par_sort_unstable(&mut v));
+            assert_eq!(v, expect);
+        }
     }
 
     #[test]
     fn for_each_mut_applies_everywhere() {
-        let mut v: Vec<u64> = (0..10_000).collect();
-        for_each_mut(&mut v, |x| *x *= 3);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == 3 * i as u64));
+        for len in [10_000, FORK_MIN_ELEMENTS] {
+            let mut v: Vec<u64> = (0..len as u64).collect();
+            with_threads(2, || for_each_mut(&mut v, |x| *x *= 3));
+            assert!(v.iter().enumerate().all(|(i, &x)| x == 3 * i as u64));
+        }
     }
 
     #[test]
-    fn map_tasks_keeps_order_below_threshold() {
-        let got = map_tasks(17, |i| i * i);
-        let expect: Vec<usize> = (0..17).map(|i| i * i).collect();
-        assert_eq!(got, expect);
+    fn map_tasks_keeps_order() {
+        for threads in [1, 2, 5] {
+            let got = with_threads(threads, || map_tasks(17, |i| i * i));
+            let expect: Vec<usize> = (0..17).map(|i| i * i).collect();
+            assert_eq!(got, expect);
+        }
         assert!(map_tasks(0, |i| i).is_empty());
     }
 
@@ -575,26 +538,34 @@ mod tests {
 
     #[test]
     fn map_reduce_blocks_matches_sequential() {
-        let n = 50_000;
+        // Integer folds past the cutover: forked at 4 threads, the same sum
+        // as the inline fold and the closed form.
+        let n = FORK_MIN_ELEMENTS + 50_000;
         let expect: u64 = (0..n as u64).sum();
-        let got = map_reduce_blocks(n, |r| r.map(|i| i as u64).sum::<u64>(), |a, b| a + b).unwrap();
-        assert_eq!(got, expect);
+        for threads in [1, 4] {
+            let got = with_threads(threads, || {
+                map_reduce_blocks(n, |r| r.map(|i| i as u64).sum::<u64>(), |a, b| a + b)
+            });
+            assert_eq!(got, Some(expect));
+        }
         assert_eq!(map_reduce_blocks(0, |_| 0u64, |a, b| a + b), None);
     }
 
     #[test]
     fn map_reduce_blocks_is_thread_count_invariant() {
-        // Floating-point association must not change with the thread count.
-        let n = 3 * PAR_THRESHOLD + 17;
-        let data: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let sum_at = |threads: usize| {
-            with_threads(threads, || {
-                map_reduce_blocks(n, |r| r.map(|i| data[i]).sum::<f64>(), |a, b| a + b).unwrap()
-            })
-        };
-        let s1 = sum_at(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(s1.to_bits(), sum_at(threads).to_bits());
+        // Floating-point association must not change with the thread count,
+        // inline or forked.
+        for n in [3 * PAR_THRESHOLD + 17, FORK_MIN_ELEMENTS + 17] {
+            let data: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
+            let sum_at = |threads: usize| {
+                with_threads(threads, || {
+                    map_reduce_blocks(n, |r| r.map(|i| data[i]).sum::<f64>(), |a, b| a + b).unwrap()
+                })
+            };
+            let s1 = sum_at(1);
+            for threads in [2, 3, 8] {
+                assert_eq!(s1.to_bits(), sum_at(threads).to_bits());
+            }
         }
     }
 
@@ -622,7 +593,7 @@ mod tests {
 
     #[test]
     fn for_each_block_is_thread_count_invariant() {
-        let n = 4 * PAR_THRESHOLD + 3;
+        let n = FORK_MIN_ELEMENTS + 3;
         let run = |threads: usize| {
             with_threads(threads, || {
                 let mut data: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
@@ -646,27 +617,31 @@ mod tests {
 
     #[test]
     fn counters_track_seq_and_par_calls() {
-        // Counters are process-global and this is the only test that
-        // enables them. Other tests running concurrently can inflate the
-        // totals once enabled, so assert growth, not exact values.
+        // Counters are process-global: other tests running concurrently can
+        // inflate the totals once enabled, so assert growth, not exact
+        // values.
+        let _counters = COUNTERS.lock().unwrap_or_else(|p| p.into_inner());
+        let sum = |n: usize| map_reduce_blocks(n, |r| r.len(), |a, b| a + b);
         counters::reset();
-        map_reduce(100, |r| r.len(), |a, b| a + b);
+        sum(100);
         assert_eq!(counters::snapshot().seq_calls, 0, "disabled path counted");
 
         counters::enable();
         let before = counters::snapshot();
-        map_reduce(100, |r| r.len(), |a, b| a + b);
-        let n = 2 * PAR_THRESHOLD;
         with_threads(4, || {
-            map_reduce(n, |r| r.len(), |a, b| a + b);
+            // Several blocks, but below the cutover: inline.
+            sum(2 * PAR_THRESHOLD);
         });
+        let inline = counters::snapshot();
+        with_threads(4, || sum(FORK_MIN_ELEMENTS));
         let after = counters::snapshot();
         counters::disable();
-        assert!(after.seq_calls > before.seq_calls);
-        assert!(after.par_calls > before.par_calls);
-        assert!(after.tasks_spawned >= before.tasks_spawned + 4);
+        assert!(inline.seq_calls > before.seq_calls);
+        assert!(after.par_calls > inline.par_calls);
+        // Four runs: the caller runs one, three threads are spawned.
+        assert!(after.tasks_spawned >= inline.tasks_spawned + 3);
         assert!(after.chunks_processed > before.chunks_processed);
-        assert!(after.busy_nanos > before.busy_nanos);
+        assert!(after.busy_nanos > inline.busy_nanos);
         assert!(after.total_calls() >= after.par_calls);
     }
 }

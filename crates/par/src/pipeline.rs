@@ -358,6 +358,9 @@ mod tests {
 
     #[test]
     fn counters_note_prefetched_accumulates() {
+        let _counters = crate::tests::COUNTERS
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         crate::counters::enable();
         let before = crate::counters::snapshot();
         crate::counters::note_prefetched(3, 4096);

@@ -5,7 +5,12 @@
 //! so that `cargo test` at the workspace root fails the moment one breaks:
 //!
 //! * a K-column solve request ≡ its one-column requests, bit for bit, on
-//!   the uniform and the weighted operator under both dangling policies;
+//!   the uniform and the weighted operator under both dangling policies,
+//!   through both panel kernels (the one-chunk forward scatter and, past
+//!   the edge cutover, the multi-chunk reverse gather);
+//! * PageRank over a graph past the `sr-par` fork cutovers and
+//!   SR-SourceRank over a source graph below them give the same bits at one
+//!   and two threads, and the 2-thread PageRank really forks;
 //! * both in-RAM operators hold one copy of the edges through one-column
 //!   solves, and exactly one CSR more once a K-column solve has run;
 //! * an observed solve ≡ the unobserved one, bit for bit;
@@ -21,7 +26,7 @@
 //!   cache answer bit-identically (so tier-1 writes and reads the
 //!   walk-cache file).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sr_core::approx::{ApproxPpr, QueryConfig, WalkCacheBuilder, WalkCacheConfig};
 use sr_core::operator::{Transition, UniformTransition, WeightedTransition};
@@ -41,6 +46,27 @@ use sr_graph::{CsrGraph, GraphBuilder, SourceAssignment, WeightedGraph};
 use sr_obs::RecordingObserver;
 use sr_serve::engine::{EngineConfig, EpochEngine};
 
+/// Serializes the tests that fork (the walk-cache builds fork their
+/// coarse tasks at any size): the `sr-par` counters are process-global, so
+/// a test that counts its own forks must not overlap another that forks.
+static FORKING: Mutex<()> = Mutex::new(());
+
+fn forking() -> MutexGuard<'static, ()> {
+    FORKING.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Runs `f` with the `sr-par` counters on and reports whether it forked:
+/// some region spawned a thread.
+fn forked<R>(f: impl FnOnce() -> R) -> (R, bool) {
+    let _forking = forking();
+    sr_par::counters::enable();
+    let before = sr_par::counters::snapshot();
+    let out = f();
+    let after = sr_par::counters::snapshot();
+    sr_par::counters::disable();
+    (out, after.tasks_spawned > before.tasks_spawned)
+}
+
 /// A chain with forward chords and a dangling tail; past 4096 nodes the
 /// blocked reductions run over more than one block.
 fn pages(n: u32) -> CsrGraph {
@@ -54,6 +80,30 @@ fn pages(n: u32) -> CsrGraph {
         }
     }
     GraphBuilder::from_edges_exact(n as usize, edges).unwrap()
+}
+
+/// A graph past both `sr-par` fork cutovers ([`sr_par::FORK_MIN_EDGES`]
+/// edges, [`sr_par::FORK_MIN_ELEMENTS`] nodes): eight scattered out-links
+/// per node, every tenth node dangling.
+fn forking_pages() -> CsrGraph {
+    let n = 300_000u64;
+    let mut offsets = vec![0usize];
+    let mut targets = Vec::new();
+    for u in 0..n {
+        if u % 10 != 9 {
+            let mut row: Vec<u32> = (1..=8u64)
+                .map(|j| u32::try_from((u * (2 * j + 1) + j * j * 7919) % n).unwrap())
+                .collect();
+            row.sort_unstable();
+            row.dedup();
+            targets.extend(row);
+        }
+        offsets.push(targets.len());
+    }
+    let g = CsrGraph::from_parts(offsets, targets);
+    assert!(g.num_edges() >= sr_par::FORK_MIN_EDGES);
+    assert!(g.num_nodes() >= sr_par::FORK_MIN_ELEMENTS);
+    g
 }
 
 /// A weighted chain whose rows sum to 0.9, so row deficits feed the
@@ -81,12 +131,30 @@ fn run(op: &dyn Transition, request: &SolveRequest) -> Vec<RankVector> {
     solve(op, request, &mut SolverWorkspace::new(), &mut [])
 }
 
+/// Checks every column of `request` against its one-column request, bit for
+/// bit.
+fn check_columns(op: &dyn Transition, request: &SolveRequest) {
+    let batched = run(op, request);
+    for (j, column) in request.columns.iter().enumerate() {
+        let single = SolveRequest {
+            columns: vec![column.clone()],
+            ..request.clone()
+        };
+        let want = run(op, &single).remove(0);
+        assert_eq!(batched[j].scores(), want.scores(), "column {j} scores");
+        assert_eq!(batched[j].stats(), want.stats(), "column {j} stats");
+    }
+}
+
 #[test]
 fn multi_column_requests_equal_one_column_requests_bitwise() {
+    // Below the edge cutover the operators keep one chunk and their panels
+    // scatter along forward rows.
     let uniform_graph = pages(5000);
     let weighted_graph = deficit_chain(300);
     let uniform = UniformTransition::new(&uniform_graph);
     let weighted = WeightedTransition::new(&weighted_graph);
+    assert_eq!(uniform.partition().num_chunks(), 1);
     for (op, n) in [
         (&uniform as &dyn Transition, 5000),
         (&weighted as &dyn Transition, 300),
@@ -99,19 +167,31 @@ fn multi_column_requests_equal_one_column_requests_bitwise() {
                 let request = SolveRequest::new(columns(n))
                     .formulation(formulation)
                     .dangling(dangling);
-                let batched = run(op, &request);
-                for (j, column) in request.columns.iter().enumerate() {
-                    let single = SolveRequest {
-                        columns: vec![column.clone()],
-                        ..request.clone()
-                    };
-                    let want = run(op, &single).remove(0);
-                    assert_eq!(batched[j].scores(), want.scores(), "column {j} scores");
-                    assert_eq!(batched[j].stats(), want.stats(), "column {j} stats");
-                }
+                check_columns(op, &request);
             }
         }
     }
+
+    // Past it, a 2-thread operator splits into two chunks and its panels
+    // gather over reverse rows, forked. The policies above only change the
+    // epilogue, which is chunk-blind; three iterations keep this case
+    // seconds-long, and capped solves must agree bit for bit too.
+    let g = forking_pages();
+    let n = g.num_nodes() as u32;
+    let ((), forks) = forked(|| {
+        sr_par::with_threads(2, || {
+            let op = UniformTransition::new(&g);
+            assert_eq!(op.partition().num_chunks(), 2);
+            let request = SolveRequest::new(columns(n)[..2].to_vec())
+                .dangling(DanglingPolicy::WeaklyPreferential)
+                .criteria(ConvergenceCriteria {
+                    max_iterations: 3,
+                    ..Default::default()
+                });
+            check_columns(&op, &request);
+        })
+    });
+    assert!(forks, "the multi-chunk panels never forked");
 }
 
 /// Pins one operator's footprint through the solves a caller runs: one
@@ -144,9 +224,9 @@ fn check_footprint(
 
 #[test]
 fn operators_hold_one_copy_of_the_edges() {
-    // Below the parallel cutover the operators run one chunk and scatter
-    // along forward rows; past it, one chunk per worker gathers over
-    // reverse rows.
+    // Both sizes are below the edge cutover: the operators keep one chunk
+    // and their panel CSR holds the forward rows (a multi-chunk operator's
+    // holds as many reverse rows, the same bytes).
     for n in [3000u32, 5000] {
         let edges: Vec<(u32, u32)> = (0..n)
             .flat_map(|u| (1..=12u32).map(move |j| (u, (u * 31 + j * j * 7) % n)))
@@ -202,6 +282,38 @@ fn observed_solves_equal_unobserved_bitwise() {
     let watched = pr.rank_operator_warm_in(&op, None, &mut SolverWorkspace::new(), Some(&mut rec));
     assert_eq!(watched, pr.rank(&g));
     assert_eq!(rec.telemetry().residuals, watched.stats().residual_history);
+}
+
+#[test]
+fn solves_are_bitwise_identical_at_one_and_two_threads() {
+    // PageRank over a graph past the fork cutovers forks at two threads;
+    // SR-SourceRank over a small source graph stays inline at either
+    // count. Neither may move a bit, a residual or an iteration.
+    let pages = forking_pages();
+    let crawl = generate(&CrawlConfig::tiny(5));
+    let sources = crawl.source_graph(SourceGraphConfig::consensus());
+    let spam = crawl.sample_spam_seed(3, 9);
+    let solve = |threads: usize| {
+        sr_par::with_threads(threads, || {
+            let resilient = SpamResilientSourceRank::builder()
+                .throttle_by_proximity(spam.clone(), 6, 0.85)
+                .build(&sources)
+                .rank();
+            (PageRank::default().rank(&pages), resilient)
+        })
+    };
+    let bits = |v: &RankVector| v.scores().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let one = solve(1);
+    let (two, forks) = forked(|| solve(2));
+    assert!(forks, "the 2-thread PageRank never forked");
+    for (label, a, b) in [
+        ("pagerank", &one.0, &two.0),
+        ("sr-sourcerank", &one.1, &two.1),
+    ] {
+        assert_eq!(bits(a), bits(b), "{label}: scores");
+        assert_eq!(a.stats(), b.stats(), "{label}: iterations and residuals");
+        assert!(a.stats().converged, "{label}: converged");
+    }
 }
 
 #[test]
@@ -292,6 +404,7 @@ fn incremental_reranking_equals_a_cold_rebuild() {
 
 #[test]
 fn served_epochs_solve_over_their_published_graph_bitwise() {
+    let _forking = forking();
     let crawl = generate(&CrawlConfig::tiny(17));
     let cfg = EngineConfig {
         cache_walks: 0,
@@ -372,6 +485,7 @@ fn walk_path(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn approx_ppr_stays_within_its_epsilon_delta_bound() {
+    let _forking = forking();
     // Across independently seeded caches, the max-node additive error
     // exceeds ε_tol = 0.02 in at most a δ = 0.1 share of trials.
     let g = walk_fixture();
@@ -413,6 +527,7 @@ fn approx_ppr_stays_within_its_epsilon_delta_bound() {
 
 #[test]
 fn walk_caches_round_trip_bitwise() {
+    let _forking = forking();
     // A cache rebuilt from scratch, one reopened from its file and one read
     // from its bytes hold identical bytes and answer bit-identically.
     let g = walk_fixture();
