@@ -14,16 +14,18 @@
 //!
 //! ## What a query costs
 //!
-//! Push rounds run over the frontier's CSR rows until the residual mass is
-//! at most ε; one sweep over the frontier's cached visit entries closes
-//! the rest. The cost therefore follows ε and the graph far more than
-//! `R`. Measured on a 2-core host:
+//! A query runs on the calling thread. Push rounds run until the residual
+//! mass is at most ε, each over the frontier's CSR rows plus one scan of
+//! an n-length vector; one sweep over the frontier's cached visit entries
+//! closes the rest. The cost therefore follows ε and the graph far more
+//! than `R`. Measured on a 2-core host:
 //!
-//! * 2.4–4.8 ms per query on the 60k-node kernel crawl at ε 0.6 with
-//!   `R = 64`, one thread (`bench_kernels`), against 38–49 ms for the
-//!   exact per-seed solve;
-//! * 35–42 ms p50 on a 120k-page crawl at `sr-serve`'s defaults (ε 0.25,
-//!   `R = 32`), where 9 push rounds do most of the work.
+//! * 2.4–4.3 ms per query on the 60k-node kernel crawl at ε 0.6 with
+//!   `R = 64` (`bench_kernels`), against 29–42 ms for the exact per-seed
+//!   solve;
+//! * a median of 39–93 ms per single-seed query on a 120k-page crawl at
+//!   `sr-serve`'s defaults (ε 0.25, `R = 32`), where 9 push rounds do
+//!   most of the work, and 1.5–1.8 ms at ε 0.7 (3 rounds).
 //!
 //! ## The estimator and why it matches the exact solver
 //!
@@ -61,6 +63,9 @@
 //! pure function of `(graph, config)` — independent of thread count, batch
 //! geometry, and processing order. The cache file embeds all simulation
 //! parameters in its header, so rebuild-vs-reload is bit-identical too.
+//! A query adds every term in a fixed order on one thread (see
+//! [`ApproxPpr`]), so its answer does not depend on the thread count
+//! either.
 
 use std::fmt;
 use std::ops::Range;
@@ -336,26 +341,16 @@ impl Default for QueryConfig {
 ///
 /// `graph` must be the walk graph the cache was built on (stored rows =
 /// walker out-edges); for spam proximity that is the *transposed*
-/// structural source graph. Small frontiers are pushed sequentially; once
-/// the frontier saturates, rounds switch to a fixed-fan-out parallel
-/// scatter whose partition does not depend on the worker count, so results
-/// stay bitwise reproducible across thread counts.
+/// structural source graph. A query runs on the calling thread: every
+/// round pushes the frontier in ascending id order, and the closing adds
+/// the cached visits in place, source ascending and then support
+/// ascending. Each score is therefore the plain sequential sum, whatever
+/// the thread count.
 #[derive(Debug)]
 pub struct ApproxPpr<'a> {
     graph: &'a CsrGraph,
     cache: &'a WalkStore,
 }
-
-/// Below this many nodes (or frontier entries) work stays sequential —
-/// task dispatch would dominate the arithmetic.
-const DENSE_PAR_FLOOR: usize = 256;
-
-/// Fixed fan-out of the parallel scatter and walk-closing phases. The
-/// partition boundaries must not depend on the worker count, or the
-/// per-part partial sums would regroup and change low-order float bits
-/// between thread counts (the same reasoning as the fixed reduction
-/// blocks in `vecops`).
-const SCATTER_PARTS: usize = 16;
 
 impl<'a> ApproxPpr<'a> {
     /// Binds a walk cache to its graph, validating that the node counts
@@ -392,53 +387,39 @@ impl<'a> ApproxPpr<'a> {
         let mut frontier: Vec<NodeId> = sr_graph::ids::node_range(n)
             .filter(|&u| r[u as usize] > 0.0)
             .collect();
-        let mut next_frontier: Vec<NodeId> = Vec::new();
         let mut residual_total: f64 = frontier.iter().map(|&u| r[u as usize]).sum();
         let mut history = Vec::new();
-        let mut rounds = 0usize;
-        while residual_total > config.epsilon && rounds < config.max_rounds && !frontier.is_empty()
+        while residual_total > config.epsilon
+            && history.len() < config.max_rounds
+            && !frontier.is_empty()
         {
-            if n >= DENSE_PAR_FLOOR && frontier.len() * 8 >= n {
-                // Saturated frontier: one parallel scatter round. Mode
-                // choice depends only on (n, frontier length), both
-                // thread-invariant, so the round sequence is reproducible.
-                residual_total = self.dense_round(beta, &mut p, &mut r, &mut next, &mut frontier);
-                rounds += 1;
-                history.push(residual_total);
-                continue;
-            }
-            next_frontier.clear();
-            // One Jacobi push round: settle (1-β)·r on every frontier node,
-            // hand β·r/deg to its stored neighbors (dangling mass dies —
-            // the normalization at the end restores it, exactly like the
-            // strongly-preferential solver's redistribution).
+            // One Jacobi push round, frontier ascending: settle (1-β)·r on
+            // every frontier node, hand β·r/deg to its stored neighbors
+            // (dangling mass dies — the normalization at the end restores
+            // it, exactly like the strongly-preferential solver's
+            // redistribution).
             for &u in &frontier {
-                let nbrs = self.graph.neighbors(u);
-                let ru = r[u as usize];
+                let ru = std::mem::take(&mut r[u as usize]);
                 p[u as usize] += (1.0 - beta) * ru;
+                let nbrs = self.graph.neighbors(u);
                 if !nbrs.is_empty() {
                     let share = beta * ru / nbrs.len() as f64;
                     for &v in nbrs {
-                        if next[v as usize] == 0.0 {
-                            next_frontier.push(v);
-                        }
                         next[v as usize] += share;
                     }
                 }
             }
-            for &u in &frontier {
-                r[u as usize] = 0.0;
-            }
-            next_frontier.sort_unstable();
-            next_frontier.dedup();
+            // One ascending scan of `next` hands it over as the residual
+            // and rebuilds the frontier and the residual total.
+            frontier.clear();
             residual_total = 0.0;
-            for &v in &next_frontier {
-                r[v as usize] = next[v as usize];
-                next[v as usize] = 0.0;
-                residual_total += r[v as usize];
+            for (v, x) in sr_graph::ids::node_range(n).zip(next.iter_mut()) {
+                if *x != 0.0 {
+                    r[v as usize] = std::mem::take(x);
+                    residual_total += r[v as usize];
+                    frontier.push(v);
+                }
             }
-            std::mem::swap(&mut frontier, &mut next_frontier);
-            rounds += 1;
             history.push(residual_total);
         }
         // Close the remaining residual with the cached walks: the walks
@@ -454,7 +435,7 @@ impl<'a> ApproxPpr<'a> {
             }
         }
         let stats = IterationStats {
-            iterations: rounds,
+            iterations: history.len(),
             final_residual: residual_total,
             converged: residual_total <= config.epsilon,
             residual_history: history,
@@ -462,82 +443,10 @@ impl<'a> ApproxPpr<'a> {
         Ok(RankVector::new(p, stats))
     }
 
-    /// One saturated-frontier push round: `SCATTER_PARTS` contiguous row
-    /// ranges scattered into part-local accumulators in parallel, then
-    /// reduced in part order (ascending source row, matching the
-    /// sequential path's accumulation order per target). Returns the new
-    /// residual total; `frontier` is rebuilt in ascending order by a
-    /// support scan, and `next` is left all-zero.
-    fn dense_round(
-        &self,
-        beta: f64,
-        p: &mut [f64],
-        r: &mut [f64],
-        next: &mut [f64],
-        frontier: &mut Vec<NodeId>,
-    ) -> f64 {
-        let n = self.graph.num_nodes();
-        for &u in frontier.iter() {
-            p[u as usize] += (1.0 - beta) * r[u as usize];
-        }
-        let bounds = sr_par::even_bounds(n, SCATTER_PARTS);
-        let (offsets, targets) = (self.graph.offsets(), self.graph.targets());
-        let locals: Vec<Vec<f64>> = {
-            let r: &[f64] = r;
-            sr_par::map_tasks(bounds.len() - 1, |t| {
-                let mut local = vec![0.0f64; n];
-                for u in bounds[t]..bounds[t + 1] {
-                    let nbrs = &targets[offsets[u]..offsets[u + 1]];
-                    let ru = r[u];
-                    if ru != 0.0 && !nbrs.is_empty() {
-                        let share = beta * ru / nbrs.len() as f64;
-                        for &v in nbrs {
-                            local[v as usize] += share;
-                        }
-                    }
-                }
-                local
-            })
-        };
-        {
-            let locals = &locals;
-            let ranges = sr_par::even_bounds(n, sr_par::num_threads());
-            sr_par::for_each_part(next, &ranges, |i, out| {
-                let base = ranges[i];
-                for (k, x) in out.iter_mut().enumerate() {
-                    let mut sum = 0.0f64;
-                    for local in locals {
-                        sum += local[base + k];
-                    }
-                    *x = sum;
-                }
-            });
-        }
-        for &u in frontier.iter() {
-            r[u as usize] = 0.0;
-        }
-        frontier.clear();
-        let mut residual_total = 0.0f64;
-        for v in sr_graph::ids::node_range(n) {
-            let x = next[v as usize];
-            if x != 0.0 {
-                next[v as usize] = 0.0;
-                r[v as usize] = x;
-                residual_total += x;
-                frontier.push(v);
-            }
-        }
-        residual_total
-    }
-
-    /// Adds the Monte-Carlo estimate of the residual measure to `p`,
-    /// reading from the store's resident [`sr_graph::WalkTable`] (decoded
-    /// once per store, on the first closing that needs it). Large frontiers
-    /// accumulate into `SCATTER_PARTS` parallel part-local accumulators
-    /// reduced in part order; small frontiers accumulate in place. Either
-    /// way the per-target addition order is (source asc, support asc) —
-    /// the file's row order — and the branch depends only on the frontier
-    /// length, so the bits are reproducible across thread counts.
+    /// Adds the Monte-Carlo estimate of the residual measure to `p` in
+    /// place, source ascending and then support ascending (the file's row
+    /// order), reading from the store's resident [`sr_graph::WalkTable`]
+    /// (decoded once per store, on the first closing that needs it).
     fn close_with_walks(
         &self,
         beta: f64,
@@ -551,39 +460,11 @@ impl<'a> ApproxPpr<'a> {
         }
         let scale = (1.0 - beta) / walks as f64;
         let table = self.cache.table()?;
-        if frontier.len() >= DENSE_PAR_FLOOR {
-            let n = self.graph.num_nodes();
-            let bounds = sr_par::even_bounds(frontier.len(), SCATTER_PARTS);
-            let locals: Vec<Vec<f64>> = sr_par::map_tasks(bounds.len() - 1, |t| {
-                let mut local = vec![0.0f64; n];
-                for &u in &frontier[bounds[t]..bounds[t + 1]] {
-                    let ru = r[u as usize] * scale;
-                    let (support, counts) = table.visits(u);
-                    for (v, cnt) in support.iter().zip(counts) {
-                        local[*v as usize] += ru * f64::from(*cnt);
-                    }
-                }
-                local
-            });
-            let locals = &locals;
-            let ranges = sr_par::even_bounds(n, sr_par::num_threads());
-            sr_par::for_each_part(p, &ranges, |i, out| {
-                let base = ranges[i];
-                for (k, x) in out.iter_mut().enumerate() {
-                    let mut add = 0.0f64;
-                    for local in locals {
-                        add += local[base + k];
-                    }
-                    *x += add;
-                }
-            });
-        } else {
-            for &u in frontier {
-                let ru = r[u as usize] * scale;
-                let (support, counts) = table.visits(u);
-                for (v, cnt) in support.iter().zip(counts) {
-                    p[*v as usize] += ru * f64::from(*cnt);
-                }
+        for &u in frontier {
+            let ru = r[u as usize] * scale;
+            let (support, counts) = table.visits(u);
+            for (v, cnt) in support.iter().zip(counts) {
+                p[*v as usize] += ru * f64::from(*cnt);
             }
         }
         Ok(())

@@ -17,7 +17,7 @@
 //! 1. **Prefetch** — a dedicated fill task per worker reads whole chunk
 //!    payloads via one `read_exact_at` each into a small ring of recycled
 //!    byte buffers ([`sr_par::pipeline_while()`]), staying one chunk ahead
-//!    of compute (double buffering by default).
+//!    of compute (double buffering).
 //! 2. **Block decode** — each staged chunk is decoded in one pass into the
 //!    worker's reusable [`ChunkArena`] (flat `offsets`/`targets`), replacing
 //!    the per-row lock/take/decode cycle of the paged reader with straight
@@ -59,7 +59,7 @@
 //!   order with its own accumulator — the same fold the SELL-packed kernel
 //!   performs — so each `y[v]` carries identical bits. The shard codec
 //!   stores neighbors ascending, and block decode preserves that order, so
-//!   `y[v]` is a pure function of row `v`: chunk geometry, prefetch depth,
+//!   `y[v]` is a pure function of row `v`: chunk geometry, prefetch timing,
 //!   thread count and which worker claims a span can never move a bit. No
 //!   reduction crosses spans.
 
@@ -71,13 +71,13 @@ use sr_graph::{
     ChunkArena, ChunkSpan, EdgePartition, GraphError, SellRows, ShardedCompressedGraph,
 };
 
+/// Staging buffers per worker: double buffering, one span decoding while
+/// the next loads.
+const PREFETCH_DEPTH: usize = 2;
+
 /// Tuning knobs for the pipelined (chunk-span) gather path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Staging buffers per worker; 2 gives classic double buffering (one
-    /// chunk decoding while the next loads). 1 degenerates to synchronous
-    /// claim-load-decode with no producer task.
-    pub prefetch_buffers: usize,
     /// Target chunk spans per worker. More spans mean smaller arenas (lower
     /// resident scratch), finer prefetch granularity and a finer-grained
     /// claim queue; fewer mean less per-chunk overhead. Oversized shards are
@@ -95,7 +95,6 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            prefetch_buffers: 2,
             spans_per_worker: 8,
             cache_bytes: 256 << 20,
         }
@@ -310,9 +309,7 @@ fn build_plan(
     let slots = (0..w)
         .map(|_| {
             Mutex::new(WorkerSlot {
-                ring: (0..config.prefetch_buffers.max(1))
-                    .map(|_| Staged::default())
-                    .collect(),
+                ring: (0..PREFETCH_DEPTH).map(|_| Staged::default()).collect(),
                 arena: ChunkArena::new(),
             })
         })
@@ -484,7 +481,7 @@ mod tests {
     #[test]
     fn pipeline_config_geometry_is_bitwise_invariant() {
         let _pipelined = PIPELINED.lock().unwrap_or_else(|p| p.into_inner());
-        // Prefetch depth, span granularity, and thread count are pure
+        // Span granularity, thread count and the hot budget are pure
         // performance knobs: every combination must produce identical bits.
         let edges: Vec<(u32, u32)> = (0u32..200)
             .flat_map(|u| {
@@ -498,25 +495,21 @@ mod tests {
         let path = dir.join("g.shards");
         let sharded = sr_graph::shard::build_from_csr(&g, &dir, &path, 64).unwrap();
         let x_ram = power_solve(&UniformTransition::new(&g));
-        for prefetch_buffers in [1, 2, 3] {
-            for spans_per_worker in [1, 4, 16] {
-                for threads in [1, 4] {
-                    for cache_bytes in [0, 1 << 30] {
-                        let pcfg = PipelineConfig {
-                            prefetch_buffers,
-                            spans_per_worker,
-                            cache_bytes,
-                        };
-                        let streamed = StreamedTransition::from_sharded_with(&sharded, pcfg);
-                        let x = sr_par::with_threads(threads, || power_solve(&streamed));
-                        assert_eq!(
-                            x.scores(),
-                            x_ram.scores(),
-                            "geometry moved bits: bufs={prefetch_buffers} \
-                             spans={spans_per_worker} threads={threads} \
-                             cache={cache_bytes}"
-                        );
-                    }
+        for spans_per_worker in [1, 4, 16] {
+            for threads in [1, 4] {
+                for cache_bytes in [0, 1 << 30] {
+                    let pcfg = PipelineConfig {
+                        spans_per_worker,
+                        cache_bytes,
+                    };
+                    let streamed = StreamedTransition::from_sharded_with(&sharded, pcfg);
+                    let x = sr_par::with_threads(threads, || power_solve(&streamed));
+                    assert_eq!(
+                        x.scores(),
+                        x_ram.scores(),
+                        "geometry moved bits: spans={spans_per_worker} \
+                         threads={threads} cache={cache_bytes}"
+                    );
                 }
             }
         }

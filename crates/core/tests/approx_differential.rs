@@ -8,7 +8,8 @@
 //!    eigenvector power method, so scores must agree to solver tolerance
 //!    on arbitrary graphs and seed sets (both the proximity direction,
 //!    against `SpamProximity::scores_batch` / `scores_uniform`, and the
-//!    forward personalized-PageRank direction, against `PageRank::rank`).
+//!    forward personalized-PageRank direction, against `PageRank::rank`),
+//!    and on a 600-node graph whose push frontier saturates.
 //! 2. **(ε, δ) additive error** — with real walks closing a deliberately
 //!    loose push, the per-node additive error stays within ε_tol except
 //!    with empirical frequency ≤ δ across independently seeded caches
@@ -166,6 +167,66 @@ proptest! {
                 "node {}: approx {} vs exact {} (seeds {:?})", v, a, e, seeds
             );
         }
+    }
+}
+
+/// 600 nodes, each linking to its ring successor and two scattered nodes,
+/// every 50th one dangling: push frontiers from a seed cover most of the
+/// graph within a few rounds.
+fn saturating_graph() -> CsrGraph {
+    let n = 600u32;
+    let edges = (0..n)
+        .filter(|u| u % 50 != 49)
+        .flat_map(|u| [u + 1, u * 7 + 3, u * 13 + 11].map(|v| (u, v % n)));
+    GraphBuilder::from_edges_exact(n as usize, edges).unwrap()
+}
+
+/// Property 1 where the push frontier saturates: the random graphs above
+/// have at most 40 nodes, so their rounds never push more than a few
+/// dozen rows. Here rounds push n/8 rows and more, as served queries do.
+#[test]
+fn push_only_limit_holds_once_the_frontier_saturates() {
+    let g = saturating_graph();
+    let seeds = [0u32, 17];
+    let prox = SpamProximity::new();
+    let cache = prox
+        .build_walk_cache(
+            &g,
+            WalkCacheConfig {
+                walks: 0,
+                ..Default::default()
+            },
+            &tmp("saturated_push"),
+        )
+        .unwrap();
+    let approx = prox
+        .approx(&g, cache)
+        .unwrap()
+        .scores(&seeds, &PUSH_ONLY)
+        .unwrap();
+    // Round t pushes exactly the nodes some t-step walk over the reversed
+    // graph reaches from a seed (every residual is positive).
+    let rev = transpose(&g);
+    let (mut frontier, mut widest) = (seeds.to_vec(), 0usize);
+    for _ in 0..approx.stats().iterations {
+        widest = widest.max(frontier.len());
+        let mut reached = vec![false; rev.num_nodes()];
+        for &u in &frontier {
+            for &v in rev.neighbors(u) {
+                reached[v as usize] = true;
+            }
+        }
+        frontier = (0..rev.num_nodes() as u32)
+            .filter(|&v| reached[v as usize])
+            .collect();
+    }
+    assert!(
+        g.num_nodes() >= 256 && widest * 8 >= g.num_nodes(),
+        "the frontier never saturated: widest {widest}"
+    );
+    let exact = prox.scores_uniform(&g, &seeds).unwrap();
+    for (v, (a, e)) in approx.scores().iter().zip(exact.scores()).enumerate() {
+        assert!((a - e).abs() <= 1e-7, "node {v}: approx {a} vs exact {e}");
     }
 }
 

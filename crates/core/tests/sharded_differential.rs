@@ -118,19 +118,18 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Pipeline geometry invariance: prefetch depth × span granularity ×
-    /// thread count × hot-arena budget are pure performance knobs. Every
-    /// combination must reproduce the in-RAM solve bit for bit — the
-    /// decode-ahead pipeline may only change *when* bytes are staged, and
-    /// the cache only *whether* a span is re-decoded, never what the gather
-    /// sees. Small budgets split the spans between hot and streamed, so one
-    /// worker claims both kinds in a sweep — the seam the suite most wants
-    /// to cross.
+    /// Pipeline geometry invariance: span granularity × thread count ×
+    /// hot-arena budget are pure performance knobs. Every combination must
+    /// reproduce the in-RAM solve bit for bit — the decode-ahead pipeline
+    /// may only change *when* bytes are staged, and the cache only
+    /// *whether* a span is re-decoded, never what the gather sees. Small
+    /// budgets split the spans between hot and streamed, so one worker
+    /// claims both kinds in a sweep — the seam the suite most wants to
+    /// cross.
     #[test]
     fn pipeline_geometry_is_bitwise_invariant(
         g in arb_graph(),
         shard_bytes in 1usize..512,
-        prefetch_buffers in 1usize..4,
         spans_per_worker in 1usize..24,
         threads in 1usize..9,
         cache_bytes in (0usize..4096).prop_map(|v| if v == 0 { 1 << 30 } else { v - 1 }),
@@ -138,7 +137,7 @@ proptest! {
         let (sharded, dir) = shard_to_disk(&g, shard_bytes, 64);
         let request = pagerank_request();
         let xr = power_solve(&UniformTransition::new(&g), &request);
-        let pcfg = PipelineConfig { prefetch_buffers, spans_per_worker, cache_bytes };
+        let pcfg = PipelineConfig { spans_per_worker, cache_bytes };
         let xs = sr_par::with_threads(threads, || {
             let streamed = StreamedTransition::from_sharded_with(&sharded, pcfg);
             power_solve(&streamed, &request)

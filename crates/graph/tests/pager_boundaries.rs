@@ -198,6 +198,7 @@ proptest! {
 
 use sr_graph::shard::build_from_csr;
 use sr_graph::{ChunkArena, GraphBuilder, GraphError, ShardedCompressedGraph};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn dense_sharded(tag: &str, shard_target: usize) -> (ShardedCompressedGraph, std::path::PathBuf) {
     let edges: Vec<(u32, u32)> = (0u32..64)
@@ -267,10 +268,11 @@ fn truncated_final_chunk_is_typed_io_error() {
 
 #[test]
 fn prefetch_pipeline_surfaces_chunk_errors_without_wedging() {
-    // Drive the actual prefetcher primitive over a truncated file: the
-    // fill stage fails on the last chunk, the pipeline must return the
-    // typed error promptly (no deadlocked producer) with every staging
-    // buffer recovered.
+    // Drive the out-of-core sweep's prefetcher primitive the way its
+    // workers do, a fill stage claiming spans from a shared cursor, over a
+    // truncated file: the fill stage fails on the last chunk, the pipeline
+    // must return the typed error promptly (no deadlocked producer) with
+    // every staging buffer recovered.
     let (_sharded, dir) = dense_sharded("wedge", 64);
     let path = dir.join("g.shards");
     let truncated = ShardedCompressedGraph::open(&path).unwrap();
@@ -282,15 +284,22 @@ fn prefetch_pipeline_surfaces_chunk_errors_without_wedging() {
         .unwrap()
         .set_len(full_len - 3)
         .unwrap();
+    let cursor = AtomicUsize::new(0);
     let mut arena = ChunkArena::new();
     let mut consumed = 0usize;
     let (bufs, res) = sr_par::with_threads(8, || {
-        sr_par::pipeline(
-            spans.len(),
-            vec![Vec::<u8>::new(), Vec::new()],
-            |k, buf| truncated.load_chunk(&spans[k], buf),
-            |k, buf| {
-                truncated.decode_chunk(&spans[k], buf, &mut arena)?;
+        sr_par::pipeline_while(
+            vec![(0usize, Vec::<u8>::new()), (0, Vec::new())],
+            |_, (k, buf): &mut (usize, Vec<u8>)| {
+                *k = cursor.fetch_add(1, Ordering::AcqRel);
+                let Some(span) = spans.get(*k) else {
+                    return Ok(false);
+                };
+                truncated.load_chunk(span, buf)?;
+                Ok(true)
+            },
+            |_, (k, buf)| {
+                truncated.decode_chunk(&spans[*k], buf, &mut arena)?;
                 consumed += 1;
                 Ok(())
             },

@@ -31,9 +31,9 @@ pub const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRe
 const RELAXED_CARVE_OUT: &str = "crates/par/src/counters.rs";
 
 /// `sr-par` entry points whose closures run on unordered worker threads,
-/// where captured accumulation is a hazard. (`pipeline` and
-/// `pipeline_while` deliver blocks to their consumer in submission order,
-/// so accumulation there is deterministic.)
+/// where captured accumulation is a hazard. (`pipeline_while` delivers
+/// blocks to its consumer in submission order, so accumulation there is
+/// deterministic.)
 const PAR_UNORDERED: [&str; 6] = [
     "for_each_part",
     "for_each_block",

@@ -1,7 +1,6 @@
 //! Fixture: the same shapes made deterministic or audited — chunk-local
-//! accumulators, deref-assignment through a chunk-exclusive `&mut`, ordered
-//! `pipeline` and `pipeline_while` stages, and one justified captured
-//! counter.
+//! accumulators, deref-assignment through a chunk-exclusive `&mut`, an
+//! ordered `pipeline_while` stage, and one justified captured counter.
 
 pub fn fold(pool: &sr_par::Pool, parts: &mut [Vec<f64>]) -> u64 {
     let mut hits = 0u64;
@@ -18,14 +17,6 @@ pub fn fold(pool: &sr_par::Pool, parts: &mut [Vec<f64>]) -> u64 {
         hits += 1;
     });
     hits
-}
-
-pub fn ordered(pool: &sr_par::Pool, items: &mut [f64]) -> f64 {
-    let mut total = 0.0;
-    pool.pipeline(items, |x| {
-        total += *x;
-    });
-    total
 }
 
 pub fn ordered_while(pool: &sr_par::Pool, items: &mut [f64]) -> f64 {

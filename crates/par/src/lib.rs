@@ -47,7 +47,7 @@
 pub mod counters;
 pub mod pipeline;
 
-pub use pipeline::{pipeline, pipeline_while};
+pub use pipeline::pipeline_while;
 
 use std::cell::Cell;
 use std::ops::Range;

@@ -1,16 +1,16 @@
 //! Bounded producer/consumer pipeline with buffer recycling.
 //!
-//! [`pipeline`] overlaps a *fill* stage (typically I/O: read chunk `i` into a
-//! reusable buffer) with a *consume* stage (typically compute: decode and
-//! process chunk `i`), keeping at most `buffers.len()` chunks in flight. The
-//! producer runs on one dedicated scoped thread and stays exactly
-//! `buffers.len() - 1` chunks ahead of the consumer, which runs on the
-//! calling thread — the shape of a decode-ahead prefetcher.
-//! [`pipeline_while`] is the same pipeline for a chunk count not known up
-//! front: it ends when the fill stage reports that its source ran dry.
+//! [`pipeline_while`] overlaps a *fill* stage (typically I/O: claim the next
+//! chunk and read it into a reusable buffer) with a *consume* stage
+//! (typically compute: decode and process that chunk), keeping at most
+//! `buffers.len()` chunks in flight. The producer runs on one dedicated
+//! scoped thread and stays up to `buffers.len() - 1` chunks ahead of the
+//! consumer, which runs on the calling thread — the shape of a
+//! decode-ahead prefetcher. The pipeline ends when the fill stage reports
+//! that its source ran dry.
 //!
 //! Determinism contract: `consume` is invoked on the calling thread in strict
-//! index order `0, 1, .., count-1`, regardless of how the producer schedules
+//! fill order `0, 1, 2, ..`, regardless of how the producer schedules
 //! fills. Any computation folded inside `consume` therefore observes chunks
 //! in the same order as a plain sequential loop, so results are bitwise
 //! identical to the unpipelined path.
@@ -24,63 +24,28 @@
 
 use std::sync::mpsc;
 
-/// Runs `count` chunks through a two-stage fill → consume pipeline.
+/// Runs chunks through a two-stage fill → consume pipeline until the
+/// source runs dry.
 ///
 /// * `buffers` — reusable staging buffers; their number is the pipeline
 ///   depth (2 gives classic double buffering). Buffer contents are whatever
 ///   the previous fill left there; `fill` must overwrite, not append.
-/// * `fill(i, buf)` — stage chunk `i` into `buf`. Runs on the producer
-///   thread, except on the sequential path (see below).
+/// * `fill(i, buf)` — stage chunk `i` into `buf` and return `Ok(true)`, or
+///   return `Ok(false)` when the source ran dry (a shared work cursor
+///   handed out its last item, say) and `buf` holds nothing. Runs on the
+///   producer thread, except on the sequential path (see below).
 /// * `consume(i, buf)` — process staged chunk `i`. Always runs on the
 ///   calling thread, in index order.
 ///
-/// Returns the recycled buffers (in unspecified order) and the first error,
-/// if any. All buffers are always returned, even on the error path.
+/// The chunks filled before the first `Ok(false)` are consumed, in order,
+/// and the pipeline ends cleanly: exhaustion is not an error. Returns the
+/// recycled buffers (in unspecified order) and the first error, if any.
+/// All buffers are always returned, even on the error path.
 ///
 /// Degenerate shapes take a sequential path with no thread spawn: an empty
 /// buffer set consumes nothing and returns immediately; a single buffer or
-/// `count <= 1` alternates fill/consume inline.
-pub fn pipeline<B, E, F, C>(
-    count: usize,
-    buffers: Vec<B>,
-    fill: F,
-    consume: C,
-) -> (Vec<B>, Result<(), E>)
-where
-    B: Send,
-    E: Send,
-    F: Fn(usize, &mut B) -> Result<(), E> + Sync,
-    C: FnMut(usize, &mut B) -> Result<(), E>,
-{
-    run(
-        count,
-        buffers,
-        |i, buf| fill(i, buf).map(|()| true),
-        consume,
-    )
-}
-
-/// [`pipeline`] for a chunk count that is not known up front: the producer
-/// keeps filling until `fill(i, buf)` returns `Ok(false)`, which says the
-/// source ran dry (a shared work cursor handed out its last item, say) and
-/// that `buf` holds nothing. Chunks `0..i` are consumed, in order, and the
-/// pipeline ends cleanly — exhaustion is not an error. Every other contract
-/// of [`pipeline`] holds, including the sequential path for a single buffer
-/// or a single thread.
-pub fn pipeline_while<B, E, F, C>(buffers: Vec<B>, fill: F, consume: C) -> (Vec<B>, Result<(), E>)
-where
-    B: Send,
-    E: Send,
-    F: Fn(usize, &mut B) -> Result<bool, E> + Sync,
-    C: FnMut(usize, &mut B) -> Result<(), E>,
-{
-    run(usize::MAX, buffers, fill, consume)
-}
-
-/// The pipeline over at most `limit` chunks, ending early at the first
-/// `fill` that reports `Ok(false)`.
-fn run<B, E, F, C>(
-    limit: usize,
+/// a single thread alternates fill/consume inline.
+pub fn pipeline_while<B, E, F, C>(
     mut buffers: Vec<B>,
     fill: F,
     mut consume: C,
@@ -91,12 +56,12 @@ where
     F: Fn(usize, &mut B) -> Result<bool, E> + Sync,
     C: FnMut(usize, &mut B) -> Result<(), E>,
 {
-    if buffers.is_empty() || limit == 0 {
+    if buffers.is_empty() {
         return (buffers, Ok(()));
     }
-    if buffers.len() == 1 || limit == 1 || crate::num_threads() == 1 {
+    if buffers.len() == 1 || crate::num_threads() == 1 {
         let buf = &mut buffers[0];
-        for i in 0..limit {
+        for i in 0.. {
             match fill(i, buf) {
                 Ok(true) => {}
                 Ok(false) => break,
@@ -126,7 +91,7 @@ where
         let producer = scope.spawn(move || {
             let mut fill_err = None;
             let mut in_flight = None;
-            for i in 0..limit {
+            for i in 0.. {
                 // A closed free list means the consumer hit an error and
                 // dropped its sender: stop filling.
                 let Ok(mut buf) = free_rx.recv() else { break };
@@ -142,7 +107,7 @@ where
                         break;
                     }
                     Err(e) => {
-                        fill_err = Some((i, e));
+                        fill_err = Some(e);
                         in_flight = Some(buf);
                         break;
                     }
@@ -183,12 +148,7 @@ where
         // The fill error is the earlier one iff the consumer never got the
         // failing chunk; preferring consume_err keeps "first error" exact
         // because a fill error at i means chunks >= i were never consumed.
-        let result = match (consume_err, fill_err) {
-            (Some(e), _) => Err(e),
-            (None, Some((_, e))) => Err(e),
-            (None, None) => Ok(()),
-        };
-        (recovered, result)
+        (recovered, consume_err.or(fill_err).map_or(Ok(()), Err))
     });
 
     assert_eq!(recovered.len(), depth, "pipeline lost buffers");
@@ -200,43 +160,45 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-    /// Runs the same fill/consume under both the threaded and (via
-    /// `with_threads(1)`) sequential paths and checks both.
-    fn run_both(count: usize, depth: usize) -> Vec<Vec<usize>> {
-        let mut outs = Vec::new();
-        for threads in [8, 1] {
-            crate::with_threads(threads, || {
-                let mut order = Vec::new();
-                let buffers: Vec<Vec<u8>> = (0..depth).map(|_| Vec::new()).collect();
-                let (bufs, res) = pipeline(
-                    count,
-                    buffers,
-                    |i, buf: &mut Vec<u8>| {
-                        buf.clear();
-                        buf.extend_from_slice(&i.to_le_bytes());
-                        Ok::<(), ()>(())
-                    },
-                    |i, buf| {
-                        let mut raw = [0u8; 8];
-                        raw.copy_from_slice(buf);
-                        assert_eq!(usize::from_le_bytes(raw), i, "stale buffer contents");
-                        order.push(i);
-                        Ok(())
-                    },
-                );
-                assert_eq!(bufs.len(), depth);
-                assert_eq!(res, Ok(()));
-                outs.push(order);
-            });
-        }
-        outs
+    /// Claims the next of `items` items from `cursor`, as the out-of-core
+    /// sweep's fill stages do: `Some(item)`, or `None` once it ran dry.
+    fn claim(cursor: &AtomicUsize, items: usize) -> Option<usize> {
+        Some(cursor.fetch_add(1, Relaxed)).filter(|&k| k < items)
     }
 
     #[test]
     fn consumes_every_chunk_in_order() {
-        for (count, depth) in [(0, 2), (1, 2), (7, 2), (64, 3), (5, 8)] {
-            for order in run_both(count, depth) {
-                assert_eq!(order, (0..count).collect::<Vec<_>>());
+        // Under both the threaded and (via `with_threads(1)`) sequential
+        // paths, every claimed item is consumed once, in claim order, from
+        // the buffer its fill staged.
+        for (items, depth) in [(0, 2), (1, 2), (7, 2), (64, 3), (5, 8)] {
+            for threads in [8, 1] {
+                crate::with_threads(threads, || {
+                    let cursor = AtomicUsize::new(0);
+                    let mut order = Vec::new();
+                    let (bufs, res) = pipeline_while(
+                        vec![Vec::<u8>::new(); depth],
+                        |i, buf: &mut Vec<u8>| {
+                            let Some(k) = claim(&cursor, items) else {
+                                return Ok::<bool, ()>(false);
+                            };
+                            assert_eq!(k, i, "one pipeline claims in index order");
+                            buf.clear();
+                            buf.extend_from_slice(&k.to_le_bytes());
+                            Ok(true)
+                        },
+                        |i, buf| {
+                            let mut raw = [0u8; 8];
+                            raw.copy_from_slice(buf);
+                            assert_eq!(usize::from_le_bytes(raw), i, "stale buffer contents");
+                            order.push(i);
+                            Ok(())
+                        },
+                    );
+                    assert_eq!(bufs.len(), depth);
+                    assert_eq!(res, Ok(()));
+                    assert_eq!(order, (0..items).collect::<Vec<_>>());
+                });
             }
         }
     }
@@ -294,8 +256,7 @@ mod tests {
 
     #[test]
     fn empty_buffer_set_is_a_noop() {
-        let (bufs, res) = pipeline(
-            10,
+        let (bufs, res) = pipeline_while(
             Vec::<Vec<u8>>::new(),
             |_, _| Err("fill must not run"),
             |_, _| Err("consume must not run"),
@@ -307,11 +268,14 @@ mod tests {
     #[test]
     fn fill_error_stops_pipeline_and_recovers_buffers() {
         crate::with_threads(8, || {
+            let cursor = AtomicUsize::new(0);
             let consumed = AtomicUsize::new(0);
-            let (bufs, res) = pipeline(
-                100,
+            let (bufs, res) = pipeline_while(
                 vec![0u64, 0, 0],
-                |i, _buf| if i == 5 { Err("boom") } else { Ok(()) },
+                |_, _buf| match claim(&cursor, 100) {
+                    Some(5) => Err("boom"),
+                    claimed => Ok(claimed.is_some()),
+                },
                 |i, _buf| {
                     assert!(i < 5);
                     consumed.fetch_add(1, Relaxed);
@@ -330,10 +294,10 @@ mod tests {
         // the free list; a wedged pipeline fails this test by hanging.
         for depth in [2, 3, 5] {
             crate::with_threads(8, || {
-                let (bufs, res) = pipeline(
-                    1000,
+                let cursor = AtomicUsize::new(0);
+                let (bufs, res) = pipeline_while(
                     vec![Vec::<u8>::new(); depth],
-                    |_, _buf| Ok(()),
+                    |_, _buf| Ok(claim(&cursor, 1000).is_some()),
                     |i, _buf| if i == 2 { Err(i) } else { Ok(()) },
                 );
                 assert_eq!(bufs.len(), depth);
@@ -345,10 +309,10 @@ mod tests {
     #[test]
     fn sequential_path_reports_errors_too() {
         crate::with_threads(1, || {
-            let (bufs, res) = pipeline(
-                10,
+            let cursor = AtomicUsize::new(0);
+            let (bufs, res) = pipeline_while(
                 vec![(); 2],
-                |_, _buf| Ok::<(), &str>(()),
+                |_, _buf| Ok::<bool, &str>(claim(&cursor, 10).is_some()),
                 |i, _buf| if i == 3 { Err("seq boom") } else { Ok(()) },
             );
             assert_eq!(bufs.len(), 2);

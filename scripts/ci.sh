@@ -153,10 +153,10 @@ echo "==> out-of-core smoke (tiny shards & pages: on-disk solve == CSR, bitwise)
 # (chunk_spans / load_chunk / decode_chunk) is exercised at tier-1 cost.
 # Its geometry-matrix proptest
 # (pipeline_geometry_is_bitwise_invariant) sweeps the decode-ahead
-# pipeline's knobs — prefetch depth × span granularity × thread count ×
-# hot-span cache budget, including budgets that split the spans between
-# hot and re-streamed — and the named 1-vs-8-worker gate pins that which
-# worker claims which span, and prefetch scheduling, never move a bit.
+# pipeline's knobs — span granularity × thread count × hot-span cache
+# budget, including budgets that split the spans between hot and
+# re-streamed — and the named 1-vs-8-worker gate pins that which worker
+# claims which span, and prefetch scheduling, never move a bit.
 # The streamed unit tests pin the plan (the hot budget goes to the most
 # row-dense spans, within budget, the same on every build) and the
 # claimed sweep (NaN-prefilled y, 1-4 threads, split budget: every row
@@ -177,14 +177,18 @@ cargo test -q -p sr-gen stream::
 echo "==> approx-PPR differential suite (walk cache vs exact solver oracle)"
 # The Monte-Carlo engine's four pinned properties: (eps, delta) additive
 # error vs the exact solve, bitwise determinism across thread counts,
-# exact agreement in the R=0 push-only limit, and cache rebuild-vs-reload
-# identity. The named walk-cache pin holds the cache file to a golden
-# FNV-1a hash and to the same bytes at every thread count and source
-# batch size, so a rewrite of the walk simulation cannot move a byte.
-# The extsort/pager/rng suites cover the storage and randomness layers
-# the engine stands on.
+# exact agreement in the R=0 push-only limit (on random graphs and on a
+# 600-node graph whose push frontier saturates), and cache
+# rebuild-vs-reload identity. The named walk-cache pin holds the cache
+# file to a golden FNV-1a hash and to the same bytes at every thread
+# count and source batch size, so a rewrite of the walk simulation cannot
+# move a byte. A query is one sequential path: the tier-1 test runs a
+# saturating query on the tiny crawl at two threads, requires that it
+# fork nothing, and requires the one-thread bits. The extsort/pager/rng
+# suites cover the storage and randomness layers the engine stands on.
 cargo test -q -p sr-core --test approx_differential
 cargo test -q -p sr-core --test approx_differential cache_and_queries_are_bitwise_deterministic_across_threads
+cargo test -q --test invariants approx_queries_take_one_sequential_path
 cargo test -q -p sr-graph --test extsort_merge
 cargo test -q -p sr-graph --test pager_boundaries
 cargo test -q -p sr-eval --test rng_audit

@@ -24,7 +24,9 @@
 //! * approximate PPR off a walk cache stays within its (ε, δ) additive
 //!   bound of the exact solve, and a rebuilt, a reopened and a from-bytes
 //!   cache answer bit-identically (so tier-1 writes and reads the
-//!   walk-cache file).
+//!   walk-cache file);
+//! * an approx query whose frontier saturates runs inline at two threads
+//!   and answers with the one-thread bits.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -557,4 +559,62 @@ fn walk_caches_round_trip_bitwise() {
     assert_eq!(score_bits(&reopened), want);
     assert_eq!(score_bits(&from_bytes), want);
     reopened.validate().unwrap();
+}
+
+/// The push frontier sizes of a query from `seeds` over the walk graph `g`,
+/// rounds `0..=rounds`: round t pushes exactly the nodes that some t-step
+/// walk from a seed reaches (every residual is positive, so none cancels).
+fn frontier_sizes(g: &CsrGraph, seeds: &[u32], rounds: usize) -> Vec<usize> {
+    let mut frontier = seeds.to_vec();
+    let mut sizes = vec![frontier.len()];
+    for _ in 0..rounds {
+        let mut reached = vec![false; g.num_nodes()];
+        for &u in &frontier {
+            for &v in g.neighbors(u) {
+                reached[v as usize] = true;
+            }
+        }
+        frontier = sr_graph::ids::node_range(g.num_nodes())
+            .filter(|&v| reached[v as usize])
+            .collect();
+        sizes.push(frontier.len());
+    }
+    sizes
+}
+
+#[test]
+fn approx_queries_take_one_sequential_path() {
+    // A served-shape query (ε 0.25, R = 32) on the tiny crawl: some round
+    // pushes n/8 nodes or more, and the closing reads more than 256 rows,
+    // sizes at which splitting the push or the closing across threads can
+    // look worth it. At two threads the query must still run inline and
+    // give the one-thread bits.
+    let crawl = generate(&CrawlConfig::tiny(7));
+    let pages = &crawl.pages;
+    let pr = PageRank::default();
+    // The build forks its coarse tasks; only the query is checked.
+    let cache = {
+        let _forking = forking();
+        pr.build_walk_cache(pages, WalkCacheConfig::default(), &walk_path("one_path"))
+            .unwrap()
+    };
+    let engine = pr.approx(pages, &cache).unwrap();
+    let seeds = [3, 400, 901];
+    let q = QueryConfig {
+        epsilon: 0.25,
+        max_rounds: 10_000,
+    };
+    let one = sr_par::with_threads(1, || engine.query(&seeds, &q).unwrap());
+    let (two, forks) = forked(|| sr_par::with_threads(2, || engine.query(&seeds, &q).unwrap()));
+    assert!(!forks, "a 2-thread approx query forked");
+    let bits = |v: &RankVector| v.scores().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&one), bits(&two), "scores at one and two threads");
+    assert_eq!(one.stats(), two.stats());
+    let rounds = one.stats().iterations;
+    let sizes = frontier_sizes(pages, &seeds, rounds);
+    assert!(
+        sizes[..rounds].iter().any(|&s| s * 8 >= pages.num_nodes()),
+        "no round saturated: {sizes:?}"
+    );
+    assert!(sizes[rounds] >= 256, "a small closing: {sizes:?}");
 }
