@@ -21,26 +21,6 @@ use sr_graph::ids::{node_id, node_range};
 use sr_graph::WeightedGraph;
 use sr_obs::SolveObserver;
 
-/// How a walker's trajectory is cut into counted steps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WalkLength {
-    /// One long trajectory of exactly `burn_in + steps` steps, the first
-    /// `burn_in` discarded — the original §S17 simulator. The horizon cut
-    /// truncates the final teleport-to-teleport excursion mid-flight and the
-    /// burn-in starts counting mid-excursion, a (vanishing, O(1/steps))
-    /// bias. Default, bit-for-bit the historical behavior.
-    #[default]
-    FixedHorizon,
-    /// Complete teleport-to-teleport episodes, each of geometric(1−α)
-    /// length — the PPR-estimator semantics shared with [`crate::approx`]:
-    /// every counted excursion is whole, so visit frequencies are exactly
-    /// proportional to expected visits per episode. `burn_in` is ignored
-    /// (episodes start in the stationary regime by construction); episodes
-    /// run until at least `steps` visits are recorded, finishing the
-    /// crossing episode.
-    GeometricEpisodes,
-}
-
 /// Configuration of a Monte-Carlo stationary-distribution estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalkConfig {
@@ -52,14 +32,10 @@ pub struct WalkConfig {
     pub walkers: usize,
     /// Steps per walker (after discarding `burn_in`).
     pub steps: usize,
-    /// Steps discarded before counting visits
-    /// ([`WalkLength::FixedHorizon`] only).
+    /// Steps discarded before counting visits.
     pub burn_in: usize,
     /// RNG seed; the estimate is deterministic given the full config.
     pub seed: u64,
-    /// Trajectory-termination semantics (default the historical fixed
-    /// horizon).
-    pub length: WalkLength,
 }
 
 impl Default for WalkConfig {
@@ -71,7 +47,6 @@ impl Default for WalkConfig {
             steps: 20_000,
             burn_in: 200,
             seed: 0x5EED,
-            length: WalkLength::FixedHorizon,
         }
     }
 }
@@ -110,7 +85,9 @@ fn sample_teleport<R: Rng>(rng: &mut R, teleport: &Teleport, n: usize) -> u32 {
 /// (sub)stochastic transition matrix by simulation. Substochastic rows
 /// teleport with the missing probability mass (matching the eigenvector
 /// solver's dangling handling), so the estimate is comparable to
-/// [`crate::solve`] output with the default formulation.
+/// [`crate::solve`] output with the default formulation. Each walker runs
+/// one trajectory of `burn_in + steps` steps and counts the last `steps`;
+/// the fixed horizon cuts the final excursion short, an O(1/steps) bias.
 ///
 /// Reports one `on_walker` callback per completed walker to `observer`, if
 /// any (in walker order, after the parallel phase — the observer is
@@ -136,55 +113,25 @@ pub fn estimate_stationary(
         let mut rng =
             SmallRng::seed_from_u64(config.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut counts = vec![0u32; n];
-        match config.length {
-            WalkLength::FixedHorizon => {
-                let mut at = sample_teleport(&mut rng, &config.teleport, n);
-                for step in 0..config.burn_in + config.steps {
-                    if step >= config.burn_in {
-                        counts[at as usize] += 1;
-                    }
-                    let follow_links = rng.gen::<f64>() < config.alpha;
-                    if follow_links {
-                        let row_sum = transitions.row_sum(at);
-                        // Substochastic shortfall teleports.
-                        if row_sum > 0.0 && rng.gen::<f64>() < row_sum {
-                            at = sample_weighted(
-                                &mut rng,
-                                transitions.neighbors(at),
-                                transitions.edge_weights(at),
-                            );
-                            continue;
-                        }
-                    }
-                    at = sample_teleport(&mut rng, &config.teleport, n);
+        let mut at = sample_teleport(&mut rng, &config.teleport, n);
+        for step in 0..config.burn_in + config.steps {
+            if step >= config.burn_in {
+                counts[at as usize] += 1;
+            }
+            let follow_links = rng.gen::<f64>() < config.alpha;
+            if follow_links {
+                let row_sum = transitions.row_sum(at);
+                // Substochastic shortfall teleports.
+                if row_sum > 0.0 && rng.gen::<f64>() < row_sum {
+                    at = sample_weighted(
+                        &mut rng,
+                        transitions.neighbors(at),
+                        transitions.edge_weights(at),
+                    );
+                    continue;
                 }
             }
-            WalkLength::GeometricEpisodes => {
-                // Same chain, same draw order — only the accounting differs:
-                // any teleport (damping coin or substochastic shortfall)
-                // *ends* the episode instead of continuing the trajectory.
-                let mut recorded = 0usize;
-                while recorded < config.steps {
-                    let mut at = sample_teleport(&mut rng, &config.teleport, n);
-                    loop {
-                        counts[at as usize] += 1;
-                        recorded += 1;
-                        if rng.gen::<f64>() >= config.alpha {
-                            break;
-                        }
-                        let row_sum = transitions.row_sum(at);
-                        if row_sum > 0.0 && rng.gen::<f64>() < row_sum {
-                            at = sample_weighted(
-                                &mut rng,
-                                transitions.neighbors(at),
-                                transitions.edge_weights(at),
-                            );
-                        } else {
-                            break;
-                        }
-                    }
-                }
-            }
+            at = sample_teleport(&mut rng, &config.teleport, n);
         }
         counts
     });
@@ -309,47 +256,10 @@ mod tests {
     }
 
     #[test]
-    fn geometric_episodes_match_solver() {
-        let t = chain();
-        let exact = solver_answer(&t);
-        let cfg = WalkConfig {
-            length: WalkLength::GeometricEpisodes,
-            ..Default::default()
-        };
-        let est = estimate_stationary(&t, &cfg, None);
-        let l1 = vecops::l1_distance(&exact, &est);
-        assert!(
-            l1 < 0.02,
-            "episode estimate off by {l1}: {est:?} vs {exact:?}"
-        );
-    }
-
-    #[test]
-    fn geometric_episodes_match_solver_on_substochastic_rows() {
-        // Shortfall mass ends the episode rather than teleporting in place;
-        // the estimate must still agree with the algebraic fixed point.
-        let t = chain();
-        let kappa = ThrottleVector::uniform(4, 0.5);
-        let sub = throttle::apply_with_policy(&t, &kappa, throttle::SelfEdgePolicy::Surrender);
-        let exact = solver_answer(&sub);
-        let cfg = WalkConfig {
-            length: WalkLength::GeometricEpisodes,
-            ..Default::default()
-        };
-        let est = estimate_stationary(&sub, &cfg, None);
-        assert!(
-            vecops::l1_distance(&exact, &est) < 0.02,
-            "substochastic episode walk diverges: {est:?} vs {exact:?}"
-        );
-    }
-
-    #[test]
-    fn fixed_horizon_remains_the_default_and_is_bitwise_stable() {
-        // The walk-length knob must not disturb the historical estimator:
-        // FixedHorizon is the default, and its output on a pinned tiny
-        // config is frozen here bit-for-bit. If this snapshot moves, the
-        // legacy simulator's semantics changed.
-        assert_eq!(WalkConfig::default().length, WalkLength::FixedHorizon);
+    fn fixed_horizon_estimate_is_bitwise_stable() {
+        // The estimator's output on a pinned tiny config is frozen here
+        // bit-for-bit. If this snapshot moves, the simulator's semantics
+        // changed.
         let t = chain();
         let cfg = WalkConfig {
             walkers: 4,
@@ -362,8 +272,7 @@ mod tests {
         assert_eq!(bits, SNAPSHOT_BITS, "legacy estimator drifted: {est:?}");
     }
 
-    /// `estimate_stationary(chain(), walkers=4, steps=400, burn_in=20)`
-    /// captured at the introduction of [`WalkLength`].
+    /// `estimate_stationary(chain(), walkers=4, steps=400, burn_in=20)`.
     const SNAPSHOT_BITS: [u64; 4] = [
         4594482267850832609, // 0.1475
         4593041115970074051, // 0.11625

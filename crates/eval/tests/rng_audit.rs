@@ -4,14 +4,13 @@
 //!
 //! Covered engines: the synthetic crawl generator (`sr_gen::generate`),
 //! the seeded spam attacks (`sr_spam::attacks::honeypot`), the §S17
-//! Monte-Carlo stationary simulator (`sr_core::montecarlo`, both walk-
-//! length semantics), and the Monte-Carlo walk cache (`sr_core::approx`,
-//! bytes and query scores). Reproducibility is the repo's bedrock claim
+//! Monte-Carlo stationary simulator (`sr_core::montecarlo`), and the
+//! Monte-Carlo walk cache (`sr_core::approx`, bytes and query scores). Reproducibility is the repo's bedrock claim
 //! (every RUNS/BENCH artifact names its seeds); this suite is the single
 //! place that claim is enforced for all RNG consumers at once.
 
 use sr_core::approx::{QueryConfig, WalkCacheConfig};
-use sr_core::montecarlo::{estimate_stationary, WalkConfig, WalkLength};
+use sr_core::montecarlo::{estimate_stationary, WalkConfig};
 use sr_core::SpamProximity;
 use sr_gen::{generate, Dataset};
 use sr_graph::source_graph::SourceGraphConfig;
@@ -82,28 +81,19 @@ fn seeded_attacks_are_seed_pure() {
 }
 
 #[test]
-fn montecarlo_simulator_is_seed_pure_in_both_length_modes() {
+fn montecarlo_simulator_is_seed_pure() {
     let crawl = generate(&Dataset::Wb2001.config(0.0003));
     let sources = crawl.source_graph(SourceGraphConfig::consensus());
     let transitions = sources.transitions();
-    for (label, length) in [
-        ("montecarlo fixed-horizon", WalkLength::FixedHorizon),
-        (
-            "montecarlo geometric-episodes",
-            WalkLength::GeometricEpisodes,
-        ),
-    ] {
-        let cfg = WalkConfig {
-            walkers: 16,
-            steps: 2_000,
-            burn_in: 50,
-            length,
-            ..Default::default()
-        };
-        assert_seed_pure(label, &|| {
-            bits(&estimate_stationary(transitions, &cfg, None))
-        });
-    }
+    let cfg = WalkConfig {
+        walkers: 16,
+        steps: 2_000,
+        burn_in: 50,
+        ..Default::default()
+    };
+    assert_seed_pure("montecarlo fixed-horizon", &|| {
+        bits(&estimate_stationary(transitions, &cfg, None))
+    });
 }
 
 #[test]

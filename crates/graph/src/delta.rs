@@ -28,10 +28,12 @@
 //! with [`crate::GraphBuilder`]: both produce sorted, deduplicated rows over
 //! the same node count. Likewise [`SourceGraphMaintainer::source_graph`]
 //! reproduces [`crate::source_graph::extract`] on the mutated graph
-//! *exactly* (same `f64` bits): consensus counts are small exact integers,
-//! rows are assembled in the same ascending-target order, and normalization
-//! divides the same operands. The differential tests in
-//! `tests/delta_differential.rs` pin both properties.
+//! *exactly* (same `f64` bits): the two build each source's row with one
+//! function and assemble the rows one way, so they can differ only through
+//! the maintainer's bookkeeping — the set of sources a delta touches, the
+//! pages it appends to them, and the sources it creates. The differential
+//! tests in `tests/delta_differential.rs` pin the overlay and that
+//! bookkeeping.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -39,9 +41,8 @@ use std::sync::Arc;
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::ids::{node_id, node_range, NodeId, SourceId};
-use crate::source_graph::{self, DanglingPolicy, EdgeWeighting, SourceGraph, SourceGraphConfig};
+use crate::source_graph::{self, ConsensusScratch, SourceGraph, SourceGraphConfig, SourceRow};
 use crate::source_map::SourceAssignment;
-use crate::weighted::WeightedGraph;
 
 /// One edge mutation inside a [`GraphDelta`]. Applied in recording order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -364,13 +365,13 @@ impl CrawlDelta {
 /// changes the *out-row* of `map[p]` in the source graph — in-edges never
 /// affect another source's row because consensus weights (§3.2) are
 /// attributed to the *origin* source and rows are normalized independently.
-/// So a delta touching `k` pages re-extracts at most `k` consensus rows
-/// (plus rows of sources receiving new pages) instead of re-running the full
-/// `O(E_P log E_P)` extraction.
+/// So a delta touching `k` pages rebuilds at most `k` consensus rows (plus
+/// rows of sources receiving new pages) instead of every row.
 ///
-/// Rows are recomputed with the exact arithmetic of
-/// [`source_graph::extract`], so the maintained graph stays bit-identical to
-/// a from-scratch extraction on the mutated page graph.
+/// [`source_graph::extract`] builds its rows with the same per-source
+/// function and assembles them the same way, so the maintained graph is
+/// bit-identical to a from-scratch extraction on the mutated page graph as
+/// long as `apply` rebuilds every row whose pages or links changed.
 #[derive(Debug, Clone)]
 pub struct SourceGraphMaintainer {
     config: SourceGraphConfig,
@@ -379,45 +380,29 @@ pub struct SourceGraphMaintainer {
     /// Pages of each source in ascending page order (append-only: the delta
     /// model never reassigns or deletes pages).
     pages_by_source: Vec<Vec<NodeId>>,
-    /// Normalized transition row per source: `(target, weight)` ascending by
-    /// target, self-edge always present (§3.3).
-    rows: Vec<Vec<(NodeId, f64)>>,
-    /// Structural (inter-source, no self-edge) targets per source.
-    structural_rows: Vec<Vec<NodeId>>,
+    /// Transition and structural row per source.
+    rows: Vec<SourceRow>,
 }
 
 impl SourceGraphMaintainer {
-    /// Full extraction over `page_graph` to seed the incremental state.
+    /// Builds every row over `page_graph` to seed the incremental state,
+    /// as [`source_graph::extract`] does.
     pub fn new(
         page_graph: &CsrGraph,
         assignment: &SourceAssignment,
         config: SourceGraphConfig,
     ) -> Result<Self, GraphError> {
-        let sg = source_graph::extract(page_graph, assignment, config)?;
-        let num_sources = assignment.num_sources();
-        let mut rows = Vec::with_capacity(num_sources);
-        let mut structural_rows = Vec::with_capacity(num_sources);
-        for s in node_range(num_sources) {
-            rows.push(
-                sg.transitions()
-                    .neighbors(s)
-                    .iter()
-                    .copied()
-                    .zip(sg.transitions().edge_weights(s).iter().copied())
-                    .collect(),
-            );
-            structural_rows.push(sg.structural().neighbors(s).to_vec());
-        }
-        let mut pages_by_source = vec![Vec::new(); num_sources];
-        for (p, &s) in assignment.raw().iter().enumerate() {
-            pages_by_source[s as usize].push(node_id(p));
-        }
+        assignment.validate_for(page_graph)?;
+        let groups = assignment.group_pages();
+        let rows = source_graph::source_rows(page_graph, &groups, assignment.raw(), config);
+        let pages_by_source = node_range(groups.num_sources())
+            .map(|s| groups.pages_of(SourceId(s)).to_vec())
+            .collect();
         Ok(SourceGraphMaintainer {
             config,
             map: assignment.raw().to_vec(),
             pages_by_source,
             rows,
-            structural_rows,
         })
     }
 
@@ -484,8 +469,7 @@ impl SourceGraphMaintainer {
 
         // Grow the source space, then append new pages to their sources.
         self.pages_by_source.resize(new_num_sources, Vec::new());
-        self.rows.resize(new_num_sources, Vec::new());
-        self.structural_rows.resize(new_num_sources, Vec::new());
+        self.rows.resize(new_num_sources, SourceRow::default());
         let first_new_page = node_id(self.map.len());
         for (i, &s) in delta.new_page_sources.iter().enumerate() {
             self.map.push(s);
@@ -506,94 +490,20 @@ impl SourceGraphMaintainer {
         touched.sort_unstable();
         touched.dedup();
 
+        let mut scratch = ConsensusScratch::default();
         for &s in &touched {
-            self.recompute_row(graph, s);
+            let pages = &self.pages_by_source[s as usize];
+            let links = |p| graph.row(p);
+            self.rows[s as usize] =
+                source_graph::source_row(s, pages, links, &self.map, self.config, &mut scratch);
         }
         Ok(touched)
     }
 
-    /// Re-extracts the consensus row of source `s` from `graph`, mirroring
-    /// the arithmetic of [`source_graph::extract`] exactly.
-    fn recompute_row(&mut self, graph: &DeltaOverlay, s: NodeId) {
-        // Consensus counts for this row: per page of `s`, the deduplicated
-        // set of target sources; then run-length counts over the sorted
-        // concatenation. Counts are small exact integers in f64.
-        let mut pairs: Vec<NodeId> = Vec::new();
-        let mut target_buf: Vec<NodeId> = Vec::new();
-        for &p in &self.pages_by_source[s as usize] {
-            target_buf.clear();
-            target_buf.extend(graph.row(p).iter().map(|&q| self.map[q as usize]));
-            target_buf.sort_unstable();
-            target_buf.dedup();
-            pairs.extend_from_slice(&target_buf);
-        }
-        pairs.sort_unstable();
-        let mut row: Vec<(NodeId, f64)> = Vec::new();
-        for d in pairs {
-            match row.last_mut() {
-                Some(&mut (last, ref mut c)) if last == d => *c += 1.0,
-                _ => row.push((d, 1.0)),
-            }
-        }
-
-        // Structural targets come from the raw consensus edges, self excluded.
-        self.structural_rows[s as usize] =
-            row.iter().map(|&(d, _)| d).filter(|&d| d != s).collect();
-
-        if self.config.weighting == EdgeWeighting::Uniform {
-            for e in &mut row {
-                e.1 = 1.0;
-            }
-        }
-
-        // Self-edge augmentation (§3.3): weight 0 if the page graph implies
-        // no intra-source consensus.
-        let self_idx = match row.binary_search_by_key(&s, |&(d, _)| d) {
-            Ok(i) => i,
-            Err(i) => {
-                row.insert(i, (s, 0.0));
-                i
-            }
-        };
-
-        // Dangling policy, then row normalization — same fold order (ascending
-        // target) and same operands as the full extraction.
-        let mut sum: f64 = row.iter().map(|&(_, w)| w).sum();
-        if sum == 0.0 && self.config.dangling == DanglingPolicy::SelfLoop {
-            row[self_idx].1 = 1.0;
-            sum = 1.0;
-        }
-        if sum > 0.0 {
-            for e in &mut row {
-                e.1 /= sum;
-            }
-        }
-        self.rows[s as usize] = row;
-    }
-
-    /// Assembles the maintained state into a [`SourceGraph`] — bit-identical
+    /// Assembles the maintained rows into a [`SourceGraph`] — bit-identical
     /// to [`source_graph::extract`] on the mutated page graph.
     pub fn source_graph(&self) -> SourceGraph {
-        let n = self.num_sources();
-        let mut t_offsets = Vec::with_capacity(n + 1);
-        t_offsets.push(0usize);
-        let mut t_targets = Vec::new();
-        let mut t_weights = Vec::new();
-        let mut s_offsets = Vec::with_capacity(n + 1);
-        s_offsets.push(0usize);
-        let mut s_targets = Vec::new();
-        for s in 0..n {
-            for &(d, w) in &self.rows[s] {
-                t_targets.push(d);
-                t_weights.push(w);
-            }
-            t_offsets.push(t_targets.len());
-            s_targets.extend_from_slice(&self.structural_rows[s]);
-            s_offsets.push(s_targets.len());
-        }
-        let transitions = WeightedGraph::from_parts(t_offsets, t_targets, t_weights);
-        let structural = CsrGraph::from_parts(s_offsets, s_targets);
-        SourceGraph::from_maintained_parts(transitions, structural, self.map.len())
+        SourceGraph::from_rows(&self.rows, self.map.len())
     }
 }
 

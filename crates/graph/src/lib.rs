@@ -25,8 +25,8 @@
 //!   extraction from URLs;
 //! * [`source_graph`] — extraction of the source graph with the paper's
 //!   *source consensus* edge weights (§3.2) and mandatory self-edges (§3.3);
-//! * traversal, strongly/weakly connected components and degree statistics
-//!   used by the generator and the evaluation harness.
+//! * [`stats`] — graph summary statistics, which the generator's tests
+//!   check its crawls on.
 //!
 //! * [`partition`] — edge-balanced row partitions of CSR offsets, the chunk
 //!   layout the fused SpMV engine in `sr-core` parallelizes over;
@@ -60,7 +60,6 @@ pub mod io;
 pub mod pager;
 pub mod panel;
 pub mod partition;
-pub mod scc;
 #[deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -77,10 +76,8 @@ pub mod source_map;
 pub mod stats;
 pub mod subgraph;
 pub mod transpose;
-pub mod traversal;
 pub mod varint;
 pub mod walks;
-pub mod wcc;
 pub mod weighted;
 
 pub use builder::GraphBuilder;

@@ -16,12 +16,16 @@
 //!   `(s_i, s_i)` regardless of the page graph, the hook on which influence
 //!   throttling hangs.
 //!
-//! Rows of the resulting [`WeightedGraph`] are normalized to sum to 1.
+//! Rows of the resulting [`WeightedGraph`] are normalized to sum to 1. Each
+//! source's row depends only on its own pages' out-links, so one function
+//! builds it, for the full extraction and for the incremental
+//! [`crate::SourceGraphMaintainer`] alike.
 
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
-use crate::ids::{node_id, node_range, NodeId, SourceId};
-use crate::source_map::SourceAssignment;
+use crate::ids::{node_id, NodeId, SourceId};
+use crate::partition::EdgePartition;
+use crate::source_map::{SourceAssignment, SourceGroups};
 use crate::weighted::WeightedGraph;
 
 /// How raw source-edge strengths are derived from page links.
@@ -89,19 +93,32 @@ pub struct SourceGraph {
 }
 
 impl SourceGraph {
-    /// Assembles a source graph from parts maintained incrementally by
-    /// [`crate::delta::SourceGraphMaintainer`]. The maintainer upholds the
-    /// extraction invariants (row-stochastic transitions with mandatory
-    /// self-edges, self-free structural rows) by reusing this module's
-    /// per-row arithmetic.
-    pub(crate) fn from_maintained_parts(
-        transitions: WeightedGraph,
-        structural: CsrGraph,
-        num_pages: usize,
-    ) -> Self {
+    /// Assembles the source graph from one row per source, each built by
+    /// [`source_row`], the one per-row arithmetic: the CSR assembly of both
+    /// [`extract`] and [`crate::SourceGraphMaintainer::source_graph`].
+    pub(crate) fn from_rows(rows: &[SourceRow], num_pages: usize) -> Self {
+        let n = rows.len();
+        let entries = rows.iter().map(|r| r.transitions.len()).sum();
+        let links = rows.iter().map(|r| r.structural.len()).sum();
+        let mut t_offsets = Vec::with_capacity(n + 1);
+        t_offsets.push(0usize);
+        let mut t_targets = Vec::with_capacity(entries);
+        let mut t_weights = Vec::with_capacity(entries);
+        let mut s_offsets = Vec::with_capacity(n + 1);
+        s_offsets.push(0usize);
+        let mut s_targets = Vec::with_capacity(links);
+        for row in rows {
+            for &(d, w) in &row.transitions {
+                t_targets.push(d);
+                t_weights.push(w);
+            }
+            t_offsets.push(t_targets.len());
+            s_targets.extend_from_slice(&row.structural);
+            s_offsets.push(s_targets.len());
+        }
         SourceGraph {
-            transitions,
-            structural,
+            transitions: WeightedGraph::from_parts(t_offsets, t_targets, t_weights),
+            structural: CsrGraph::from_parts(s_offsets, s_targets),
             num_pages,
         }
     }
@@ -142,55 +159,132 @@ impl SourceGraph {
     }
 }
 
-/// Raw (unnormalized) source-edge counts: one triple `(s_i, s_j, count)` per
-/// distinct source edge, *including* self-edges with their true counts.
+/// One source's row of the source graph: its normalized transition row,
+/// ascending by target with the self-edge always present (§3.3), and its
+/// structural targets (self excluded).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SourceRow {
+    transitions: Vec<(NodeId, f64)>,
+    structural: Vec<NodeId>,
+}
+
+/// Buffers [`source_row`] reuses from one row to the next, so building
+/// many rows allocates little more than the rows themselves.
+#[derive(Debug, Default)]
+pub(crate) struct ConsensusScratch {
+    pairs: Vec<NodeId>,
+    targets: Vec<NodeId>,
+    row: Vec<(NodeId, f64)>,
+}
+
+/// Builds the row of source `s` from its `pages` (ascending), their
+/// out-links `links(p)` and the page → source `map`. This is the one
+/// implementation of the §3.2 consensus weight: [`extract`] builds every
+/// row with it, and [`crate::SourceGraphMaintainer`] the rows a delta
+/// touches.
+pub(crate) fn source_row<'g>(
+    s: NodeId,
+    pages: &[NodeId],
+    links: impl Fn(NodeId) -> &'g [NodeId],
+    map: &[NodeId],
+    config: SourceGraphConfig,
+    scratch: &mut ConsensusScratch,
+) -> SourceRow {
+    let ConsensusScratch {
+        pairs,
+        targets,
+        row,
+    } = scratch;
+    // Consensus counts: per page of `s`, the deduplicated set of target
+    // sources; then run-length counts over the sorted concatenation. Counts
+    // are small exact integers in f64.
+    pairs.clear();
+    for &p in pages {
+        targets.clear();
+        targets.extend(links(p).iter().map(|&q| map[q as usize]));
+        targets.sort_unstable();
+        targets.dedup();
+        pairs.extend_from_slice(targets);
+    }
+    pairs.sort_unstable();
+    row.clear();
+    for &d in pairs.iter() {
+        match row.last_mut() {
+            Some(&mut (last, ref mut c)) if last == d => *c += 1.0,
+            _ => row.push((d, 1.0)),
+        }
+    }
+
+    if config.weighting == EdgeWeighting::Uniform {
+        for e in row.iter_mut() {
+            e.1 = 1.0;
+        }
+    }
+
+    // Self-edge augmentation (§3.3): weight 0 if the page graph implies no
+    // intra-source consensus.
+    let self_idx = match row.binary_search_by_key(&s, |&(d, _)| d) {
+        Ok(i) => i,
+        Err(i) => {
+            row.insert(i, (s, 0.0));
+            i
+        }
+    };
+
+    // Dangling policy, then normalization by the ascending-target sum.
+    let mut sum: f64 = row.iter().map(|&(_, w)| w).sum();
+    if sum == 0.0 && config.dangling == DanglingPolicy::SelfLoop {
+        row[self_idx].1 = 1.0;
+        sum = 1.0;
+    }
+    if sum > 0.0 {
+        for e in row.iter_mut() {
+            e.1 /= sum;
+        }
+    }
+
+    // Structural targets: every consensus target but the self-edge.
+    let mut structural = Vec::with_capacity(row.len() - 1);
+    structural.extend(row.iter().map(|&(d, _)| d).filter(|&d| d != s));
+    SourceRow {
+        transitions: row.clone(),
+        structural,
+    }
+}
+
+/// The row of every source of `groups` over `page_graph`.
 ///
-/// `count` is the consensus weight of §3.2 — the number of unique pages of
-/// `s_i` linking into `s_j`.
-pub fn consensus_counts(
+/// Once the page graph holds [`sr_par::FORK_MIN_EDGES`] edges the sources
+/// split into one contiguous, page-balanced range per thread, built in
+/// parallel; below that one range runs on the calling thread. Each row is
+/// built alone, so the split never moves a bit.
+pub(crate) fn source_rows(
     page_graph: &CsrGraph,
-    assignment: &SourceAssignment,
-) -> Result<Vec<(NodeId, NodeId, f64)>, GraphError> {
-    assignment.validate_for(page_graph)?;
-    let map = assignment.raw();
-    let n = page_graph.num_nodes();
-
-    // Phase 1 (parallel): per page, the deduplicated set of target sources.
-    // Each chunk of pages produces a local (src_source, dst_source) list.
-    let chunk = 16_384;
-    let locals: Vec<Vec<(NodeId, NodeId)>> = sr_par::map_chunks(n, chunk, |pages| {
-        let mut local = Vec::new();
-        let mut targets: Vec<NodeId> = Vec::new();
-        for p in pages {
-            let sp = map[p];
-            targets.clear();
-            targets.extend(
-                page_graph
-                    .neighbors(node_id(p))
-                    .iter()
-                    .map(|&q| map[q as usize]),
-            );
-            targets.sort_unstable();
-            targets.dedup();
-            local.extend(targets.iter().map(|&sq| (sp, sq)));
-        }
-        local
-    });
-    let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(locals.iter().map(Vec::len).sum());
-    for mut local in locals {
-        pairs.append(&mut local);
-    }
-
-    // Phase 2: sort and run-length count into consensus weights.
-    sr_par::par_sort_unstable(&mut pairs);
-    let mut triples: Vec<(NodeId, NodeId, f64)> = Vec::new();
-    for pair in pairs {
-        match triples.last_mut() {
-            Some(&mut (s, d, ref mut c)) if (s, d) == pair => *c += 1.0,
-            _ => triples.push((pair.0, pair.1, 1.0)),
-        }
-    }
-    Ok(triples)
+    groups: &SourceGroups,
+    map: &[NodeId],
+    config: SourceGraphConfig,
+) -> Vec<SourceRow> {
+    let parts = if page_graph.num_edges() >= sr_par::FORK_MIN_EDGES {
+        sr_par::num_threads()
+    } else {
+        1
+    };
+    let ranges = EdgePartition::from_offsets(groups.offsets(), parts);
+    let bounds = ranges.row_bounds();
+    sr_par::map_tasks(bounds.len() - 1, |i| {
+        let mut scratch = ConsensusScratch::default();
+        (bounds[i]..bounds[i + 1])
+            .map(|s| {
+                let s = node_id(s);
+                let links = |p| page_graph.neighbors(p);
+                let pages = groups.pages_of(SourceId(s));
+                source_row(s, pages, links, map, config, &mut scratch)
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Extracts the source graph from a page graph and its source assignment.
@@ -199,60 +293,14 @@ pub fn extract(
     assignment: &SourceAssignment,
     config: SourceGraphConfig,
 ) -> Result<SourceGraph, GraphError> {
-    let num_sources = assignment.num_sources();
-    let mut triples = consensus_counts(page_graph, assignment)?;
-
-    // Structural edges: distinct (s_i, s_j), i != j.
-    let structural = {
-        let mut b = crate::builder::GraphBuilder::with_nodes(num_sources);
-        for &(s, d, _) in &triples {
-            if s != d {
-                b.add_edge(s, d);
-            }
-        }
-        b.build()
-    };
-
-    if config.weighting == EdgeWeighting::Uniform {
-        for t in &mut triples {
-            t.2 = 1.0;
-        }
-    }
-
-    // Self-edge augmentation: every source gets (s, s), weight 0 if absent.
-    let mut has_self = vec![false; num_sources];
-    for &(s, d, _) in &triples {
-        if s == d {
-            has_self[s as usize] = true;
-        }
-    }
-    for (s, seen) in has_self.iter().enumerate() {
-        if !seen {
-            triples.push((node_id(s), node_id(s), 0.0));
-        }
-    }
-
-    let mut transitions = WeightedGraph::from_triples(num_sources, triples);
-
-    // Dangling sources: rows whose total mass is zero.
-    if config.dangling == DanglingPolicy::SelfLoop {
-        for s in node_range(num_sources) {
-            if transitions.row_sum(s) == 0.0 {
-                let idx = transitions
-                    .neighbors(s)
-                    .binary_search(&s)
-                    .expect("self-edge guaranteed by augmentation");
-                transitions.edge_weights_mut(s)[idx] = 1.0;
-            }
-        }
-    }
-
-    transitions.normalize_rows();
-    Ok(SourceGraph {
-        transitions,
-        structural,
-        num_pages: page_graph.num_nodes(),
-    })
+    assignment.validate_for(page_graph)?;
+    let rows = source_rows(
+        page_graph,
+        &assignment.group_pages(),
+        assignment.raw(),
+        config,
+    );
+    Ok(SourceGraph::from_rows(&rows, page_graph.num_nodes()))
 }
 
 #[cfg(test)]
@@ -267,17 +315,6 @@ mod tests {
             .unwrap();
         let a = SourceAssignment::new(vec![0, 0, 0, 1, 1], 2).unwrap();
         (g, a)
-    }
-
-    #[test]
-    fn consensus_counts_unique_pages() {
-        let (g, a) = fixture();
-        let mut counts = consensus_counts(&g, &a).unwrap();
-        counts.sort_by_key(|x| (x.0, x.1));
-        // s0 -> s0: only p0 links within s0 => 1
-        // s0 -> s1: p0 and p1 both link into s1 => 2 (p1's two links count once)
-        // s1 -> s0: p3 links to p0 => 1
-        assert_eq!(counts, vec![(0, 0, 1.0), (0, 1, 2.0), (1, 0, 1.0)]);
     }
 
     #[test]

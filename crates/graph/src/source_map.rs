@@ -122,7 +122,9 @@ impl SourceAssignment {
         sizes
     }
 
-    /// Groups page ids by source in a CSR-like layout.
+    /// Groups page ids by source in a CSR-like layout: the one page
+    /// grouping, used by source-graph extraction and its incremental
+    /// maintainer.
     pub fn group_pages(&self) -> SourceGroups {
         let mut offsets = vec![0usize; self.num_sources + 1];
         for &s in &self.page_to_source {
@@ -193,6 +195,13 @@ impl SourceGroups {
     #[inline]
     pub fn num_sources(&self) -> usize {
         self.offsets.len() - 1
+    }
+
+    /// Prefix page counts: source `s` holds pages
+    /// `offsets[s]..offsets[s + 1]` of the grouping.
+    #[inline]
+    pub(crate) fn offsets(&self) -> &[usize] {
+        &self.offsets
     }
 }
 

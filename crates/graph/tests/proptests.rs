@@ -1,13 +1,12 @@
 //! Property-based tests of the graph substrate.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::prelude::*;
 
-use sr_graph::scc::strongly_connected_components;
-use sr_graph::source_graph::{consensus_counts, extract, SourceGraphConfig};
+use sr_graph::source_graph::{extract, DanglingPolicy, EdgeWeighting, SourceGraphConfig};
 use sr_graph::transpose::{transpose, transpose_weighted};
-use sr_graph::traversal::{bfs_distances, UNREACHABLE};
 use sr_graph::varint;
-use sr_graph::wcc::weakly_connected_components;
 use sr_graph::{CsrGraph, EdgePartition, GraphBuilder, SellRows, SourceAssignment, WeightedGraph};
 
 /// Distinguishes temp dirs across concurrently running proptest cases.
@@ -84,6 +83,52 @@ fn fused_transpose_packing_edge_cases() {
             check_fused_packing(g, chunks);
         }
     }
+}
+
+/// The §3.2 consensus counts, naively: the set of distinct (page, target
+/// source) pairs, counted per (source, target source), self pairs included.
+fn oracle_counts(g: &CsrGraph, a: &SourceAssignment) -> BTreeMap<(u32, u32), usize> {
+    let map = a.raw();
+    let pairs: BTreeSet<(u32, u32)> = g.edges().map(|(p, q)| (p, map[q as usize])).collect();
+    let mut counts = BTreeMap::new();
+    for (p, t) in pairs {
+        *counts.entry((map[p as usize], t)).or_insert(0) += 1;
+    }
+    counts
+}
+
+/// The transition rows the counts imply under `config`: every source's
+/// self-edge added (§3.3), then each row weighted, given weight 1 on its
+/// self-edge if it is empty under the self-loop policy, and normalized by
+/// its ascending-target sum.
+fn oracle_rows(
+    counts: &BTreeMap<(u32, u32), usize>,
+    sources: usize,
+    config: SourceGraphConfig,
+) -> Vec<BTreeMap<u32, f64>> {
+    let mut rows: Vec<BTreeMap<u32, f64>> = (0..sources as u32)
+        .map(|s| BTreeMap::from([(s, 0.0)]))
+        .collect();
+    for (&(s, t), &c) in counts {
+        let w = match config.weighting {
+            EdgeWeighting::Consensus => c as f64,
+            EdgeWeighting::Uniform => 1.0,
+        };
+        rows[s as usize].insert(t, w);
+    }
+    for (s, row) in (0u32..).zip(&mut rows) {
+        let mut sum: f64 = row.values().sum();
+        if sum == 0.0 && config.dangling == DanglingPolicy::SelfLoop {
+            row.insert(s, 1.0);
+            sum = 1.0;
+        }
+        if sum > 0.0 {
+            for w in row.values_mut() {
+                *w /= sum;
+            }
+        }
+    }
+    rows
 }
 
 proptest! {
@@ -190,36 +235,6 @@ proptest! {
     }
 
     #[test]
-    fn scc_refines_wcc(g in arb_graph()) {
-        // Two nodes in the same SCC must share a weak component.
-        let scc = strongly_connected_components(&g);
-        let wcc = weakly_connected_components(&g);
-        let n = g.num_nodes();
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if scc.component[u] == scc.component[v] {
-                    prop_assert_eq!(wcc.component[u], wcc.component[v]);
-                }
-            }
-        }
-        // Component sizes partition the node set in both cases.
-        prop_assert_eq!(scc.sizes.iter().sum::<usize>(), n);
-        prop_assert_eq!(wcc.sizes.iter().sum::<usize>(), n);
-    }
-
-    #[test]
-    fn bfs_distances_are_consistent(g in arb_graph()) {
-        // d(v) through any edge (u, v) is at most d(u) + 1.
-        let d = bfs_distances(&g, &[0]);
-        for (u, v) in g.edges() {
-            if d[u as usize] != UNREACHABLE {
-                prop_assert!(d[v as usize] <= d[u as usize] + 1);
-            }
-        }
-        prop_assert_eq!(d[0], 0);
-    }
-
-    #[test]
     fn transpose_preserves_degree_totals(g in arb_graph()) {
         let t = transpose(&g);
         let out_total: usize = (0..g.num_nodes() as u32).map(|u| g.out_degree(u)).sum();
@@ -276,17 +291,40 @@ proptest! {
     }
 
     #[test]
-    fn consensus_counts_bounded_by_source_size(g in arb_graph()) {
-        let n = g.num_nodes();
-        let sources = (n / 3).max(1);
-        let map: Vec<u32> = (0..n).map(|p| (p % sources) as u32).collect();
+    fn extract_matches_the_naive_consensus_oracle_bitwise(
+        g in arb_graph(),
+        sources in 1usize..12,
+        seeds in proptest::collection::vec(any::<u32>(), 150),
+    ) {
+        let map: Vec<u32> = (0..g.num_nodes()).map(|p| seeds[p] % sources as u32).collect();
         let a = SourceAssignment::new(map, sources).unwrap();
-        let sizes = a.source_sizes();
+        let counts = oracle_counts(&g, &a);
         // w(s_i, s_j) counts unique pages of s_i, so it can never exceed
         // |s_i| — the §3.2 anti-hijacking property in its sharpest form.
-        for (si, sj, w) in consensus_counts(&g, &a).unwrap() {
-            prop_assert!(w as usize <= sizes[si as usize],
+        let sizes = a.source_sizes();
+        for (&(si, sj), &w) in &counts {
+            prop_assert!(w <= sizes[si as usize],
                 "w({si},{sj}) = {w} exceeds source size {}", sizes[si as usize]);
+        }
+        for weighting in [EdgeWeighting::Consensus, EdgeWeighting::Uniform] {
+            for dangling in [DanglingPolicy::SelfLoop, DanglingPolicy::ZeroRow] {
+                let config = SourceGraphConfig { weighting, dangling };
+                let sg = extract(&g, &a, config).unwrap();
+                let rows = oracle_rows(&counts, sources, config);
+                prop_assert_eq!(sg.num_sources(), sources);
+                prop_assert_eq!(sg.num_pages(), g.num_nodes());
+                for (s, row) in (0u32..).zip(&rows) {
+                    let want: Vec<(u32, u64)> = row.iter().map(|(&t, w)| (t, w.to_bits())).collect();
+                    let got: Vec<(u32, u64)> = sg.transitions().neighbors(s).iter().copied()
+                        .zip(sg.transitions().edge_weights(s).iter().map(|w| w.to_bits()))
+                        .collect();
+                    prop_assert_eq!(got, want, "{:?}: transition row {}", config, s);
+                    let structural: Vec<u32> = row.keys().copied()
+                        .filter(|&t| t != s && counts.contains_key(&(s, t)))
+                        .collect();
+                    prop_assert_eq!(sg.structural().neighbors(s), structural.as_slice());
+                }
+            }
         }
     }
 

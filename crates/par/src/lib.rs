@@ -353,7 +353,9 @@ where
 ///
 /// Unlike the other helpers this has no work cutover: it is meant for a
 /// small number of *coarse* tasks (e.g. independent Monte-Carlo walkers,
-/// each worth milliseconds) where every task dwarfs the fork cost. Tasks
+/// each worth milliseconds) where every task dwarfs the fork cost. A caller
+/// whose work can fall below that cost asks for one task there, which runs
+/// inline (source-graph extraction does so below [`FORK_MIN_EDGES`]). Tasks
 /// are grouped into one contiguous run per thread, the calling thread
 /// running the first.
 pub fn map_tasks<R, F>(count: usize, f: F) -> Vec<R>
@@ -368,51 +370,6 @@ where
     }
     // One part per task; a vector of `()` allocates nothing.
     fork(vec![(); count], threads, |i, ()| f(i))
-}
-
-/// Sorts `data` with per-thread chunk sorts followed by a bottom-up merge.
-/// Equivalent to `data.sort_unstable()`; forked once `data` holds
-/// [`FORK_MIN_ELEMENTS`] elements.
-pub fn par_sort_unstable<T: Ord + Send + Clone>(data: &mut [T]) {
-    let threads = num_threads();
-    if data.len() < FORK_MIN_ELEMENTS || threads == 1 {
-        data.sort_unstable();
-        return;
-    }
-    let bounds = even_bounds(data.len(), threads);
-    for_each_part(data, &bounds, |_, part| part.sort_unstable());
-    // Bottom-up merge of the sorted runs (sequential: merging is
-    // memory-bound and the runs are already cache-resident per thread).
-    let mut runs: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
-    let mut scratch: Vec<T> = Vec::with_capacity(data.len());
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        for pair in runs.chunks(2) {
-            if pair.len() == 1 {
-                next.push(pair[0].clone());
-                continue;
-            }
-            let (a, b) = (pair[0].clone(), pair[1].clone());
-            scratch.clear();
-            {
-                let (mut i, mut j) = (a.start, b.start);
-                while i < a.end && j < b.end {
-                    if data[i] <= data[j] {
-                        scratch.push(data[i].clone());
-                        i += 1;
-                    } else {
-                        scratch.push(data[j].clone());
-                        j += 1;
-                    }
-                }
-                scratch.extend_from_slice(&data[i..a.end]);
-                scratch.extend_from_slice(&data[j..b.end]);
-            }
-            data[a.start..b.end].clone_from_slice(&scratch);
-            next.push(a.start..b.end);
-        }
-        runs = next;
-    }
 }
 
 #[cfg(test)]
@@ -496,19 +453,6 @@ mod tests {
             .iter()
             .enumerate()
             .all(|(i, &(lo, hi))| lo == i * 1000 && hi == (lo + 1000).min(n)));
-    }
-
-    #[test]
-    fn par_sort_sorts() {
-        for len in [20_000, FORK_MIN_ELEMENTS + 3] {
-            let mut v: Vec<u64> = (0..len as u64)
-                .map(|i| (i * 2_654_435_761) % 1_000_003)
-                .collect();
-            let mut expect = v.clone();
-            expect.sort_unstable();
-            with_threads(3, || par_sort_unstable(&mut v));
-            assert_eq!(v, expect);
-        }
     }
 
     #[test]

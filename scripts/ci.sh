@@ -122,8 +122,18 @@ echo "==> perfbench: build the repository benchmark and run its unit tests"
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --quiet --manifest-path perfbench/Cargo.toml
 
 echo "==> delta differential suites (incremental path == full rebuild)"
+# source_graph::extract and SourceGraphMaintainer build every consensus
+# row with one function, so delta_differential pins the maintainer's
+# bookkeeping (the sources a delta touches, the pages it appends, the
+# sources it creates). The oracle proptest pins extract itself, bitwise,
+# against a naive count of distinct (page, target source) pairs under all
+# four SourceGraphConfig combinations. The tier-1 test extracts past the
+# fork cutover at one and two threads (the second must fork) and feeds a
+# maintainer a producer's delta stream.
 cargo test -q -p sr-graph --test delta_differential
 cargo test -q -p sr-core --test incremental_differential
+cargo test -q -p sr-graph --test proptests extract_matches_the_naive_consensus_oracle_bitwise
+cargo test -q --test invariants source_graph_extraction_and_maintenance_agree_bitwise
 
 echo "==> multi-column solve differential suite (K-column == one-column requests, bitwise)"
 # Every column of a K-column sr_core::SolveRequest must equal its one-column

@@ -26,7 +26,11 @@
 //!   cache answer bit-identically (so tier-1 writes and reads the
 //!   walk-cache file);
 //! * an approx query whose frontier saturates runs inline at two threads
-//!   and answers with the one-thread bits.
+//!   and answers with the one-thread bits;
+//! * source-graph extraction over a page graph past the edge cutover gives
+//!   the same bits at one and two threads, and the 2-thread run forks; a
+//!   `SourceGraphMaintainer` fed a `CrawlDeltaProducer` stream equals the
+//!   extraction of the rebuilt page graph after every delta, bit for bit.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -40,8 +44,8 @@ use sr_core::{
     SpamResilientSourceRank, Teleport, ThrottleVector,
 };
 use sr_gen::{generate, CrawlConfig, CrawlDeltaProducer, ProducerConfig};
-use sr_graph::delta::CrawlDelta;
-use sr_graph::source_graph::{extract, SourceGraphConfig};
+use sr_graph::delta::{CrawlDelta, DeltaOverlay, SourceGraphMaintainer};
+use sr_graph::source_graph::{extract, SourceGraph, SourceGraphConfig};
 use sr_graph::transpose::transpose;
 use sr_graph::walks::WalkStore;
 use sr_graph::{CsrGraph, GraphBuilder, SourceAssignment, WeightedGraph};
@@ -617,4 +621,55 @@ fn approx_queries_take_one_sequential_path() {
         "no round saturated: {sizes:?}"
     );
     assert!(sizes[rounds] >= 256, "a small closing: {sizes:?}");
+}
+
+/// A source graph's CSR parts, weights as bits.
+fn source_graph_bits(sg: &SourceGraph) -> (Vec<usize>, Vec<u32>, Vec<u64>, CsrGraph) {
+    let t = sg.transitions();
+    let weights = t.weights().iter().map(|w| w.to_bits()).collect();
+    let structural = sg.structural().clone();
+    (
+        t.offsets().to_vec(),
+        t.targets().to_vec(),
+        weights,
+        structural,
+    )
+}
+
+#[test]
+fn source_graph_extraction_and_maintenance_agree_bitwise() {
+    // 40,000 sources of 7–8 scattered pages each over a page graph past
+    // the edge cutover: two threads split the sources into page-balanced
+    // ranges, and every row is built alone, so the bits cannot move.
+    let pages = forking_pages();
+    let map = (0..pages.num_nodes())
+        .map(|p| u32::try_from(p * 7919 % 40_000).unwrap())
+        .collect();
+    let assignment = SourceAssignment::new(map, 40_000).unwrap();
+    let config = SourceGraphConfig::consensus();
+    let one = sr_par::with_threads(1, || extract(&pages, &assignment, config).unwrap());
+    let (two, forks) =
+        forked(|| sr_par::with_threads(2, || extract(&pages, &assignment, config).unwrap()));
+    assert!(forks, "the 2-thread extraction never forked");
+    assert_eq!(source_graph_bits(&one), source_graph_bits(&two));
+
+    // The incremental maintainer rebuilds only the rows a delta touches,
+    // with the same row builder; the stream adds pages, links, removals,
+    // new sources and a spam campaign.
+    let crawl = generate(&CrawlConfig::tiny(11));
+    let mut overlay = DeltaOverlay::new(crawl.pages.clone());
+    let mut maintainer =
+        SourceGraphMaintainer::new(overlay.base(), &crawl.assignment, config).unwrap();
+    let mut producer = CrawlDeltaProducer::from_crawl(&crawl, ProducerConfig::tiny(3));
+    for step in 1..=10 {
+        let delta = producer.next_delta();
+        overlay.apply(&delta.graph).unwrap();
+        maintainer.apply(&overlay, &delta).unwrap();
+        let full = extract(&overlay.to_csr(), &maintainer.assignment(), config).unwrap();
+        assert_eq!(
+            source_graph_bits(&maintainer.source_graph()),
+            source_graph_bits(&full),
+            "delta {step}"
+        );
+    }
 }
