@@ -83,10 +83,11 @@ pub fn gauss_seidel(
             }
             let denom = 1.0 - alpha * diag;
             let nv = (alpha * acc + (1.0 - alpha) * c[v as usize]) / denom;
-            res_acc = criteria.norm.accumulate(res_acc, x[v as usize] - nv);
+            let d = x[v as usize] - nv;
+            res_acc += d * d;
             x[v as usize] = nv;
         }
-        residual = criteria.norm.finish(res_acc);
+        residual = res_acc.sqrt();
         history.push(residual);
         if let Some(o) = observer.as_deref_mut() {
             o.on_iteration(history.len(), residual, 0.0);

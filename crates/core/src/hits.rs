@@ -23,7 +23,7 @@ pub struct HitsResult {
 }
 
 /// Runs HITS mutual reinforcement: `a ← Lᵀh`, `h ← La`, L2-normalizing each
-/// step, until the authority vector moves less than the tolerance.
+/// step, until the authority vector moves less than the tolerance in L2.
 pub fn hits(graph: &CsrGraph, criteria: &ConvergenceCriteria) -> HitsResult {
     let n = graph.num_nodes();
     let rev = transpose(graph);
@@ -65,7 +65,7 @@ pub fn hits(graph: &CsrGraph, criteria: &ConvergenceCriteria) -> HitsResult {
         if hn > 0.0 {
             vecops::scale(&mut hubs, 1.0 / hn);
         }
-        residual = criteria.norm.distance(&prev_auth, &auth);
+        residual = vecops::l2_distance(&prev_auth, &auth);
         history.push(residual);
         if residual < criteria.tolerance {
             converged = true;

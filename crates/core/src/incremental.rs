@@ -12,10 +12,11 @@
 //!   untouched rows, a sparse correction scatter handles the patched ones.
 //!   No transpose, no repartition, no repacking per delta.
 //! * [`IncrementalRanker`] — owns the overlay, the incrementally maintained
-//!   source graph, the solver workspaces and the previous solutions; each
-//!   [`apply`](IncrementalRanker::apply) mutates the graph and re-solves
-//!   PageRank, SourceRank and SR-SourceRank via warm restart, reporting
-//!   telemetry through any [`SolveObserver`] (use
+//!   consensus source graph, the solver workspaces and the previous
+//!   solutions; each [`apply`](IncrementalRanker::apply) mutates the graph
+//!   and re-solves PageRank, SourceRank and SR-SourceRank (throttled with
+//!   [`SelfEdgePolicy::Retain`](crate::SelfEdgePolicy::Retain)) by warm
+//!   power solves, reporting telemetry through any [`SolveObserver`] (use
 //!   [`sr_obs::SequenceRecorder`] to keep all three solves per delta).
 //!   Once the overlay folds, the ranker shares the folded graph with its
 //!   rebuilt operator ([`epoch_graph`](IncrementalRanker::epoch_graph)).
@@ -42,10 +43,9 @@ use crate::operator::{Transition, UniformTransition};
 use crate::pagerank::PageRank;
 use crate::power::SolverWorkspace;
 use crate::rankvec::RankVector;
-use crate::solver::Solver;
 use crate::sourcerank::SourceRank;
 use crate::spam_resilient::SpamResilientSourceRank;
-use crate::throttle::{SelfEdgePolicy, ThrottleVector};
+use crate::throttle::ThrottleVector;
 use sr_graph::ids::node_id;
 use sr_graph::source_graph::SourceGraphConfig;
 use sr_graph::{
@@ -142,8 +142,7 @@ impl Transition for OverlayTransition<'_> {
 }
 
 /// Configuration of an [`IncrementalRanker`]. Defaults match the paper's
-/// evaluation: α = 0.85, L2 < 1e-9, power solver, consensus source graph,
-/// paper-literal self-edge policy, compaction at 25% patched rows.
+/// evaluation: α = 0.85, L2 < 1e-9, compaction at 25% patched rows.
 ///
 /// The 0.25 default suits offline ranking over large crawls, where an
 /// operator rebuild costs more than many sweeps of the correction scatter.
@@ -155,14 +154,6 @@ pub struct IncrementalConfig {
     pub alpha: f64,
     /// Stopping rule shared by all three rankings.
     pub criteria: ConvergenceCriteria,
-    /// Iterative solver for the source-level rankings. Note that
-    /// [`Solver::GaussSeidel`] has no warm path and re-solves cold each
-    /// delta (see [`crate::solver::solve_weighted_warm_observed`]).
-    pub solver: Solver,
-    /// Source-graph extraction configuration.
-    pub source_config: SourceGraphConfig,
-    /// What happens to the mandated self-influence of throttled sources.
-    pub self_edge_policy: SelfEdgePolicy,
     /// Fold the overlay back into canonical CSR form (and rebuild the base
     /// operator) once the patched-row fraction exceeds this. `1.0` never
     /// compacts; `0.0` compacts after every delta that changes the graph,
@@ -175,9 +166,6 @@ impl Default for IncrementalConfig {
         IncrementalConfig {
             alpha: 0.85,
             criteria: ConvergenceCriteria::default(),
-            solver: Solver::Power,
-            source_config: SourceGraphConfig::consensus(),
-            self_edge_policy: SelfEdgePolicy::Retain,
             compact_threshold: 0.25,
         }
     }
@@ -219,9 +207,7 @@ pub struct IncrementalRanker {
     sourcerank: SourceRank,
     alpha: f64,
     criteria: ConvergenceCriteria,
-    solver: Solver,
     kappa: ThrottleVector,
-    self_edge_policy: SelfEdgePolicy,
     compact_threshold: f64,
     page_scores: Option<Vec<f64>>,
     source_scores: Option<Vec<f64>>,
@@ -241,7 +227,8 @@ impl IncrementalRanker {
         assignment: &SourceAssignment,
         config: IncrementalConfig,
     ) -> Result<Self, GraphError> {
-        let maintainer = SourceGraphMaintainer::new(&page_graph, assignment, config.source_config)?;
+        let maintainer =
+            SourceGraphMaintainer::new(&page_graph, assignment, SourceGraphConfig::consensus())?;
         let base_op = Arc::new(UniformTransition::new(&page_graph));
         let overlay = DeltaOverlay::new(page_graph);
         let pagerank = PageRank::builder()
@@ -250,8 +237,7 @@ impl IncrementalRanker {
             .finish();
         let sourcerank = SourceRank::new()
             .alpha(config.alpha)
-            .criteria(config.criteria)
-            .solver(config.solver);
+            .criteria(config.criteria);
         Ok(IncrementalRanker {
             overlay,
             maintainer,
@@ -260,9 +246,7 @@ impl IncrementalRanker {
             sourcerank,
             alpha: config.alpha,
             criteria: config.criteria,
-            solver: config.solver,
             kappa: ThrottleVector::zeros(assignment.num_sources()),
-            self_edge_policy: config.self_edge_policy,
             compact_threshold: config.compact_threshold,
             page_scores: None,
             source_scores: None,
@@ -430,8 +414,6 @@ impl IncrementalRanker {
         let model = SpamResilientSourceRank::builder()
             .alpha(self.alpha)
             .criteria(self.criteria)
-            .solver(self.solver)
-            .self_edge_policy(self.self_edge_policy)
             .throttle(self.kappa.clone())
             .build(&sg);
         let resilient = model.rank_warm_in(
@@ -517,7 +499,6 @@ mod tests {
         ConvergenceCriteria {
             tolerance: 1e-14,
             max_iterations: 5_000,
-            ..Default::default()
         }
     }
 

@@ -28,10 +28,10 @@
 //!   they free up, bit-identical to the in-RAM CSR engine;
 //! * [`power`] — the one damped fixed-point driver: a [`SolveRequest`] of K
 //!   parameter columns (damping, teleport, warm start) plus a shared
-//!   stopping rule, formulation and dangling policy, run by [`solve`] over
-//!   any [`operator::Transition`] in SpMM panels, each column bit-identical
-//!   to its one-column request, with reusable [`SolverWorkspace`] buffers
-//!   and the paper's L2 < 1e-9 stopping rule as default;
+//!   stopping rule and formulation, run by [`solve`] over any
+//!   [`operator::Transition`] in SpMM panels, each column bit-identical to
+//!   its one-column request, with reusable [`SolverWorkspace`] buffers and
+//!   the paper's L2 < 1e-9 stopping rule as default;
 //! * [`gauss_seidel`], [`solver`] — Gauss–Seidel sweeps and the solver
 //!   selection of the source-level rankings;
 //! * [`operator`], [`teleport`], [`vecops`], [`convergence`], [`rankvec`] —
@@ -66,13 +66,11 @@ pub mod vecops;
 
 pub use approx::{ApproxError, ApproxPpr, QueryConfig, WalkCacheBuilder, WalkCacheConfig};
 pub use coalesce::{pack_panels, panel_columns, PanelQuery};
-pub use convergence::{ConvergenceCriteria, IterationStats, Norm};
+pub use convergence::{ConvergenceCriteria, IterationStats};
 pub use incremental::{DeltaRerank, IncrementalConfig, IncrementalRanker, OverlayTransition};
 pub use order::{cmp_asc_nan_last, cmp_desc_nan_last};
 pub use pagerank::PageRank;
-pub use power::{
-    solve, DanglingPolicy, Formulation, SolveColumn, SolveRequest, SolverWorkspace, PANEL_WIDTH,
-};
+pub use power::{solve, Formulation, SolveColumn, SolveRequest, SolverWorkspace, PANEL_WIDTH};
 pub use proximity::{ProximityApprox, ProximityError, ProximityQuery, SpamProximity};
 pub use rankvec::RankVector;
 pub use snapshot::{RankSnapshot, SnapshotRing};

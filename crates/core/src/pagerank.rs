@@ -1,14 +1,13 @@
 //! PageRank over the page graph — the paper's baseline and principal
-//! comparison target (§2, Eq. 1).
+//! comparison target (§2, Eq. 1), solved in the eigenvector formulation
+//! with dangling mass re-entering through the teleport vector (Eq. 2).
 
 use std::path::Path;
 
 use crate::approx::{ApproxError, ApproxPpr, WalkCacheBuilder, WalkCacheConfig};
 use crate::convergence::ConvergenceCriteria;
 use crate::operator::{Transition, UniformTransition};
-use crate::power::{
-    solve, DanglingPolicy, Formulation, SolveColumn, SolveRequest, SolverWorkspace,
-};
+use crate::power::{solve, SolveColumn, SolveRequest, SolverWorkspace};
 use crate::rankvec::RankVector;
 use crate::teleport::Teleport;
 use sr_graph::walks::WalkStore;
@@ -18,14 +17,12 @@ use sr_obs::SolveObserver;
 /// PageRank configuration; construct via [`PageRank::builder`].
 ///
 /// Defaults match the paper's evaluation: α = 0.85, uniform teleport,
-/// L2 < 1e-9 stopping rule, eigenvector formulation.
+/// L2 < 1e-9 stopping rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PageRank {
     alpha: f64,
     teleport: Teleport,
     criteria: ConvergenceCriteria,
-    formulation: Formulation,
-    dangling: DanglingPolicy,
 }
 
 impl Default for PageRank {
@@ -77,36 +74,14 @@ impl PageRank {
         ranks.remove(0)
     }
 
-    /// Solves many PageRank variants over one graph in a single batched
-    /// (SpMM) pass: each [`SolveColumn`] carries its own damping, teleport
-    /// and optional warm start, while this configuration's stopping rule,
-    /// formulation and dangling policy apply to every column. The edge
-    /// stream is read once per iteration for all columns, and each result is
-    /// bit-identical to the corresponding sequential [`rank`](PageRank::rank)
-    /// solve — the engine behind damping sweeps and personalization panels.
-    pub fn rank_batch(&self, graph: &CsrGraph, columns: Vec<SolveColumn>) -> Vec<RankVector> {
-        let op = UniformTransition::new(graph);
-        solve(
-            &op,
-            &self.request(columns),
-            &mut SolverWorkspace::new(),
-            &mut [],
-        )
-    }
-
     /// A [`SolveRequest`] over `columns` carrying this configuration's
-    /// stopping rule, formulation and dangling policy — what
-    /// [`rank_batch`](PageRank::rank_batch) runs, for callers that hold
+    /// stopping rule, for callers that solve many columns at once or hold
     /// their own operator, workspace or per-column observers.
     pub fn request(&self, columns: Vec<SolveColumn>) -> SolveRequest {
-        SolveRequest::new(columns)
-            .criteria(self.criteria)
-            .formulation(self.formulation)
-            .dangling(self.dangling)
+        SolveRequest::new(columns).criteria(self.criteria)
     }
 
-    /// A [`SolveColumn`] carrying this configuration's damping and teleport —
-    /// the identity column of a [`rank_batch`](PageRank::rank_batch) sweep.
+    /// A [`SolveColumn`] carrying this configuration's damping and teleport.
     pub fn column(&self) -> SolveColumn {
         SolveColumn::new(self.alpha, self.teleport.clone())
     }
@@ -164,8 +139,6 @@ pub struct PageRankBuilder {
     alpha: f64,
     teleport: Teleport,
     criteria: ConvergenceCriteria,
-    formulation: Formulation,
-    dangling: DanglingPolicy,
 }
 
 impl Default for PageRankBuilder {
@@ -174,8 +147,6 @@ impl Default for PageRankBuilder {
             alpha: 0.85,
             teleport: Teleport::Uniform,
             criteria: ConvergenceCriteria::default(),
-            formulation: Formulation::Eigenvector,
-            dangling: DanglingPolicy::StronglyPreferential,
         }
     }
 }
@@ -200,28 +171,12 @@ impl PageRankBuilder {
         self
     }
 
-    /// Sets the fixed-point formulation (default eigenvector).
-    pub fn formulation(mut self, formulation: Formulation) -> Self {
-        self.formulation = formulation;
-        self
-    }
-
-    /// Sets the dangling-row patch policy (default strongly preferential —
-    /// dangling mass re-enters through the teleport vector; see
-    /// [`DanglingPolicy`]). Only the eigenvector formulation is affected.
-    pub fn dangling(mut self, dangling: DanglingPolicy) -> Self {
-        self.dangling = dangling;
-        self
-    }
-
     /// Finalizes the configuration.
     pub fn finish(self) -> PageRank {
         PageRank {
             alpha: self.alpha,
             teleport: self.teleport,
             criteria: self.criteria,
-            formulation: self.formulation,
-            dangling: self.dangling,
         }
     }
 }
@@ -352,53 +307,5 @@ mod tests {
         }
         assert!(warm2.stats().converged);
         assert!(warm2.stats().iterations <= cold2.stats().iterations);
-    }
-
-    #[test]
-    fn rank_batch_is_bitwise_equal_to_sequential_ranks() {
-        let g = GraphBuilder::from_edges_exact(6, vec![(0, 1), (1, 2), (2, 0), (3, 0), (4, 5)])
-            .unwrap();
-        let alphas = [0.5, 0.85, 0.9];
-        let columns: Vec<SolveColumn> = alphas
-            .iter()
-            .map(|&a| SolveColumn::new(a, Teleport::Uniform))
-            .collect();
-        let batched = PageRank::default().rank_batch(&g, columns);
-        for (k, &a) in alphas.iter().enumerate() {
-            let seq = PageRank::builder().alpha(a).finish().rank(&g);
-            assert_eq!(batched[k].scores(), seq.scores());
-            assert_eq!(batched[k].stats().iterations, seq.stats().iterations);
-        }
-    }
-
-    #[test]
-    fn rank_batch_keeps_the_configured_dangling_policy() {
-        // A personalized solve with dangling nodes 2 and 4: under the weakly
-        // preferential policy their mass spreads over every node, so nodes 3
-        // and 4 (no in-links, outside the seed) must score above zero in the
-        // batch exactly as in the sequential solve.
-        let g = GraphBuilder::from_edges_exact(5, vec![(0, 1), (1, 2), (3, 0)]).unwrap();
-        let pr = PageRank::builder()
-            .teleport(Teleport::over_seeds(5, &[0]))
-            .dangling(DanglingPolicy::WeaklyPreferential)
-            .finish();
-        let seq = pr.rank(&g);
-        let batched = pr.rank_batch(&g, vec![pr.column()]);
-        assert!(seq.score(3) > 0.0 && seq.score(4) > 0.0);
-        assert_eq!(batched[0].scores(), seq.scores());
-        assert_eq!(batched[0].stats(), seq.stats());
-    }
-
-    #[test]
-    fn paper_equation_linear_form_close_to_eigenvector_on_strongly_connected() {
-        let g = GraphBuilder::from_edges_exact(3, vec![(0, 1), (1, 2), (2, 0), (2, 1)]).unwrap();
-        let eig = PageRank::default().rank(&g);
-        let lin = PageRank::builder()
-            .formulation(Formulation::LinearSystem)
-            .finish()
-            .rank(&g);
-        for i in 0..3 {
-            assert!((eig.score(i) - lin.score(i)).abs() < 1e-7);
-        }
     }
 }

@@ -6,9 +6,9 @@
 //! paper writes its equations:
 //!
 //! * **Eigenvector** ([`Formulation::Eigenvector`]): iterate the stochastic
-//!   chain `T̂ = α(P + d·cᵀ) + (1−α)𝟙cᵀ` (Eq. 2), where dangling-row mass is
-//!   re-injected (see [`DanglingPolicy`]) so every iterate remains a
-//!   probability distribution.
+//!   chain `T̂ = α(P + d·cᵀ) + (1−α)𝟙cᵀ` (Eq. 2), where dangling-row mass
+//!   re-enters through the teleport vector `c` (strongly preferential, in
+//!   Vigna's terms) so every iterate remains a probability distribution.
 //! * **Linear system** ([`Formulation::LinearSystem`]): iterate
 //!   `x ← αxP + (1−α)cᵀ` (Eq. 3 / the Jacobi iteration the paper cites from
 //!   Gleich et al. and Langville & Meyer), where dangling mass simply leaks;
@@ -19,7 +19,7 @@
 //!
 //! A [`SolveRequest`] carries K [`SolveColumn`]s — each with its own
 //! damping α, teleport vector and optional warm start — plus the stopping
-//! rule, formulation and dangling policy they share. [`solve`] runs it over
+//! rule and formulation they share. [`solve`] runs it over
 //! any [`Transition`], K = 1 included: a single PageRank and a damping sweep
 //! are the same call. Columns are tiled into panels of at most
 //! [`Transition::panel_width`] (≤ [`PANEL_WIDTH`]); the K iterates of a
@@ -30,7 +30,7 @@
 //! single-vector kernel.
 //!
 //! Each iteration is two sweeps: the propagation, then **one** fused
-//! damp + teleport + dangling-redistribution + residual-norm sweep over the
+//! damp + teleport + dangling-redistribution + L2-residual sweep over the
 //! new panel (the seed paid three passes; the residual now falls out of the
 //! update). All working vectors live in a caller-owned [`SolverWorkspace`],
 //! so repeated solves — the warm-start incremental re-ranking the attack
@@ -69,7 +69,7 @@
 //! each column exactly as a one-column solve would; they are consulted once
 //! per *iteration*, never inside the parallel sweeps.
 
-use crate::convergence::{ConvergenceCriteria, IterationStats, Norm};
+use crate::convergence::{ConvergenceCriteria, IterationStats};
 use crate::operator::Transition;
 use crate::rankvec::RankVector;
 use crate::teleport::Teleport;
@@ -90,32 +90,6 @@ pub enum Formulation {
     Eigenvector,
     /// Pure linear-system sweep (`x ← αxP + (1−α)c`), normalized at the end.
     LinearSystem,
-}
-
-/// Where the mass sitting on dangling rows goes when the eigenvector
-/// formulation re-injects it — Vigna's taxonomy ("PageRank: Functional
-/// Dependencies", TOIS 2010) of how a substochastic chain is patched back to
-/// stochastic.
-///
-/// With a **uniform** teleport the two policies coincide (bit for bit here:
-/// the uniform teleport entry and the `1/n` patch row are the same f64), so
-/// the distinction only matters for personalized solves — spam-seeded
-/// proximity vectors, TrustRank seed sets — where strongly-preferential
-/// dangling mass flows back into the seed set while weakly-preferential mass
-/// spreads over the whole graph.
-///
-/// The linear-system formulation drops dangling mass by construction, so the
-/// policy has no effect there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DanglingPolicy {
-    /// Dangling rows are patched with the *teleport* vector: a walker on a
-    /// dangling page jumps exactly as on a teleport step. Default, and the
-    /// behavior of every solver in this workspace before the knob existed.
-    #[default]
-    StronglyPreferential,
-    /// Dangling rows are patched with the *uniform* distribution `1/n`
-    /// regardless of the teleport: a stuck walker restarts anywhere.
-    WeaklyPreferential,
 }
 
 /// One column of a [`SolveRequest`]: the per-solve parameters of the damped
@@ -176,7 +150,7 @@ impl SolveColumn {
 }
 
 /// A family of damped solves over one operator: K parameter columns plus
-/// the stopping rule, formulation and dangling policy they share.
+/// the stopping rule and formulation they share.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveRequest {
     /// The parameter columns, solved (and returned) in order.
@@ -185,19 +159,16 @@ pub struct SolveRequest {
     pub criteria: ConvergenceCriteria,
     /// Shared fixed-point formulation.
     pub formulation: Formulation,
-    /// Shared dangling-row patch policy (eigenvector formulation only).
-    pub dangling: DanglingPolicy,
 }
 
 impl SolveRequest {
-    /// A request over `columns` with the paper's stopping rule, the
-    /// eigenvector formulation and strongly-preferential dangling.
+    /// A request over `columns` with the paper's stopping rule and the
+    /// eigenvector formulation.
     pub fn new(columns: Vec<SolveColumn>) -> Self {
         SolveRequest {
             columns,
             criteria: ConvergenceCriteria::default(),
             formulation: Formulation::default(),
-            dangling: DanglingPolicy::default(),
         }
     }
 
@@ -210,12 +181,6 @@ impl SolveRequest {
     /// Sets the shared fixed-point formulation.
     pub fn formulation(mut self, formulation: Formulation) -> Self {
         self.formulation = formulation;
-        self
-    }
-
-    /// Sets the shared dangling-row patch policy.
-    pub fn dangling(mut self, dangling: DanglingPolicy) -> Self {
-        self.dangling = dangling;
         self
     }
 }
@@ -424,7 +389,7 @@ fn solve_tile(
             &ws.c[..n * w],
             &alphas,
             &ws.dangling[..w],
-            request,
+            request.formulation,
             &mut residuals,
         );
         for (p, &j) in live.iter().enumerate() {
@@ -551,26 +516,27 @@ fn scatter_column(panel: &mut [f64], width: usize, j: usize, src: &[f64]) {
 }
 
 /// The fused damp + teleport + dangling + residual sweep: one pass over the
-/// `y` panel updating every column and accumulating its residual against
-/// `x`. Blocks cover [`sr_par::PAR_THRESHOLD`] nodes (block length scaled by
-/// the width) and per-column partials are combined in block order, so the
-/// fold is the same at every width and thread count; with a single block
-/// (any graph under `PAR_THRESHOLD` nodes) it performs the seed's separate
-/// update and distance passes bit for bit. Residuals are written to `residuals` in
-/// panel-position order. The width is dispatched to monomorphized kernels
-/// so the per-row column loops have compile-time trip counts.
+/// `y` panel updating every column and accumulating its squared L2 residual
+/// against `x`. Blocks cover [`sr_par::PAR_THRESHOLD`] nodes (block length
+/// scaled by the width) and per-column partials are summed in block order,
+/// so the fold is the same at every width and thread count; with a single
+/// block (any graph under `PAR_THRESHOLD` nodes) it performs the seed's
+/// separate update and distance passes bit for bit. Residuals are written
+/// to `residuals` in panel-position order. The width is dispatched to
+/// monomorphized kernels so the per-row column loops have compile-time trip
+/// counts.
 fn update_residual_panel(
     y: &mut [f64],
     x: &[f64],
     c: &[f64],
     alphas: &[f64],
     dangling: &[f64],
-    request: &SolveRequest,
+    formulation: Formulation,
     residuals: &mut Vec<f64>,
 ) {
     macro_rules! dispatch {
         ($k:literal) => {
-            update_residual_panel_impl::<$k>(y, x, c, alphas, dangling, request, residuals)
+            update_residual_panel_impl::<$k>(y, x, c, alphas, dangling, formulation, residuals)
         };
     }
     match alphas.len() {
@@ -592,24 +558,19 @@ fn update_residual_panel_impl<const K: usize>(
     c: &[f64],
     alphas: &[f64],
     dangling: &[f64],
-    request: &SolveRequest,
+    formulation: Formulation,
     residuals: &mut Vec<f64>,
 ) {
     let alphas: &[f64; K] = alphas.try_into().expect("one alpha per panel column");
     let dangling: &[f64; K] = dangling.try_into().expect("one dangling mass per column");
-    let norm = request.criteria.norm;
-    // Weakly-preferential patch entry: the same f64 the uniform teleport
-    // writes, so the two policies coincide bitwise under uniform teleport.
-    let inv_n = 1.0 / (y.len() / K) as f64;
-    // The policy and norm matches are hoisted out of the row loop (the
-    // macro stamps one monomorphic body per combination) so the hot loop has
-    // no per-element branch and vectorizes cleanly. Each fold is exactly
-    // `Norm::accumulate`.
+    // The formulation match is hoisted out of the row loop (the macro stamps
+    // one monomorphic body per formulation) so the hot loop has no
+    // per-element branch and vectorizes cleanly.
     let partials = sr_par::for_each_block(y, sr_par::PAR_THRESHOLD * K, |b, part| {
         let lo = b * sr_par::PAR_THRESHOLD;
         let mut acc = [0.0f64; K];
         macro_rules! sweep {
-            ($update:expr, $fold:expr) => {
+            ($update:expr) => {
                 for (i, row) in part.chunks_exact_mut(K).enumerate() {
                     let v = lo + i;
                     let crow: &[f64; K] = c[v * K..][..K].try_into().expect("K-wide panel row");
@@ -617,26 +578,17 @@ fn update_residual_panel_impl<const K: usize>(
                     for k in 0..K {
                         let nv = $update(alphas[k], row[k], dangling[k], crow[k]);
                         row[k] = nv;
-                        acc[k] = $fold(acc[k], xrow[k] - nv);
+                        let d = xrow[k] - nv;
+                        acc[k] += d * d;
                     }
                 }
             };
-            ($update:expr) => {
-                match norm {
-                    Norm::L1 => sweep!($update, |a: f64, d: f64| a + d.abs()),
-                    Norm::L2 => sweep!($update, |a: f64, d: f64| a + d * d),
-                    Norm::LInf => sweep!($update, |a: f64, d: f64| a.max(d.abs())),
-                }
-            };
         }
-        match (request.formulation, request.dangling) {
-            (Formulation::Eigenvector, DanglingPolicy::StronglyPreferential) => {
+        match formulation {
+            Formulation::Eigenvector => {
                 sweep!(|a: f64, yv: f64, dm: f64, cv: f64| a * (yv + dm * cv) + (1.0 - a) * cv)
             }
-            (Formulation::Eigenvector, DanglingPolicy::WeaklyPreferential) => {
-                sweep!(|a: f64, yv: f64, dm: f64, cv: f64| a * (yv + dm * inv_n) + (1.0 - a) * cv)
-            }
-            (Formulation::LinearSystem, _) => {
+            Formulation::LinearSystem => {
                 sweep!(|a: f64, yv: f64, _dm: f64, cv: f64| a * yv + (1.0 - a) * cv)
             }
         }
@@ -647,9 +599,9 @@ fn update_residual_panel_impl<const K: usize>(
         let mut it = partials.iter();
         let mut total = it.next().map_or(0.0, |p| p[k]);
         for p in it {
-            total = norm.combine(total, p[k]);
+            total += p[k];
         }
-        residuals.push(norm.finish(total));
+        residuals.push(total.sqrt());
     }
 }
 
@@ -726,27 +678,21 @@ pub mod reference {
         let mut residual = f64::INFINITY;
         let criteria = &request.criteria;
 
-        let inv_n = 1.0 / n as f64;
         for _ in 0..criteria.max_iterations {
             let dangling_mass = op.propagate(&x, &mut y);
-            match (request.formulation, request.dangling) {
-                (Formulation::Eigenvector, DanglingPolicy::StronglyPreferential) => {
+            match request.formulation {
+                Formulation::Eigenvector => {
                     for (v, yv) in y.iter_mut().enumerate() {
                         *yv = alpha * (*yv + dangling_mass * c[v]) + (1.0 - alpha) * c[v];
                     }
                 }
-                (Formulation::Eigenvector, DanglingPolicy::WeaklyPreferential) => {
-                    for (v, yv) in y.iter_mut().enumerate() {
-                        *yv = alpha * (*yv + dangling_mass * inv_n) + (1.0 - alpha) * c[v];
-                    }
-                }
-                (Formulation::LinearSystem, _) => {
+                Formulation::LinearSystem => {
                     for (v, yv) in y.iter_mut().enumerate() {
                         *yv = alpha * *yv + (1.0 - alpha) * c[v];
                     }
                 }
             }
-            residual = criteria.norm.distance(&x, &y);
+            residual = vecops::l2_distance(&x, &y);
             history.push(residual);
             std::mem::swap(&mut x, &mut y);
             if residual < criteria.tolerance {
@@ -994,83 +940,36 @@ mod tests {
         // On a single reduction block the fused sweep performs the seed's
         // floating-point operations in the seed's order: identical residual
         // history, iteration count and scores — not merely within tolerance.
-        let g =
-            GraphBuilder::from_edges_exact(5, vec![(0, 3), (1, 3), (2, 3), (3, 0), (0, 1), (4, 4)])
-                .unwrap();
-        let naive = NaiveUniformTransition::new(&g);
-        let fused = UniformTransition::new(&g);
-        for formulation in [Formulation::Eigenvector, Formulation::LinearSystem] {
-            let request = SolveRequest::new(vec![SolveColumn::default()]).formulation(formulation);
-            let want = reference::power_method_unfused(&naive, &request);
-            assert_eq!(run(&fused, &request), want);
+        // In the second graph node 4 dangles and is a teleport seed, so it
+        // holds mass every iteration, and that mass re-enters through the
+        // seeds rather than uniformly.
+        let cases = [
+            (
+                vec![(0, 3), (1, 3), (2, 3), (3, 0), (0, 1), (4, 4)],
+                Teleport::Uniform,
+            ),
+            (
+                vec![(0, 3), (1, 3), (2, 3), (3, 0)],
+                Teleport::over_seeds(5, &[1, 4]),
+            ),
+        ];
+        for (edges, teleport) in cases {
+            let g = GraphBuilder::from_edges_exact(5, edges).unwrap();
+            let naive = NaiveUniformTransition::new(&g);
+            let fused = UniformTransition::new(&g);
+            for formulation in [Formulation::Eigenvector, Formulation::LinearSystem] {
+                let request = SolveRequest::new(vec![SolveColumn::new(0.85, teleport.clone())])
+                    .formulation(formulation);
+                let want = reference::power_method_unfused(&naive, &request);
+                assert_eq!(run(&fused, &request), want);
+            }
         }
     }
 
     #[test]
-    fn weak_policy_fused_matches_unfused_reference_bitwise() {
-        let g = GraphBuilder::from_edges_exact(5, vec![(0, 3), (1, 3), (2, 3), (3, 0)]).unwrap();
-        let naive = NaiveUniformTransition::new(&g);
-        let fused = UniformTransition::new(&g);
-        let request = SolveRequest::new(vec![SolveColumn::new(
-            0.85,
-            Teleport::over_seeds(5, &[1, 3]),
-        )])
-        .dangling(DanglingPolicy::WeaklyPreferential);
-        let want = reference::power_method_unfused(&naive, &request);
-        assert_eq!(run(&fused, &request), want);
-    }
-
-    #[test]
-    fn dangling_policies_coincide_bitwise_under_uniform_teleport() {
-        // With uniform teleport the strongly-preferential patch (teleport
-        // row) and the weakly-preferential patch (1/n row) are the same f64,
-        // so the whole solve must be bit-identical — scores, residual
-        // history, iteration count.
-        let g = GraphBuilder::from_edges_exact(6, vec![(0, 1), (1, 2), (2, 0), (3, 0), (0, 4)])
-            .unwrap(); // nodes 4 and 5 dangle
-        let op = UniformTransition::new(&g);
-        let strong = SolveRequest::new(vec![SolveColumn::default()]);
-        let weak = strong.clone().dangling(DanglingPolicy::WeaklyPreferential);
-        assert_eq!(run(&op, &strong), run(&op, &weak));
-    }
-
-    #[test]
-    fn dangling_policies_diverge_under_seeded_teleport() {
-        // Personalized solve over a graph with dangling mass: strongly
-        // preferential recycles that mass into the seed set, weakly
-        // preferential spreads it uniformly — node 0 (the seed) must score
-        // strictly higher under the strong policy.
-        let g = GraphBuilder::from_edges_exact(5, vec![(0, 1), (1, 2), (3, 0)]).unwrap();
-        let op = UniformTransition::new(&g);
-        let strong = SolveRequest::new(vec![SolveColumn::new(0.85, Teleport::over_seeds(5, &[0]))]);
-        let weak = strong.clone().dangling(DanglingPolicy::WeaklyPreferential);
-        let xs = run(&op, &strong).remove(0);
-        let xw = run(&op, &weak).remove(0);
-        assert!(
-            xs.score(0) > xw.score(0),
-            "strong policy must recycle dangling mass into the seed: {} vs {}",
-            xs.score(0),
-            xw.score(0)
-        );
-        // Both remain probability distributions.
-        assert!((vecops::l1_norm(xs.scores()) - 1.0).abs() < 1e-12);
-        assert!((vecops::l1_norm(xw.scores()) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_system_ignores_dangling_policy() {
-        let g = GraphBuilder::from_edges_exact(4, vec![(0, 1), (1, 2)]).unwrap();
-        let op = UniformTransition::new(&g);
-        let strong = SolveRequest::new(vec![SolveColumn::new(0.85, Teleport::over_seeds(4, &[2]))])
-            .formulation(Formulation::LinearSystem);
-        let weak = strong.clone().dangling(DanglingPolicy::WeaklyPreferential);
-        assert_eq!(run(&op, &strong), run(&op, &weak));
-    }
-
-    #[test]
     fn multi_column_requests_are_bitwise_one_column_requests() {
-        // Mixed α and teleports across both formulations and both dangling
-        // policies, with a dangling tail so the weak arm has mass to move.
+        // Mixed α and teleports across both formulations, with a dangling
+        // tail so seeded columns recycle its mass into their seeds.
         let mut g_edges: Vec<(u32, u32)> = (0..199u32).map(|v| (v, v + 1)).collect();
         g_edges.extend(
             (0..200u32)
@@ -1085,15 +984,8 @@ mod tests {
             SolveColumn::new(0.92, Teleport::over_seeds(200, &[5])),
         ];
         for formulation in [Formulation::Eigenvector, Formulation::LinearSystem] {
-            for dangling in [
-                DanglingPolicy::StronglyPreferential,
-                DanglingPolicy::WeaklyPreferential,
-            ] {
-                let request = SolveRequest::new(columns.clone())
-                    .formulation(formulation)
-                    .dangling(dangling);
-                assert_columns_match_single(&op, &request);
-            }
+            let request = SolveRequest::new(columns.clone()).formulation(formulation);
+            assert_columns_match_single(&op, &request);
         }
     }
 
@@ -1120,7 +1012,6 @@ mod tests {
             SolveColumn::new(0.7, Teleport::over_seeds(4, &[2])),
         ]);
         assert_columns_match_single(&op, &request);
-        assert_columns_match_single(&op, &request.dangling(DanglingPolicy::WeaklyPreferential));
     }
 
     #[test]

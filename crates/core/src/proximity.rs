@@ -540,9 +540,8 @@ mod tests {
 
     #[test]
     fn isolated_self_loop_sources_leak_no_badness() {
-        // Two isolated sources whose pages only link internally: with the
-        // SelfLoop dangling policy each source's transition row is exactly
-        // its augmented self-loop. scores_weighted drops self-edges, so the
+        // Two isolated sources whose pages only link internally: each
+        // source's transition row is exactly its self-loop. scores_weighted drops self-edges, so the
         // reversed walk has *no* edges at all — every row is dangling.
         let g = GraphBuilder::from_edges_exact(4, vec![(0, 1), (2, 3)]).unwrap();
         let a = SourceAssignment::new(vec![0, 0, 1, 1], 2).unwrap();

@@ -9,8 +9,7 @@
 //! probability `α(1−κ_i)`, and teleports with probability `1−α`.
 
 use crate::convergence::ConvergenceCriteria;
-use crate::operator::WeightedTransition;
-use crate::power::{solve, SolveColumn, SolveRequest, SolverWorkspace};
+use crate::power::SolverWorkspace;
 use crate::proximity::SpamProximity;
 use crate::rankvec::RankVector;
 use crate::solver::{solve_weighted_warm_observed, Solver};
@@ -134,11 +133,7 @@ impl SpamResilientSourceRank {
         }
     }
 
-    /// Resolves the throttle spec to a concrete κ vector for `source_graph`
-    /// without building `T″` — shared by [`build`] and the γ sweep (which
-    /// must resolve κ *once* and rescale it per γ, not re-derive it).
-    ///
-    /// [`build`]: SpamResilientSourceRank::build
+    /// Resolves the throttle spec to a concrete κ vector for `source_graph`.
     fn resolve_kappa(&self, source_graph: &SourceGraph) -> ThrottleVector {
         let n = source_graph.num_sources();
         match &self.throttle {
@@ -153,41 +148,6 @@ impl SpamResilientSourceRank {
                 .throttle_top_k(source_graph, seeds, *top_k)
                 .unwrap_or_else(|e| panic!("proximity throttle derivation failed: {e}")),
         }
-    }
-
-    /// Sweeps the throttle *intensity* γ: resolves this configuration's κ
-    /// once, then for each `gamma` builds the model for `κ · γ` and ranks
-    /// it. The throttle transform is nonlinear in κ, so each γ point needs
-    /// its own `T″` — what the sweep shares instead is the κ derivation
-    /// (one proximity solve, not `gammas.len()`), the solver workspace, and
-    /// a warm-start chain: each point starts from the previous point's σ,
-    /// which for a fine-grained sweep converges in a fraction of the
-    /// cold-start iterations. Scores are identical to independent
-    /// [`build`](SpamResilientSourceRank::build)` + `[`rank`] calls to
-    /// solver tolerance.
-    ///
-    /// Returns `(γ, σ)` pairs in input order.
-    ///
-    /// [`rank`]: SpamResilientModel::rank
-    pub fn throttle_gamma_sweep(
-        &self,
-        source_graph: &SourceGraph,
-        gammas: &[f64],
-    ) -> Vec<(f64, RankVector)> {
-        let base_kappa = self.resolve_kappa(source_graph);
-        let mut ws = SolverWorkspace::new();
-        let mut prev: Option<Vec<f64>> = None;
-        let mut out = Vec::with_capacity(gammas.len());
-        for &gamma in gammas {
-            let model = self
-                .clone()
-                .throttle(base_kappa.scaled(gamma))
-                .build(source_graph);
-            let ranks = model.rank_warm_in(prev.as_deref(), &mut ws, None);
-            prev = Some(ranks.scores().to_vec());
-            out.push((gamma, ranks));
-        }
-        out
     }
 }
 
@@ -217,36 +177,6 @@ impl SpamResilientModel {
     /// Computes the Spam-Resilient SourceRank vector σ.
     pub fn rank(&self) -> RankVector {
         self.rank_warm_in(None, &mut SolverWorkspace::new(), None)
-    }
-
-    /// Solves many walk-parameter variants over this model's fixed `T″` in
-    /// one batched (SpMM) pass: each [`SolveColumn`] carries its own α,
-    /// teleport and optional warm start, sharing the throttled edge stream
-    /// across all columns. Every result is bit-identical to the
-    /// corresponding sequential [`rank`](SpamResilientModel::rank) solve —
-    /// the engine behind α/teleport sensitivity sweeps. (The throttle
-    /// transform itself is *nonlinear* in κ, so points that change κ —
-    /// e.g. a γ sweep — need one model each; see
-    /// [`SpamResilientSourceRank::throttle_gamma_sweep`].)
-    ///
-    /// # Panics
-    /// Panics if the model's solver is [`Solver::GaussSeidel`] — its
-    /// sequential sweeps have no panel form; batch with a power solver.
-    pub fn rank_batch(&self, columns: Vec<SolveColumn>) -> Vec<RankVector> {
-        let formulation = self.solver.formulation().unwrap_or_else(|| {
-            panic!("Gauss-Seidel has no batched form; use a power solver for rank_batch")
-        });
-        let request = SolveRequest::new(columns)
-            .criteria(self.criteria)
-            .formulation(formulation);
-        let op = WeightedTransition::new(&self.throttled);
-        solve(&op, &request, &mut SolverWorkspace::new(), &mut [])
-    }
-
-    /// A [`SolveColumn`] carrying this model's α and teleport — the identity
-    /// column of a [`rank_batch`](SpamResilientModel::rank_batch) sweep.
-    pub fn column(&self) -> SolveColumn {
-        SolveColumn::new(self.alpha, self.teleport.clone())
     }
 
     /// The general form of [`rank`](SpamResilientModel::rank): a warm
@@ -310,18 +240,27 @@ mod tests {
     fn throttling_spam_demotes_it() {
         let sg = fixture();
         let free = SpamResilientSourceRank::builder().build(&sg).rank();
-        let mut kappa = ThrottleVector::zeros(3);
-        kappa.set(1, 1.0); // throttle the spam source
-        kappa.set(2, 1.0); // and its feeder
-        let throttled = SpamResilientSourceRank::builder()
-            .throttle(kappa)
-            .build(&sg)
-            .rank();
+        // Throttle the spam source and its feeder ever harder: the spam
+        // source's score never rises.
+        let mut spam_scores = Vec::new();
+        for kappa_spam in [0.0, 0.25, 0.5, 0.75, 1.0] {
+            let mut kappa = ThrottleVector::zeros(3);
+            kappa.set(1, kappa_spam);
+            kappa.set(2, kappa_spam);
+            let ranks = SpamResilientSourceRank::builder()
+                .throttle(kappa)
+                .build(&sg)
+                .rank();
+            spam_scores.push(ranks.score(1));
+        }
+        for w in spam_scores.windows(2) {
+            assert!(w[1] <= w[0] + 1e-12, "spam score must not rise with kappa");
+        }
         // With s2 fully throttled, no influence reaches s1 beyond teleport.
+        let throttled = spam_scores[4];
         assert!(
-            throttled.score(1) < free.score(1),
-            "throttled {} vs free {}",
-            throttled.score(1),
+            throttled < free.score(1),
+            "throttled {throttled} vs free {}",
             free.score(1)
         );
     }
@@ -392,73 +331,5 @@ mod tests {
             gain <= 1.0 / (1.0 - 0.85) + 1e-6,
             "gain {gain} exceeds the §4.1 bound"
         );
-    }
-
-    #[test]
-    fn rank_batch_alpha_sweep_is_bitwise_sequential() {
-        let sg = fixture();
-        let mut kappa = ThrottleVector::zeros(3);
-        kappa.set(1, 1.0);
-        let alphas = [0.5, 0.85, 0.95];
-        let model = SpamResilientSourceRank::builder()
-            .throttle(kappa.clone())
-            .build(&sg);
-        let columns = alphas
-            .iter()
-            .map(|&a| SolveColumn::new(a, Teleport::Uniform))
-            .collect();
-        let batched = model.rank_batch(columns);
-        for (k, &a) in alphas.iter().enumerate() {
-            let seq = SpamResilientSourceRank::builder()
-                .alpha(a)
-                .throttle(kappa.clone())
-                .build(&sg)
-                .rank();
-            assert_eq!(batched[k].scores(), seq.scores());
-            assert_eq!(batched[k].stats().iterations, seq.stats().iterations);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "no batched form")]
-    fn rank_batch_rejects_gauss_seidel() {
-        let sg = fixture();
-        let model = SpamResilientSourceRank::builder()
-            .solver(Solver::GaussSeidel)
-            .build(&sg);
-        model.rank_batch(vec![model.column()]);
-    }
-
-    #[test]
-    fn gamma_sweep_matches_independent_builds() {
-        let sg = fixture();
-        let mut kappa = ThrottleVector::zeros(3);
-        kappa.set(1, 1.0);
-        kappa.set(2, 0.6);
-        let builder = SpamResilientSourceRank::builder().throttle(kappa.clone());
-        let gammas = [0.0, 0.25, 0.5, 0.75, 1.0];
-        let swept = builder.throttle_gamma_sweep(&sg, &gammas);
-        assert_eq!(swept.len(), gammas.len());
-        for (&gamma, (g, ranks)) in gammas.iter().zip(&swept) {
-            assert_eq!(gamma, *g);
-            let independent = SpamResilientSourceRank::builder()
-                .throttle(kappa.scaled(gamma))
-                .build(&sg)
-                .rank();
-            for i in 0..3 {
-                assert!(
-                    (ranks.score(i) - independent.score(i)).abs() < 1e-8,
-                    "gamma {gamma} source {i}: {} vs {}",
-                    ranks.score(i),
-                    independent.score(i)
-                );
-            }
-            assert!(ranks.stats().converged);
-        }
-        // Stronger throttling must demote the spam source monotonically.
-        let spam_scores: Vec<f64> = swept.iter().map(|(_, r)| r.score(1)).collect();
-        for w in spam_scores.windows(2) {
-            assert!(w[1] <= w[0] + 1e-12, "spam score must not rise with gamma");
-        }
     }
 }

@@ -120,26 +120,6 @@ impl ThrottleVector {
         ThrottleVector { kappa }
     }
 
-    /// A copy of this vector with every factor scaled by `gamma` (clamped to
-    /// `[0, 1]` against round-off) — the throttle-intensity axis of the γ
-    /// sweeps: `γ = 0` disables throttling, `γ = 1` is this vector verbatim.
-    ///
-    /// # Panics
-    /// Panics unless `gamma ∈ [0, 1]`.
-    pub fn scaled(&self, gamma: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&gamma),
-            "gamma must be in [0,1], got {gamma}"
-        );
-        ThrottleVector {
-            kappa: self
-                .kappa
-                .iter()
-                .map(|k| (k * gamma).clamp(0.0, 1.0))
-                .collect(),
-        }
-    }
-
     /// `κ_i`.
     #[inline]
     pub fn get(&self, i: NodeId) -> f64 {
@@ -545,19 +525,5 @@ mod tests {
         k.set(1, 0.7);
         assert_eq!(k.get(1), 0.7);
         assert_eq!(k.get(0), 0.0);
-    }
-
-    #[test]
-    fn scaled_interpolates_between_off_and_verbatim() {
-        let k = ThrottleVector::from_vec(vec![0.0, 0.5, 1.0]);
-        assert_eq!(k.scaled(0.0), ThrottleVector::zeros(3));
-        assert_eq!(k.scaled(1.0), k);
-        assert_eq!(k.scaled(0.5).as_slice(), &[0.0, 0.25, 0.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "gamma must be in [0,1]")]
-    fn scaled_rejects_out_of_range_gamma() {
-        ThrottleVector::zeros(2).scaled(1.5);
     }
 }

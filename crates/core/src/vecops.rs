@@ -29,16 +29,6 @@ pub fn l2_norm(x: &[f64]) -> f64 {
     .sqrt()
 }
 
-/// `max_i |x_i|`.
-pub fn linf_norm(x: &[f64]) -> f64 {
-    sr_par::map_reduce_blocks(
-        x.len(),
-        |r| x[r].iter().fold(0.0f64, |m, v| m.max(v.abs())),
-        f64::max,
-    )
-    .unwrap_or(0.0)
-}
-
 /// `sum_i |x_i - y_i|`.
 pub fn l1_distance(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len());
@@ -75,22 +65,6 @@ pub fn l2_distance(x: &[f64], y: &[f64]) -> f64 {
     .sqrt()
 }
 
-/// `max_i |x_i - y_i|`.
-pub fn linf_distance(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    sr_par::map_reduce_blocks(
-        x.len(),
-        |r| {
-            x[r.clone()]
-                .iter()
-                .zip(&y[r])
-                .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()))
-        },
-        f64::max,
-    )
-    .unwrap_or(0.0)
-}
-
 /// Scales `x` in place so its L1 norm is 1. No-op on a zero vector.
 pub fn normalize_l1(x: &mut [f64]) {
     let n = l1_norm(x);
@@ -104,23 +78,6 @@ pub fn scale(x: &mut [f64], factor: f64) {
     sr_par::for_each_mut(x, |v| *v *= factor);
 }
 
-/// `sum_i x_i * y_i`.
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    sr_par::map_reduce_blocks(
-        x.len(),
-        |r| {
-            x[r.clone()]
-                .iter()
-                .zip(&y[r])
-                .map(|(a, b)| a * b)
-                .sum::<f64>()
-        },
-        |a, b| a + b,
-    )
-    .unwrap_or(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,7 +87,6 @@ mod tests {
         let x = [3.0, -4.0];
         assert_eq!(l1_norm(&x), 7.0);
         assert_eq!(l2_norm(&x), 5.0);
-        assert_eq!(linf_norm(&x), 4.0);
     }
 
     #[test]
@@ -139,7 +95,6 @@ mod tests {
         let y = [4.0, -2.0];
         assert_eq!(l1_distance(&x, &y), 7.0);
         assert_eq!(l2_distance(&x, &y), 5.0);
-        assert_eq!(linf_distance(&x, &y), 4.0);
     }
 
     #[test]
@@ -153,19 +108,17 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_scale() {
+    fn scale_multiplies_in_place() {
         let mut x = vec![1.0, 2.0, 3.0];
         scale(&mut x, 2.0);
         assert_eq!(x, vec![2.0, 4.0, 6.0]);
-        assert_eq!(dot(&x, &[1.0, 1.0, 1.0]), 12.0);
     }
 
     #[test]
     fn empty_vectors() {
         assert_eq!(l1_norm(&[]), 0.0);
         assert_eq!(l2_norm(&[]), 0.0);
-        assert_eq!(linf_norm(&[]), 0.0);
-        assert_eq!(dot(&[], &[]), 0.0);
+        assert_eq!(l2_distance(&[], &[]), 0.0);
     }
 
     #[test]
@@ -181,13 +134,13 @@ mod tests {
         assert!((l1_norm(&x) - seq_l1).abs() < 1e-9);
         let seq_l2 = x.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!((l2_norm(&x) - seq_l2).abs() < 1e-9);
-        let seq_dot: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-        assert!((dot(&x, &y) - seq_dot).abs() < 1e-9);
-        let seq_linf = x
+        let seq_l2_distance = x
             .iter()
             .zip(&y)
-            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
-        assert_eq!(linf_distance(&x, &y), seq_linf);
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum::<f64>()
+            .sqrt();
+        assert!((l2_distance(&x, &y) - seq_l2_distance).abs() < 1e-9);
     }
 
     #[test]
@@ -204,11 +157,8 @@ mod tests {
                 [
                     l1_norm(&x),
                     l2_norm(&x),
-                    linf_norm(&x),
                     l1_distance(&x, &y),
                     l2_distance(&x, &y),
-                    linf_distance(&x, &y),
-                    dot(&x, &y),
                 ]
             })
         };

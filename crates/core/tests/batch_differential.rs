@@ -5,10 +5,9 @@
 //! that column's parameters, at the **same iteration count** and with the
 //! same residual history — the panel kernels preserve each column's
 //! summation order exactly (see `sr_graph::panel` and the operator docs),
-//! so no tolerance is needed. These tests drive randomized column families,
-//! formulations and dangling policies through `sr_core::solve` /
-//! `PageRank::rank_batch` and check them against per-column one-column
-//! requests / `PageRank::rank` runs, on plain [`CsrGraph`]s and on graphs
+//! so no tolerance is needed. These tests drive randomized column families
+//! and formulations through `sr_core::solve` and check them against
+//! per-column one-column requests, on plain [`CsrGraph`]s and on graphs
 //! round-tripped through an on-disk shard file (WebGraph-style codec). The
 //! within-1e-12 requirement is implied by bit-equality but asserted
 //! separately so a future relaxation of the bitwise gate would still be
@@ -18,8 +17,8 @@ use proptest::prelude::*;
 
 use sr_core::operator::{Transition, UniformTransition, WeightedTransition};
 use sr_core::{
-    solve, DanglingPolicy, Formulation, PageRank, RankVector, SolveColumn, SolveRequest,
-    SolverWorkspace, Teleport, PANEL_WIDTH,
+    solve, Formulation, RankVector, SolveColumn, SolveRequest, SolverWorkspace, Teleport,
+    PANEL_WIDTH,
 };
 use sr_graph::transpose::transpose;
 use sr_graph::{CsrGraph, GraphBuilder, WeightedGraph};
@@ -122,16 +121,6 @@ fn arb_formulation() -> impl Strategy<Value = Formulation> {
     })
 }
 
-fn arb_dangling() -> impl Strategy<Value = DanglingPolicy> {
-    any::<bool>().prop_map(|strong| {
-        if strong {
-            DanglingPolicy::StronglyPreferential
-        } else {
-            DanglingPolicy::WeaklyPreferential
-        }
-    })
-}
-
 fn arb_graph() -> impl Strategy<Value = CsrGraph> {
     (
         3usize..40,
@@ -150,35 +139,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Randomized column families over randomized graphs, with the
-    /// formulation and dangling policy drawn per batch: every batched
-    /// column is bitwise its sequential solve — same scores, residual
-    /// history and iteration count — through the public
-    /// `PageRank::rank_batch` sweep entry point.
+    /// formulation drawn per batch: every batched column is bitwise its
+    /// one-column request — same scores, residual history and iteration
+    /// count.
     #[test]
-    fn rank_batch_is_bitwise_sequential(
+    fn random_batches_are_bitwise_sequential(
         g in arb_graph(),
         specs in arb_columns(),
         formulation in arb_formulation(),
-        dangling in arb_dangling(),
     ) {
         let n = g.num_nodes();
         let columns: Vec<SolveColumn> = specs
             .iter()
             .map(|s| SolveColumn::new(s.alpha, realize_teleport(s, n)))
             .collect();
-        let pr = PageRank::builder()
-            .formulation(formulation)
-            .dangling(dangling)
-            .finish();
-        let batched = pr.rank_batch(&g, columns.clone());
-        for (j, col) in columns.iter().enumerate() {
-            let seq = PageRank::builder()
-                .alpha(col.alpha)
-                .teleport(col.teleport.clone())
-                .formulation(formulation)
-                .dangling(dangling)
-                .finish()
-                .rank(&g);
+        let op = UniformTransition::new(&g);
+        let request = SolveRequest::new(columns).formulation(formulation);
+        let batched = run(&op, &request);
+        for (j, col) in request.columns.iter().enumerate() {
+            let single = SolveRequest {
+                columns: vec![col.clone()],
+                ..request.clone()
+            };
+            let seq = run(&op, &single).remove(0);
             prop_assert_eq!(
                 seq.stats().iterations,
                 batched[j].stats().iterations,
@@ -204,7 +187,7 @@ proptest! {
     /// (gap + varint codec rows of the reverse graph) — the batched engine
     /// sees only CSR, so a lossless codec must change nothing, bit for bit.
     #[test]
-    fn rank_batch_survives_compressed_round_trip(g in arb_graph(), specs in arb_columns()) {
+    fn batches_survive_compressed_round_trip(g in arb_graph(), specs in arb_columns()) {
         let dir = std::env::temp_dir()
             .join(format!("sr_batch_shards_{}", std::process::id()));
         let sharded = sr_graph::shard::build_from_csr(&g, &dir, &dir.join("g.shards"), 64)
@@ -216,8 +199,9 @@ proptest! {
             .iter()
             .map(|s| SolveColumn::new(s.alpha, realize_teleport(s, n)))
             .collect();
-        let on_round = PageRank::default().rank_batch(&round, columns.clone());
-        let on_plain = PageRank::default().rank_batch(&g, columns);
+        let request = SolveRequest::new(columns);
+        let on_round = run(&UniformTransition::new(&round), &request);
+        let on_plain = run(&UniformTransition::new(&g), &request);
         for j in 0..on_plain.len() {
             prop_assert_eq!(
                 on_plain[j].scores(),
@@ -295,9 +279,9 @@ fn weighted_operator_batch_is_bitwise_sequential() {
 }
 
 #[test]
-fn personalized_batches_hold_under_every_formulation_and_policy() {
-    // Seeded teleports make the two dangling policies differ, so the
-    // weakly-preferential panel arm is exercised on both operators.
+fn personalized_batches_hold_under_both_formulations() {
+    // Seeded teleports send the dangling mass and the row deficits back
+    // through the seeds, on both operators.
     let pages = fixture(300);
     let weighted = deficit_graph(120);
     let uniform_op = UniformTransition::new(&pages);
@@ -316,15 +300,8 @@ fn personalized_batches_hold_under_every_formulation_and_policy() {
             })
             .collect();
         for formulation in [Formulation::Eigenvector, Formulation::LinearSystem] {
-            for dangling in [
-                DanglingPolicy::StronglyPreferential,
-                DanglingPolicy::WeaklyPreferential,
-            ] {
-                let request = SolveRequest::new(columns.clone())
-                    .formulation(formulation)
-                    .dangling(dangling);
-                assert_columns_match_single(op, &request);
-            }
+            let request = SolveRequest::new(columns.clone()).formulation(formulation);
+            assert_columns_match_single(op, &request);
         }
     }
 }

@@ -12,16 +12,22 @@
 
 use sr_core::operator::UniformTransition;
 use sr_core::power::Formulation;
-use sr_core::{PageRank, RankVector, SolverWorkspace, SpamResilientSourceRank};
+use sr_core::{solve, PageRank, RankVector, SolverWorkspace, SpamResilientSourceRank};
 use sr_gen::{generate, Dataset};
 use sr_graph::source_graph::SourceGraphConfig;
 use sr_graph::CsrGraph;
 use sr_obs::{RecordingObserver, SolveTelemetry};
 
-/// `pr` over `graph`, reporting to `obs`.
-fn rank_recorded(pr: PageRank, graph: &CsrGraph, obs: &mut RecordingObserver) -> RankVector {
+/// Default PageRank over `graph` in `formulation`, reporting to `obs`.
+fn rank_recorded(
+    formulation: Formulation,
+    graph: &CsrGraph,
+    obs: &mut RecordingObserver,
+) -> RankVector {
     let op = UniformTransition::new(graph);
-    pr.rank_operator_warm_in(&op, None, &mut SolverWorkspace::new(), Some(obs))
+    let pr = PageRank::default();
+    let request = pr.request(vec![pr.column()]).formulation(formulation);
+    solve(&op, &request, &mut SolverWorkspace::new(), &mut [Some(obs)]).remove(0)
 }
 
 struct Observed {
@@ -112,16 +118,15 @@ fn page_and_source_ranks_are_thread_count_invariant() {
     let top_k = (sources.num_sources() / 30).max(1);
 
     assert_invariant("power", true, &|obs| {
-        rank_recorded(PageRank::builder().finish(), &crawl.pages, obs)
+        rank_recorded(Formulation::Eigenvector, &crawl.pages, obs)
             .scores()
             .to_vec()
     });
 
     assert_invariant("jacobi", true, &|obs| {
-        let pr = PageRank::builder()
-            .formulation(Formulation::LinearSystem)
-            .finish();
-        rank_recorded(pr, &crawl.pages, obs).scores().to_vec()
+        rank_recorded(Formulation::LinearSystem, &crawl.pages, obs)
+            .scores()
+            .to_vec()
     });
 
     assert_invariant("sr-sourcerank", false, &|obs| {
@@ -138,12 +143,9 @@ fn page_and_source_ranks_are_thread_count_invariant() {
 fn telemetry_labels_name_the_solver() {
     let crawl = generate(&Dataset::Uk2002.config(0.0005));
     let mut obs = RecordingObserver::new();
-    rank_recorded(PageRank::builder().finish(), &crawl.pages, &mut obs);
+    rank_recorded(Formulation::Eigenvector, &crawl.pages, &mut obs);
     assert_eq!(obs.telemetry().solver, "power");
     let mut obs = RecordingObserver::new();
-    let jacobi = PageRank::builder()
-        .formulation(Formulation::LinearSystem)
-        .finish();
-    rank_recorded(jacobi, &crawl.pages, &mut obs);
+    rank_recorded(Formulation::LinearSystem, &crawl.pages, &mut obs);
     assert_eq!(obs.telemetry().solver, "jacobi");
 }

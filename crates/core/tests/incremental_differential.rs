@@ -25,7 +25,6 @@ fn tight() -> ConvergenceCriteria {
     ConvergenceCriteria {
         tolerance: 1e-14,
         max_iterations: 5_000,
-        ..Default::default()
     }
 }
 

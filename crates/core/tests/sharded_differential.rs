@@ -14,10 +14,7 @@ use proptest::prelude::*;
 
 use sr_core::operator::{Transition, UniformTransition};
 use sr_core::streamed::{PipelineConfig, StreamedTransition};
-use sr_core::{
-    solve, DanglingPolicy, PageRank, RankVector, SolveColumn, SolveRequest, SolverWorkspace,
-    Teleport,
-};
+use sr_core::{solve, PageRank, RankVector, SolveColumn, SolveRequest, SolverWorkspace, Teleport};
 use sr_graph::{CsrGraph, GraphBuilder, ShardedCompressedGraph};
 
 /// The one-column `request` over `op`.
@@ -104,8 +101,7 @@ proptest! {
         let request = SolveRequest::new(vec![SolveColumn::new(
             0.85,
             Teleport::over_seeds(g.num_nodes(), &[0]),
-        )])
-        .dangling(DanglingPolicy::WeaklyPreferential);
+        )]);
         let x1 = sr_par::with_threads(1, || {
             power_solve(&StreamedTransition::from_sharded(&sharded), &request)
         });

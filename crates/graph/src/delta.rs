@@ -725,8 +725,8 @@ mod tests {
         let touched = m.apply(&overlay, &delta).unwrap();
         assert_eq!(touched, vec![2]);
 
-        // The empty source still gets its mandatory self-edge row; under the
-        // SelfLoop dangling policy its self-weight is 1.
+        // The empty source still gets its mandatory self-edge row, and with
+        // no out-mass its self-weight is 1.
         let sg = m.source_graph();
         assert_eq!(sg.num_sources(), 3);
         assert_eq!(sg.self_weight(SourceId(2)), 1.0);

@@ -14,7 +14,8 @@
 //!   of a source gets strength `1/o(s_i)`;
 //! * **self-edge augmentation** (§3.3): every source receives a self-edge
 //!   `(s_i, s_i)` regardless of the page graph, the hook on which influence
-//!   throttling hangs.
+//!   throttling hangs. A source with no out-mass at all keeps its influence
+//!   to itself: its self-edge gets weight 1, so no source row dangles.
 //!
 //! Rows of the resulting [`WeightedGraph`] are normalized to sum to 1. Each
 //! source's row depends only on its own pages' out-links, so one function
@@ -40,34 +41,18 @@ pub enum EdgeWeighting {
     Consensus,
 }
 
-/// What to do with a source that has no out-mass at all (no out-links and a
-/// zero-weight self-edge).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DanglingPolicy {
-    /// Give the mandatory self-edge weight 1 — the source keeps its influence
-    /// to itself, consistent with §3.3's self-edge requirement. The default.
-    #[default]
-    SelfLoop,
-    /// Leave the row all-zero; the ranking solver then redistributes the mass
-    /// through the teleportation vector (classic PageRank dangling handling).
-    ZeroRow,
-}
-
 /// Configuration for [`extract`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SourceGraphConfig {
     /// Raw weight derivation.
     pub weighting: EdgeWeighting,
-    /// Dangling-source handling.
-    pub dangling: DanglingPolicy,
 }
 
 impl SourceGraphConfig {
-    /// The paper's full configuration: consensus weights, self-loop dangling.
+    /// The paper's full configuration: consensus weights.
     pub fn consensus() -> Self {
         SourceGraphConfig {
             weighting: EdgeWeighting::Consensus,
-            dangling: DanglingPolicy::SelfLoop,
         }
     }
 
@@ -75,7 +60,6 @@ impl SourceGraphConfig {
     pub fn uniform() -> Self {
         SourceGraphConfig {
             weighting: EdgeWeighting::Uniform,
-            dangling: DanglingPolicy::SelfLoop,
         }
     }
 }
@@ -231,16 +215,15 @@ pub(crate) fn source_row<'g>(
         }
     };
 
-    // Dangling policy, then normalization by the ascending-target sum.
+    // A source without out-mass keeps it all on its self-edge; then every
+    // row is normalized by its ascending-target sum.
     let mut sum: f64 = row.iter().map(|&(_, w)| w).sum();
-    if sum == 0.0 && config.dangling == DanglingPolicy::SelfLoop {
+    if sum == 0.0 {
         row[self_idx].1 = 1.0;
         sum = 1.0;
     }
-    if sum > 0.0 {
-        for e in row.iter_mut() {
-            e.1 /= sum;
-        }
+    for e in row.iter_mut() {
+        e.1 /= sum;
     }
 
     // Structural targets: every consensus target but the self-edge.
@@ -363,24 +346,12 @@ mod tests {
     }
 
     #[test]
-    fn dangling_source_self_loop_policy() {
+    fn dangling_source_keeps_its_mass_on_the_self_edge() {
         // s1 has no out-links at all.
         let g = GraphBuilder::from_edges_exact(3, vec![(0, 1)]).unwrap();
         let a = SourceAssignment::new(vec![0, 0, 1], 2).unwrap();
         let sg = extract(&g, &a, SourceGraphConfig::consensus()).unwrap();
         assert_eq!(sg.self_weight(SourceId(1)), 1.0);
-    }
-
-    #[test]
-    fn dangling_source_zero_row_policy() {
-        let g = GraphBuilder::from_edges_exact(3, vec![(0, 1)]).unwrap();
-        let a = SourceAssignment::new(vec![0, 0, 1], 2).unwrap();
-        let cfg = SourceGraphConfig {
-            dangling: DanglingPolicy::ZeroRow,
-            ..Default::default()
-        };
-        let sg = extract(&g, &a, cfg).unwrap();
-        assert_eq!(sg.transitions().row_sum(1), 0.0);
     }
 
     #[test]

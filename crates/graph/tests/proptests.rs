@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use sr_graph::source_graph::{extract, DanglingPolicy, EdgeWeighting, SourceGraphConfig};
+use sr_graph::source_graph::{extract, EdgeWeighting, SourceGraphConfig};
 use sr_graph::transpose::{transpose, transpose_weighted};
 use sr_graph::varint;
 use sr_graph::{CsrGraph, EdgePartition, GraphBuilder, SellRows, SourceAssignment, WeightedGraph};
@@ -99,8 +99,8 @@ fn oracle_counts(g: &CsrGraph, a: &SourceAssignment) -> BTreeMap<(u32, u32), usi
 
 /// The transition rows the counts imply under `config`: every source's
 /// self-edge added (§3.3), then each row weighted, given weight 1 on its
-/// self-edge if it is empty under the self-loop policy, and normalized by
-/// its ascending-target sum.
+/// self-edge if it has no out-mass, and normalized by its ascending-target
+/// sum.
 fn oracle_rows(
     counts: &BTreeMap<(u32, u32), usize>,
     sources: usize,
@@ -118,14 +118,12 @@ fn oracle_rows(
     }
     for (s, row) in (0u32..).zip(&mut rows) {
         let mut sum: f64 = row.values().sum();
-        if sum == 0.0 && config.dangling == DanglingPolicy::SelfLoop {
+        if sum == 0.0 {
             row.insert(s, 1.0);
             sum = 1.0;
         }
-        if sum > 0.0 {
-            for w in row.values_mut() {
-                *w /= sum;
-            }
+        for w in row.values_mut() {
+            *w /= sum;
         }
     }
     rows
@@ -307,23 +305,21 @@ proptest! {
                 "w({si},{sj}) = {w} exceeds source size {}", sizes[si as usize]);
         }
         for weighting in [EdgeWeighting::Consensus, EdgeWeighting::Uniform] {
-            for dangling in [DanglingPolicy::SelfLoop, DanglingPolicy::ZeroRow] {
-                let config = SourceGraphConfig { weighting, dangling };
-                let sg = extract(&g, &a, config).unwrap();
-                let rows = oracle_rows(&counts, sources, config);
-                prop_assert_eq!(sg.num_sources(), sources);
-                prop_assert_eq!(sg.num_pages(), g.num_nodes());
-                for (s, row) in (0u32..).zip(&rows) {
-                    let want: Vec<(u32, u64)> = row.iter().map(|(&t, w)| (t, w.to_bits())).collect();
-                    let got: Vec<(u32, u64)> = sg.transitions().neighbors(s).iter().copied()
-                        .zip(sg.transitions().edge_weights(s).iter().map(|w| w.to_bits()))
-                        .collect();
-                    prop_assert_eq!(got, want, "{:?}: transition row {}", config, s);
-                    let structural: Vec<u32> = row.keys().copied()
-                        .filter(|&t| t != s && counts.contains_key(&(s, t)))
-                        .collect();
-                    prop_assert_eq!(sg.structural().neighbors(s), structural.as_slice());
-                }
+            let config = SourceGraphConfig { weighting };
+            let sg = extract(&g, &a, config).unwrap();
+            let rows = oracle_rows(&counts, sources, config);
+            prop_assert_eq!(sg.num_sources(), sources);
+            prop_assert_eq!(sg.num_pages(), g.num_nodes());
+            for (s, row) in (0u32..).zip(&rows) {
+                let want: Vec<(u32, u64)> = row.iter().map(|(&t, w)| (t, w.to_bits())).collect();
+                let got: Vec<(u32, u64)> = sg.transitions().neighbors(s).iter().copied()
+                    .zip(sg.transitions().edge_weights(s).iter().map(|w| w.to_bits()))
+                    .collect();
+                prop_assert_eq!(got, want, "{:?}: transition row {}", config, s);
+                let structural: Vec<u32> = row.keys().copied()
+                    .filter(|&t| t != s && counts.contains_key(&(s, t)))
+                    .collect();
+                prop_assert_eq!(sg.structural().neighbors(s), structural.as_slice());
             }
         }
     }

@@ -137,7 +137,6 @@ impl EpochEngine {
             alpha: config.alpha,
             criteria: config.criteria,
             compact_threshold: config.compact_threshold,
-            ..Default::default()
         };
         let mut ranker = IncrementalRanker::new(pages, assignment, inc)?;
         let prox = SpamProximity::new()

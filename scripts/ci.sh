@@ -126,8 +126,9 @@ echo "==> delta differential suites (incremental path == full rebuild)"
 # row with one function, so delta_differential pins the maintainer's
 # bookkeeping (the sources a delta touches, the pages it appends, the
 # sources it creates). The oracle proptest pins extract itself, bitwise,
-# against a naive count of distinct (page, target source) pairs under all
-# four SourceGraphConfig combinations. The tier-1 test extracts past the
+# against a naive count of distinct (page, target source) pairs under
+# both edge weightings, on random assignments that leave some sources
+# without out-links (their self-loop rows). The tier-1 test extracts past the
 # fork cutover at one and two threads (the second must fork) and feeds a
 # maintainer a producer's delta stream.
 cargo test -q -p sr-graph --test delta_differential
@@ -138,8 +139,7 @@ cargo test -q --test invariants source_graph_extraction_and_maintenance_agree_bi
 echo "==> multi-column solve differential suite (K-column == one-column requests, bitwise)"
 # Every column of a K-column sr_core::SolveRequest must equal its one-column
 # request bit for bit — scores, residual histories, iteration counts — with
-# the formulation and dangling policy drawn per batch, on the uniform and
-# weighted operators. tests/invariants.rs keeps a seconds-long instance of
+# the formulation drawn per batch, on the uniform and weighted operators. tests/invariants.rs keeps a seconds-long instance of
 # this and the other solver invariants in tier-1.
 cargo test -q -p sr-core --test batch_differential
 

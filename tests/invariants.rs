@@ -5,7 +5,7 @@
 //! so that `cargo test` at the workspace root fails the moment one breaks:
 //!
 //! * a K-column solve request ≡ its one-column requests, bit for bit, on
-//!   the uniform and the weighted operator under both dangling policies,
+//!   the uniform and the weighted operator under both formulations,
 //!   through both panel kernels (the one-chunk forward scatter and, past
 //!   the edge cutover, the multi-chunk reverse gather);
 //! * PageRank over a graph past the `sr-par` fork cutovers and
@@ -39,9 +39,9 @@ use sr_core::operator::{Transition, UniformTransition, WeightedTransition};
 use sr_core::streamed::StreamedTransition;
 use sr_core::SpamProximity;
 use sr_core::{
-    solve, ConvergenceCriteria, DanglingPolicy, Formulation, IncrementalConfig, IncrementalRanker,
-    PageRank, RankVector, SolveColumn, SolveRequest, SolverWorkspace, SourceRank,
-    SpamResilientSourceRank, Teleport, ThrottleVector,
+    solve, ConvergenceCriteria, Formulation, IncrementalConfig, IncrementalRanker, PageRank,
+    RankVector, SolveColumn, SolveRequest, SolverWorkspace, SourceRank, SpamResilientSourceRank,
+    Teleport, ThrottleVector,
 };
 use sr_gen::{generate, CrawlConfig, CrawlDeltaProducer, ProducerConfig};
 use sr_graph::delta::{CrawlDelta, DeltaOverlay, SourceGraphMaintainer};
@@ -121,8 +121,9 @@ fn deficit_chain(n: u32) -> WeightedGraph {
     WeightedGraph::from_triples(n as usize, triples)
 }
 
-/// Seeded columns at spread damping factors: personalized teleports make
-/// the two dangling policies differ, and the spread staggers retirement.
+/// Seeded columns at spread damping factors: personalized teleports send
+/// the dangling mass back through the seeds, and the spread staggers
+/// retirement.
 fn columns(n: u32) -> Vec<SolveColumn> {
     (0..6u32)
         .map(|j| {
@@ -165,22 +166,15 @@ fn multi_column_requests_equal_one_column_requests_bitwise() {
         (&uniform as &dyn Transition, 5000),
         (&weighted as &dyn Transition, 300),
     ] {
-        for dangling in [
-            DanglingPolicy::StronglyPreferential,
-            DanglingPolicy::WeaklyPreferential,
-        ] {
-            for formulation in [Formulation::Eigenvector, Formulation::LinearSystem] {
-                let request = SolveRequest::new(columns(n))
-                    .formulation(formulation)
-                    .dangling(dangling);
-                check_columns(op, &request);
-            }
+        for formulation in [Formulation::Eigenvector, Formulation::LinearSystem] {
+            let request = SolveRequest::new(columns(n)).formulation(formulation);
+            check_columns(op, &request);
         }
     }
 
     // Past it, a 2-thread operator splits into two chunks and its panels
-    // gather over reverse rows, forked. The policies above only change the
-    // epilogue, which is chunk-blind; three iterations keep this case
+    // gather over reverse rows, forked. The formulations above only change
+    // the epilogue, which is chunk-blind; three iterations keep this case
     // seconds-long, and capped solves must agree bit for bit too.
     let g = forking_pages();
     let n = g.num_nodes() as u32;
@@ -188,9 +182,8 @@ fn multi_column_requests_equal_one_column_requests_bitwise() {
         sr_par::with_threads(2, || {
             let op = UniformTransition::new(&g);
             assert_eq!(op.partition().num_chunks(), 2);
-            let request = SolveRequest::new(columns(n)[..2].to_vec())
-                .dangling(DanglingPolicy::WeaklyPreferential)
-                .criteria(ConvergenceCriteria {
+            let request =
+                SolveRequest::new(columns(n)[..2].to_vec()).criteria(ConvergenceCriteria {
                     max_iterations: 3,
                     ..Default::default()
                 });
@@ -266,7 +259,7 @@ fn operators_hold_one_copy_of_the_edges() {
 fn observed_solves_equal_unobserved_bitwise() {
     let g = pages(5000);
     let op = UniformTransition::new(&g);
-    let request = SolveRequest::new(columns(5000)).dangling(DanglingPolicy::WeaklyPreferential);
+    let request = SolveRequest::new(columns(5000));
     let mut recorders: Vec<RecordingObserver> = request
         .columns
         .iter()
@@ -335,7 +328,6 @@ fn tiny_shard_solves_equal_csr_solves_bitwise() {
         PageRank::default(),
         PageRank::builder()
             .teleport(Teleport::over_seeds(300, &[4, 150]))
-            .dangling(DanglingPolicy::WeaklyPreferential)
             .finish(),
     ] {
         let streamed = StreamedTransition::from_sharded(&sharded);
@@ -350,7 +342,6 @@ fn incremental_reranking_equals_a_cold_rebuild() {
     let tight = ConvergenceCriteria {
         tolerance: 1e-14,
         max_iterations: 5_000,
-        ..Default::default()
     };
     let base = pages(400);
     let assignment = SourceAssignment::new((0..400).map(|p| p / 40).collect(), 10).unwrap();
