@@ -176,10 +176,16 @@ fn bench_pagerank_kernel(c: &mut Criterion) {
 /// Cold vs warm restart after a localized attack mutation — the incremental
 /// re-ranking path the ROI experiment uses.
 fn bench_warm_start(c: &mut Criterion) {
-    use sr_spam::link_farm;
+    use sr_spam::{Campaign, Step};
     let crawl = kernel_crawl();
     let clean = PageRank::default().rank(&crawl.pages);
-    let attack = link_farm(&crawl.pages, &crawl.assignment, 0, 100, false);
+    let farm = Step::Farm {
+        pages: 100,
+        exchange: false,
+    };
+    let attack = Campaign::new()
+        .step(farm)
+        .execute(&crawl.pages, &crawl.assignment, 0);
     let mut group = c.benchmark_group("ablate/restart_after_attack");
     group.sample_size(10);
     group.bench_function("cold", |b| {

@@ -8,7 +8,7 @@ use std::hint::black_box;
 use sr_bench::{consensus_sources, proximity_setup, uk_crawl};
 use sr_core::{PageRank, SpamProximity, SpamResilientSourceRank};
 use sr_graph::source_graph::{extract, SourceGraphConfig};
-use sr_spam::{intra_source_injection, InjectionCase};
+use sr_spam::{Campaign, InjectionCase, Step};
 
 fn bench_fig6(c: &mut Criterion) {
     let crawl = uk_crawl();
@@ -31,12 +31,11 @@ fn bench_fig6(c: &mut Criterion) {
             &case,
             |b, case| {
                 b.iter(|| {
-                    let attack = intra_source_injection(
-                        &crawl.pages,
-                        &crawl.assignment,
-                        target_page,
-                        case.pages(),
-                    );
+                    let attack = Campaign::new()
+                        .step(Step::IntraInjection {
+                            count: case.pages(),
+                        })
+                        .execute(&crawl.pages, &crawl.assignment, target_page);
                     let pr = PageRank::default().rank(&attack.pages);
                     let sg = extract(
                         &attack.pages,

@@ -8,7 +8,7 @@ use sr_bench::{consensus_sources, proximity_setup, uk_crawl};
 use sr_core::{PageRank, SpamProximity, SpamResilientSourceRank};
 use sr_graph::source_graph::{extract, SourceGraphConfig};
 use sr_graph::SourceId;
-use sr_spam::{cross_source_injection, InjectionCase};
+use sr_spam::{Campaign, InjectionCase, Step};
 
 fn bench_fig7(c: &mut Criterion) {
     let crawl = uk_crawl();
@@ -31,13 +31,12 @@ fn bench_fig7(c: &mut Criterion) {
             &case,
             |b, case| {
                 b.iter(|| {
-                    let attack = cross_source_injection(
-                        &crawl.pages,
-                        &crawl.assignment,
-                        target_page,
-                        SourceId(colluding_source),
-                        case.pages(),
-                    );
+                    let attack = Campaign::new()
+                        .step(Step::CrossInjection {
+                            colluding_source: SourceId(colluding_source),
+                            count: case.pages(),
+                        })
+                        .execute(&crawl.pages, &crawl.assignment, target_page);
                     let pr = PageRank::default().rank(&attack.pages);
                     let sg = extract(
                         &attack.pages,

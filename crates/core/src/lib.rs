@@ -71,7 +71,7 @@ pub use incremental::{DeltaRerank, IncrementalConfig, IncrementalRanker, Overlay
 pub use order::{cmp_asc_nan_last, cmp_desc_nan_last};
 pub use pagerank::PageRank;
 pub use power::{solve, Formulation, SolveColumn, SolveRequest, SolverWorkspace, PANEL_WIDTH};
-pub use proximity::{ProximityApprox, ProximityError, ProximityQuery, SpamProximity};
+pub use proximity::{ProximityApprox, ProximityQuery, SpamProximity};
 pub use rankvec::RankVector;
 pub use snapshot::{RankSnapshot, SnapshotRing};
 pub use solver::Solver;

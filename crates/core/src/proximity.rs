@@ -19,7 +19,6 @@
 //!   weighs `1/indegree`. Kept for comparison; `bench_ablations` quantifies
 //!   the difference.
 
-use std::fmt;
 use std::path::Path;
 
 use crate::approx::{ApproxError, ApproxPpr, QueryConfig, WalkCacheBuilder, WalkCacheConfig};
@@ -32,75 +31,6 @@ use crate::throttle::ThrottleVector;
 use sr_graph::transpose::transpose;
 use sr_graph::walks::WalkStore;
 use sr_graph::{CsrGraph, SourceGraph, WeightedGraph};
-
-/// Why a spam-proximity solve could not run. Degenerate teleport inputs
-/// (empty seed sets, zero-mass badness priors) would otherwise normalize to
-/// NaN and silently poison every downstream κ and rank.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProximityError {
-    /// `spam_seeds` was empty — the seed teleport of Eq. 6 is undefined.
-    EmptySeeds,
-    /// A spam seed does not exist in the source graph.
-    SeedOutOfRange {
-        /// The offending seed id.
-        seed: u32,
-        /// The source count of the graph being scored.
-        num_sources: usize,
-    },
-    /// The same spam seed appeared more than once — set-collapsing it would
-    /// silently change the per-seed teleport mass the caller asked for.
-    DuplicateSeed {
-        /// The seed id that occurred twice.
-        seed: u32,
-    },
-    /// A badness-prior weight was negative or non-finite.
-    InvalidWeight {
-        /// Index of the offending weight.
-        index: usize,
-    },
-    /// Every badness-prior weight was zero — the teleport is undefined.
-    ZeroMassTeleport,
-}
-
-impl fmt::Display for ProximityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProximityError::EmptySeeds => {
-                write!(f, "spam seed set must be non-empty")
-            }
-            ProximityError::SeedOutOfRange { seed, num_sources } => {
-                write!(f, "spam seed {seed} out of range for {num_sources} sources")
-            }
-            ProximityError::DuplicateSeed { seed } => {
-                write!(f, "spam seed {seed} appears more than once in the seed set")
-            }
-            ProximityError::InvalidWeight { index } => write!(
-                f,
-                "badness prior must be finite and non-negative (weight {index})"
-            ),
-            ProximityError::ZeroMassTeleport => {
-                write!(f, "badness prior must not be all zero")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProximityError {}
-
-impl From<TeleportError> for ProximityError {
-    fn from(e: TeleportError) -> Self {
-        match e {
-            TeleportError::EmptySeeds => ProximityError::EmptySeeds,
-            TeleportError::SeedOutOfRange { seed, num_nodes } => ProximityError::SeedOutOfRange {
-                seed,
-                num_sources: num_nodes,
-            },
-            TeleportError::DuplicateSeed { seed } => ProximityError::DuplicateSeed { seed },
-            TeleportError::InvalidWeight { index } => ProximityError::InvalidWeight { index },
-            TeleportError::ZeroMass => ProximityError::ZeroMassTeleport,
-        }
-    }
-}
 
 /// One column of a batched proximity run
 /// ([`SpamProximity::scores_batch`]): a seed set and a mixing-factor β
@@ -186,12 +116,12 @@ impl SpamProximity {
 
     /// Computes spam-proximity scores for every source of `source_graph`,
     /// dispatching on the configured weighting. Degenerate seed sets return
-    /// a typed [`ProximityError`] — never NaN ranks.
+    /// a typed [`TeleportError`] — never NaN ranks.
     pub fn scores(
         &self,
         source_graph: &SourceGraph,
         spam_seeds: &[u32],
-    ) -> Result<RankVector, ProximityError> {
+    ) -> Result<RankVector, TeleportError> {
         match self.weighting {
             ProximityWeighting::Uniform => {
                 self.scores_uniform(source_graph.structural(), spam_seeds)
@@ -208,7 +138,7 @@ impl SpamProximity {
         &self,
         structural: &CsrGraph,
         spam_seeds: &[u32],
-    ) -> Result<RankVector, ProximityError> {
+    ) -> Result<RankVector, TeleportError> {
         let teleport = Teleport::try_over_seeds(structural.num_nodes(), spam_seeds)?;
         Ok(self.solve(&Self::reversed_uniform(structural), teleport))
     }
@@ -232,7 +162,7 @@ impl SpamProximity {
         &self,
         transitions: &WeightedGraph,
         spam_seeds: &[u32],
-    ) -> Result<RankVector, ProximityError> {
+    ) -> Result<RankVector, TeleportError> {
         let teleport = Teleport::try_over_seeds(transitions.num_nodes(), spam_seeds)?;
         Ok(self.solve(&Self::reversed_weighted(transitions), teleport))
     }
@@ -246,7 +176,7 @@ impl SpamProximity {
         &self,
         source_graph: &SourceGraph,
         badness_prior: &[f64],
-    ) -> Result<RankVector, ProximityError> {
+    ) -> Result<RankVector, TeleportError> {
         let teleport = Teleport::try_from_weights(badness_prior.to_vec())?;
         Ok(match self.weighting {
             ProximityWeighting::Uniform => {
@@ -268,7 +198,7 @@ impl SpamProximity {
         &self,
         source_graph: &SourceGraph,
         queries: &[ProximityQuery],
-    ) -> Result<Vec<RankVector>, ProximityError> {
+    ) -> Result<Vec<RankVector>, TeleportError> {
         let n = source_graph.num_sources();
         let mut columns = Vec::with_capacity(queries.len());
         for q in queries {
@@ -384,7 +314,7 @@ impl SpamProximity {
         source_graph: &SourceGraph,
         spam_seeds: &[u32],
         k: usize,
-    ) -> Result<ThrottleVector, ProximityError> {
+    ) -> Result<ThrottleVector, TeleportError> {
         let scores = self.scores(source_graph, spam_seeds)?;
         Ok(ThrottleVector::top_k_complete(scores.scores(), k))
     }
@@ -457,7 +387,7 @@ mod tests {
     fn empty_seed_rejected() {
         let g = chain();
         let r = SpamProximity::new().scores_uniform(&g, &[]);
-        assert_eq!(r.unwrap_err(), ProximityError::EmptySeeds);
+        assert_eq!(r.unwrap_err(), TeleportError::EmptySeeds);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! *unnormalized but valid* prior is the documented fallback: it is
 //! L1-normalized on entry and scores exactly as its normalized twin.
 
-use sr_core::{PageRank, ProximityError, ProximityQuery, SpamProximity, Teleport, TeleportError};
+use sr_core::{PageRank, ProximityQuery, SpamProximity, Teleport, TeleportError};
 use sr_graph::source_graph::{extract, SourceGraph, SourceGraphConfig};
 use sr_graph::{CsrGraph, GraphBuilder, SourceAssignment, WeightedGraph};
 
@@ -45,19 +45,19 @@ fn empty_seeds_rejected_everywhere() {
     let prox = SpamProximity::new();
     assert_eq!(
         prox.scores(&sg, &[]).unwrap_err(),
-        ProximityError::EmptySeeds
+        TeleportError::EmptySeeds
     );
     assert_eq!(
         prox.scores_uniform(&chain(), &[]).unwrap_err(),
-        ProximityError::EmptySeeds
+        TeleportError::EmptySeeds
     );
     assert_eq!(
         prox.scores_weighted(&row_stochastic(4), &[]).unwrap_err(),
-        ProximityError::EmptySeeds
+        TeleportError::EmptySeeds
     );
     assert_eq!(
         prox.throttle_top_k(&sg, &[], 2).unwrap_err(),
-        ProximityError::EmptySeeds
+        TeleportError::EmptySeeds
     );
 }
 
@@ -72,7 +72,7 @@ fn empty_seed_query_fails_the_whole_batch() {
         SpamProximity::new()
             .scores_batch(&sg, &queries)
             .unwrap_err(),
-        ProximityError::EmptySeeds
+        TeleportError::EmptySeeds
     );
 }
 
@@ -84,24 +84,24 @@ fn out_of_range_seeds_are_typed_errors() {
     let prox = SpamProximity::new();
     assert_eq!(
         prox.scores(&sg, &[3]).unwrap_err(),
-        ProximityError::SeedOutOfRange {
+        TeleportError::SeedOutOfRange {
             seed: 3,
-            num_sources: 3
+            num_nodes: 3
         }
     );
     assert_eq!(
         prox.scores_uniform(&chain(), &[9]).unwrap_err(),
-        ProximityError::SeedOutOfRange {
+        TeleportError::SeedOutOfRange {
             seed: 9,
-            num_sources: 4
+            num_nodes: 4
         }
     );
     assert_eq!(
         prox.scores_batch(&sg, &[ProximityQuery::new(vec![0, 7], 0.85)])
             .unwrap_err(),
-        ProximityError::SeedOutOfRange {
+        TeleportError::SeedOutOfRange {
             seed: 7,
-            num_sources: 3
+            num_nodes: 3
         }
     );
 }
@@ -118,20 +118,20 @@ fn duplicate_seeds_are_typed_errors() {
     let prox = SpamProximity::new();
     assert_eq!(
         prox.scores(&sg, &[2, 2]).unwrap_err(),
-        ProximityError::DuplicateSeed { seed: 2 }
+        TeleportError::DuplicateSeed { seed: 2 }
     );
     assert_eq!(
         prox.scores_uniform(&chain(), &[1, 3, 1]).unwrap_err(),
-        ProximityError::DuplicateSeed { seed: 1 }
+        TeleportError::DuplicateSeed { seed: 1 }
     );
     assert_eq!(
         prox.scores_batch(&sg, &[ProximityQuery::new(vec![0, 1, 0], 0.85)])
             .unwrap_err(),
-        ProximityError::DuplicateSeed { seed: 0 }
+        TeleportError::DuplicateSeed { seed: 0 }
     );
     assert_eq!(
         prox.throttle_top_k(&sg, &[2, 2], 1).unwrap_err(),
-        ProximityError::DuplicateSeed { seed: 2 }
+        TeleportError::DuplicateSeed { seed: 2 }
     );
     assert_eq!(
         Teleport::try_over_seeds(4, &[3, 3]),
@@ -148,7 +148,7 @@ fn zero_mass_prior_rejected() {
         SpamProximity::new()
             .scores_with_prior(&sg, &[0.0, 0.0, 0.0])
             .unwrap_err(),
-        ProximityError::ZeroMassTeleport
+        TeleportError::ZeroMass
     );
 }
 
@@ -158,17 +158,17 @@ fn invalid_prior_weights_rejected() {
     let prox = SpamProximity::new();
     assert_eq!(
         prox.scores_with_prior(&sg, &[0.5, -1.0, 0.5]).unwrap_err(),
-        ProximityError::InvalidWeight { index: 1 }
+        TeleportError::InvalidWeight { index: 1 }
     );
     assert_eq!(
         prox.scores_with_prior(&sg, &[0.5, 0.5, f64::NAN])
             .unwrap_err(),
-        ProximityError::InvalidWeight { index: 2 }
+        TeleportError::InvalidWeight { index: 2 }
     );
     assert_eq!(
         prox.scores_with_prior(&sg, &[f64::INFINITY, 0.5, 0.5])
             .unwrap_err(),
-        ProximityError::InvalidWeight { index: 0 }
+        TeleportError::InvalidWeight { index: 0 }
     );
 }
 

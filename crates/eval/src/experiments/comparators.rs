@@ -27,7 +27,7 @@ use sr_core::{
 };
 use sr_graph::source_graph::{extract, SourceGraphConfig};
 use sr_graph::{CsrGraph, SourceAssignment};
-use sr_spam::{hijack, intra_source_injection};
+use sr_spam::{Campaign, Step};
 
 use crate::datasets::{EvalConfig, EvalDataset};
 use crate::experiments::manipulation::throttle_for;
@@ -129,6 +129,8 @@ pub fn run(ds: &EvalDataset, cfg: &EvalConfig) -> Vec<ComparatorRow> {
     victims.extend(pr_clean.top_k(10));
     victims.sort_unstable();
     victims.dedup();
+    let inject = Campaign::new().step(Step::IntraInjection { count: 100 });
+    let hijack = Campaign::new().step(Step::Hijack { victims });
 
     let targets = pick_bottom_half_unthrottled(&srsr_clean, &kappa, cfg.targets, cfg.seed);
     let mut before = FourWay {
@@ -169,12 +171,12 @@ pub fn run(ds: &EvalDataset, cfg: &EvalConfig) -> Vec<ComparatorRow> {
                 ts,
             ),
         );
-        let inj = intra_source_injection(&ds.crawl.pages, &ds.crawl.assignment, tp, 100);
+        let inj = inject.execute(&ds.crawl.pages, &ds.crawl.assignment, tp);
         add(
             &mut injected,
             measure(&inj.pages, &inj.assignment, &trusted, &kappa, tp, ts),
         );
-        let hij = hijack(&ds.crawl.pages, &ds.crawl.assignment, &victims, tp);
+        let hij = hijack.execute(&ds.crawl.pages, &ds.crawl.assignment, tp);
         add(
             &mut hijacked,
             measure(&hij.pages, &hij.assignment, &trusted, &kappa, tp, ts),

@@ -11,7 +11,7 @@ use sr_core::{PageRank, SpamProximity, SpamResilientSourceRank, ThrottleVector};
 use sr_gen::round_count;
 use sr_graph::source_graph::{extract, SourceGraphConfig};
 use sr_graph::SourceId;
-use sr_spam::{cross_source_injection, intra_source_injection, InjectionCase};
+use sr_spam::{Campaign, InjectionCase, Step};
 
 use crate::datasets::{EvalConfig, EvalDataset};
 use crate::experiments::fig5::SEED_FRACTION;
@@ -122,18 +122,19 @@ pub fn run(ds: &EvalDataset, cfg: &EvalConfig, mode: Mode) -> ManipulationResult
         let mut sr_a = 0.0;
         for (i, &ts) in targets.iter().enumerate() {
             let tp = pick_page_in_source(&ds.crawl.page_ranges, ts, cfg.seed + i as u64);
-            let attack = match mode {
-                Mode::IntraSource => {
-                    intra_source_injection(&ds.crawl.pages, &ds.crawl.assignment, tp, case.pages())
-                }
-                Mode::InterSource => cross_source_injection(
-                    &ds.crawl.pages,
-                    &ds.crawl.assignment,
-                    tp,
-                    SourceId(colluders[i]),
-                    case.pages(),
-                ),
+            let step = match mode {
+                Mode::IntraSource => Step::IntraInjection {
+                    count: case.pages(),
+                },
+                Mode::InterSource => Step::CrossInjection {
+                    colluding_source: SourceId(colluders[i]),
+                    count: case.pages(),
+                },
             };
+            let attack =
+                Campaign::new()
+                    .step(step)
+                    .execute(&ds.crawl.pages, &ds.crawl.assignment, tp);
             // Warm-start from the clean ranking: the attack is a localized
             // mutation, so the previous vector is near the new fixed point
             // (identical result, roughly half the iterations).

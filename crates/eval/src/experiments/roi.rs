@@ -13,56 +13,48 @@ use sr_core::rankvec::RankVector;
 use sr_core::{cmp_asc_nan_last, PageRank, SpamResilientSourceRank};
 use sr_graph::ids::node_range;
 use sr_graph::source_graph::{extract, SourceGraphConfig};
-use sr_graph::{CsrGraph, SourceAssignment};
 use sr_spam::economics::{CampaignOutcome, CostModel};
-use sr_spam::{hijack, link_farm, multi_source_collusion, AttackResult};
+use sr_spam::{Campaign, Step};
 
 use crate::datasets::{EvalConfig, EvalDataset};
 use crate::experiments::manipulation::throttle_for;
 use crate::report::Table;
 use crate::targets::pick_bottom_half_unthrottled;
 
-type AttackFn = Box<dyn Fn(&CsrGraph, &SourceAssignment, u32) -> AttackResult>;
-
-/// One campaign: a label, an attack closure and its hijacked-link count.
-struct Campaign {
-    label: String,
-    hijacked_links: usize,
-    run: AttackFn,
-}
-
-fn campaigns(crawl: &sr_gen::SyntheticCrawl) -> Vec<Campaign> {
-    let mut out: Vec<Campaign> = Vec::new();
+/// The campaign set, each with its label: link farms of growing size,
+/// multi-source collusion and hijacking sprees.
+fn campaigns(crawl: &sr_gen::SyntheticCrawl) -> Vec<(String, Campaign)> {
+    let mut out = Vec::new();
     for &pages in &[10usize, 100, 1000] {
-        out.push(Campaign {
-            label: format!("farm x{pages}"),
-            hijacked_links: 0,
-            run: Box::new(move |g, a, t| link_farm(g, a, t, pages, false)),
-        });
+        let farm = Step::Farm {
+            pages,
+            exchange: false,
+        };
+        out.push((format!("farm x{pages}"), Campaign::new().step(farm)));
     }
     for &sources in &[5usize, 20] {
-        out.push(Campaign {
-            label: format!("collusion x{sources} sources"),
-            hijacked_links: 0,
-            run: Box::new(move |g, a, t| multi_source_collusion(g, a, t, sources, 5)),
-        });
+        let collusion = Step::Collusion {
+            sources,
+            pages_each: 5,
+        };
+        out.push((
+            format!("collusion x{sources} sources"),
+            Campaign::new().step(collusion),
+        ));
     }
+    let n = crawl.pages.num_nodes();
+    let map = crawl.assignment.raw();
     for &victims in &[5usize, 25] {
         // Deterministic victim selection: legit pages spread over the crawl.
-        let spam = crawl.spam_sources.clone();
-        let map = crawl.assignment.raw().to_vec();
-        out.push(Campaign {
-            label: format!("hijack x{victims} pages"),
-            hijacked_links: victims,
-            run: Box::new(move |g, a, t| {
-                let picked: Vec<u32> = node_range(g.num_nodes())
-                    .filter(|&p| spam.binary_search(&map[p as usize]).is_err())
-                    .step_by((g.num_nodes() / (victims * 3)).max(1))
-                    .take(victims)
-                    .collect();
-                hijack(g, a, &picked, t)
-            }),
-        });
+        let picked: Vec<u32> = node_range(n)
+            .filter(|&p| crawl.spam_sources.binary_search(&map[p as usize]).is_err())
+            .step_by((n / (victims * 3)).max(1))
+            .take(victims)
+            .collect();
+        out.push((
+            format!("hijack x{victims} pages"),
+            Campaign::new().step(Step::Hijack { victims: picked }),
+        ));
     }
     out
 }
@@ -113,9 +105,9 @@ pub fn run(ds: &EvalDataset, cfg: &EvalConfig, costs: &CostModel) -> RoiResult {
     // graph has (almost) the same node count, so every warm re-ranking after
     // the first reuses the solver's buffers.
     let mut ws = sr_core::power::SolverWorkspace::new();
-    for c in campaigns(&ds.crawl) {
-        let attack = (c.run)(&ds.crawl.pages, &ds.crawl.assignment, target_page);
-        let cost = costs.cost(&attack, c.hijacked_links);
+    for (label, campaign) in campaigns(&ds.crawl) {
+        let attack = campaign.execute(&ds.crawl.pages, &ds.crawl.assignment, target_page);
+        let cost = campaign.cost(&attack, costs);
 
         let pr_after = PageRank::default()
             .rank_operator_warm_in(
@@ -146,13 +138,13 @@ pub fn run(ds: &EvalDataset, cfg: &EvalConfig, costs: &CostModel) -> RoiResult {
 
         rows.push((
             CampaignOutcome {
-                label: c.label.clone(),
+                label: label.clone(),
                 cost,
                 percentile_before: pr_before,
                 percentile_after: pr_after,
             },
             CampaignOutcome {
-                label: c.label,
+                label,
                 cost,
                 percentile_before: srsr_before,
                 percentile_after: srsr_after,

@@ -3,7 +3,7 @@
 //! repeated runs *and* across worker-thread counts.
 //!
 //! Covered engines: the synthetic crawl generator (`sr_gen::generate`),
-//! the seeded spam attacks (`sr_spam::attacks::honeypot`), the §S17
+//! the seeded spam attacks (`sr_spam::Step::Honeypot`), the §S17
 //! Monte-Carlo stationary simulator (`sr_core::montecarlo`), and the
 //! Monte-Carlo walk cache (`sr_core::approx`, bytes and query scores). Reproducibility is the repo's bedrock claim
 //! (every RUNS/BENCH artifact names its seeds); this suite is the single
@@ -14,7 +14,7 @@ use sr_core::montecarlo::{estimate_stationary, WalkConfig};
 use sr_core::SpamProximity;
 use sr_gen::{generate, Dataset};
 use sr_graph::source_graph::SourceGraphConfig;
-use sr_spam::attacks;
+use sr_spam::{AttackResult, Campaign, Step};
 use std::path::PathBuf;
 
 fn tmp(tag: &str) -> PathBuf {
@@ -64,16 +64,26 @@ fn crawl_generator_is_seed_pure() {
 fn seeded_attacks_are_seed_pure() {
     let crawl = generate(&Dataset::Wb2001.config(0.0003));
     let target = crawl.pages.num_nodes() as u32 / 2;
+    let seeded_honeypot = |seed: u64| -> AttackResult {
+        let step = Step::Honeypot {
+            pages: 5,
+            induced_links: 40,
+            seed,
+        };
+        Campaign::new()
+            .step(step)
+            .execute(&crawl.pages, &crawl.assignment, target)
+    };
     assert_seed_pure("honeypot attack", &|| {
-        let r = attacks::honeypot(&crawl.pages, &crawl.assignment, target, 5, 40, 0xA11CE);
+        let r = seeded_honeypot(0xA11CE);
         (
             r.pages.clone(),
             r.injected_pages.clone(),
             r.injected_sources.clone(),
         )
     });
-    let with_other_seed = attacks::honeypot(&crawl.pages, &crawl.assignment, target, 5, 40, 0xB0B);
-    let original = attacks::honeypot(&crawl.pages, &crawl.assignment, target, 5, 40, 0xA11CE);
+    let with_other_seed = seeded_honeypot(0xB0B);
+    let original = seeded_honeypot(0xA11CE);
     assert_ne!(
         original.pages, with_other_seed.pages,
         "changing the attack seed must change the induced links"

@@ -10,7 +10,9 @@ use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::ids::{node_id, node_range, NodeId, PageId, SourceId};
 
-/// Maps every page to the source that contains it.
+/// Maps every page to the source that contains it. An assignment is fixed
+/// once built: a crawl gains pages and sources through a
+/// [`crate::delta::CrawlDelta`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceAssignment {
     page_to_source: Vec<NodeId>,
@@ -151,28 +153,6 @@ impl SourceAssignment {
             });
         }
         Ok(())
-    }
-
-    /// Appends `count` new pages all belonging to `source` (which may be a
-    /// brand-new source id == `num_sources`, growing the source space).
-    /// Used by the spam attack models to add spammer-controlled pages.
-    pub fn extend_pages(&mut self, source: SourceId, count: usize) {
-        assert!(
-            source.index() <= self.num_sources,
-            "source id {source} would leave a gap (have {} sources)",
-            self.num_sources
-        );
-        if source.index() == self.num_sources {
-            self.num_sources += 1;
-        }
-        self.page_to_source
-            .extend(std::iter::repeat_n(source.0, count));
-    }
-
-    /// Adds a brand-new empty source, returning its id.
-    pub fn add_source(&mut self) -> SourceId {
-        self.num_sources += 1;
-        SourceId::from_index(self.num_sources - 1)
     }
 }
 
@@ -396,31 +376,5 @@ mod tests {
             short.validate_for(&g),
             Err(GraphError::AssignmentLengthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn extend_pages_grows_source_space() {
-        let mut a = SourceAssignment::new(vec![0, 1], 2).unwrap();
-        a.extend_pages(SourceId(2), 3); // new source
-        assert_eq!(a.num_sources(), 3);
-        assert_eq!(a.num_pages(), 5);
-        assert_eq!(a.source_of(PageId(4)), SourceId(2));
-        a.extend_pages(SourceId(0), 1); // existing source
-        assert_eq!(a.num_sources(), 3);
-        assert_eq!(a.source_of(PageId(5)), SourceId(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "gap")]
-    fn extend_pages_rejects_gappy_source_id() {
-        let mut a = SourceAssignment::new(vec![0], 1).unwrap();
-        a.extend_pages(SourceId(5), 1);
-    }
-
-    #[test]
-    fn add_source_returns_fresh_id() {
-        let mut a = SourceAssignment::new(vec![0], 1).unwrap();
-        assert_eq!(a.add_source(), SourceId(1));
-        assert_eq!(a.num_sources(), 2);
     }
 }

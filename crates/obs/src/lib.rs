@@ -72,12 +72,6 @@ pub trait SolveObserver {
     }
 }
 
-/// An observer that ignores everything — handy for tests and defaults.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
-
-impl SolveObserver for NullObserver {}
-
 /// Everything [`RecordingObserver`] captures about one solve.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveTelemetry {
@@ -685,11 +679,6 @@ mod tests {
         obs.on_solve_end(2, 0.0, true);
         assert_eq!(obs.telemetry().walkers, 2);
         assert_eq!(obs.telemetry().walker_steps, 200);
-    }
-
-    #[test]
-    fn null_observer_accepts_everything() {
-        run_fake_solve(&mut NullObserver);
     }
 
     #[test]

@@ -24,8 +24,8 @@ use std::sync::Arc;
 use sr_core::convergence::ConvergenceCriteria;
 use sr_core::operator::UniformTransition;
 use sr_core::{
-    ApproxError, IncrementalConfig, IncrementalRanker, PageRank, ProximityError, RankSnapshot,
-    SpamProximity, ThrottleVector, WalkCacheConfig,
+    ApproxError, IncrementalConfig, IncrementalRanker, PageRank, RankSnapshot, SpamProximity,
+    TeleportError, ThrottleVector, WalkCacheConfig,
 };
 use sr_graph::{CrawlDelta, CsrGraph, GraphError, SourceAssignment};
 
@@ -73,7 +73,7 @@ pub enum EngineError {
     /// Graph-substrate failure (invalid delta, I/O of the walk cache…).
     Graph(GraphError),
     /// Spam-proximity solve rejected its seed set.
-    Proximity(ProximityError),
+    Proximity(TeleportError),
     /// Walk-cache build or query-engine construction failed.
     Approx(ApproxError),
 }
@@ -96,8 +96,8 @@ impl From<GraphError> for EngineError {
     }
 }
 
-impl From<ProximityError> for EngineError {
-    fn from(e: ProximityError) -> Self {
+impl From<TeleportError> for EngineError {
+    fn from(e: TeleportError) -> Self {
         EngineError::Proximity(e)
     }
 }

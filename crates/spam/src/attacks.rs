@@ -1,16 +1,12 @@
 //! The link-spam attack models of §2 and the evaluation setups of §6.3.
 //!
-//! Every attack consumes an immutable crawl and produces an attacked copy
-//! plus a record of what was added, so experiments can compare rankings
-//! before and after.
-//!
-//! Each attack exists in two layers: a `*_on` core generic over
-//! [`CrawlEditor`] — the single definition of the mutation sequence — and a
-//! batch wrapper that runs the core through a [`GraphEditor`] to produce a
-//! rebuilt [`AttackResult`]. Running the same core through a
-//! [`crate::delta::DeltaRecorder`] instead yields the attack as a
-//! [`sr_graph::delta::CrawlDelta`] for incremental re-ranking; both paths
-//! see the identical call (and RNG) sequence, so they agree by construction.
+//! Each attack is one arm of [`Step`], and that arm is its only definition:
+//! it records the attack's pages, sources and links through the crate's one
+//! crawl editor, which captures them as a [`sr_graph::delta::CrawlDelta`].
+//! A [`crate::Campaign`] runs steps in order and hands out one delta per
+//! step for the incremental engine, or folds the deltas into an attacked
+//! copy of the crawl (an [`AttackResult`]) for the batch experiments. A
+//! single attack is a one-step campaign.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -18,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use sr_graph::ids::node_id;
 use sr_graph::{CsrGraph, SourceAssignment, SourceId};
 
-use crate::editor::{CrawlEditor, GraphEditor};
+use crate::delta::DeltaRecorder;
 
 /// What an attack did: the mutated crawl plus bookkeeping.
 #[derive(Debug, Clone)]
@@ -33,261 +29,184 @@ pub struct AttackResult {
     pub injected_sources: Vec<SourceId>,
 }
 
-/// §6.3 "Link Manipulation Within a Source" (Figure 6): adds `count` new
-/// spam pages *inside the target page's own source*, each with a single
-/// link to `target_page`.
-pub fn intra_source_injection(
-    graph: &CsrGraph,
-    assignment: &SourceAssignment,
-    target_page: u32,
-    count: usize,
-) -> AttackResult {
-    let mut e = GraphEditor::new(graph, assignment);
-    let injected = intra_source_injection_on(&mut e, target_page, count);
-    let (pages, assignment) = e.finish();
-    AttackResult {
-        pages,
-        assignment,
-        injected_pages: injected,
-        injected_sources: vec![],
-    }
+/// One attack. Every step promotes the campaign's single target page.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Step {
+    /// §6.3 "Link Manipulation Within a Source" (Figure 6): `count` new spam
+    /// pages *inside the target page's own source*, each with a single link
+    /// to the target.
+    IntraInjection {
+        /// Pages to inject.
+        count: usize,
+    },
+    /// §6.3 "Link Manipulation Across Sources" (Figure 7): `count` new spam
+    /// pages in an existing `colluding_source` (which must differ from the
+    /// target's source), each with a single link to the target.
+    CrossInjection {
+        /// The colluding source.
+        colluding_source: SourceId,
+        /// Pages to inject.
+        count: usize,
+    },
+    /// §2 hijacking: one link to the target on each of the `victims`,
+    /// existing *legitimate* pages the spammer has compromised (message
+    /// boards, wikis, comment sections).
+    Hijack {
+        /// Compromised legitimate pages.
+        victims: Vec<u32>,
+    },
+    /// §2 honeypot: a new "quality" source of `pages` pages that *induces*
+    /// `induced_links` links from random pages present at the start of the
+    /// step (its attractive content earns them), then funnels its authority
+    /// to the target via a link from every honeypot page.
+    Honeypot {
+        /// Pages of the honeypot site.
+        pages: usize,
+        /// Organic links the honeypot attracts.
+        induced_links: usize,
+        /// RNG seed for victim selection.
+        seed: u64,
+    },
+    /// §2 link farm: a new source of `pages` pages all pointing at the
+    /// target. With `exchange` the farm pages also link to each other
+    /// pairwise (a link exchange), the densest collusive arrangement.
+    Farm {
+        /// Farm pages.
+        pages: usize,
+        /// Whether farm pages also exchange links pairwise.
+        exchange: bool,
+    },
+    /// §4.2's optimal multi-source collusion: `sources` brand-new colluding
+    /// sources of `pages_each` pages. Every colluding page links only to the
+    /// target (θ_i = 0: no edges outside the spammer's sphere; w(s_i,s_i) at
+    /// the mandated minimum — no intra links beyond the structural
+    /// self-edge).
+    Collusion {
+        /// Number of colluding sources.
+        sources: usize,
+        /// Pages per colluding source.
+        pages_each: usize,
+    },
 }
 
-/// [`intra_source_injection`] expressed against any [`CrawlEditor`];
-/// returns the injected page ids.
-pub fn intra_source_injection_on<E: CrawlEditor>(
-    e: &mut E,
-    target_page: u32,
-    count: usize,
-) -> Vec<u32> {
-    let source = e.source_of(target_page);
-    let injected = e.add_pages(source, count);
-    for &p in &injected {
-        e.add_link(p, target_page);
+impl Step {
+    /// Hijacked-link count of this step (for pricing).
+    pub(crate) fn hijacked_links(&self) -> usize {
+        match self {
+            Step::Hijack { victims } => victims.len(),
+            _ => 0,
+        }
     }
-    injected
-}
 
-/// §6.3 "Link Manipulation Across Sources" (Figure 7): adds `count` new spam
-/// pages to an existing `colluding_source`, each with a single link to
-/// `target_page` (which lives in a different source).
-pub fn cross_source_injection(
-    graph: &CsrGraph,
-    assignment: &SourceAssignment,
-    target_page: u32,
-    colluding_source: SourceId,
-    count: usize,
-) -> AttackResult {
-    let mut e = GraphEditor::new(graph, assignment);
-    let injected = cross_source_injection_on(&mut e, target_page, colluding_source, count);
-    let (pages, assignment) = e.finish();
-    AttackResult {
-        pages,
-        assignment,
-        injected_pages: injected,
-        injected_sources: vec![],
-    }
-}
-
-/// [`cross_source_injection`] expressed against any [`CrawlEditor`];
-/// returns the injected page ids.
-pub fn cross_source_injection_on<E: CrawlEditor>(
-    e: &mut E,
-    target_page: u32,
-    colluding_source: SourceId,
-    count: usize,
-) -> Vec<u32> {
-    assert_ne!(
-        e.source_of(target_page),
-        colluding_source,
-        "colluding source must differ from the target's source"
-    );
-    let injected = e.add_pages(colluding_source, count);
-    for &p in &injected {
-        e.add_link(p, target_page);
-    }
-    injected
-}
-
-/// §2 hijacking: inserts one link to `target_page` into each of the
-/// `victims` — existing *legitimate* pages the spammer has compromised
-/// (message boards, wikis, comment sections).
-pub fn hijack(
-    graph: &CsrGraph,
-    assignment: &SourceAssignment,
-    victims: &[u32],
-    target_page: u32,
-) -> AttackResult {
-    let mut e = GraphEditor::new(graph, assignment);
-    hijack_on(&mut e, victims, target_page);
-    let (pages, assignment) = e.finish();
-    AttackResult {
-        pages,
-        assignment,
-        injected_pages: vec![],
-        injected_sources: vec![],
-    }
-}
-
-/// [`hijack`] expressed against any [`CrawlEditor`].
-pub fn hijack_on<E: CrawlEditor>(e: &mut E, victims: &[u32], target_page: u32) {
-    for &v in victims {
-        e.add_link(v, target_page);
-    }
-}
-
-/// §2 honeypot: creates a new "quality" source of `honeypot_pages` pages
-/// that *induces* `induced_links` links from random legitimate pages (the
-/// honeypot's attractive content earns them), then funnels its accumulated
-/// authority to `target_page` via a link from every honeypot page.
-pub fn honeypot(
-    graph: &CsrGraph,
-    assignment: &SourceAssignment,
-    target_page: u32,
-    honeypot_pages: usize,
-    induced_links: usize,
-    seed: u64,
-) -> AttackResult {
-    let mut e = GraphEditor::new(graph, assignment);
-    let (hp_pages, hp_source) =
-        honeypot_on(&mut e, target_page, honeypot_pages, induced_links, seed);
-    let (pages, assignment) = e.finish();
-    AttackResult {
-        pages,
-        assignment,
-        injected_pages: hp_pages,
-        injected_sources: vec![hp_source],
-    }
-}
-
-/// [`honeypot`] expressed against any [`CrawlEditor`]; returns the honeypot
-/// page ids and the fresh source. The RNG sequence depends only on `seed`
-/// and the editor's reported state, so batch and delta replays agree.
-pub fn honeypot_on<E: CrawlEditor>(
-    e: &mut E,
-    target_page: u32,
-    honeypot_pages: usize,
-    induced_links: usize,
-    seed: u64,
-) -> (Vec<u32>, SourceId) {
-    assert!(honeypot_pages >= 1, "honeypot needs at least one page");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let hp_source = e.add_source();
-    let hp_pages = e.add_pages(hp_source, honeypot_pages);
-    // Legitimate pages link in (the honeypot earned it).
-    let n_orig = node_id(e.original_pages());
-    for _ in 0..induced_links {
-        let v = rng.gen_range(0..n_orig);
-        let h = hp_pages[rng.gen_range(0..hp_pages.len())];
-        e.add_link(v, h);
-    }
-    // The honeypot funnels to the spam target.
-    for &h in &hp_pages {
-        e.add_link(h, target_page);
-    }
-    (hp_pages, hp_source)
-}
-
-/// §2 link farm: a new source of `farm_pages` pages all pointing at
-/// `target_page`. With `exchange = true` the farm pages also link to each
-/// other pairwise (a link exchange), the densest collusive arrangement.
-pub fn link_farm(
-    graph: &CsrGraph,
-    assignment: &SourceAssignment,
-    target_page: u32,
-    farm_pages: usize,
-    exchange: bool,
-) -> AttackResult {
-    let mut e = GraphEditor::new(graph, assignment);
-    let (pages_added, farm_source) = link_farm_on(&mut e, target_page, farm_pages, exchange);
-    let (pages, assignment) = e.finish();
-    AttackResult {
-        pages,
-        assignment,
-        injected_pages: pages_added,
-        injected_sources: vec![farm_source],
-    }
-}
-
-/// [`link_farm`] expressed against any [`CrawlEditor`]; returns the farm
-/// page ids and the fresh source.
-pub fn link_farm_on<E: CrawlEditor>(
-    e: &mut E,
-    target_page: u32,
-    farm_pages: usize,
-    exchange: bool,
-) -> (Vec<u32>, SourceId) {
-    assert!(farm_pages >= 1, "farm needs at least one page");
-    let farm_source = e.add_source();
-    let pages_added = e.add_pages(farm_source, farm_pages);
-    for &p in &pages_added {
-        e.add_link(p, target_page);
-    }
-    if exchange {
-        for &p in &pages_added {
-            for &q in &pages_added {
-                if p != q {
-                    e.add_link(p, q);
+    /// Records this attack on `target_page` through `rec`, returning the
+    /// injected pages and sources. The honeypot's RNG depends only on its
+    /// seed and the recorder's page count at the start of the step.
+    pub(crate) fn apply(
+        &self,
+        rec: &mut DeltaRecorder,
+        target_page: u32,
+    ) -> (Vec<u32>, Vec<SourceId>) {
+        match *self {
+            Step::IntraInjection { count } => {
+                let source = rec.source_of(target_page);
+                (link_new_pages(rec, source, count, target_page), vec![])
+            }
+            Step::CrossInjection {
+                colluding_source,
+                count,
+            } => {
+                assert_ne!(
+                    rec.source_of(target_page),
+                    colluding_source,
+                    "colluding source must differ from the target's source"
+                );
+                (
+                    link_new_pages(rec, colluding_source, count, target_page),
+                    vec![],
+                )
+            }
+            Step::Hijack { ref victims } => {
+                for &v in victims {
+                    rec.add_link(v, target_page);
                 }
+                (vec![], vec![])
+            }
+            Step::Honeypot {
+                pages,
+                induced_links,
+                seed,
+            } => {
+                assert!(pages >= 1, "honeypot needs at least one page");
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let hp_source = rec.add_source();
+                let hp_pages = rec.add_pages(hp_source, pages);
+                // Legitimate pages link in (the honeypot earned it).
+                let n_orig = node_id(rec.step_base_pages());
+                for _ in 0..induced_links {
+                    let v = rng.gen_range(0..n_orig);
+                    let h = hp_pages[rng.gen_range(0..hp_pages.len())];
+                    rec.add_link(v, h);
+                }
+                // The honeypot funnels to the spam target.
+                for &h in &hp_pages {
+                    rec.add_link(h, target_page);
+                }
+                (hp_pages, vec![hp_source])
+            }
+            Step::Farm { pages, exchange } => {
+                assert!(pages >= 1, "farm needs at least one page");
+                let farm_source = rec.add_source();
+                let farm = link_new_pages(rec, farm_source, pages, target_page);
+                if exchange {
+                    for &p in &farm {
+                        for &q in &farm {
+                            if p != q {
+                                rec.add_link(p, q);
+                            }
+                        }
+                    }
+                }
+                (farm, vec![farm_source])
+            }
+            Step::Collusion {
+                sources,
+                pages_each,
+            } => {
+                assert!(
+                    sources >= 1 && pages_each >= 1,
+                    "need at least one colluding source and page"
+                );
+                let mut injected_sources = Vec::with_capacity(sources);
+                let mut injected_pages = Vec::with_capacity(sources * pages_each);
+                for _ in 0..sources {
+                    let s = rec.add_source();
+                    injected_sources.push(s);
+                    injected_pages.extend(link_new_pages(rec, s, pages_each, target_page));
+                }
+                (injected_pages, injected_sources)
             }
         }
     }
-    (pages_added, farm_source)
 }
 
-/// §4.2's optimal multi-source collusion: `x` brand-new colluding sources,
-/// each with `pages_each` pages. Every colluding page links only to the
-/// target source's `target_page` (θ_i = 0: no edges outside the spammer's
-/// sphere; w(s_i,s_i) at the mandated minimum — no intra links beyond the
-/// structural self-edge).
-pub fn multi_source_collusion(
-    graph: &CsrGraph,
-    assignment: &SourceAssignment,
+/// Adds `count` pages to `source`, each linking to `target_page`.
+fn link_new_pages(
+    rec: &mut DeltaRecorder,
+    source: SourceId,
+    count: usize,
     target_page: u32,
-    x_sources: usize,
-    pages_each: usize,
-) -> AttackResult {
-    let mut e = GraphEditor::new(graph, assignment);
-    let (injected_pages, injected_sources) =
-        multi_source_collusion_on(&mut e, target_page, x_sources, pages_each);
-    let (pages, assignment) = e.finish();
-    AttackResult {
-        pages,
-        assignment,
-        injected_pages,
-        injected_sources,
+) -> Vec<u32> {
+    let pages = rec.add_pages(source, count);
+    for &p in &pages {
+        rec.add_link(p, target_page);
     }
-}
-
-/// [`multi_source_collusion`] expressed against any [`CrawlEditor`];
-/// returns the colluding page ids and the fresh sources.
-pub fn multi_source_collusion_on<E: CrawlEditor>(
-    e: &mut E,
-    target_page: u32,
-    x_sources: usize,
-    pages_each: usize,
-) -> (Vec<u32>, Vec<SourceId>) {
-    assert!(
-        x_sources >= 1 && pages_each >= 1,
-        "need at least one colluding source and page"
-    );
-    let mut injected_sources = Vec::with_capacity(x_sources);
-    let mut injected_pages = Vec::with_capacity(x_sources * pages_each);
-    for _ in 0..x_sources {
-        let s = e.add_source();
-        injected_sources.push(s);
-        let ps = e.add_pages(s, pages_each);
-        for &p in &ps {
-            e.add_link(p, target_page);
-        }
-        injected_pages.extend(ps);
-    }
-    (injected_pages, injected_sources)
+    pages
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Campaign;
     use sr_graph::{GraphBuilder, PageId};
 
     /// 6 pages, 3 sources of 2 pages each; sparse legit links.
@@ -297,10 +216,15 @@ mod tests {
         (g, a)
     }
 
+    /// Runs `step` on `target_page` of [`base`] as a one-step campaign.
+    fn attack(target_page: u32, step: Step) -> AttackResult {
+        let (g, a) = base();
+        Campaign::new().step(step).execute(&g, &a, target_page)
+    }
+
     #[test]
     fn intra_injection_adds_pages_in_target_source() {
-        let (g, a) = base();
-        let r = intra_source_injection(&g, &a, 2, 10);
+        let r = attack(2, Step::IntraInjection { count: 10 });
         assert_eq!(r.pages.num_nodes(), 16);
         assert_eq!(r.injected_pages.len(), 10);
         for &p in &r.injected_pages {
@@ -312,8 +236,13 @@ mod tests {
 
     #[test]
     fn cross_injection_uses_colluding_source() {
-        let (g, a) = base();
-        let r = cross_source_injection(&g, &a, 2, SourceId(2), 5);
+        let r = attack(
+            2,
+            Step::CrossInjection {
+                colluding_source: SourceId(2),
+                count: 5,
+            },
+        );
         for &p in &r.injected_pages {
             assert_eq!(r.assignment.source_of(PageId(p)), SourceId(2));
             assert!(r.pages.has_edge(p, 2));
@@ -323,14 +252,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "must differ")]
     fn cross_injection_rejects_same_source() {
-        let (g, a) = base();
-        cross_source_injection(&g, &a, 2, SourceId(1), 1);
+        attack(
+            2,
+            Step::CrossInjection {
+                colluding_source: SourceId(1),
+                count: 1,
+            },
+        );
     }
 
     #[test]
     fn hijack_adds_links_from_victims() {
-        let (g, a) = base();
-        let r = hijack(&g, &a, &[0, 4], 3);
+        let r = attack(
+            3,
+            Step::Hijack {
+                victims: vec![0, 4],
+            },
+        );
         assert!(r.pages.has_edge(0, 3));
         assert!(r.pages.has_edge(4, 3));
         assert_eq!(r.pages.num_nodes(), 6, "hijacking adds no pages");
@@ -338,8 +276,14 @@ mod tests {
 
     #[test]
     fn honeypot_builds_funnel() {
-        let (g, a) = base();
-        let r = honeypot(&g, &a, 5, 3, 8, 77);
+        let r = attack(
+            5,
+            Step::Honeypot {
+                pages: 3,
+                induced_links: 8,
+                seed: 77,
+            },
+        );
         assert_eq!(r.injected_sources.len(), 1);
         assert_eq!(r.injected_pages.len(), 3);
         // Every honeypot page funnels to the target.
@@ -361,8 +305,13 @@ mod tests {
 
     #[test]
     fn link_farm_with_exchange_is_dense() {
-        let (g, a) = base();
-        let r = link_farm(&g, &a, 0, 4, true);
+        let r = attack(
+            0,
+            Step::Farm {
+                pages: 4,
+                exchange: true,
+            },
+        );
         // 4 links to target + 4*3 exchange links.
         let farm_edges: usize = r
             .injected_pages
@@ -377,8 +326,13 @@ mod tests {
 
     #[test]
     fn link_farm_without_exchange() {
-        let (g, a) = base();
-        let r = link_farm(&g, &a, 0, 4, false);
+        let r = attack(
+            0,
+            Step::Farm {
+                pages: 4,
+                exchange: false,
+            },
+        );
         let farm_edges: usize = r
             .injected_pages
             .iter()
@@ -389,8 +343,13 @@ mod tests {
 
     #[test]
     fn multi_source_collusion_shape() {
-        let (g, a) = base();
-        let r = multi_source_collusion(&g, &a, 1, 3, 2);
+        let r = attack(
+            1,
+            Step::Collusion {
+                sources: 3,
+                pages_each: 2,
+            },
+        );
         assert_eq!(r.injected_sources.len(), 3);
         assert_eq!(r.injected_pages.len(), 6);
         assert_eq!(r.assignment.num_sources(), 6);
@@ -401,9 +360,13 @@ mod tests {
 
     #[test]
     fn honeypot_deterministic_per_seed() {
-        let (g, a) = base();
-        let r1 = honeypot(&g, &a, 5, 2, 4, 9);
-        let r2 = honeypot(&g, &a, 5, 2, 4, 9);
+        let step = || Step::Honeypot {
+            pages: 2,
+            induced_links: 4,
+            seed: 9,
+        };
+        let r1 = attack(5, step());
+        let r2 = attack(5, step());
         assert_eq!(r1.pages, r2.pages);
     }
 }

@@ -5,113 +5,17 @@
 //! This complexity can make the total attack both more effective (since
 //! multiple attack vectors are combined) and more difficult to detect
 //! (since simple pattern-based arrangements are masked)." A [`Campaign`]
-//! chains the §2 primitives into one executable, priceable attack.
+//! chains the §2 primitives into one executable, priceable attack, and a
+//! single attack is a one-step campaign. [`Campaign::execute`] is the one
+//! path that builds an attacked crawl: it folds the deltas
+//! [`Campaign::record_deltas`] hands the incremental engine.
 
-use sr_graph::delta::CrawlDelta;
-use sr_graph::{CsrGraph, SourceAssignment, SourceId};
+use sr_graph::delta::{CrawlDelta, DeltaOverlay};
+use sr_graph::{CsrGraph, SourceAssignment};
 
-use crate::attacks::{
-    cross_source_injection_on, hijack_on, honeypot_on, intra_source_injection_on, link_farm_on,
-    multi_source_collusion_on, AttackResult,
-};
+use crate::attacks::{AttackResult, Step};
 use crate::delta::DeltaRecorder;
 use crate::economics::CostModel;
-use crate::editor::{CrawlEditor, GraphEditor};
-
-/// One primitive step of a campaign. All steps promote the campaign's
-/// single target page.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Step {
-    /// Inject `count` pages into the target's own source.
-    IntraInjection {
-        /// Pages to inject.
-        count: usize,
-    },
-    /// Inject `count` pages into an existing colluding source.
-    CrossInjection {
-        /// The colluding source.
-        colluding_source: SourceId,
-        /// Pages to inject.
-        count: usize,
-    },
-    /// Plant one link on each existing victim page.
-    Hijack {
-        /// Compromised legitimate pages.
-        victims: Vec<u32>,
-    },
-    /// Stand up a honeypot source that earns organic links and funnels them.
-    Honeypot {
-        /// Pages of the honeypot site.
-        pages: usize,
-        /// Organic links the honeypot attracts.
-        induced_links: usize,
-        /// RNG seed for victim selection.
-        seed: u64,
-    },
-    /// Stand up a link farm in a fresh source.
-    Farm {
-        /// Farm pages.
-        pages: usize,
-        /// Whether farm pages also exchange links pairwise.
-        exchange: bool,
-    },
-    /// Stand up `sources` fresh colluding sources of `pages_each` pages.
-    Collusion {
-        /// Number of colluding sources.
-        sources: usize,
-        /// Pages per colluding source.
-        pages_each: usize,
-    },
-}
-
-impl Step {
-    /// Hijacked-link count of this step (for pricing).
-    fn hijacked_links(&self) -> usize {
-        match self {
-            Step::Hijack { victims } => victims.len(),
-            _ => 0,
-        }
-    }
-
-    /// Runs this step against any [`CrawlEditor`], returning the injected
-    /// pages and sources. This is the single definition of what a step does;
-    /// [`Campaign::execute`] drives it through a [`GraphEditor`] and
-    /// [`Campaign::record_deltas`] through a [`DeltaRecorder`].
-    pub fn apply<E: CrawlEditor>(&self, e: &mut E, target_page: u32) -> (Vec<u32>, Vec<SourceId>) {
-        match self {
-            Step::IntraInjection { count } => {
-                (intra_source_injection_on(e, target_page, *count), vec![])
-            }
-            Step::CrossInjection {
-                colluding_source,
-                count,
-            } => (
-                cross_source_injection_on(e, target_page, *colluding_source, *count),
-                vec![],
-            ),
-            Step::Hijack { victims } => {
-                hijack_on(e, victims, target_page);
-                (vec![], vec![])
-            }
-            Step::Honeypot {
-                pages,
-                induced_links,
-                seed,
-            } => {
-                let (ps, s) = honeypot_on(e, target_page, *pages, *induced_links, *seed);
-                (ps, vec![s])
-            }
-            Step::Farm { pages, exchange } => {
-                let (ps, s) = link_farm_on(e, target_page, *pages, *exchange);
-                (ps, vec![s])
-            }
-            Step::Collusion {
-                sources,
-                pages_each,
-            } => multi_source_collusion_on(e, target_page, *sources, *pages_each),
-        }
-    }
-}
 
 /// A composite attack: an ordered list of steps promoting one target page.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -136,57 +40,47 @@ impl Campaign {
         &self.steps
     }
 
-    /// Executes every step in order against `graph`, threading the mutated
-    /// crawl through, and returns the combined result (injected pages and
-    /// sources accumulated across steps).
+    /// Executes every step in order against `graph` and returns the attacked
+    /// crawl, with the pages and sources injected across all steps. Each
+    /// step is recorded as one delta, the deltas are applied in order to one
+    /// [`DeltaOverlay`] over `graph`, and the overlay is materialized once.
     pub fn execute(
         &self,
         graph: &CsrGraph,
         assignment: &SourceAssignment,
         target_page: u32,
     ) -> AttackResult {
-        let mut pages = graph.clone();
-        let mut assign = assignment.clone();
+        let mut rec = recorder(graph, assignment);
+        let mut overlay = DeltaOverlay::new(graph.clone());
         let mut injected_pages = Vec::new();
         let mut injected_sources = Vec::new();
         for step in &self.steps {
-            // A fresh editor per step, so `original_pages` (which the
-            // honeypot's victim RNG ranges over) means "pages at the start
-            // of this step" — the same boundary `record_deltas` draws.
-            let mut e = GraphEditor::new(&pages, &assign);
-            let (ip, is) = step.apply(&mut e, target_page);
-            let (p2, a2) = e.finish();
-            pages = p2;
-            assign = a2;
-            injected_pages.extend(ip);
-            injected_sources.extend(is);
+            let (pages, sources) = step.apply(&mut rec, target_page);
+            injected_pages.extend(pages);
+            injected_sources.extend(sources);
+            overlay
+                .apply(&rec.take_delta().graph)
+                .expect("the recorder checks every link endpoint");
         }
         AttackResult {
-            pages,
-            assignment: assign,
+            pages: overlay.to_csr(),
+            assignment: rec.into_assignment(),
             injected_pages,
             injected_sources,
         }
     }
 
-    /// Records the campaign as one [`CrawlDelta`] per step instead of
-    /// rebuilding the crawl — the input the incremental re-ranking engine
-    /// (`sr-core`'s `IncrementalRanker`) consumes to re-rank after every
-    /// step. Replaying the deltas over `graph` reproduces
-    /// [`execute`](Campaign::execute)'s attacked crawl exactly: both paths
-    /// drive the same [`Step::apply`] call sequence, RNG draws included.
+    /// Records the campaign as one [`CrawlDelta`] per step — the input the
+    /// incremental re-ranking engine (`sr-core`'s `IncrementalRanker`)
+    /// consumes to re-rank after every step. These are the deltas
+    /// [`execute`](Campaign::execute) folds.
     pub fn record_deltas(
         &self,
         graph: &CsrGraph,
         assignment: &SourceAssignment,
         target_page: u32,
     ) -> Vec<CrawlDelta> {
-        assert_eq!(
-            graph.num_nodes(),
-            assignment.num_pages(),
-            "assignment must cover the graph"
-        );
-        let mut rec = DeltaRecorder::new(assignment);
+        let mut rec = recorder(graph, assignment);
         self.steps
             .iter()
             .map(|step| {
@@ -205,6 +99,14 @@ impl Campaign {
     pub fn cost(&self, result: &AttackResult, model: &CostModel) -> f64 {
         model.cost(result, self.hijacked_links())
     }
+}
+
+/// A recorder over `assignment`, which must cover `graph`.
+fn recorder(graph: &CsrGraph, assignment: &SourceAssignment) -> DeltaRecorder {
+    assignment
+        .validate_for(graph)
+        .expect("assignment must cover the graph");
+    DeltaRecorder::new(assignment)
 }
 
 #[cfg(test)]
@@ -290,55 +192,40 @@ mod tests {
     }
 
     #[test]
-    fn recorded_deltas_replay_to_the_executed_crawl() {
-        use sr_graph::delta::{DeltaOverlay, SourceGraphMaintainer};
-        use sr_graph::source_graph::SourceGraphConfig;
-
-        let (g, a) = base();
-        // Every step kind, including the RNG-driven honeypot.
-        let campaign = Campaign::new()
-            .step(Step::IntraInjection { count: 2 })
-            .step(Step::Honeypot {
-                pages: 3,
-                induced_links: 5,
-                seed: 42,
-            })
-            .step(Step::Hijack {
-                victims: vec![1, 4],
-            })
-            .step(Step::Farm {
-                pages: 2,
-                exchange: true,
-            })
-            .step(Step::Collusion {
-                sources: 2,
-                pages_each: 1,
-            });
-        let batch = campaign.execute(&g, &a, 2);
-
-        let deltas = campaign.record_deltas(&g, &a, 2);
-        assert_eq!(deltas.len(), campaign.steps().len());
-        let mut overlay = DeltaOverlay::new(g.clone());
-        let mut maintainer =
-            SourceGraphMaintainer::new(&g, &a, SourceGraphConfig::consensus()).unwrap();
-        for d in &deltas {
-            overlay.apply(&d.graph).unwrap();
-            maintainer.apply(&overlay, d).unwrap();
-        }
-        assert_eq!(overlay.to_csr(), batch.pages, "page graphs must agree");
-        assert_eq!(
-            maintainer.assignment(),
-            batch.assignment,
-            "assignments must agree"
-        );
-    }
-
-    #[test]
     fn empty_campaign_is_identity() {
         let (g, a) = base();
         let r = Campaign::new().execute(&g, &a, 0);
         assert_eq!(r.pages, g);
+        assert_eq!(r.assignment, a);
         assert!(r.injected_pages.is_empty());
+    }
+
+    #[test]
+    fn existing_link_adds_no_edge() {
+        let (g, a) = base();
+        // Page 0 already links to page 2.
+        let hijack = Campaign::new().step(Step::Hijack { victims: vec![0] });
+        let r = hijack.execute(&g, &a, 2);
+        assert_eq!(r.pages, g);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_link_panics() {
+        let (g, a) = base();
+        let hijack = Campaign::new().step(Step::Hijack { victims: vec![99] });
+        hijack.execute(&g, &a, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown source")]
+    fn unknown_source_panics() {
+        let (g, a) = base();
+        let campaign = Campaign::new().step(Step::CrossInjection {
+            colluding_source: sr_graph::SourceId(7),
+            count: 1,
+        });
+        campaign.execute(&g, &a, 2);
     }
 
     #[test]

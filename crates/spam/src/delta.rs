@@ -1,90 +1,78 @@
-//! Recording attacks as graph deltas instead of rebuilt crawls.
+//! The crawl editor: attacks record their edits as graph deltas.
 //!
-//! [`DeltaRecorder`] implements [`CrawlEditor`] by *capturing* the mutation
-//! sequence as a [`CrawlDelta`] rather than materializing a new CSR graph.
-//! Because attacks are generic over the editor trait, the recorder sees the
-//! exact call sequence [`crate::GraphEditor`] would — including the RNG
-//! draws of the honeypot attack — so the recorded deltas replay to the
-//! bit-identical attacked crawl (see the equivalence test in
-//! [`crate::campaign`]).
-//!
-//! One recorder threads cumulative crawl state (page → source map, source
-//! count) across an entire campaign while emitting one delta per step via
-//! [`DeltaRecorder::take_delta`]; the incremental engine re-ranks after each.
+//! [`DeltaRecorder`] is the one mutation surface the attacks of
+//! [`crate::attacks`] are written against. It captures each edit in a
+//! [`CrawlDelta`] instead of materializing a new CSR graph, and threads
+//! cumulative crawl state (page → source map, source count) across an
+//! entire campaign while emitting one delta per step via
+//! [`DeltaRecorder::take_delta`]. The incremental engine re-ranks after
+//! each delta; [`crate::Campaign::execute`] folds them all through one
+//! [`sr_graph::delta::DeltaOverlay`] into the attacked crawl.
 
 use sr_graph::delta::CrawlDelta;
 use sr_graph::ids::node_id;
-use sr_graph::{NodeId, PageId, SourceAssignment, SourceId};
+use sr_graph::{NodeId, SourceAssignment, SourceId};
 
-use crate::editor::CrawlEditor;
-
-/// A [`CrawlEditor`] that records mutations as a [`CrawlDelta`].
+/// Records crawl mutations as [`CrawlDelta`]s.
 #[derive(Debug, Clone)]
-pub struct DeltaRecorder {
+pub(crate) struct DeltaRecorder {
     /// Source of every page, cumulative across all recorded deltas.
     page_sources: Vec<NodeId>,
     /// Source count, cumulative across all recorded deltas.
     num_sources: usize,
-    /// Page count at the start of the in-progress delta — what
-    /// `original_pages` means for the step being recorded, mirroring the
-    /// fresh per-step `GraphEditor` of the batch path.
+    /// Page count at the start of the in-progress delta.
     step_base_pages: usize,
     delta: CrawlDelta,
 }
 
 impl DeltaRecorder {
     /// Starts recording on top of a crawl with the given assignment.
-    pub fn new(assignment: &SourceAssignment) -> Self {
-        let page_sources = (0..assignment.num_pages())
-            .map(|p| assignment.source_of(PageId(node_id(p))).0)
-            .collect::<Vec<_>>();
+    pub(crate) fn new(assignment: &SourceAssignment) -> Self {
         DeltaRecorder {
-            step_base_pages: page_sources.len(),
+            page_sources: assignment.raw().to_vec(),
             num_sources: assignment.num_sources(),
-            page_sources,
+            step_base_pages: assignment.num_pages(),
             delta: CrawlDelta::new(),
         }
     }
 
     /// Finishes the in-progress delta and starts a fresh one on top of the
-    /// accumulated state. Subsequent `original_pages` calls report the page
-    /// count as of this boundary.
-    pub fn take_delta(&mut self) -> CrawlDelta {
+    /// accumulated state. Subsequent [`step_base_pages`] calls report the
+    /// page count as of this boundary.
+    ///
+    /// [`step_base_pages`]: DeltaRecorder::step_base_pages
+    pub(crate) fn take_delta(&mut self) -> CrawlDelta {
         self.step_base_pages = self.page_sources.len();
         std::mem::take(&mut self.delta)
     }
 
-    /// Whether the in-progress delta has recorded any mutation.
-    pub fn is_dirty(&self) -> bool {
-        !self.delta.is_empty()
-    }
-}
-
-impl CrawlEditor for DeltaRecorder {
-    fn num_pages(&self) -> usize {
-        self.page_sources.len()
+    /// The page → source map with every recorded page and source.
+    pub(crate) fn into_assignment(self) -> SourceAssignment {
+        SourceAssignment::new(self.page_sources, self.num_sources)
+            .expect("recorded pages belong to recorded sources")
     }
 
-    fn original_pages(&self) -> usize {
+    /// Number of pages the crawl had when the in-progress delta began.
+    pub(crate) fn step_base_pages(&self) -> usize {
         self.step_base_pages
     }
 
-    fn num_sources(&self) -> usize {
-        self.num_sources
-    }
-
-    fn source_of(&self, page: u32) -> SourceId {
+    /// Source of `page`.
+    pub(crate) fn source_of(&self, page: u32) -> SourceId {
         SourceId(self.page_sources[page as usize])
     }
 
-    fn add_source(&mut self) -> SourceId {
+    /// Adds a brand-new empty source, returning its id.
+    pub(crate) fn add_source(&mut self) -> SourceId {
         let id = SourceId(node_id(self.num_sources));
         self.num_sources += 1;
         self.delta.new_sources += 1;
         id
     }
 
-    fn add_pages(&mut self, source: SourceId, count: usize) -> Vec<u32> {
+    /// Adds `count` new pages to `source` (which must already exist),
+    /// returning their ids.
+    pub(crate) fn add_pages(&mut self, source: SourceId, count: usize) -> Vec<u32> {
         assert!(source.index() < self.num_sources, "unknown source {source}");
         let start = node_id(self.page_sources.len());
         self.delta.graph.add_nodes(count);
@@ -95,7 +83,8 @@ impl CrawlEditor for DeltaRecorder {
         (start..start + node_id(count)).collect()
     }
 
-    fn add_link(&mut self, from: u32, to: u32) {
+    /// Adds the hyperlink `(from, to)`. Both pages must exist.
+    pub(crate) fn add_link(&mut self, from: u32, to: u32) {
         let n = node_id(self.page_sources.len());
         assert!(
             from < n && to < n,
@@ -110,7 +99,7 @@ mod tests {
     use super::*;
     use sr_graph::delta::{DeltaOverlay, SourceGraphMaintainer};
     use sr_graph::source_graph::SourceGraphConfig;
-    use sr_graph::GraphBuilder;
+    use sr_graph::{GraphBuilder, PageId};
 
     fn base() -> (sr_graph::CsrGraph, SourceAssignment) {
         let g = GraphBuilder::from_edges_exact(3, vec![(0, 1), (1, 2)]).unwrap();
@@ -150,31 +139,14 @@ mod tests {
     fn take_delta_resets_the_step_base() {
         let (_, a) = base();
         let mut rec = DeltaRecorder::new(&a);
-        assert_eq!(rec.original_pages(), 3);
+        assert_eq!(rec.step_base_pages(), 3);
         let s = rec.add_source();
         rec.add_pages(s, 4);
-        assert_eq!(rec.original_pages(), 3, "base is fixed within a step");
+        assert_eq!(rec.step_base_pages(), 3, "base is fixed within a step");
         let first = rec.take_delta();
         assert_eq!(first.graph.new_nodes(), 4);
-        assert_eq!(rec.original_pages(), 7, "next step sees the grown crawl");
-        assert!(!rec.is_dirty());
+        assert_eq!(rec.step_base_pages(), 7, "next step sees the grown crawl");
         let second = rec.take_delta();
         assert!(second.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn dangling_link_rejected() {
-        let (_, a) = base();
-        let mut rec = DeltaRecorder::new(&a);
-        rec.add_link(0, 99);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown source")]
-    fn pages_for_missing_source_rejected() {
-        let (_, a) = base();
-        let mut rec = DeltaRecorder::new(&a);
-        rec.add_pages(SourceId(7), 1);
     }
 }

@@ -48,13 +48,6 @@ impl CostModel {
             + attack.injected_sources.len() as f64 * self.per_source
             + hijacked_links as f64 * self.per_hijacked_link
     }
-
-    /// Cost of a hypothetical campaign without executing it.
-    pub fn campaign_cost(&self, pages: usize, sources: usize, hijacked_links: usize) -> f64 {
-        pages as f64 * self.per_page
-            + sources as f64 * self.per_source
-            + hijacked_links as f64 * self.per_hijacked_link
-    }
 }
 
 /// Outcome of one campaign against one ranking system.
@@ -116,7 +109,7 @@ pub fn portfolio_value(scores: &[f64], portfolio: &[u32], top_k: Option<&[u32]>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attacks::link_farm;
+    use crate::{Campaign, Step};
     use sr_graph::{GraphBuilder, SourceAssignment};
 
     fn outcome(cost: f64, before: f64, after: f64) -> CampaignOutcome {
@@ -139,21 +132,16 @@ mod tests {
     fn attack_cost_accounts_pages_and_sources() {
         let g = GraphBuilder::from_edges_exact(3, vec![(0, 1)]).unwrap();
         let a = SourceAssignment::new(vec![0, 0, 1], 2).unwrap();
-        let farm = link_farm(&g, &a, 0, 50, false);
+        let farm = Campaign::new()
+            .step(Step::Farm {
+                pages: 50,
+                exchange: false,
+            })
+            .execute(&g, &a, 0);
         let m = CostModel::default();
         // 50 pages + 1 new source.
         assert_eq!(m.cost(&farm, 0), 50.0 + 100.0);
         assert_eq!(m.cost(&farm, 3), 150.0 + 75.0);
-    }
-
-    #[test]
-    fn campaign_cost_formula() {
-        let m = CostModel {
-            per_page: 2.0,
-            per_source: 10.0,
-            per_hijacked_link: 5.0,
-        };
-        assert_eq!(m.campaign_cost(3, 2, 1), 6.0 + 20.0 + 5.0);
     }
 
     #[test]

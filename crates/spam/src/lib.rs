@@ -10,27 +10,22 @@
 //!   the authority to a spam target;
 //! * **collusion** — link farms, link exchanges and multi-source alliances.
 //!
-//! Each attack is a pure function from an immutable crawl to an attacked
-//! copy (see [`attacks`]); [`editor::CrawlEditor`] is the mutation surface
-//! attacks are written against, with [`editor::GraphEditor`] (batch CSR
-//! rebuild) and [`delta::DeltaRecorder`] (per-step `CrawlDelta` capture for
-//! incremental re-ranking) as its two implementations;
+//! Each attack is one arm of [`Step`] (see [`attacks`]), written against
+//! one crawl editor that records a step's pages, sources and links as a
+//! [`sr_graph::delta::CrawlDelta`]. A [`Campaign`] chains steps:
+//! [`Campaign::record_deltas`] hands the incremental re-ranking engine one
+//! delta per step, and [`Campaign::execute`] folds them into an attacked
+//! copy of the crawl, so a single attack is a one-step campaign.
 //! [`scenario::InjectionCase`] enumerates the paper's A/B/C/D intensities
 //! (1/10/100/1000 pages).
 
 pub mod attacks;
 pub mod campaign;
-pub mod delta;
+mod delta;
 pub mod economics;
-pub mod editor;
 pub mod scenario;
 
-pub use attacks::{
-    cross_source_injection, hijack, honeypot, intra_source_injection, link_farm,
-    multi_source_collusion, AttackResult,
-};
-pub use campaign::{Campaign, Step};
-pub use delta::DeltaRecorder;
+pub use attacks::{AttackResult, Step};
+pub use campaign::Campaign;
 pub use economics::{CampaignOutcome, CostModel};
-pub use editor::{CrawlEditor, GraphEditor};
 pub use scenario::InjectionCase;

@@ -10,7 +10,7 @@ use sr_core::order::cmp_asc_nan_last;
 use sr_gen::generate;
 use sr_graph::source_graph::extract;
 use sr_graph::CsrGraph;
-use sr_spam::{hijack, honeypot, link_farm, AttackResult};
+use sr_spam::{AttackResult, Campaign, Step};
 
 /// Ranks a crawl both ways and returns the percentile of the target page
 /// (PageRank) and of its source (SR-SourceRank, spam-proximity throttled).
@@ -73,7 +73,12 @@ fn main() {
         .step_by(40)
         .take(15)
         .collect();
-    let h: AttackResult = hijack(&crawl.pages, &crawl.assignment, &victims, target_page);
+    let attack = |step: Step| -> AttackResult {
+        Campaign::new()
+            .step(step)
+            .execute(&crawl.pages, &crawl.assignment, target_page)
+    };
+    let h = attack(Step::Hijack { victims });
     report(
         "hijack",
         before,
@@ -82,7 +87,11 @@ fn main() {
 
     // 2. Honeypot: a 5-page "quality" site earns 30 organic links, then
     //    funnels to the target.
-    let hp = honeypot(&crawl.pages, &crawl.assignment, target_page, 5, 30, 99);
+    let hp = attack(Step::Honeypot {
+        pages: 5,
+        induced_links: 30,
+        seed: 99,
+    });
     report(
         "honeypot",
         before,
@@ -90,7 +99,10 @@ fn main() {
     );
 
     // 3. Link farm: 200 pages in a fresh source, pairwise-exchanged.
-    let farm = link_farm(&crawl.pages, &crawl.assignment, target_page, 200, true);
+    let farm = attack(Step::Farm {
+        pages: 200,
+        exchange: true,
+    });
     report(
         "farm",
         before,

@@ -136,6 +136,20 @@ cargo test -q -p sr-core --test incremental_differential
 cargo test -q -p sr-graph --test proptests extract_matches_the_naive_consensus_oracle_bitwise
 cargo test -q --test invariants source_graph_extraction_and_maintenance_agree_bitwise
 
+echo "==> attack materialization oracle (one crawl editor: executed crawl == rebuild)"
+# Each attack is an sr_spam::Step arm recorded through DeltaRecorder, the
+# one crawl editor, and Campaign::execute folds the recorded deltas
+# through one DeltaOverlay. With one editor left, nothing compares two
+# ways of building an attacked crawl, so the oracle proptest is what pins
+# how attacks are materialized: on random crawls and step sequences of
+# every kind (the honeypot's RNG and the exchange farm included) the
+# executed crawl must equal a GraphBuilder build of the original edges
+# plus every recorded link, and the input assignment extended by every
+# recorded page source. The spam-resilience suite (tier-1) runs each
+# attack against the rankings as a one-step campaign.
+cargo test -q -p sr-spam --test campaign_oracle executed_campaigns_equal_a_rebuild_from_the_recorded_edits
+cargo test -q --test spam_resilience
+
 echo "==> multi-column solve differential suite (K-column == one-column requests, bitwise)"
 # Every column of a K-column sr_core::SolveRequest must equal its one-column
 # request bit for bit — scores, residual histories, iteration counts — with

@@ -7,10 +7,7 @@ use sr_core::order::cmp_asc_nan_last;
 use sr_gen::{generate, CrawlConfig};
 use sr_graph::source_graph::extract;
 use sr_graph::SourceId;
-use sr_spam::{
-    cross_source_injection, hijack, intra_source_injection, link_farm, multi_source_collusion,
-    Campaign, Step,
-};
+use sr_spam::{Campaign, Step};
 
 fn crawl() -> sr_gen::SyntheticCrawl {
     let mut cfg = CrawlConfig::tiny(321);
@@ -42,7 +39,9 @@ fn intra_source_injection_moves_pagerank_far_more_than_srsr() {
     let pr_before = PageRank::default().rank(&c.pages).percentile(tp);
     let sr_before = SourceRank::new().rank(&sources).percentile(ts);
 
-    let attack = intra_source_injection(&c.pages, &c.assignment, tp, 100);
+    let attack = Campaign::new()
+        .step(Step::IntraInjection { count: 100 })
+        .execute(&c.pages, &c.assignment, tp);
     let pr_after = PageRank::default().rank(&attack.pages).percentile(tp);
     let sg = extract(
         &attack.pages,
@@ -79,7 +78,10 @@ fn consensus_weighting_blunts_single_page_hijacking() {
         .collect();
     assert_eq!(victims.len(), 5);
 
-    let attack = hijack(&c.pages, &c.assignment, &victims, tp);
+    let attack =
+        Campaign::new()
+            .step(Step::Hijack { victims })
+            .execute(&c.pages, &c.assignment, tp);
     let sg = extract(
         &attack.pages,
         &attack.assignment,
@@ -112,7 +114,12 @@ fn full_throttle_caps_cross_source_injection() {
         .find(|&s| s != c.assignment.raw()[tp as usize] && c.pages_of(s).len() > 2)
         .unwrap();
 
-    let attack = cross_source_injection(&c.pages, &c.assignment, tp, SourceId(colluder), 500);
+    let attack = Campaign::new()
+        .step(Step::CrossInjection {
+            colluding_source: SourceId(colluder),
+            count: 500,
+        })
+        .execute(&c.pages, &c.assignment, tp);
     let sg = extract(
         &attack.pages,
         &attack.assignment,
@@ -147,7 +154,12 @@ fn link_farm_in_new_source_is_self_defeating_at_source_level() {
     let c = crawl();
     let sources_before = extract(&c.pages, &c.assignment, SourceGraphConfig::consensus()).unwrap();
     let (_, tp) = cold_target(&c);
-    let farm = link_farm(&c.pages, &c.assignment, tp, 300, true);
+    let farm = Campaign::new()
+        .step(Step::Farm {
+            pages: 300,
+            exchange: true,
+        })
+        .execute(&c.pages, &c.assignment, tp);
     let sg = extract(
         &farm.pages,
         &farm.assignment,
@@ -220,7 +232,12 @@ fn collusion_cost_grows_as_predicted_by_eq5() {
     let c = crawl();
     let (_, tp) = cold_target(&c);
     let x = 8;
-    let attack = multi_source_collusion(&c.pages, &c.assignment, tp, x, 3);
+    let attack = Campaign::new()
+        .step(Step::Collusion {
+            sources: x,
+            pages_each: 3,
+        })
+        .execute(&c.pages, &c.assignment, tp);
     let sg = extract(
         &attack.pages,
         &attack.assignment,
