@@ -32,7 +32,7 @@ fn bench_solvers(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let r = sr_core::solver::solve_weighted_warm_observed(
+                let r = sr_core::solver::solve_weighted(
                     sources.transitions(),
                     0.85,
                     &Teleport::Uniform,

@@ -41,7 +41,7 @@ fn bench_scenario3_solve(c: &mut Criterion) {
         let t = WeightedGraph::from_triples(n, triples);
         group.bench_with_input(BenchmarkId::from_parameter(x), &t, |b, t| {
             b.iter(|| {
-                let r = sr_core::solver::solve_weighted_warm_observed(
+                let r = sr_core::solver::solve_weighted(
                     t,
                     0.85,
                     &Teleport::Uniform,

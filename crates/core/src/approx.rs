@@ -474,7 +474,7 @@ impl<'a> ApproxPpr<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proximity::SpamProximity;
+    use crate::pagerank::PageRank;
     use sr_graph::transpose::transpose;
     use sr_graph::{CsrGraph, GraphBuilder};
     use std::path::PathBuf;
@@ -500,6 +500,16 @@ mod tests {
         GraphBuilder::from_edges_exact(n as usize, edges).unwrap()
     }
 
+    /// The exact oracle: seed-personalized PageRank over the walk graph
+    /// `rev`, at the caches' default β.
+    fn exact_ppr(rev: &CsrGraph, seeds: &[u32]) -> RankVector {
+        PageRank::builder()
+            .alpha(WalkCacheConfig::default().beta)
+            .teleport(Teleport::try_over_seeds(rev.num_nodes(), seeds).unwrap())
+            .finish()
+            .rank(rev)
+    }
+
     #[test]
     fn push_only_matches_exact_solver() {
         let g = fixture();
@@ -517,7 +527,7 @@ mod tests {
         };
         for seeds in [vec![0u32], vec![3, 7], vec![11]] {
             let approx = engine.query(&seeds, &q).unwrap();
-            let exact = SpamProximity::new().scores_uniform(&g, &seeds).unwrap();
+            let exact = exact_ppr(&rev, &seeds);
             for (a, e) in approx.scores().iter().zip(exact.scores()) {
                 assert!(
                     (a - e).abs() <= 1e-8,
@@ -531,7 +541,7 @@ mod tests {
     fn walks_tighten_a_loose_push() {
         let g = fixture();
         let rev = transpose(&g);
-        let exact = SpamProximity::new().scores_uniform(&g, &[0]).unwrap();
+        let exact = exact_ppr(&rev, &[0]);
         let q = QueryConfig {
             epsilon: 0.5, // barely any pushing: the walks must carry it
             ..Default::default()

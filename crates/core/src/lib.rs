@@ -13,7 +13,9 @@
 //! * [`spam_resilient`] — **Spam-Resilient SourceRank** (§3.4): consensus
 //!   weights + self-edges + throttling, solved as a selective random walk;
 //! * [`proximity`] — spam-proximity scoring over the reversed source graph
-//!   (§5), from which the throttling vector κ is derived;
+//!   (§5), from which the throttling vector κ is derived: one
+//!   [`SpamProximity`] front end (`scores`, `scores_batch`,
+//!   `throttle_top_k`) whose weighting is its only switch;
 //! * [`incremental`] — the delta re-ranking engine: PageRank, SourceRank and
 //!   SR-SourceRank re-solved by warm restart over a mutating page graph
 //!   (see `sr_graph::delta` for the graph substrate);
@@ -21,7 +23,9 @@
 //! * [`approx`] — the Monte-Carlo walk-cache approximate-PPR path: offline
 //!   [`WalkCacheBuilder`] simulation over a CSR walk graph plus query-time
 //!   [`ApproxPpr`] residual-push assembly, property-tested against the
-//!   exact solver as a differential oracle;
+//!   exact solver as a differential oracle. [`PageRank::approx`] is its
+//!   one front end: over the transposed structural source graph it is
+//!   approximate spam proximity under the uniform weighting;
 //! * [`streamed`] — the out-of-core solve engine: the PageRank operator over
 //!   an on-disk [`sr_graph::ShardedCompressedGraph`], run as a decode-ahead
 //!   prefetch + block-decode pipeline whose workers claim chunk spans as
@@ -71,7 +75,7 @@ pub use incremental::{DeltaRerank, IncrementalConfig, IncrementalRanker, Overlay
 pub use order::{cmp_asc_nan_last, cmp_desc_nan_last};
 pub use pagerank::PageRank;
 pub use power::{solve, Formulation, SolveColumn, SolveRequest, SolverWorkspace, PANEL_WIDTH};
-pub use proximity::{ProximityApprox, ProximityQuery, SpamProximity};
+pub use proximity::SpamProximity;
 pub use rankvec::RankVector;
 pub use snapshot::{RankSnapshot, SnapshotRing};
 pub use solver::Solver;

@@ -92,8 +92,10 @@ impl PageRank {
     }
 
     /// Builds the Monte-Carlo walk cache of this configuration's chain over
-    /// the *forward* page graph — the offline half of the approximate
-    /// personalized-PageRank fast path (see [`crate::approx`]).
+    /// `graph` — the offline half of the approximate personalized-PageRank
+    /// fast path (see [`crate::approx`]). Over the forward page graph that
+    /// is personalized PageRank; over the transposed structural source
+    /// graph it is spam proximity under the uniform weighting.
     /// `config.beta` is overridden by this configuration's α so cache and
     /// solver always agree.
     pub fn build_walk_cache(

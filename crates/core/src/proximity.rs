@@ -6,7 +6,12 @@
 //! it is spam, links to spam, or links to sources that link to spam,
 //! recursively. The top-k scored sources are then throttled completely.
 //!
-//! Two reversed-walk weightings are provided:
+//! [`SpamProximity`] computes Eq. 6 one way. [`scores`](SpamProximity::scores)
+//! answers one seed set and is the one-column case of
+//! [`scores_batch`](SpamProximity::scores_batch), which answers many over
+//! one reversed operator; [`throttle_top_k`](SpamProximity::throttle_top_k)
+//! turns the scores into κ. Every column solves at the configured β, and
+//! the reversed-walk weighting is the only switch:
 //!
 //! * [`ProximityWeighting::Consensus`] (default) — reversed edges carry the
 //!   source-consensus weights of `T'`, so a source that devotes many of its
@@ -18,10 +23,14 @@
 //! * [`ProximityWeighting::Uniform`] — classic BadRank: every reversed edge
 //!   weighs `1/indegree`. Kept for comparison; `bench_ablations` quantifies
 //!   the difference.
+//!
+//! The uniform weighting is seed-personalized PageRank at α = β over the
+//! transposed structural graph, so its approximate form is
+//! [`PageRank::approx`](crate::PageRank::approx) over that graph, off a
+//! walk cache built by
+//! [`PageRank::build_walk_cache`](crate::PageRank::build_walk_cache) (see
+//! [`crate::approx`]).
 
-use std::path::Path;
-
-use crate::approx::{ApproxError, ApproxPpr, QueryConfig, WalkCacheBuilder, WalkCacheConfig};
 use crate::convergence::ConvergenceCriteria;
 use crate::operator::{Transition, UniformTransition, WeightedTransition};
 use crate::power::{self, SolveColumn, SolveRequest, SolverWorkspace};
@@ -29,27 +38,7 @@ use crate::rankvec::RankVector;
 use crate::teleport::{Teleport, TeleportError};
 use crate::throttle::ThrottleVector;
 use sr_graph::transpose::transpose;
-use sr_graph::walks::WalkStore;
-use sr_graph::{CsrGraph, SourceGraph, WeightedGraph};
-
-/// One column of a batched proximity run
-/// ([`SpamProximity::scores_batch`]): a seed set and a mixing-factor β
-/// point. Build with [`ProximityQuery::new`] or, to inherit a configured
-/// β, [`SpamProximity::query`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProximityQuery {
-    /// Labeled spam seeds of this column.
-    pub seeds: Vec<u32>,
-    /// Mixing factor β of this column (Eq. 6).
-    pub beta: f64,
-}
-
-impl ProximityQuery {
-    /// A query over `seeds` at mixing factor `beta`.
-    pub fn new(seeds: Vec<u32>, beta: f64) -> Self {
-        ProximityQuery { seeds, beta }
-    }
-}
+use sr_graph::{SourceGraph, WeightedGraph};
 
 /// Edge weighting of the reversed badness walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,48 +97,56 @@ impl SpamProximity {
         self
     }
 
-    /// A [`ProximityQuery`] over `seeds` at this configuration's β — the
-    /// building block of [`scores_batch`](SpamProximity::scores_batch).
-    pub fn query(&self, seeds: Vec<u32>) -> ProximityQuery {
-        ProximityQuery::new(seeds, self.beta)
-    }
-
-    /// Computes spam-proximity scores for every source of `source_graph`,
-    /// dispatching on the configured weighting. Degenerate seed sets return
-    /// a typed [`TeleportError`] — never NaN ranks.
+    /// Spam-proximity scores of every source of `source_graph` for one seed
+    /// set: the one-column case of
+    /// [`scores_batch`](SpamProximity::scores_batch). A degenerate seed set
+    /// returns a typed [`TeleportError`] — never NaN ranks.
     pub fn scores(
         &self,
         source_graph: &SourceGraph,
         spam_seeds: &[u32],
     ) -> Result<RankVector, TeleportError> {
-        match self.weighting {
-            ProximityWeighting::Uniform => {
-                self.scores_uniform(source_graph.structural(), spam_seeds)
-            }
-            ProximityWeighting::Consensus => {
-                self.scores_weighted(source_graph.transitions(), spam_seeds)
-            }
-        }
+        Ok(self.scores_batch(source_graph, &[spam_seeds])?.remove(0))
     }
 
-    /// Uniform (BadRank-style) proximity over a structural source graph
-    /// (no self-edges required).
-    pub fn scores_uniform(
+    /// Spam-proximity scores for each of `seed_sets`, in order: one column
+    /// per seed set, solved in one SpMM panel family over a **single**
+    /// reversed operator instead of one edge-stream pass per set — the
+    /// multi-seed path of the sensitivity sweeps. Each column is
+    /// bit-identical to its own [`scores`](SpamProximity::scores) call. The
+    /// first degenerate seed set fails the whole batch with its
+    /// [`TeleportError`].
+    pub fn scores_batch<S: AsRef<[u32]>>(
         &self,
-        structural: &CsrGraph,
-        spam_seeds: &[u32],
-    ) -> Result<RankVector, TeleportError> {
-        let teleport = Teleport::try_over_seeds(structural.num_nodes(), spam_seeds)?;
-        Ok(self.solve(&Self::reversed_uniform(structural), teleport))
+        source_graph: &SourceGraph,
+        seed_sets: &[S],
+    ) -> Result<Vec<RankVector>, TeleportError> {
+        let n = source_graph.num_sources();
+        let columns = seed_sets
+            .iter()
+            .map(|seeds| {
+                let teleport = Teleport::try_over_seeds(n, seeds.as_ref())?;
+                Ok(SolveColumn::new(self.beta, teleport))
+            })
+            .collect::<Result<Vec<_>, TeleportError>>()?;
+        let request = SolveRequest::new(columns).criteria(self.criteria);
+        let op = self.reversed(source_graph);
+        Ok(power::solve(
+            op.as_ref(),
+            &request,
+            &mut SolverWorkspace::new(),
+            &mut [],
+        ))
     }
 
-    /// Consensus-weighted proximity: reverse the weighted transitions and
-    /// renormalize each row so it is again a random walk.
+    /// The reversed operator of the configured weighting: the one place the
+    /// weighting is read.
     ///
-    /// Self-edges are excluded from the reversed walk: badness measures
-    /// where a source's links *to others* lead, and a reversed self-loop
-    /// would instead let well-self-connected legitimate sources absorb and
-    /// hoard badness mass.
+    /// The consensus operator reverses the weighted transitions and
+    /// renormalizes each row so it is again a random walk. Self-edges are
+    /// excluded from the reversed walk: badness measures where a source's
+    /// links *to others* lead, and a reversed self-loop would instead let
+    /// well-self-connected legitimate sources absorb and hoard badness mass.
     ///
     /// Dropping self-edges can leave reversed rows empty — most visibly for
     /// a source whose only transition is its dangling-policy self-loop. Such
@@ -158,153 +155,23 @@ impl SpamProximity {
     /// uniformly: an isolated source's badness flows back to the spam seeds
     /// instead of smearing over innocent bystanders. Pinned by
     /// `isolated_self_loop_sources_leak_no_badness` below.
-    pub fn scores_weighted(
-        &self,
-        transitions: &WeightedGraph,
-        spam_seeds: &[u32],
-    ) -> Result<RankVector, TeleportError> {
-        let teleport = Teleport::try_over_seeds(transitions.num_nodes(), spam_seeds)?;
-        Ok(self.solve(&Self::reversed_weighted(transitions), teleport))
-    }
-
-    /// Proximity with an arbitrary non-negative per-source badness prior in
-    /// place of the uniform seed teleport (a graded labeling instead of a
-    /// binary one). The prior need not be normalized — it is L1-normalized
-    /// here, the documented fallback for unnormalized input; a zero-mass,
-    /// negative or non-finite prior returns a typed error, never NaN ranks.
-    pub fn scores_with_prior(
-        &self,
-        source_graph: &SourceGraph,
-        badness_prior: &[f64],
-    ) -> Result<RankVector, TeleportError> {
-        let teleport = Teleport::try_from_weights(badness_prior.to_vec())?;
-        Ok(match self.weighting {
-            ProximityWeighting::Uniform => {
-                self.solve(&Self::reversed_uniform(source_graph.structural()), teleport)
-            }
-            ProximityWeighting::Consensus => self.solve(
-                &Self::reversed_weighted(source_graph.transitions()),
-                teleport,
-            ),
-        })
-    }
-
-    /// Batched proximity: solves all of `queries` (each a seed-set/β point)
-    /// in one SpMM panel family over a **single** reversed operator, instead
-    /// of one edge-stream pass per query — the multi-seed personalization
-    /// path of the sensitivity sweeps. Results are in query order and
-    /// bit-identical to per-query [`scores`](SpamProximity::scores) calls.
-    pub fn scores_batch(
-        &self,
-        source_graph: &SourceGraph,
-        queries: &[ProximityQuery],
-    ) -> Result<Vec<RankVector>, TeleportError> {
-        let n = source_graph.num_sources();
-        let mut columns = Vec::with_capacity(queries.len());
-        for q in queries {
-            assert!(
-                (0.0..1.0).contains(&q.beta),
-                "beta must be in [0,1), got {}",
-                q.beta
-            );
-            columns.push(SolveColumn::new(
-                q.beta,
-                Teleport::try_over_seeds(n, &q.seeds)?,
-            ));
-        }
-        let request = SolveRequest::new(columns).criteria(self.criteria);
-        let ws = &mut SolverWorkspace::new();
-        Ok(match self.weighting {
-            ProximityWeighting::Uniform => {
-                let op = Self::reversed_uniform(source_graph.structural());
-                power::solve(&op, &request, ws, &mut [])
-            }
+    fn reversed(&self, source_graph: &SourceGraph) -> Box<dyn Transition> {
+        match self.weighting {
+            ProximityWeighting::Uniform => Box::new(UniformTransition::new(&transpose(
+                source_graph.structural(),
+            ))),
             ProximityWeighting::Consensus => {
-                let op = Self::reversed_weighted(source_graph.transitions());
-                power::solve(&op, &request, ws, &mut [])
+                let transitions = source_graph.transitions();
+                let triples: Vec<(u32, u32, f64)> = transitions
+                    .edges()
+                    .filter(|&(u, v, w)| u != v && w > 0.0)
+                    .map(|(u, v, w)| (v, u, w))
+                    .collect();
+                let mut inverted = WeightedGraph::from_triples(transitions.num_nodes(), triples);
+                inverted.normalize_rows();
+                Box::new(WeightedTransition::new(&inverted))
             }
-        })
-    }
-
-    /// The reversed structural operator of the uniform weighting — shared by
-    /// the single and batched solve paths.
-    fn reversed_uniform(structural: &CsrGraph) -> UniformTransition {
-        UniformTransition::new(&transpose(structural))
-    }
-
-    /// The reversed, row-renormalized operator of the consensus weighting
-    /// (self-edges dropped — see
-    /// [`scores_weighted`](SpamProximity::scores_weighted)).
-    fn reversed_weighted(transitions: &WeightedGraph) -> WeightedTransition {
-        let n = transitions.num_nodes();
-        let triples: Vec<(u32, u32, f64)> = transitions
-            .edges()
-            .filter(|&(u, v, w)| u != v && w > 0.0)
-            .map(|(u, v, w)| (v, u, w))
-            .collect();
-        let mut inverted = WeightedGraph::from_triples(n, triples);
-        inverted.normalize_rows();
-        WeightedTransition::new(&inverted)
-    }
-
-    /// The one place a proximity solve is configured: every scoring entry
-    /// point funnels its reversed operator and teleport through here.
-    fn solve(&self, op: &dyn Transition, teleport: Teleport) -> RankVector {
-        let column = SolveColumn::new(self.beta, teleport);
-        let request = SolveRequest::new(vec![column]).criteria(self.criteria);
-        power::solve(op, &request, &mut SolverWorkspace::new(), &mut []).remove(0)
-    }
-
-    /// Builds the Monte-Carlo walk cache of the uniform (BadRank-style)
-    /// badness walk: `config.walks` reverse walks per source over the
-    /// transposed structural graph, written to `path` (see
-    /// [`crate::approx`]). `config.beta` is overridden by this
-    /// configuration's β so cache and solver always agree.
-    pub fn build_walk_cache(
-        &self,
-        structural: &CsrGraph,
-        config: WalkCacheConfig,
-        path: &Path,
-    ) -> Result<WalkStore, ApproxError> {
-        let config = WalkCacheConfig {
-            beta: self.beta,
-            ..config
-        };
-        WalkCacheBuilder::new(config).build(&transpose(structural), path)
-    }
-
-    /// Binds a walk cache built by
-    /// [`build_walk_cache`](SpamProximity::build_walk_cache) into a reusable
-    /// approximate query engine over `structural` — the walk-cache
-    /// counterpart of [`scores_uniform`](SpamProximity::scores_uniform),
-    /// which trades an (ε, δ) additive error for fewer push rounds (see
-    /// [`crate::approx`] for measured query times).
-    /// Rejects caches built at a different β or for a different graph size.
-    pub fn approx(
-        &self,
-        structural: &CsrGraph,
-        cache: WalkStore,
-    ) -> Result<ProximityApprox, ApproxError> {
-        if cache.meta().beta().to_bits() != self.beta.to_bits() {
-            return Err(ApproxError::CacheMismatch {
-                message: format!(
-                    "cache was built at beta {}, solver is configured for {}",
-                    cache.meta().beta(),
-                    self.beta
-                ),
-            });
         }
-        let reversed = transpose(structural);
-        if reversed.num_nodes() != cache.num_nodes() {
-            return Err(ApproxError::CacheMismatch {
-                message: format!(
-                    "graph has {} sources, cache was built for {}",
-                    reversed.num_nodes(),
-                    cache.num_nodes()
-                ),
-            });
-        }
-        Ok(ProximityApprox { reversed, cache })
     }
 
     /// End-to-end §5 heuristic: score every source, throttle the top `k`
@@ -320,87 +187,65 @@ impl SpamProximity {
     }
 }
 
-/// A bound approximate spam-proximity engine: the reversed structural graph
-/// plus its walk cache, owned together so queries need no per-call setup.
-/// Construct with [`SpamProximity::approx`]; query with
-/// [`scores`](ProximityApprox::scores).
-#[derive(Debug)]
-pub struct ProximityApprox {
-    reversed: CsrGraph,
-    cache: WalkStore,
-}
-
-impl ProximityApprox {
-    /// Approximate spam-proximity scores for `spam_seeds` — the fast-path
-    /// counterpart of [`SpamProximity::scores_uniform`], accurate to the
-    /// push ε plus the Monte-Carlo closing term (see [`crate::approx`]).
-    pub fn scores(
-        &self,
-        spam_seeds: &[u32],
-        config: &QueryConfig,
-    ) -> Result<RankVector, ApproxError> {
-        ApproxPpr::new(&self.reversed, &self.cache)?.query(spam_seeds, config)
-    }
-
-    /// The bound walk cache.
-    pub fn cache(&self) -> &WalkStore {
-        &self.cache
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sr_graph::source_graph::{extract, SourceGraphConfig};
     use sr_graph::{GraphBuilder, SourceAssignment};
 
+    /// The page graph on `n` pages with each page its own source.
+    fn pages_as_sources(n: usize, edges: Vec<(u32, u32)>) -> SourceGraph {
+        let g = GraphBuilder::from_edges_exact(n, edges).unwrap();
+        extract(
+            &g,
+            &SourceAssignment::identity(n),
+            SourceGraphConfig::consensus(),
+        )
+        .unwrap()
+    }
+
     /// 0 -> spam(3); 1 -> 0; 2 -> 1. In the reversed graph, badness flows
     /// 3 -> 0 -> 1 -> 2.
-    fn chain() -> CsrGraph {
-        GraphBuilder::from_edges_exact(4, vec![(0, 3), (1, 0), (2, 1)]).unwrap()
+    fn chain() -> SourceGraph {
+        pages_as_sources(4, vec![(0, 3), (1, 0), (2, 1)])
+    }
+
+    fn uniform() -> SpamProximity {
+        SpamProximity::new().weighting(ProximityWeighting::Uniform)
     }
 
     #[test]
     fn seeds_score_highest() {
-        let g = chain();
-        let r = SpamProximity::new().scores_uniform(&g, &[3]).unwrap();
+        let r = uniform().scores(&chain(), &[3]).unwrap();
         assert_eq!(r.sorted_desc()[0], 3);
     }
 
     #[test]
     fn proximity_decays_with_distance() {
-        let g = chain();
-        let r = SpamProximity::new().scores_uniform(&g, &[3]).unwrap();
+        let r = uniform().scores(&chain(), &[3]).unwrap();
         assert!(r.score(0) > r.score(1));
         assert!(r.score(1) > r.score(2));
     }
 
     #[test]
     fn sources_not_linking_to_spam_score_low() {
-        let g = GraphBuilder::from_edges_exact(4, vec![(2, 1), (1, 0)]).unwrap();
-        let r = SpamProximity::new().scores_uniform(&g, &[0]).unwrap();
+        let sg = pages_as_sources(4, vec![(2, 1), (1, 0)]);
+        let r = uniform().scores(&sg, &[0]).unwrap();
         assert!(r.score(3) < r.score(1));
         assert!(r.score(3) < r.score(2), "{:?}", r.scores());
     }
 
     #[test]
     fn empty_seed_rejected() {
-        let g = chain();
-        let r = SpamProximity::new().scores_uniform(&g, &[]);
+        let r = uniform().scores(&chain(), &[]);
         assert_eq!(r.unwrap_err(), TeleportError::EmptySeeds);
     }
 
     #[test]
     fn beta_controls_propagation_reach() {
-        let g = chain();
-        let near = SpamProximity::new()
-            .beta(0.5)
-            .scores_uniform(&g, &[3])
-            .unwrap();
-        let far = SpamProximity::new()
-            .beta(0.95)
-            .scores_uniform(&g, &[3])
-            .unwrap();
+        let sg = chain();
+        let near = uniform().beta(0.5).scores(&sg, &[3]).unwrap();
+        let far = uniform().beta(0.95).scores(&sg, &[3]).unwrap();
         let near_ratio = near.score(1) / near.score(3);
         let far_ratio = far.score(1) / far.score(3);
         assert!(far_ratio > near_ratio);
@@ -408,8 +253,8 @@ mod tests {
 
     #[test]
     fn multiple_seeds() {
-        let g = GraphBuilder::from_edges_exact(5, vec![(0, 3), (1, 4), (2, 0)]).unwrap();
-        let r = SpamProximity::new().scores_uniform(&g, &[3, 4]).unwrap();
+        let sg = pages_as_sources(5, vec![(0, 3), (1, 4), (2, 0)]);
+        let r = uniform().scores(&sg, &[3, 4]).unwrap();
         assert!(r.score(0) > r.score(2));
         assert!(r.score(1) > r.score(2));
     }
@@ -471,14 +316,13 @@ mod tests {
     #[test]
     fn isolated_self_loop_sources_leak_no_badness() {
         // Two isolated sources whose pages only link internally: each
-        // source's transition row is exactly its self-loop. scores_weighted drops self-edges, so the
-        // reversed walk has *no* edges at all — every row is dangling.
+        // source's transition row is exactly its self-loop. The consensus
+        // walk drops self-edges, so the reversed walk has *no* edges at all —
+        // every row is dangling.
         let g = GraphBuilder::from_edges_exact(4, vec![(0, 1), (2, 3)]).unwrap();
         let a = SourceAssignment::new(vec![0, 0, 1, 1], 2).unwrap();
         let sg = extract(&g, &a, SourceGraphConfig::consensus()).unwrap();
-        let r = SpamProximity::new()
-            .scores_weighted(sg.transitions(), &[0])
-            .unwrap();
+        let r = SpamProximity::new().scores(&sg, &[0]).unwrap();
         // Dangling mass must be redistributed through the seed teleport
         // (Eq. 2), making c = [1, 0] the exact fixed point. A uniform
         // redistribution would instead give source 1 a score of β/2.

@@ -49,8 +49,11 @@ impl Solver {
 /// no warm path — its sweeps build the iterate in place from the diagonal
 /// split, not from an initial distribution — so it ignores `initial` and
 /// `ws` and solves cold; both power solvers exploit the restart.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_weighted_warm_observed(
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the walk parameters, warm start, buffers and observer are independent inputs that SourceRank and SpamResilientModel each pass from their own configuration"
+)]
+pub fn solve_weighted(
     transitions: &WeightedGraph,
     alpha: f64,
     teleport: &Teleport,
@@ -88,7 +91,7 @@ mod tests {
         solver: Solver,
     ) -> RankVector {
         let mut ws = SolverWorkspace::new();
-        solve_weighted_warm_observed(g, alpha, teleport, criteria, solver, None, &mut ws, None)
+        solve_weighted(g, alpha, teleport, criteria, solver, None, &mut ws, None)
     }
 
     fn ring() -> WeightedGraph {
@@ -118,7 +121,7 @@ mod tests {
         let crit = ConvergenceCriteria::default();
         let cold = solve_cold(&g, 0.85, &Teleport::Uniform, &crit, Solver::Power);
         let mut ws = SolverWorkspace::new();
-        let warm = solve_weighted_warm_observed(
+        let warm = solve_weighted(
             &g,
             0.85,
             &Teleport::Uniform,
@@ -142,7 +145,7 @@ mod tests {
         let crit = ConvergenceCriteria::default();
         let cold = solve_cold(&g, 0.85, &Teleport::Uniform, &crit, Solver::Power);
         let short = &cold.scores()[..2];
-        let warm = solve_weighted_warm_observed(
+        let warm = solve_weighted(
             &g,
             0.85,
             &Teleport::Uniform,
@@ -163,7 +166,7 @@ mod tests {
         let g = ring();
         let crit = ConvergenceCriteria::default();
         let cold = solve_cold(&g, 0.85, &Teleport::Uniform, &crit, Solver::GaussSeidel);
-        let warm = solve_weighted_warm_observed(
+        let warm = solve_weighted(
             &g,
             0.85,
             &Teleport::Uniform,

@@ -5,7 +5,7 @@
 use crate::convergence::ConvergenceCriteria;
 use crate::power::SolverWorkspace;
 use crate::rankvec::RankVector;
-use crate::solver::{solve_weighted_warm_observed, Solver};
+use crate::solver::{solve_weighted, Solver};
 use crate::teleport::Teleport;
 use sr_graph::SourceGraph;
 use sr_obs::SolveObserver;
@@ -71,8 +71,8 @@ impl SourceRank {
     /// caller-owned solver buffers and telemetry — the incremental
     /// re-ranking entry point. `initial` may cover fewer sources than
     /// `source_graph` (sources added since it was computed); missing entries
-    /// start at their teleport mass. See [`solve_weighted_warm_observed`]
-    /// for the Gauss–Seidel caveat.
+    /// start at their teleport mass. See [`solve_weighted`] for the
+    /// Gauss–Seidel caveat.
     pub fn rank_warm_in(
         &self,
         source_graph: &SourceGraph,
@@ -80,7 +80,7 @@ impl SourceRank {
         ws: &mut SolverWorkspace,
         observer: Option<&mut (dyn SolveObserver + '_)>,
     ) -> RankVector {
-        solve_weighted_warm_observed(
+        solve_weighted(
             source_graph.transitions(),
             self.alpha,
             &self.teleport,

@@ -7,12 +7,17 @@
 //! The walk has the paper's "selective" interpretation: at source `s_i` the
 //! walker follows the self-edge with probability `ακ_i`, an out-edge with
 //! probability `α(1−κ_i)`, and teleports with probability `1−α`.
+//!
+//! The builder takes κ only as a vector, through
+//! [`throttle`](SpamResilientSourceRank::throttle). The §5 heuristic that
+//! derives it from labeled spam seeds is
+//! [`SpamProximity::throttle_top_k`](crate::SpamProximity::throttle_top_k),
+//! which reports a degenerate seed set as a typed error.
 
 use crate::convergence::ConvergenceCriteria;
 use crate::power::SolverWorkspace;
-use crate::proximity::SpamProximity;
 use crate::rankvec::RankVector;
-use crate::solver::{solve_weighted_warm_observed, Solver};
+use crate::solver::{solve_weighted, Solver};
 use crate::teleport::Teleport;
 use crate::throttle::{self, SelfEdgePolicy, ThrottleVector};
 use sr_graph::{SourceGraph, WeightedGraph};
@@ -26,23 +31,9 @@ pub struct SpamResilientSourceRank {
     teleport: Teleport,
     criteria: ConvergenceCriteria,
     solver: Solver,
-    throttle: ThrottleSpec,
+    /// The explicit κ; `None` throttles nothing.
+    throttle: Option<ThrottleVector>,
     self_edge_policy: SelfEdgePolicy,
-}
-
-/// How the throttling vector is obtained.
-#[derive(Debug, Clone, PartialEq)]
-enum ThrottleSpec {
-    /// No throttling.
-    None,
-    /// Explicit κ vector.
-    Explicit(ThrottleVector),
-    /// Derive κ from spam proximity: seeds + top-k (§5 heuristic).
-    Proximity {
-        seeds: Vec<u32>,
-        top_k: usize,
-        beta: f64,
-    },
 }
 
 impl Default for SpamResilientSourceRank {
@@ -59,7 +50,7 @@ impl SpamResilientSourceRank {
             teleport: Teleport::Uniform,
             criteria: ConvergenceCriteria::default(),
             solver: Solver::Power,
-            throttle: ThrottleSpec::None,
+            throttle: None,
             self_edge_policy: SelfEdgePolicy::Retain,
         }
     }
@@ -98,29 +89,20 @@ impl SpamResilientSourceRank {
 
     /// Uses an explicit throttling vector κ.
     pub fn throttle(mut self, kappa: ThrottleVector) -> Self {
-        self.throttle = ThrottleSpec::Explicit(kappa);
+        self.throttle = Some(kappa);
         self
     }
 
-    /// Derives κ by spam proximity (§5): propagate from `seeds` over the
-    /// reversed source graph with mixing `beta`, throttle the `top_k`
-    /// highest-proximity sources completely.
-    pub fn throttle_by_proximity(mut self, seeds: Vec<u32>, top_k: usize, beta: f64) -> Self {
-        self.throttle = ThrottleSpec::Proximity { seeds, top_k, beta };
-        self
-    }
-
-    /// Resolves the throttle vector and builds the throttled model for
-    /// `source_graph`. The model owns `T″` and can be ranked repeatedly.
+    /// Builds the throttled model for `source_graph`, with κ all zeros when
+    /// none was set. The model owns `T″` and can be ranked repeatedly.
     ///
     /// # Panics
-    /// Panics if a [`throttle_by_proximity`] spec cannot be resolved (empty
-    /// or out-of-range seed set) — the builder has no error channel; derive
-    /// the κ vector via [`SpamProximity`] directly for fallible handling.
-    ///
-    /// [`throttle_by_proximity`]: SpamResilientSourceRank::throttle_by_proximity
+    /// Panics if the κ set by [`throttle`](SpamResilientSourceRank::throttle)
+    /// does not have one entry per source.
     pub fn build(self, source_graph: &SourceGraph) -> SpamResilientModel {
-        let kappa = self.resolve_kappa(source_graph);
+        let n = source_graph.num_sources();
+        let kappa = self.throttle.unwrap_or_else(|| ThrottleVector::zeros(n));
+        assert_eq!(kappa.len(), n, "throttle vector length mismatch");
         let throttled =
             throttle::apply_with_policy(source_graph.transitions(), &kappa, self.self_edge_policy);
         SpamResilientModel {
@@ -130,23 +112,6 @@ impl SpamResilientSourceRank {
             teleport: self.teleport,
             criteria: self.criteria,
             solver: self.solver,
-        }
-    }
-
-    /// Resolves the throttle spec to a concrete κ vector for `source_graph`.
-    fn resolve_kappa(&self, source_graph: &SourceGraph) -> ThrottleVector {
-        let n = source_graph.num_sources();
-        match &self.throttle {
-            ThrottleSpec::None => ThrottleVector::zeros(n),
-            ThrottleSpec::Explicit(k) => {
-                assert_eq!(k.len(), n, "throttle vector length mismatch");
-                k.clone()
-            }
-            ThrottleSpec::Proximity { seeds, top_k, beta } => SpamProximity::new()
-                .beta(*beta)
-                .criteria(self.criteria)
-                .throttle_top_k(source_graph, seeds, *top_k)
-                .unwrap_or_else(|e| panic!("proximity throttle derivation failed: {e}")),
         }
     }
 }
@@ -183,15 +148,14 @@ impl SpamResilientModel {
     /// restart, caller-owned solver buffers and telemetry — the incremental
     /// re-ranking entry point. `initial` may cover fewer sources than the model (sources
     /// added since it was computed); missing entries start at their
-    /// teleport mass. See [`solve_weighted_warm_observed`] for the
-    /// Gauss–Seidel caveat.
+    /// teleport mass. See [`solve_weighted`] for the Gauss–Seidel caveat.
     pub fn rank_warm_in(
         &self,
         initial: Option<&[f64]>,
         ws: &mut SolverWorkspace,
         observer: Option<&mut (dyn SolveObserver + '_)>,
     ) -> RankVector {
-        solve_weighted_warm_observed(
+        solve_weighted(
             &self.throttled,
             self.alpha,
             &self.teleport,
@@ -207,6 +171,7 @@ impl SpamResilientModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proximity::SpamProximity;
     use sr_graph::source_graph::{extract, SourceGraphConfig};
     use sr_graph::{GraphBuilder, SourceAssignment};
 
@@ -268,8 +233,12 @@ mod tests {
     #[test]
     fn proximity_throttling_end_to_end() {
         let sg = fixture();
+        let kappa = SpamProximity::new()
+            .beta(0.85)
+            .throttle_top_k(&sg, &[1], 2)
+            .unwrap();
         let model = SpamResilientSourceRank::builder()
-            .throttle_by_proximity(vec![1], 2, 0.85)
+            .throttle(kappa)
             .build(&sg);
         // Seed s1 plus its feeder s2 are the two most spam-proximate.
         assert_eq!(model.kappa().get(1), 1.0);

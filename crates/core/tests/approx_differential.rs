@@ -7,9 +7,16 @@
 //!    is a plain Jacobi solve of the same linear system as the exact
 //!    eigenvector power method, so scores must agree to solver tolerance
 //!    on arbitrary graphs and seed sets (both the proximity direction,
-//!    against `SpamProximity::scores_batch` / `scores_uniform`, and the
-//!    forward personalized-PageRank direction, against `PageRank::rank`),
-//!    and on a 600-node graph whose push frontier saturates.
+//!    over the transposed graph, against the seeded `PageRank::rank` of
+//!    that transpose and against `SpamProximity::scores_batch` under the
+//!    uniform weighting, and the forward personalized-PageRank direction,
+//!    against `PageRank::rank`), and on a 600-node graph whose push
+//!    frontier saturates.
+//!
+//! Approximate spam proximity has one front end: `PageRank::approx` over
+//! the reversed structural graph, whose walk is the uniform weighting's.
+//! Every cache below is built by `PageRank::build_walk_cache` over the
+//! transposed graph.
 //! 2. **(ε, δ) additive error** — with real walks closing a deliberately
 //!    loose push, the per-node additive error stays within ε_tol except
 //!    with empirical frequency ≤ δ across independently seeded caches
@@ -24,7 +31,8 @@
 use proptest::prelude::*;
 
 use sr_core::approx::{ApproxPpr, QueryConfig, WalkCacheBuilder, WalkCacheConfig};
-use sr_core::{PageRank, SpamProximity, Teleport};
+use sr_core::proximity::ProximityWeighting;
+use sr_core::{PageRank, RankVector, SpamProximity, Teleport};
 use sr_graph::transpose::transpose;
 use sr_graph::walks::WalkStore;
 use sr_graph::{CsrGraph, GraphBuilder};
@@ -84,6 +92,16 @@ const PUSH_ONLY: QueryConfig = QueryConfig {
     max_rounds: 10_000,
 };
 
+/// The exact spam-proximity oracle: seed-personalized PageRank at the
+/// default α = β = 0.85 over `rev`, the transposed graph whose walk every
+/// cache below approximates.
+fn exact_proximity(rev: &CsrGraph, seeds: &[u32]) -> RankVector {
+    PageRank::builder()
+        .teleport(Teleport::try_over_seeds(rev.num_nodes(), seeds).unwrap())
+        .finish()
+        .rank(rev)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -92,17 +110,17 @@ proptest! {
     #[test]
     fn push_only_limit_matches_exact_proximity(g in arb_graph(), raw in arb_seeds()) {
         let seeds = realize_seeds(&raw, g.num_nodes());
-        let prox = SpamProximity::new();
-        let cache = prox
+        let rev = transpose(&g);
+        let pr = PageRank::default();
+        let cache = pr
             .build_walk_cache(
-                &g,
+                &rev,
                 WalkCacheConfig { walks: 0, ..Default::default() },
                 &tmp("prop_push_prox"),
             )
             .unwrap();
-        let engine = prox.approx(&g, cache).unwrap();
-        let approx = engine.scores(&seeds, &PUSH_ONLY).unwrap();
-        let exact = prox.scores_uniform(&g, &seeds).unwrap();
+        let approx = pr.approx(&rev, &cache).unwrap().query(&seeds, &PUSH_ONLY).unwrap();
+        let exact = exact_proximity(&rev, &seeds);
         for (v, (a, e)) in approx.scores().iter().zip(exact.scores()).enumerate() {
             prop_assert!(
                 (a - e).abs() <= 1e-7,
@@ -148,19 +166,19 @@ proptest! {
         raw in arb_seeds(),
     ) {
         let seeds = realize_seeds(&raw, g.num_nodes());
-        let prox = SpamProximity::new();
-        let cache = prox
+        let rev = transpose(&g);
+        let pr = PageRank::default();
+        let cache = pr
             .build_walk_cache(
-                &g,
+                &rev,
                 WalkCacheConfig { walks: 256, ..Default::default() },
                 &tmp("prop_eps"),
             )
             .unwrap();
-        let engine = prox.approx(&g, cache).unwrap();
         // ε = 0.05 leaves real residual mass for the Monte-Carlo term.
         let q = QueryConfig { epsilon: 0.05, max_rounds: 10_000 };
-        let approx = engine.scores(&seeds, &q).unwrap();
-        let exact = prox.scores_uniform(&g, &seeds).unwrap();
+        let approx = pr.approx(&rev, &cache).unwrap().query(&seeds, &q).unwrap();
+        let exact = exact_proximity(&rev, &seeds);
         for (v, (a, e)) in approx.scores().iter().zip(exact.scores()).enumerate() {
             prop_assert!(
                 (a - e).abs() <= 0.05,
@@ -188,10 +206,11 @@ fn saturating_graph() -> CsrGraph {
 fn push_only_limit_holds_once_the_frontier_saturates() {
     let g = saturating_graph();
     let seeds = [0u32, 17];
-    let prox = SpamProximity::new();
-    let cache = prox
+    let rev = transpose(&g);
+    let pr = PageRank::default();
+    let cache = pr
         .build_walk_cache(
-            &g,
+            &rev,
             WalkCacheConfig {
                 walks: 0,
                 ..Default::default()
@@ -199,14 +218,13 @@ fn push_only_limit_holds_once_the_frontier_saturates() {
             &tmp("saturated_push"),
         )
         .unwrap();
-    let approx = prox
-        .approx(&g, cache)
+    let approx = pr
+        .approx(&rev, &cache)
         .unwrap()
-        .scores(&seeds, &PUSH_ONLY)
+        .query(&seeds, &PUSH_ONLY)
         .unwrap();
     // Round t pushes exactly the nodes some t-step walk over the reversed
     // graph reaches from a seed (every residual is positive).
-    let rev = transpose(&g);
     let (mut frontier, mut widest) = (seeds.to_vec(), 0usize);
     for _ in 0..approx.stats().iterations {
         widest = widest.max(frontier.len());
@@ -224,7 +242,7 @@ fn push_only_limit_holds_once_the_frontier_saturates() {
         g.num_nodes() >= 256 && widest * 8 >= g.num_nodes(),
         "the frontier never saturated: widest {widest}"
     );
-    let exact = prox.scores_uniform(&g, &seeds).unwrap();
+    let exact = exact_proximity(&rev, &seeds);
     for (v, (a, e)) in approx.scores().iter().zip(exact.scores()).enumerate() {
         assert!((a - e).abs() <= 1e-7, "node {v}: approx {a} vs exact {e}");
     }
@@ -236,9 +254,9 @@ fn push_only_limit_holds_once_the_frontier_saturates() {
 /// error sits well inside the bound, as Hoeffding concentration predicts.
 #[test]
 fn additive_error_bound_holds_with_high_probability() {
-    let g = fixture();
-    let prox = SpamProximity::new();
-    let exact = prox.scores_uniform(&g, &[0, 17]).unwrap();
+    let rev = transpose(&fixture());
+    let pr = PageRank::default();
+    let exact = exact_proximity(&rev, &[0, 17]);
     let q = QueryConfig {
         epsilon: 0.05, // loose push: the walks must carry real mass
         max_rounds: 10_000,
@@ -248,9 +266,9 @@ fn additive_error_bound_holds_with_high_probability() {
     let mut violations = 0usize;
     let mut errors = Vec::with_capacity(trials);
     for t in 0..trials {
-        let cache = prox
+        let cache = pr
             .build_walk_cache(
-                &g,
+                &rev,
                 WalkCacheConfig {
                     walks: 128,
                     seed: 0xC0FFEE + t as u64,
@@ -259,8 +277,11 @@ fn additive_error_bound_holds_with_high_probability() {
                 &tmp(&format!("delta_{t}")),
             )
             .unwrap();
-        let engine = prox.approx(&g, cache).unwrap();
-        let approx = engine.scores(&[0, 17], &q).unwrap();
+        let approx = pr
+            .approx(&rev, &cache)
+            .unwrap()
+            .query(&[0, 17], &q)
+            .unwrap();
         let max_err = approx
             .scores()
             .iter()
@@ -301,8 +322,8 @@ const DETERMINISM_CACHE_FNV1A: u64 = 0xbf9b_0e10_2bf9_9ac0;
 /// sizes, and the cache file matches its golden hash.
 #[test]
 fn cache_and_queries_are_bitwise_deterministic_across_threads() {
-    let g = fixture();
-    let prox = SpamProximity::new();
+    let rev = transpose(&fixture());
+    let pr = PageRank::default();
     let cfg = WalkCacheConfig {
         walks: 32,
         source_batch: 7, // force many batches so the batch seams must not show
@@ -310,10 +331,11 @@ fn cache_and_queries_are_bitwise_deterministic_across_threads() {
     };
     let run_with = |cfg: &WalkCacheConfig, tag: &str, threads: usize| -> (Vec<u8>, Vec<u64>) {
         sr_par::with_threads(threads, || {
-            let cache = prox.build_walk_cache(&g, cfg.clone(), &tmp(tag)).unwrap();
-            let engine = prox.approx(&g, cache).unwrap();
-            let scores = engine
-                .scores(&[3, 40], &QueryConfig::default())
+            let cache = pr.build_walk_cache(&rev, cfg.clone(), &tmp(tag)).unwrap();
+            let scores = pr
+                .approx(&rev, &cache)
+                .unwrap()
+                .query(&[3, 40], &QueryConfig::default())
                 .unwrap()
                 .scores()
                 .iter()
@@ -351,22 +373,21 @@ fn cache_and_queries_are_bitwise_deterministic_across_threads() {
 /// rebuilt from scratch all produce bit-identical files and scores.
 #[test]
 fn cache_round_trips_through_the_file_format() {
-    let g = fixture();
-    let rev = transpose(&g);
-    let prox = SpamProximity::new();
+    let rev = transpose(&fixture());
+    let pr = PageRank::default();
     let cfg = WalkCacheConfig {
         walks: 24,
         ..Default::default()
     };
-    let first = prox
-        .build_walk_cache(&g, cfg.clone(), &tmp("rt_first"))
+    let first = pr
+        .build_walk_cache(&rev, cfg.clone(), &tmp("rt_first"))
         .unwrap();
     let bytes = std::fs::read(tmp("rt_first")).unwrap();
     drop(first);
 
     // Rebuild from scratch: the file must be byte-identical.
     drop(
-        prox.build_walk_cache(&g, cfg.clone(), &tmp("rt_second"))
+        pr.build_walk_cache(&rev, cfg.clone(), &tmp("rt_second"))
             .unwrap(),
     );
     assert_eq!(
@@ -403,7 +424,7 @@ fn cache_round_trips_through_the_file_format() {
 
 /// The batched exact engine is also an oracle: `scores_batch` columns
 /// (uniform weighting) at the engine's β must match push-only approximate
-/// queries on the extracted source graph's structural skeleton.
+/// queries over the extracted source graph's reversed structural skeleton.
 #[test]
 fn batched_oracle_agrees_in_the_push_only_limit() {
     use sr_graph::source_graph::{extract, SourceGraphConfig};
@@ -423,13 +444,15 @@ fn batched_oracle_agrees_in_the_push_only_limit() {
     let a = SourceAssignment::new(assignment, 6).unwrap();
     let sg = extract(&pg, &a, SourceGraphConfig::consensus()).unwrap();
 
-    let prox = SpamProximity::new().weighting(sr_core::proximity::ProximityWeighting::Uniform);
-    let queries = vec![prox.query(vec![0]), prox.query(vec![2, 4])];
-    let oracle = prox.scores_batch(&sg, &queries).unwrap();
+    let prox = SpamProximity::new().weighting(ProximityWeighting::Uniform);
+    let seed_sets = [vec![0], vec![2, 4]];
+    let oracle = prox.scores_batch(&sg, &seed_sets).unwrap();
 
-    let cache = prox
+    let rev = transpose(sg.structural());
+    let pr = PageRank::default();
+    let cache = pr
         .build_walk_cache(
-            sg.structural(),
+            &rev,
             WalkCacheConfig {
                 walks: 0,
                 ..Default::default()
@@ -437,14 +460,13 @@ fn batched_oracle_agrees_in_the_push_only_limit() {
             &tmp("batched_oracle"),
         )
         .unwrap();
-    let engine = prox.approx(sg.structural(), cache).unwrap();
-    for (q, exact) in queries.iter().zip(&oracle) {
-        let approx = engine.scores(&q.seeds, &PUSH_ONLY).unwrap();
+    let engine = pr.approx(&rev, &cache).unwrap();
+    for (seeds, exact) in seed_sets.iter().zip(&oracle) {
+        let approx = engine.query(seeds, &PUSH_ONLY).unwrap();
         for (v, (x, e)) in approx.scores().iter().zip(exact.scores()).enumerate() {
             assert!(
                 (x - e).abs() <= 1e-7,
-                "source {v}: approx {x} vs batched oracle {e} (seeds {:?})",
-                q.seeds
+                "source {v}: approx {x} vs batched oracle {e} (seeds {seeds:?})"
             );
         }
     }

@@ -3,17 +3,31 @@
 //! The contract under test: a personalization that cannot define a
 //! probability distribution — an empty seed set, an out-of-range seed, a
 //! zero-mass / negative / non-finite prior — is a **typed error** at the
-//! API boundary, never a NaN that surfaces ten iterations later. An
+//! API boundary, never a NaN that surfaces ten iterations later. Spam
+//! proximity is checked under both weightings, one seed set at a time and
+//! in batches; graded priors at the `Teleport` layer, where an
 //! *unnormalized but valid* prior is the documented fallback: it is
-//! L1-normalized on entry and scores exactly as its normalized twin.
+//! L1-normalized on entry, to exactly the distribution of its normalized
+//! twin.
 
-use sr_core::{PageRank, ProximityQuery, SpamProximity, Teleport, TeleportError};
+use sr_core::proximity::ProximityWeighting;
+use sr_core::{PageRank, SpamProximity, Teleport, TeleportError};
 use sr_graph::source_graph::{extract, SourceGraph, SourceGraphConfig};
-use sr_graph::{CsrGraph, GraphBuilder, SourceAssignment, WeightedGraph};
+use sr_graph::{CsrGraph, GraphBuilder, SourceAssignment};
 
 /// 0 -> spam(3); 1 -> 0; 2 -> 1 (badness flows 3 -> 0 -> 1 -> 2 reversed).
 fn chain() -> CsrGraph {
     GraphBuilder::from_edges_exact(4, vec![(0, 3), (1, 0), (2, 1)]).unwrap()
+}
+
+/// [`chain`] with every page its own source: 4 sources.
+fn chain_sources() -> SourceGraph {
+    extract(
+        &chain(),
+        &SourceAssignment::identity(4),
+        SourceGraphConfig::consensus(),
+    )
+    .unwrap()
 }
 
 /// A 3-source page graph: source 0 (pages 0..2) links source 2's page 4;
@@ -25,16 +39,8 @@ fn source_fixture() -> SourceGraph {
     extract(&g, &a, SourceGraphConfig::consensus()).unwrap()
 }
 
-fn row_stochastic(n: usize) -> WeightedGraph {
-    let mut offsets = vec![0usize];
-    let mut targets = Vec::new();
-    let mut weights = Vec::new();
-    for u in 0..n as u32 {
-        targets.push((u + 1) % n as u32);
-        weights.push(1.0);
-        offsets.push(targets.len());
-    }
-    WeightedGraph::from_parts(offsets, targets, weights)
+fn uniform() -> SpamProximity {
+    SpamProximity::new().weighting(ProximityWeighting::Uniform)
 }
 
 // --- empty seed sets ------------------------------------------------------
@@ -48,11 +54,7 @@ fn empty_seeds_rejected_everywhere() {
         TeleportError::EmptySeeds
     );
     assert_eq!(
-        prox.scores_uniform(&chain(), &[]).unwrap_err(),
-        TeleportError::EmptySeeds
-    );
-    assert_eq!(
-        prox.scores_weighted(&row_stochastic(4), &[]).unwrap_err(),
+        uniform().scores(&chain_sources(), &[]).unwrap_err(),
         TeleportError::EmptySeeds
     );
     assert_eq!(
@@ -64,13 +66,10 @@ fn empty_seeds_rejected_everywhere() {
 #[test]
 fn empty_seed_query_fails_the_whole_batch() {
     let sg = source_fixture();
-    let queries = vec![
-        ProximityQuery::new(vec![2], 0.85),
-        ProximityQuery::new(vec![], 0.85),
-    ];
+    let seed_sets = [vec![2], vec![]];
     assert_eq!(
         SpamProximity::new()
-            .scores_batch(&sg, &queries)
+            .scores_batch(&sg, &seed_sets)
             .unwrap_err(),
         TeleportError::EmptySeeds
     );
@@ -90,15 +89,14 @@ fn out_of_range_seeds_are_typed_errors() {
         }
     );
     assert_eq!(
-        prox.scores_uniform(&chain(), &[9]).unwrap_err(),
+        uniform().scores(&chain_sources(), &[9]).unwrap_err(),
         TeleportError::SeedOutOfRange {
             seed: 9,
             num_nodes: 4
         }
     );
     assert_eq!(
-        prox.scores_batch(&sg, &[ProximityQuery::new(vec![0, 7], 0.85)])
-            .unwrap_err(),
+        prox.scores_batch(&sg, &[vec![0, 7]]).unwrap_err(),
         TeleportError::SeedOutOfRange {
             seed: 7,
             num_nodes: 3
@@ -121,12 +119,11 @@ fn duplicate_seeds_are_typed_errors() {
         TeleportError::DuplicateSeed { seed: 2 }
     );
     assert_eq!(
-        prox.scores_uniform(&chain(), &[1, 3, 1]).unwrap_err(),
+        uniform().scores(&chain_sources(), &[1, 3, 1]).unwrap_err(),
         TeleportError::DuplicateSeed { seed: 1 }
     );
     assert_eq!(
-        prox.scores_batch(&sg, &[ProximityQuery::new(vec![0, 1, 0], 0.85)])
-            .unwrap_err(),
+        prox.scores_batch(&sg, &[vec![0, 1, 0]]).unwrap_err(),
         TeleportError::DuplicateSeed { seed: 0 }
     );
     assert_eq!(
@@ -137,53 +134,6 @@ fn duplicate_seeds_are_typed_errors() {
         Teleport::try_over_seeds(4, &[3, 3]),
         Err(TeleportError::DuplicateSeed { seed: 3 })
     );
-}
-
-// --- degenerate priors ----------------------------------------------------
-
-#[test]
-fn zero_mass_prior_rejected() {
-    let sg = source_fixture();
-    assert_eq!(
-        SpamProximity::new()
-            .scores_with_prior(&sg, &[0.0, 0.0, 0.0])
-            .unwrap_err(),
-        TeleportError::ZeroMass
-    );
-}
-
-#[test]
-fn invalid_prior_weights_rejected() {
-    let sg = source_fixture();
-    let prox = SpamProximity::new();
-    assert_eq!(
-        prox.scores_with_prior(&sg, &[0.5, -1.0, 0.5]).unwrap_err(),
-        TeleportError::InvalidWeight { index: 1 }
-    );
-    assert_eq!(
-        prox.scores_with_prior(&sg, &[0.5, 0.5, f64::NAN])
-            .unwrap_err(),
-        TeleportError::InvalidWeight { index: 2 }
-    );
-    assert_eq!(
-        prox.scores_with_prior(&sg, &[f64::INFINITY, 0.5, 0.5])
-            .unwrap_err(),
-        TeleportError::InvalidWeight { index: 0 }
-    );
-}
-
-/// The documented fallback: a valid prior that merely doesn't sum to one
-/// is normalized on entry. A 4x-scaled prior (power of two, so the
-/// normalized distribution is bit-identical) must produce bit-identical
-/// scores — and all of them finite.
-#[test]
-fn unnormalized_prior_is_normalized_not_propagated() {
-    let sg = source_fixture();
-    let prox = SpamProximity::new();
-    let unit = prox.scores_with_prior(&sg, &[0.1, 0.2, 0.7]).unwrap();
-    let scaled = prox.scores_with_prior(&sg, &[0.4, 0.8, 2.8]).unwrap();
-    assert_eq!(unit.scores(), scaled.scores());
-    assert!(unit.scores().iter().all(|s| s.is_finite()));
 }
 
 // --- the same guarantees at the Teleport layer ----------------------------
@@ -205,10 +155,27 @@ fn teleport_constructors_reject_degenerates() {
         Teleport::try_from_weights(vec![0.0; 3]),
         Err(TeleportError::ZeroMass)
     );
-    assert_eq!(
-        Teleport::try_from_weights(vec![1.0, f64::NEG_INFINITY]),
-        Err(TeleportError::InvalidWeight { index: 1 })
-    );
+    for (prior, index) in [
+        (vec![1.0, f64::NEG_INFINITY], 1),
+        (vec![0.5, -1.0, 0.5], 1),
+        (vec![0.5, 0.5, f64::NAN], 2),
+        (vec![f64::INFINITY, 0.5, 0.5], 0),
+    ] {
+        assert_eq!(
+            Teleport::try_from_weights(prior),
+            Err(TeleportError::InvalidWeight { index })
+        );
+    }
+}
+
+/// The documented fallback: a valid prior that merely doesn't sum to one
+/// is normalized on entry. A 4x-scaled prior (power of two, so the
+/// normalized distribution is bit-identical) gives the same teleport.
+#[test]
+fn unnormalized_prior_is_normalized_not_propagated() {
+    let unit = Teleport::try_from_weights(vec![0.1, 0.2, 0.7]).unwrap();
+    let scaled = Teleport::try_from_weights(vec![0.4, 0.8, 2.8]).unwrap();
+    assert_eq!(unit, scaled);
 }
 
 /// A solver fed a *valid* seed teleport over a graph where the seeds are

@@ -12,7 +12,9 @@
 
 use sr_core::operator::UniformTransition;
 use sr_core::power::Formulation;
-use sr_core::{solve, PageRank, RankVector, SolverWorkspace, SpamResilientSourceRank};
+use sr_core::{
+    solve, PageRank, RankVector, SolverWorkspace, SpamProximity, SpamResilientSourceRank,
+};
 use sr_gen::{generate, Dataset};
 use sr_graph::source_graph::SourceGraphConfig;
 use sr_graph::CsrGraph;
@@ -130,8 +132,11 @@ fn page_and_source_ranks_are_thread_count_invariant() {
     });
 
     assert_invariant("sr-sourcerank", false, &|obs| {
+        let kappa = SpamProximity::new()
+            .throttle_top_k(&sources, &spam, top_k)
+            .unwrap();
         SpamResilientSourceRank::builder()
-            .throttle_by_proximity(spam.clone(), top_k, 0.85)
+            .throttle(kappa)
             .build(&sources)
             .rank_warm_in(None, &mut SolverWorkspace::new(), Some(obs))
             .scores()

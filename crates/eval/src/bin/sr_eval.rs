@@ -288,9 +288,12 @@ fn run_telemetry(config: &EvalConfig, out_dir: &Option<PathBuf>) -> Result<(), S
     );
     report.push_solve(obs.into_record("sourcerank"));
 
+    let kappa = sr_core::SpamProximity::new()
+        .throttle_top_k(&ds.sources, &ds.crawl.spam_sources, ds.throttle_k())
+        .map_err(|e| format!("spam proximity: {e}"))?;
     let mut obs = RecordingObserver::new();
     sr_core::SpamResilientSourceRank::builder()
-        .throttle_by_proximity(ds.crawl.spam_sources.clone(), ds.throttle_k(), 0.85)
+        .throttle(kappa)
         .build(&ds.sources)
         .rank_warm_in(None, &mut SolverWorkspace::new(), Some(&mut obs));
     report.push_solve(obs.into_record("sr-sourcerank"));
@@ -490,6 +493,14 @@ fn run_rank(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("opening {}: {e}", kappa_path.display()))?;
         let kappa = sr_core::ThrottleVector::read_text(f)
             .map_err(|e| format!("reading {}: {e}", kappa_path.display()))?;
+        if kappa.len() != sg.num_sources() {
+            return Err(format!(
+                "{} holds {} throttle values but the source graph has {} sources",
+                kappa_path.display(),
+                kappa.len(),
+                sg.num_sources()
+            ));
+        }
         eprintln!(
             "[rank] using supplied kappa vector ({} fully throttled)",
             kappa.fully_throttled()
@@ -507,8 +518,11 @@ fn run_rank(args: &Args) -> Result<(), String> {
             "[rank] throttling by proximity from {} labeled spam sources (top-k = {top_k})",
             spam_seeds.len()
         );
+        let kappa = sr_core::SpamProximity::new()
+            .throttle_top_k(&sg, &spam_seeds, top_k)
+            .map_err(|e| format!("--spam: {e}"))?;
         let model = sr_core::SpamResilientSourceRank::builder()
-            .throttle_by_proximity(spam_seeds, top_k, 0.85)
+            .throttle(kappa)
             .build(&sg);
         if let Some(p) = &args.save_kappa {
             let f =

@@ -34,7 +34,7 @@ pub fn run(ds: &EvalDataset, alphas: &[f64]) -> Vec<ConvergenceRow> {
         .iter()
         .map(|&alpha| {
             let solve = |solver: Solver| {
-                sr_core::solver::solve_weighted_warm_observed(
+                sr_core::solver::solve_weighted(
                     ds.sources.transitions(),
                     alpha,
                     &Teleport::Uniform,

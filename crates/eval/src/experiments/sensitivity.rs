@@ -77,15 +77,15 @@ pub fn run(ds: &EvalDataset, cfg: &EvalConfig) -> SensitivityResult {
 
     const SEED_FRACS: [f64; 6] = [0.02, 0.05, 0.10, 0.25, 0.50, 1.00];
     let mut seed_ks = Vec::new();
-    let mut queries = Vec::new();
+    let mut seed_sets = Vec::new();
     for &frac in &SEED_FRACS {
         let k = round_count(spam.len() as f64 * frac).clamp(1, spam.len());
         seed_ks.push(k);
-        queries.push(prox.query(ds.crawl.sample_spam_seed(k, cfg.seed)));
+        seed_sets.push(ds.crawl.sample_spam_seed(k, cfg.seed));
     }
-    queries.push(prox.query(ds.crawl.sample_spam_seed(paper_seed, cfg.seed)));
+    seed_sets.push(ds.crawl.sample_spam_seed(paper_seed, cfg.seed));
     let panel = prox
-        .scores_batch(&ds.sources, &queries)
+        .scores_batch(&ds.sources, &seed_sets)
         .expect("sensitivity seed sets are non-empty and in range");
     let paper_scores = panel.last().expect("paper-seed column");
 

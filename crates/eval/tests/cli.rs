@@ -52,9 +52,10 @@ fn table1_with_csv_export() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn gen_then_rank_roundtrip() {
-    let dir = temp_dir("genrank");
+/// Generates the uk2002 crawl at scale 0.0005 (50 sources) into a fresh
+/// directory.
+fn generated_crawl(tag: &str) -> PathBuf {
+    let dir = temp_dir(tag);
     let out = sr_eval()
         .args(["gen", "--scale", "0.0005", "--csv"])
         .arg(&dir)
@@ -65,6 +66,12 @@ fn gen_then_rank_roundtrip() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    dir
+}
+
+#[test]
+fn gen_then_rank_roundtrip() {
+    let dir = generated_crawl("genrank");
     for ext in ["edges", "sources", "spam"] {
         assert!(
             dir.join(format!("uk2002.{ext}")).exists(),
@@ -120,6 +127,53 @@ fn gen_then_rank_roundtrip() {
         "kappa-file run must reproduce the proximity run"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `rank` over the crawl in `dir` with `flag file`, where `file` holds
+/// `body`, and returns its stderr after checking that it failed cleanly:
+/// exit code 1 and an `error:` line, not a panic.
+fn rank_rejects(dir: &std::path::Path, flag: &str, body: &str) -> String {
+    let file = dir.join("bad_input.txt");
+    std::fs::write(&file, body).unwrap();
+    let out = sr_eval()
+        .arg("rank")
+        .arg("--edges")
+        .arg(dir.join("uk2002.edges"))
+        .arg("--sources")
+        .arg(dir.join("uk2002.sources"))
+        .arg(flag)
+        .arg(&file)
+        .output()
+        .unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_dir_all(dir).ok();
+    err.lines()
+        .find(|l| l.starts_with("error: "))
+        .unwrap_or_else(|| panic!("no error line:\n{err}"))
+        .to_string()
+}
+
+#[test]
+fn rank_rejects_an_out_of_range_spam_seed() {
+    let dir = generated_crawl("spam_range");
+    let err = rank_rejects(&dir, "--spam", "2\n99999\n");
+    assert!(err.contains("99999"), "{err}");
+}
+
+#[test]
+fn rank_rejects_a_duplicate_spam_seed() {
+    let dir = generated_crawl("spam_dup");
+    let err = rank_rejects(&dir, "--spam", "3\n5\n3\n");
+    assert!(err.contains("seed 3 "), "{err}");
+}
+
+#[test]
+fn rank_rejects_a_kappa_of_the_wrong_length() {
+    let dir = generated_crawl("kappa_len");
+    let err = rank_rejects(&dir, "--kappa", "#kappa 3\n0\n1\n0.5\n");
+    assert!(err.contains(" 3 ") && err.contains(" 50 "), "{err}");
 }
 
 #[test]

@@ -11,9 +11,10 @@
 
 use sr_core::approx::{QueryConfig, WalkCacheConfig};
 use sr_core::montecarlo::{estimate_stationary, WalkConfig};
-use sr_core::SpamProximity;
+use sr_core::PageRank;
 use sr_gen::{generate, Dataset};
 use sr_graph::source_graph::SourceGraphConfig;
+use sr_graph::transpose::transpose;
 use sr_spam::{AttackResult, Campaign, Step};
 use std::path::PathBuf;
 
@@ -110,10 +111,11 @@ fn montecarlo_simulator_is_seed_pure() {
 fn walk_cache_is_seed_pure_in_bytes_and_scores() {
     let crawl = generate(&Dataset::Wb2001.config(0.0003));
     let sources = crawl.source_graph(SourceGraphConfig::consensus());
-    let structural = sources.structural();
     let seeds: Vec<u32> = crawl.spam_sources.iter().take(2).copied().collect();
     assert!(!seeds.is_empty(), "fixture must label spam sources");
-    let prox = SpamProximity::new();
+    // The reversed walk of spam proximity: PageRank over the transpose.
+    let reversed = transpose(sources.structural());
+    let pr = PageRank::default();
     let cfg = WalkCacheConfig {
         walks: 8,
         source_batch: 257, // odd batch size: seams must not show
@@ -121,18 +123,16 @@ fn walk_cache_is_seed_pure_in_bytes_and_scores() {
     };
     assert_seed_pure("approx walk cache", &|| {
         let path = tmp("audit.walks");
-        let cache = prox
-            .build_walk_cache(structural, cfg.clone(), &path)
-            .unwrap();
-        let engine = prox.approx(structural, cache).unwrap();
-        let scores = engine.scores(&seeds, &QueryConfig::default()).unwrap();
+        let cache = pr.build_walk_cache(&reversed, cfg.clone(), &path).unwrap();
+        let engine = pr.approx(&reversed, &cache).unwrap();
+        let scores = engine.query(&seeds, &QueryConfig::default()).unwrap();
         (std::fs::read(&path).unwrap(), bits(scores.scores()))
     });
     // A different master seed must change the cache bytes.
     let a = std::fs::read(tmp("audit.walks")).unwrap();
     drop(
-        prox.build_walk_cache(
-            structural,
+        pr.build_walk_cache(
+            &reversed,
             WalkCacheConfig {
                 seed: 0x00DD_BA11,
                 ..cfg

@@ -23,8 +23,11 @@ fn measure(
     let pr = PageRank::default().rank(pages);
     let sources = extract(pages, assignment, SourceGraphConfig::consensus()).unwrap();
     let top_k = (sources.num_sources() / 37).max(1); // the paper's ~2.7%
+    let kappa = SpamProximity::new()
+        .throttle_top_k(&sources, spam_seeds, top_k)
+        .unwrap();
     let srsr = SpamResilientSourceRank::builder()
-        .throttle_by_proximity(spam_seeds.to_vec(), top_k, 0.85)
+        .throttle(kappa)
         .build(&sources)
         .rank();
     let target_source = assignment.source_of(sr_graph::PageId(target_page));

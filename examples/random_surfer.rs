@@ -20,8 +20,11 @@ fn main() {
     let seeds = crawl.sample_spam_seed(2, 1);
 
     // Build the throttled model and solve it algebraically.
+    let kappa = SpamProximity::new()
+        .throttle_top_k(&sources, &seeds, 6)
+        .unwrap();
     let model = SpamResilientSourceRank::builder()
-        .throttle_by_proximity(seeds, 6, 0.85)
+        .throttle(kappa)
         .build(&sources);
     let exact = model.rank();
     println!(

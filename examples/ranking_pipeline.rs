@@ -56,8 +56,11 @@ fn main() {
     // Throttle by spam proximity from a 10% seed.
     let seed = crawl.sample_spam_seed((crawl.spam_sources.len() / 10).max(1), 3);
     let top_k = Dataset::Wb2001.throttle_top_k(crawl.num_sources());
+    let kappa = SpamProximity::new()
+        .throttle_top_k(&sources, &seed, top_k)
+        .unwrap();
     let model = SpamResilientSourceRank::builder()
-        .throttle_by_proximity(seed, top_k, 0.85)
+        .throttle(kappa)
         .build(&sources);
     println!(
         "[{:>8.1?}] throttled {} sources (kappa = 1)",

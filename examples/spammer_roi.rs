@@ -57,8 +57,11 @@ fn main() {
         .crawl
         .sample_spam_seed((ds.crawl.spam_sources.len() / 10).max(1), 5);
     let baseline = SourceRank::new().rank(&ds.sources);
+    let kappa = SpamProximity::new()
+        .throttle_top_k(&ds.sources, &seeds, ds.throttle_k())
+        .unwrap();
     let throttled = SpamResilientSourceRank::builder()
-        .throttle_by_proximity(seeds, ds.throttle_k(), 0.85)
+        .throttle(kappa)
         .self_edge_policy(sr_core::SelfEdgePolicy::Surrender)
         .build(&ds.sources)
         .rank();

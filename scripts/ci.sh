@@ -206,7 +206,10 @@ echo "==> approx-PPR differential suite (walk cache vs exact solver oracle)"
 # rebuild-vs-reload identity. The named walk-cache pin holds the cache
 # file to a golden FNV-1a hash and to the same bytes at every thread
 # count and source batch size, so a rewrite of the walk simulation cannot
-# move a byte. A query is one sequential path: the tier-1 test runs a
+# move a byte. Its caches are built through PageRank::build_walk_cache
+# over the transposed graph, the one approx front end (approximate spam
+# proximity under the uniform weighting). A query is one sequential
+# path: the tier-1 test runs a
 # saturating query on the tiny crawl at two threads, requires that it
 # fork nothing, and requires the one-thread bits. The extsort/pager/rng
 # suites cover the storage and randomness layers the engine stands on.
@@ -216,6 +219,20 @@ cargo test -q --test invariants approx_queries_take_one_sequential_path
 cargo test -q -p sr-graph --test extsort_merge
 cargo test -q -p sr-graph --test pager_boundaries
 cargo test -q -p sr-eval --test rng_audit
+
+echo "==> spam proximity: one front end"
+# SpamProximity computes Eq. 6 one way: scores is the one-column case of
+# scores_batch, every column at the configured beta, and one private
+# function reads the weighting. The tier-1 test pins scores == its
+# scores_batch column under both weightings and, under the uniform one,
+# == seeded PageRank over the transpose, bitwise, on a generated crawl
+# with a source that has no out-links. A degenerate seed set is a typed
+# TeleportError under both weightings, one set or a batch
+# (degenerate_teleport), and `sr-eval rank` reports a bad --spam or
+# --kappa file as an error, not a panic (cli).
+cargo test -q --test invariants spam_proximity_is_one_solve_bitwise
+cargo test -q -p sr-core --test degenerate_teleport
+cargo test -q -p sr-eval --test cli
 
 echo "==> segment container suites (both binary schemas: shards and walk cache)"
 # Shard files and walk caches are two schemas over one segment container

@@ -21,6 +21,10 @@
 //! * every serving epoch's PageRank ≡ a warm solve over a fresh operator of
 //!   the graph that epoch publishes, bit for bit, and that graph is the
 //!   engine's own (shared, not copied);
+//! * spam proximity is one solve: `SpamProximity::scores` ≡ its column of
+//!   a `scores_batch` call under both weightings, and under the uniform
+//!   weighting ≡ seeded PageRank over the transposed structural graph, bit
+//!   for bit, on a generated crawl where one source has no out-links;
 //! * approximate PPR off a walk cache stays within its (ε, δ) additive
 //!   bound of the exact solve, and a rebuilt, a reopened and a from-bytes
 //!   cache answer bit-identically (so tier-1 writes and reads the
@@ -36,6 +40,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use sr_core::approx::{ApproxPpr, QueryConfig, WalkCacheBuilder, WalkCacheConfig};
 use sr_core::operator::{Transition, UniformTransition, WeightedTransition};
+use sr_core::proximity::ProximityWeighting;
 use sr_core::streamed::StreamedTransition;
 use sr_core::SpamProximity;
 use sr_core::{
@@ -48,7 +53,7 @@ use sr_graph::delta::{CrawlDelta, DeltaOverlay, SourceGraphMaintainer};
 use sr_graph::source_graph::{extract, SourceGraph, SourceGraphConfig};
 use sr_graph::transpose::transpose;
 use sr_graph::walks::WalkStore;
-use sr_graph::{CsrGraph, GraphBuilder, SourceAssignment, WeightedGraph};
+use sr_graph::{CsrGraph, GraphBuilder, PageId, SourceAssignment, SourceId, WeightedGraph};
 use sr_obs::RecordingObserver;
 use sr_serve::engine::{EngineConfig, EpochEngine};
 
@@ -294,8 +299,11 @@ fn solves_are_bitwise_identical_at_one_and_two_threads() {
     let spam = crawl.sample_spam_seed(3, 9);
     let solve = |threads: usize| {
         sr_par::with_threads(threads, || {
+            let kappa = SpamProximity::new()
+                .throttle_top_k(&sources, &spam, 6)
+                .unwrap();
             let resilient = SpamResilientSourceRank::builder()
-                .throttle_by_proximity(spam.clone(), 6, 0.85)
+                .throttle(kappa)
                 .build(&sources)
                 .rank();
             (PageRank::default().rank(&pages), resilient)
@@ -457,6 +465,60 @@ fn served_epochs_solve_over_their_published_graph_bitwise() {
     }
 }
 
+/// The tiny crawl with every out-link of one non-spam source's pages
+/// removed, and that source: generated crawls have no source without
+/// out-links, so this is where extraction's weight-1 self-loop row meets
+/// both reversed walks at crawl shape.
+fn dangling_source_crawl() -> (sr_gen::SyntheticCrawl, SourceGraph, u32) {
+    let crawl = generate(&CrawlConfig::tiny(5));
+    let full = crawl.source_graph(SourceGraphConfig::consensus());
+    let quiet = sr_graph::ids::node_range(crawl.num_sources())
+        .find(|s| !crawl.spam_sources.contains(s) && full.self_weight(SourceId(*s)) < 1.0)
+        .expect("a non-spam source with out-links");
+    let source_of = |p: u32| crawl.assignment.source_of(PageId(p)).0;
+    let edges = crawl.pages.edges().filter(|&(u, _)| source_of(u) != quiet);
+    let pages = GraphBuilder::from_edges_exact(crawl.num_pages(), edges).unwrap();
+    let sg = extract(&pages, &crawl.assignment, SourceGraphConfig::consensus()).unwrap();
+    (crawl, sg, quiet)
+}
+
+#[test]
+fn spam_proximity_is_one_solve_bitwise() {
+    let (crawl, sg, quiet) = dangling_source_crawl();
+    assert_eq!(sg.self_weight(SourceId(quiet)), 1.0);
+    let seed_sets = [
+        crawl.sample_spam_seed(3, 9),
+        crawl.spam_sources.clone(),
+        vec![quiet, crawl.spam_sources[0]],
+    ];
+    let bits = |v: &RankVector| v.scores().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for weighting in [ProximityWeighting::Consensus, ProximityWeighting::Uniform] {
+        let prox = SpamProximity::new().weighting(weighting);
+        let batch = prox.scores_batch(&sg, &seed_sets).unwrap();
+        for (seeds, column) in seed_sets.iter().zip(&batch) {
+            let one = prox.scores(&sg, seeds).unwrap();
+            assert_eq!(bits(&one), bits(column), "{weighting:?}: scores");
+            assert_eq!(one.stats(), column.stats(), "{weighting:?}: stats");
+            assert!(one.stats().converged, "{weighting:?}: converged");
+            assert!(one.scores().iter().all(|x| x.is_finite()));
+            let total: f64 = one.scores().iter().sum();
+            assert!((total - 1.0).abs() < 1e-9, "{weighting:?}: mass {total}");
+        }
+    }
+    // The uniform weighting is seeded PageRank over the transpose.
+    let reversed = transpose(sg.structural());
+    let uniform = SpamProximity::new().weighting(ProximityWeighting::Uniform);
+    for seeds in &seed_sets {
+        let pagerank = PageRank::builder()
+            .teleport(Teleport::try_over_seeds(sg.num_sources(), seeds).unwrap())
+            .finish()
+            .rank(&reversed);
+        let one = uniform.scores(&sg, seeds).unwrap();
+        assert_eq!(bits(&one), bits(&pagerank), "uniform vs PageRank: scores");
+        assert_eq!(one.stats(), pagerank.stats(), "uniform vs PageRank: stats");
+    }
+}
+
 /// The approx suite's 60-node fixture: ring + chords + a dangling tail.
 fn walk_fixture() -> CsrGraph {
     let n = 60u32;
@@ -485,9 +547,14 @@ fn approx_ppr_stays_within_its_epsilon_delta_bound() {
     let _forking = forking();
     // Across independently seeded caches, the max-node additive error
     // exceeds ε_tol = 0.02 in at most a δ = 0.1 share of trials.
-    let g = walk_fixture();
-    let prox = SpamProximity::new();
-    let exact = prox.scores_uniform(&g, &[0, 17]).unwrap();
+    // Spam proximity under the uniform weighting is seeded PageRank over
+    // the transpose; the caches approximate that reversed walk.
+    let rev = transpose(&walk_fixture());
+    let exact = PageRank::builder()
+        .teleport(Teleport::try_over_seeds(rev.num_nodes(), &[0, 17]).unwrap())
+        .finish()
+        .rank(&rev);
+    let pr = PageRank::default();
     let q = QueryConfig {
         epsilon: 0.05,
         max_rounds: 10_000,
@@ -500,13 +567,13 @@ fn approx_ppr_stays_within_its_epsilon_delta_bound() {
             seed: 0xC0FFEE + t as u64,
             ..Default::default()
         };
-        let cache = prox
-            .build_walk_cache(&g, config, &walk_path(&format!("delta_{t}")))
+        let cache = pr
+            .build_walk_cache(&rev, config, &walk_path(&format!("delta_{t}")))
             .unwrap();
-        let approx = prox
-            .approx(&g, cache)
+        let approx = pr
+            .approx(&rev, &cache)
             .unwrap()
-            .scores(&[0, 17], &q)
+            .query(&[0, 17], &q)
             .unwrap();
         let max_err = approx
             .scores()

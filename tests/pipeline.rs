@@ -29,8 +29,11 @@ fn full_pipeline_produces_consistent_rankings() {
     assert!(sr.stats().converged);
 
     let seeds = c.sample_spam_seed(2, 1);
+    let kappa = SpamProximity::new()
+        .throttle_top_k(&sources, &seeds, 6)
+        .unwrap();
     let model = SpamResilientSourceRank::builder()
-        .throttle_by_proximity(seeds, 6, 0.85)
+        .throttle(kappa)
         .build(&sources);
     let srsr = model.rank();
     assert!(srsr.stats().converged);

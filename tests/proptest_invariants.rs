@@ -150,7 +150,7 @@ proptest! {
         // Wrap the stochastic matrix as a SourceGraph-free solve and check
         // Power vs Gauss-Seidel agreement on arbitrary chains.
         let crit = ConvergenceCriteria::default();
-        let solve = |solver| sr_core::solver::solve_weighted_warm_observed(
+        let solve = |solver| sr_core::solver::solve_weighted(
             &t, 0.85, &Teleport::Uniform, &crit, solver, None, &mut SolverWorkspace::new(), None);
         let a = solve(sr_core::Solver::Power);
         let b = solve(sr_core::Solver::GaussSeidel);
